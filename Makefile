@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json determinism lint fmt-check vet stcc-vet vet-json govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
+.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet vet-json govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
 
 all: build lint test
 
@@ -13,6 +13,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The concurrency-sensitive packages at one and four CPUs: worker pools,
+# cancellation and error selection behave differently once goroutines
+# really run in parallel, and a 1-CPU runner would hide that.
+test-cpu:
+	$(GO) test -cpu 1,4 ./internal/experiments ./internal/server ./internal/dispatch
 
 race:
 	$(GO) test -race ./...

@@ -2,8 +2,8 @@
 // evaluation section, printing the same rows/series the paper reports,
 // plus micro-benchmarks of the simulator's hot paths.
 //
-// Each figure benchmark performs a full (scaled-down) experiment per
-// iteration, so b.N is normally 1:
+// Each BenchmarkExperiments sub-benchmark performs a full (scaled-down)
+// experiment per iteration, so b.N is normally 1:
 //
 //	go test -bench . -benchtime 1x
 //
@@ -13,7 +13,7 @@
 package stcc
 
 import (
-	"fmt"
+	"bytes"
 	"math/rand"
 	"os"
 	"sync"
@@ -41,223 +41,32 @@ func benchScale() experiments.Scale {
 	}
 }
 
-// benchRates is a reduced rate grid spanning below and beyond saturation.
-func benchRates() []float64 { return []float64{0.005, 0.01, 0.02, 0.03, 0.05} }
-
-// printOnce guards the row output so repeated benchmark iterations (or
-// -count>1) do not spam the log.
+// printOnce guards the report output so repeated benchmark iterations
+// (or -count>1) do not spam the log.
 var printOnce sync.Map
 
-func emit(b *testing.B, key string, f func()) {
-	b.Helper()
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		f()
-	}
-}
-
-// BenchmarkTable1_TuningDecisions regenerates Table 1: the tuning
-// decision table (drop-in-bandwidth x currently-throttling -> action).
-func BenchmarkTable1_TuningDecisions(b *testing.B) {
-	var rows []experiments.Table1Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table1()
-	}
-	emit(b, "tab1", func() { experiments.PrintTable1(os.Stdout, rows) })
-}
-
-// BenchmarkFig1_SaturationCollapse regenerates Figure 1: accepted traffic
-// vs injection rate for the uncontrolled network under uniform random
-// and butterfly traffic, showing the throughput collapse at saturation
-// and that the two patterns saturate at different loads.
-func BenchmarkFig1_SaturationCollapse(b *testing.B) {
-	var curves []experiments.Curve
-	for i := 0; i < b.N; i++ {
-		var err error
-		curves, err = experiments.Fig1(benchScale(), benchRates())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "fig1", func() {
-		experiments.PrintCurves(os.Stdout, "fig1: saturation collapse (base, recovery)", curves)
-	})
-}
-
-// BenchmarkFig2_ThroughputVsFullBuffers regenerates Figure 2: delivered
-// bandwidth as a function of the network-wide full-buffer count — the
-// hill the self-tuner climbs.
-func BenchmarkFig2_ThroughputVsFullBuffers(b *testing.B) {
-	var pts []experiments.Fig2Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig2(benchScale(), benchRates())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "fig2", func() { experiments.PrintFig2(os.Stdout, pts) })
-}
-
-// BenchmarkFig3_OverallPerformance regenerates Figure 3(a-d): throughput
-// and latency vs offered load for Base, ALO and Tune under both deadlock
-// recovery and deadlock avoidance.
-func BenchmarkFig3_OverallPerformance(b *testing.B) {
-	out := map[router.DeadlockMode][]experiments.Curve{}
-	for i := 0; i < b.N; i++ {
-		for _, mode := range []router.DeadlockMode{router.Recovery, router.Avoidance} {
-			curves, err := experiments.Fig3Curves(benchScale(), mode, benchRates())
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkExperiments regenerates every table, figure and extension
+// study of the paper's evaluation through the experiment registry: one
+// sub-benchmark per entry, in the paper's order, each running the
+// entry's whole grid per iteration and printing its report once.
+//
+//	go test -bench Experiments/fig3 -benchtime 1x
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range experiments.PaperOrder {
+		e, _ := experiments.Lookup(name)
+		b.Run(name, func(b *testing.B) {
+			var out bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if err := e.Run(experiments.RunContext{Scale: benchScale(), Out: &out}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			out[mode] = curves
-		}
-	}
-	emit(b, "fig3", func() {
-		for _, mode := range []router.DeadlockMode{router.Recovery, router.Avoidance} {
-			experiments.PrintCurves(os.Stdout, "fig3: overall performance, "+mode.String(), out[mode])
-		}
-	})
-}
-
-// BenchmarkFig4_SelfTuningOperation regenerates Figure 4: the threshold
-// and throughput trajectories of hill-climbing-only versus the full
-// scheme with local-maximum avoidance.
-func BenchmarkFig4_SelfTuningOperation(b *testing.B) {
-	var traces []experiments.Fig4Trace
-	for i := 0; i < b.N; i++ {
-		var err error
-		traces, err = experiments.Fig4(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "fig4", func() {
-		for _, tr := range traces {
-			n := len(tr.Cycle)
-			fmt.Printf("fig4 %-20s periods %4d  final threshold %7.1f  mean tput %.4f\n",
-				tr.Name, n, tr.Threshold[n-1], mean(tr.Throughput))
-		}
-	})
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// BenchmarkFig5_StaticVsTuned regenerates Figure 5: fixed thresholds
-// versus self-tuning for uniform random and butterfly traffic, showing
-// that no single static threshold suits both patterns.
-func BenchmarkFig5_StaticVsTuned(b *testing.B) {
-	var curves []experiments.Curve
-	for i := 0; i < b.N; i++ {
-		var err error
-		curves, err = experiments.Fig5(benchScale(), benchRates())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "fig5", func() {
-		experiments.PrintCurves(os.Stdout, "fig5: static thresholds vs self-tuning (recovery)", curves)
-	})
-}
-
-// BenchmarkFig6_BurstySchedule regenerates Figure 6: the offered bursty
-// load (alternating low load and pattern-changing high-load bursts).
-func BenchmarkFig6_BurstySchedule(b *testing.B) {
-	var rows []experiments.Fig6Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.Fig6(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "fig6", func() { experiments.PrintFig6(os.Stdout, rows) })
-}
-
-// BenchmarkFig7_BurstyTraffic regenerates Figure 7: delivered throughput
-// over time under the bursty load for Base, ALO and Tune, with the
-// average latencies the paper quotes.
-func BenchmarkFig7_BurstyTraffic(b *testing.B) {
-	out := map[router.DeadlockMode][]experiments.Fig7Series{}
-	for i := 0; i < b.N; i++ {
-		for _, mode := range []router.DeadlockMode{router.Recovery, router.Avoidance} {
-			series, err := experiments.Fig7(benchScale(), mode)
-			if err != nil {
-				b.Fatal(err)
+			if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
+				os.Stdout.Write(out.Bytes())
 			}
-			out[mode] = series
-		}
+		})
 	}
-	emit(b, "fig7", func() {
-		for _, mode := range []router.DeadlockMode{router.Recovery, router.Avoidance} {
-			fmt.Printf("fig7 (%s):\n", mode)
-			experiments.PrintFig7(os.Stdout, out[mode])
-		}
-	})
-}
-
-// BenchmarkExt1_EstimatorAblation compares linear extrapolation against
-// last-value estimation (Section 3.1 reports 3-5% throughput).
-func BenchmarkExt1_EstimatorAblation(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext1Estimator(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext1", func() { experiments.PrintAblation(os.Stdout, "ext1: estimator ablation", pts) })
-}
-
-// BenchmarkExt2_TuningPeriodSensitivity sweeps the tuning period
-// (Section 4.1: 32-192 cycles all perform similarly).
-func BenchmarkExt2_TuningPeriodSensitivity(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext2TuningPeriod(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext2", func() { experiments.PrintAblation(os.Stdout, "ext2: tuning period sensitivity", pts) })
-}
-
-// BenchmarkExt3_StepSensitivity sweeps the increment/decrement step
-// sizes (Section 4.1: 1-4% of buffers within ~4%).
-func BenchmarkExt3_StepSensitivity(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext3Steps(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext3", func() { experiments.PrintAblation(os.Stdout, "ext3: step sensitivity", pts) })
-}
-
-// BenchmarkExt4_NarrowSideband compares the full-precision side-band
-// against the technical report's 9-bit side-band.
-func BenchmarkExt4_NarrowSideband(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext4NarrowSideband(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext4", func() { experiments.PrintAblation(os.Stdout, "ext4: narrow side-band", pts) })
 }
 
 // ---- Micro-benchmarks of the simulator's hot paths. ----
@@ -457,120 +266,4 @@ func BenchmarkSimCycleEndToEnd(b *testing.B) {
 	if _, err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkExt5_HopDelaySensitivity sweeps the side-band per-hop delay
-// (the technical report's study; the paper assumes h = 2).
-func BenchmarkExt5_HopDelaySensitivity(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext5HopDelay(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext5", func() { experiments.PrintAblation(os.Stdout, "ext5: side-band hop delay", pts) })
-}
-
-// BenchmarkExt6_ConsumptionChannels sweeps the delivery channel count
-// (Basak & Panda's consumption-channel bottleneck).
-func BenchmarkExt6_ConsumptionChannels(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext6ConsumptionChannels(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext6", func() { experiments.PrintAblation(os.Stdout, "ext6: consumption channels", pts) })
-}
-
-// BenchmarkExt7_SelectionPolicy compares adaptive port selection
-// functions near saturation.
-func BenchmarkExt7_SelectionPolicy(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext7Selection(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext7", func() { experiments.PrintAblation(os.Stdout, "ext7: selection policy", pts) })
-}
-
-// BenchmarkExt8_GatherMechanism compares the Section 3.1 information
-// distribution alternatives (side-band, meta-packets, piggybacking).
-func BenchmarkExt8_GatherMechanism(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext8GatherMechanism(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext8", func() { experiments.PrintAblation(os.Stdout, "ext8: gather mechanism", pts) })
-}
-
-// BenchmarkExt9_AllPatterns produces base-vs-tune curves for all four of
-// the paper's communication patterns (the technical report's steady-load
-// study).
-func BenchmarkExt9_AllPatterns(b *testing.B) {
-	var curves []experiments.Curve
-	for i := 0; i < b.N; i++ {
-		var err error
-		curves, err = experiments.Ext9AllPatterns(benchScale(), benchRates())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext9", func() {
-		experiments.PrintCurves(os.Stdout, "ext9: all patterns, base vs tune (recovery)", curves)
-	})
-}
-
-// BenchmarkExt10_CutThrough compares wormhole against virtual cut-through
-// switching for the base and self-tuned configurations (the paper's
-// generality claim for cut-through networks).
-func BenchmarkExt10_CutThrough(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext10CutThrough(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext10", func() { experiments.PrintAblation(os.Stdout, "ext10: wormhole vs cut-through", pts) })
-}
-
-// BenchmarkExt11_LocalBaselines compares the paper's scheme against both
-// cited local baselines (busy-VC counting and ALO) at overload.
-func BenchmarkExt11_LocalBaselines(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext11LocalBaselines(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext11", func() { experiments.PrintAblation(os.Stdout, "ext11: local baselines vs tune", pts) })
-}
-
-// BenchmarkExt12_ThreeCube checks the controller on an 8-ary 3-cube
-// (512 nodes), the k-ary n-cube generality claim.
-func BenchmarkExt12_ThreeCube(b *testing.B) {
-	var pts []experiments.AblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Ext12ThreeCube(benchScale(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	emit(b, "ext12", func() { experiments.PrintAblation(os.Stdout, "ext12: 8-ary 3-cube", pts) })
 }

@@ -99,7 +99,7 @@ simulation:
   compare all congestion control schemes on one workload, multi-seed
 
 experiment registry:
-  list             named experiments (tab1, fig1..fig7, ext1..ext12)
+  list             named experiments (tab1, fig1..fig7, ext1..ext14)
   describe <name>  one experiment's purpose and grid
   emit-spec <name> write an experiment's serialized spec (JSON) to stdout
   spec-roundtrip   verify every registry spec survives JSON round-tripping
@@ -314,8 +314,8 @@ func runSpecFile(ctx context.Context, path string, workers int, cacheDir, peers 
 	runner := experiments.Runner{Workers: workers, Cache: cache, Ctx: ctx}
 	attachDispatch(&runner, co)
 	if sub.Name != "" {
-		// Registry reference: run the entry's own driver so analytic
-		// entries (tab1, fig6) and figure-shaped reports work too.
+		// Registry reference: run the entry itself so analytic entries
+		// (tab1, fig6) and figure-shaped reports work too.
 		e, _ := experiments.Lookup(sub.Name)
 		return e.Run(experiments.RunContext{Runner: runner, Scale: sub.Scale, Out: os.Stdout})
 	}
@@ -405,14 +405,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		curve := experiments.Curve{Name: name, Points: make([]experiments.RatePoint, len(parsed))}
-		for i, r := range grouped[0] {
-			curve.Points[i] = experiments.RatePoint{
-				Rate: parsed[i], Accepted: r.AcceptedFlits, Latency: r.AvgNetworkLatency,
-				Recov: r.Recoveries, Full: r.AvgFullBuffers,
-			}
-		}
-		experiments.PrintCurves(os.Stdout, "rate sweep", []experiments.Curve{curve})
+		experiments.PrintCurves(os.Stdout, "rate sweep", []experiments.Curve{experiments.GroupCurve(g, grouped[0])})
 		return nil
 	})
 }
@@ -553,6 +546,6 @@ func cmdTable(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.PrintTable1(os.Stdout, experiments.Table1())
-	return nil
+	e, _ := experiments.Lookup("tab1")
+	return e.Run(experiments.RunContext{Out: os.Stdout})
 }

@@ -31,9 +31,8 @@ type Submission struct {
 	ScaleName string
 	Scale     experiments.Scale
 	// Spec is the grid to execute. For registry references it is the
-	// entry's grid at the requested scale — metadata for consumers that
-	// report points and fingerprints; the authoritative execution path
-	// for a reference is the entry's Run function.
+	// entry's grid at the requested scale: exactly the grid the entry's
+	// Run executes, so its point count and fingerprint describe the job.
 	Spec *experiments.Spec
 }
 

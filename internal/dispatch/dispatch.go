@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/resultcache/remotestore"
 	"repro/internal/sim"
 )
 
@@ -126,9 +127,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	peers := make([]string, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
-		base, err := baseURL(p)
+		base, err := remotestore.BaseURL(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dispatch: %w", err)
 		}
 		peers = append(peers, base)
 	}
@@ -164,21 +165,6 @@ func ParsePeers(flag string) []string {
 		}
 	}
 	return peers
-}
-
-// baseURL normalizes one peer address.
-func baseURL(addr string) (string, error) {
-	addr = strings.TrimSpace(addr)
-	if addr == "" {
-		return "", fmt.Errorf("dispatch: empty peer address")
-	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-		return "", fmt.Errorf("dispatch: peer %q: only http(s) peers are supported", addr)
-	}
-	return strings.TrimRight(addr, "/"), nil
 }
 
 // Peers returns the normalized peer base URLs, in configuration order.

@@ -99,7 +99,7 @@ func TestPartialGridResumes(t *testing.T) {
 // rather than fail when a cache is attached.
 func TestUnserializableConfigBypassesCache(t *testing.T) {
 	s := Scale{Warmup: 100, Measure: 400, BurstLow: 100, BurstHigh: 100}
-	sched, err := Fig6ScheduleSpec(s).Build(16)
+	sched, err := burstySchedule(s).Build(16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func CatalogMarkdown() string {
 	var b strings.Builder
 	b.WriteString("Generated from the experiment registry by `stcc experiments-doc`. Do not edit by hand;\n")
-	b.WriteString("run `make experiments-doc` after changing `internal/experiments/registry.go`.\n\n")
+	b.WriteString("run `make experiments-doc` after changing a registry entry in `internal/experiments`.\n\n")
 	b.WriteString("| name | title | grid (quick scale) |\n")
 	b.WriteString("|------|-------|--------------------|\n")
 	for _, name := range PaperOrder {

@@ -2,34 +2,109 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/router"
+	"repro/internal/sim"
 )
 
-// tiny is the smallest scale that still exercises every driver end to
+// tiny is the smallest scale that still exercises every entry end to
 // end (the 256-node network needs a few thousand cycles of signal).
 var tiny = Scale{Warmup: 500, Measure: 2_500, BurstLow: 600, BurstHigh: 900}
 
 var tinyRates = []float64{0.005, 0.02}
 
-func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1()
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+// runEntry executes a registry entry the way Entry.Run does — build the
+// spec, run it, hand the results to the entry's formatter — but on a
+// trimmed grid: only the points keep accepts survive (nil keeps all),
+// and groups left empty are dropped. It returns the trimmed spec, its
+// grouped results and the text report.
+func runEntry(t *testing.T, r Runner, name string, s Scale, keep func(Point) bool) (*Spec, [][]sim.Result, string) {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no registry entry %q", name)
 	}
+	spec := e.Spec(s)
+	if keep != nil {
+		var groups []Group
+		for _, g := range spec.Groups {
+			var points []Point
+			for _, p := range g.Points {
+				if keep(p) {
+					points = append(points, p)
+				}
+			}
+			if len(points) > 0 {
+				g.Points = points
+				groups = append(groups, g)
+			}
+		}
+		spec.Groups = groups
+	}
+	grouped, err := r.RunSpec(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var out bytes.Buffer
+	if err := e.Report(RunContext{Runner: r, Scale: s, Out: &out}, spec, grouped); err != nil {
+		t.Fatalf("%s report: %v", name, err)
+	}
+	return spec, grouped, out.String()
+}
+
+// atRates keeps the points of a rate sweep whose offered load is one of
+// rates.
+func atRates(rates ...float64) func(Point) bool {
+	return func(p Point) bool {
+		for _, r := range rates {
+			if p.Config.Rate == r {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// reportLines counts the non-empty lines of a report.
+func reportLines(report string) int {
+	return len(strings.Split(strings.TrimSpace(report), "\n"))
+}
+
+// checkStudy runs a comparison study at scale s and checks it has want
+// points and prints one row per point under its title and header.
+func checkStudy(t *testing.T, name string, s Scale, want int) {
+	t.Helper()
+	spec, _, report := runEntry(t, Runner{}, name, s, nil)
+	if n := spec.NumPoints(); n != want {
+		t.Errorf("%s: %d points, want %d", name, n, want)
+	}
+	if n := reportLines(report); n != want+2 {
+		t.Errorf("%s: report has %d lines, want %d:\n%s", name, n, want+2, report)
+	}
+}
+
+func TestTable1MatchesPaper(t *testing.T) {
 	want := map[[2]bool]core.Decision{
 		{true, true}:   core.Decrement,
 		{true, false}:  core.Decrement,
 		{false, true}:  core.Increment,
 		{false, false}: core.NoChange,
 	}
-	for _, r := range rows {
-		if got := want[[2]bool{r.Drop, r.Throttling}]; r.Decision != got {
-			t.Errorf("drop=%v throttling=%v: decision %v, want %v", r.Drop, r.Throttling, r.Decision, got)
+	for cell, d := range want {
+		if got := tuningDecision(cell[0], cell[1]); got != d {
+			t.Errorf("drop=%v throttling=%v: decision %v, want %v", cell[0], cell[1], got, d)
 		}
+	}
+	_, _, report := runEntry(t, Runner{}, "tab1", tiny, nil)
+	if n := reportLines(report); n != 6 {
+		t.Errorf("tab1 report has %d lines, want title + header + 4 cells:\n%s", n, report)
 	}
 }
 
@@ -37,29 +112,26 @@ func TestFig1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	curves, err := Fig1(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
+	spec, grouped, _ := runEntry(t, Runner{}, "fig1", tiny, atRates(tinyRates...))
+	if len(spec.Groups) != 2 {
+		t.Fatalf("curves = %d", len(spec.Groups))
 	}
-	if len(curves) != 2 {
-		t.Fatalf("curves = %d", len(curves))
-	}
-	for _, c := range curves {
-		if len(c.Points) != len(tinyRates) {
-			t.Fatalf("%s: %d points", c.Name, len(c.Points))
+	for gi, g := range spec.Groups {
+		if len(g.Points) != len(tinyRates) {
+			t.Fatalf("%s: %d points", g.Name, len(g.Points))
 		}
-		for _, p := range c.Points {
-			if p.Accepted <= 0 {
-				t.Errorf("%s rate %v: zero throughput", c.Name, p.Rate)
+		for pi, r := range grouped[gi] {
+			if r.AcceptedFlits <= 0 {
+				t.Errorf("%s: zero throughput", g.Points[pi].Label)
 			}
 		}
 	}
 	// Butterfly saturates earlier than random: at the overload rate it
 	// accepts less.
-	random, butterfly := curves[0], curves[1]
-	if butterfly.Points[1].Accepted >= random.Points[1].Accepted {
+	random, butterfly := grouped[0][1], grouped[1][1]
+	if butterfly.AcceptedFlits >= random.AcceptedFlits {
 		t.Errorf("butterfly (%v) should saturate below random (%v)",
-			butterfly.Points[1].Accepted, random.Points[1].Accepted)
+			butterfly.AcceptedFlits, random.AcceptedFlits)
 	}
 }
 
@@ -67,31 +139,37 @@ func TestFig2Monotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	pts, err := Fig2(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, grouped, _ := runEntry(t, Runner{}, "fig2", tiny, atRates(tinyRates...))
+	pts := grouped[0]
 	if len(pts) != len(tinyRates) {
 		t.Fatal("wrong point count")
 	}
-	if pts[1].FullBuffers <= pts[0].FullBuffers {
-		t.Errorf("full buffers should rise with load: %v then %v", pts[0].FullBuffers, pts[1].FullBuffers)
+	if pts[1].AvgFullBuffers <= pts[0].AvgFullBuffers {
+		t.Errorf("full buffers should rise with load: %v then %v", pts[0].AvgFullBuffers, pts[1].AvgFullBuffers)
 	}
 }
 
+// The fig3 formatter splits the merged two-mode grid back into one
+// table per deadlock mode, each with curves named after the schemes.
 func TestFig3CurveNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	curves, err := Fig3Curves(tiny, router.Recovery, []float64{0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"base", "alo", "tune"}
-	for i, c := range curves {
-		if c.Name != names[i] {
-			t.Errorf("curve %d = %s, want %s", i, c.Name, names[i])
+	_, _, report := runEntry(t, Runner{}, "fig3", tiny, atRates(0.005))
+	var titles, names []string
+	for _, line := range strings.Split(report, "\n") {
+		switch f := strings.Fields(line); {
+		case strings.HasPrefix(line, "fig3: "):
+			titles = append(titles, line)
+		case len(f) == 6 && f[0] != "curve":
+			names = append(names, f[0])
 		}
+	}
+	if want := []string{"fig3: overall performance, recovery", "fig3: overall performance, avoidance"}; !reflect.DeepEqual(titles, want) {
+		t.Errorf("tables %q, want %q", titles, want)
+	}
+	if want := []string{"base", "alo", "tune", "base", "alo", "tune"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("curve rows %q, want %q", names, want)
 	}
 }
 
@@ -99,20 +177,22 @@ func TestFig4TracesDiffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	traces, err := Fig4(Scale{Warmup: 0, Measure: 6_000}, 50)
-	if err != nil {
-		t.Fatal(err)
+	spec, grouped, report := runEntry(t, Runner{}, "fig4", Scale{Warmup: 0, Measure: 6_000}, nil)
+	points := spec.Groups[0].Points
+	if len(points) != 2 {
+		t.Fatalf("traces = %d", len(points))
 	}
-	if len(traces) != 2 {
-		t.Fatalf("traces = %d", len(traces))
+	if points[0].Label != "tune-hillclimb" || points[1].Label != "tune" {
+		t.Errorf("trace names: %s, %s", points[0].Label, points[1].Label)
 	}
-	for _, tr := range traces {
-		if len(tr.Cycle) == 0 || len(tr.Cycle) != len(tr.Threshold) || len(tr.Cycle) != len(tr.Throughput) {
-			t.Fatalf("%s: malformed trace", tr.Name)
+	for i, p := range points {
+		trace := grouped[0][i].ThresholdTrace
+		if len(trace) == 0 {
+			t.Fatalf("%s: empty trace", p.Label)
 		}
-	}
-	if traces[0].Name != "tune-hillclimb" || traces[1].Name != "tune" {
-		t.Errorf("trace names: %s, %s", traces[0].Name, traces[1].Name)
+		if want := fmt.Sprintf("fig4 trace %s: %d periods", p.Label, len(trace)); !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
 	}
 }
 
@@ -120,35 +200,34 @@ func TestFig5CurveCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	curves, err := Fig5(tiny, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 8 { // 2 patterns x 4 schemes
-		t.Fatalf("curves = %d", len(curves))
+	spec, _, _ := runEntry(t, Runner{}, "fig5", tiny, atRates(0.02))
+	if len(spec.Groups) != 8 { // 2 patterns x 4 schemes
+		t.Fatalf("curves = %d", len(spec.Groups))
 	}
 }
 
 func TestFig6Schedule(t *testing.T) {
-	rows, sched, err := Fig6(tiny)
+	sched, err := burstySchedule(tiny).Build(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("rows = %d", len(rows))
+	phases := sched.Phases
+	if len(phases) != 9 {
+		t.Fatalf("phases = %d", len(phases))
 	}
-	if rows[0].Pattern != "random" || rows[7].Pattern != "butterfly" {
-		t.Errorf("burst order wrong: %+v", rows)
+	if phases[0].Pattern.Name() != "random" || phases[7].Pattern.Name() != "butterfly" {
+		t.Errorf("burst order wrong: %s ... %s", phases[0].Pattern.Name(), phases[7].Pattern.Name())
 	}
-	if rows[1].Rate <= rows[0].Rate {
+	if phases[1].Process.Rate() <= phases[0].Process.Rate() {
 		t.Error("bursts should be higher load")
 	}
-	var want int64
-	for _, r := range rows {
-		want += r.EndCycle - r.StartCycle
+	_, _, report := runEntry(t, Runner{}, "fig6", tiny, nil)
+	lines := strings.Split(strings.TrimSpace(report), "\n")
+	if len(lines) != 2+len(phases) {
+		t.Fatalf("fig6 report has %d lines, want title + header + %d phases:\n%s", len(lines), len(phases), report)
 	}
-	if sched.TotalDuration() != want {
-		t.Error("schedule duration mismatch")
+	if end := strings.Fields(lines[len(lines)-1])[1]; end != fmt.Sprint(sched.TotalDuration()) {
+		t.Errorf("last phase ends at %s, schedule lasts %d", end, sched.TotalDuration())
 	}
 }
 
@@ -156,17 +235,18 @@ func TestFig7SeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	series, err := Fig7(tiny, router.Recovery)
-	if err != nil {
-		t.Fatal(err)
+	spec, grouped, report := runEntry(t, Runner{}, "fig7", tiny,
+		func(p Point) bool { return p.Config.Mode == router.Recovery })
+	if n := spec.NumPoints(); n != 3 {
+		t.Fatalf("series = %d", n)
 	}
-	if len(series) != 3 {
-		t.Fatalf("series = %d", len(series))
-	}
-	for _, s := range series {
-		if len(s.Cycle) == 0 || len(s.Cycle) != len(s.Throughput) {
-			t.Fatalf("%s: malformed series", s.Scheme)
+	for i, p := range spec.Groups[0].Points {
+		if len(grouped[0][i].Throughput.Values) == 0 {
+			t.Fatalf("%s: empty series", p.Label)
 		}
+	}
+	if !strings.Contains(report, "fig7 (recovery):") || strings.Count(report, " samples\n") != 3 {
+		t.Errorf("fig7 report:\n%s", report)
 	}
 }
 
@@ -174,12 +254,8 @@ func TestExtDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	if pts, err := Ext1Estimator(tiny, 0.02); err != nil || len(pts) != 2 {
-		t.Errorf("ext1: %v %d", err, len(pts))
-	}
-	if pts, err := Ext4NarrowSideband(tiny, 0.02); err != nil || len(pts) != 2 {
-		t.Errorf("ext4: %v %d", err, len(pts))
-	}
+	checkStudy(t, "ext1", tiny, 2)
+	checkStudy(t, "ext4", tiny, 2)
 }
 
 func TestPrintAndCSVFormats(t *testing.T) {
@@ -189,43 +265,24 @@ func TestPrintAndCSVFormats(t *testing.T) {
 	if !strings.Contains(buf.String(), "title") || !strings.Contains(buf.String(), "0.0100") {
 		t.Errorf("print output: %q", buf.String())
 	}
-	buf.Reset()
-	if err := WriteCurvesCSV(&buf, curves); err != nil {
+	rows := curveRows(curves)
+	if want := []string{"x", "0.01", "0.2", "55", "3", "12"}; len(rows) != 2 || !reflect.DeepEqual(rows[1], want) {
+		t.Errorf("csv rows: %q", rows)
+	}
+	dir := t.TempDir()
+	if err := (RunContext{CSVDir: dir}).csv("c.csv", rows); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 2 {
-		t.Errorf("csv lines: %v", lines)
+	data, err := os.ReadFile(filepath.Join(dir, "c.csv"))
+	if want := "curve,rate,accepted_flits_per_node_cycle,avg_network_latency_cycles,recoveries,mean_full_buffers\nx,0.01,0.2,55,3,12\n"; err != nil || string(data) != want {
+		t.Errorf("csv file = %q (%v), want %q", data, err, want)
 	}
 	buf.Reset()
-	PrintTable1(&buf, Table1())
-	if !strings.Contains(buf.String(), "decrement") {
-		t.Error("table1 output missing decisions")
-	}
-	buf.Reset()
-	if err := WriteFig2CSV(&buf, []Fig2Point{{Rate: 1, FullBuffers: 2, Throughput: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	tr := []Fig4Trace{{Name: "t", Cycle: []int64{96}, Threshold: []float64{300}, Throughput: []float64{0.1}}}
-	if err := WriteFig4CSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "t,96,300,0.1") {
-		t.Errorf("fig4 csv: %q", buf.String())
-	}
-	buf.Reset()
-	fs := []Fig7Series{{Scheme: "base", Cycle: []int64{0}, Throughput: []float64{0.5}}}
-	if err := WriteFig7CSV(&buf, fs); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	PrintFig2(&buf, []Fig2Point{{Rate: 1, FullBuffers: 2, Throughput: 3}})
-	PrintFig6(&buf, []Fig6Row{{StartCycle: 0, EndCycle: 5, Pattern: "p", Rate: 0.1}})
-	PrintFig7(&buf, fs)
-	PrintFig4(&buf, tr)
-	PrintAblation(&buf, "a", []AblationPoint{{Name: "n", Accepted: 1, Latency: 2}})
-	if buf.Len() == 0 {
-		t.Error("printers produced nothing")
+	spec := NewSpec("s", "t")
+	spec.AddGroup("g", Point{Label: "p"})
+	PrintSpecResults(&buf, spec, [][]sim.Result{{{AcceptedFlits: 1, AvgNetworkLatency: 2, Recoveries: 3}}})
+	if !strings.Contains(buf.String(), "s: t") || !strings.Contains(buf.String(), "-- g") {
+		t.Errorf("spec results: %q", buf.String())
 	}
 }
 
@@ -233,54 +290,35 @@ func TestExtensionDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	if pts, err := Ext5HopDelay(tiny, 0.02); err != nil || len(pts) != 4 {
-		t.Errorf("ext5: %v %d", err, len(pts))
-	}
-	if pts, err := Ext6ConsumptionChannels(tiny, 0.02); err != nil || len(pts) != 3 {
-		t.Errorf("ext6: %v %d", err, len(pts))
-	}
-	if pts, err := Ext7Selection(tiny, 0.02); err != nil || len(pts) != 3 {
-		t.Errorf("ext7: %v %d", err, len(pts))
-	}
-	if pts, err := Ext8GatherMechanism(tiny, 0.02); err != nil || len(pts) != 3 {
-		t.Errorf("ext8: %v %d", err, len(pts))
-	}
-	if curves, err := Ext9AllPatterns(tiny, []float64{0.02}); err != nil || len(curves) != 8 {
-		t.Errorf("ext9: %v %d", err, len(curves))
+	checkStudy(t, "ext5", tiny, 4)
+	checkStudy(t, "ext6", tiny, 3)
+	checkStudy(t, "ext7", tiny, 3)
+	checkStudy(t, "ext8", tiny, 3)
+	if spec, _, _ := runEntry(t, Runner{}, "ext9", tiny, atRates(0.02)); len(spec.Groups) != 8 {
+		t.Errorf("ext9: %d curves", len(spec.Groups))
 	}
 }
 
+// The Section 4.1 ablations at a shorter scale.
 func TestExtensionDriversDefaultRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	// Exercise the rate-defaulting paths of the Section 4.1 ablations.
-	if pts, err := Ext2TuningPeriod(Scale{Warmup: 200, Measure: 1_000}, 0.01); err != nil || len(pts) != 5 {
-		t.Errorf("ext2: %v %d", err, len(pts))
-	}
-	if pts, err := Ext3Steps(Scale{Warmup: 200, Measure: 1_000}, 0.01); err != nil || len(pts) != 5 {
-		t.Errorf("ext3: %v %d", err, len(pts))
-	}
+	checkStudy(t, "ext2", Scale{Warmup: 200, Measure: 1_000}, 5)
+	checkStudy(t, "ext3", Scale{Warmup: 200, Measure: 1_000}, 5)
 }
 
 func TestExt10Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	pts, err := Ext10CutThrough(tiny, 0.02)
-	if err != nil || len(pts) != 4 {
-		t.Fatalf("ext10: %v %d", err, len(pts))
-	}
+	checkStudy(t, "ext10", tiny, 4)
 }
 
 func TestExt11And12Drivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	if pts, err := Ext11LocalBaselines(tiny, 0.02); err != nil || len(pts) != 4 {
-		t.Errorf("ext11: %v %d", err, len(pts))
-	}
-	if pts, err := Ext12ThreeCube(Scale{Warmup: 200, Measure: 1_000}, 0.02); err != nil || len(pts) != 2 {
-		t.Errorf("ext12: %v %d", err, len(pts))
-	}
+	checkStudy(t, "ext11", tiny, 4)
+	checkStudy(t, "ext12", Scale{Warmup: 200, Measure: 1_000}, 2)
 }

@@ -4,189 +4,261 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/router"
+	"repro/internal/sideband"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
-// Table1Row is one cell of the paper's tuning decision table, exercised
-// against the real tuner.
-type Table1Row struct {
-	Drop       bool // bandwidth dropped > 25% vs previous period
-	Throttling bool
-	Decision   core.Decision
+// registerStudy registers a comparison study: a grid of the compared
+// configurations, each labeled with its row name, reported as one
+// (config, accepted, latency) table.
+func registerStudy(name, title, about string, groups func(s Scale) []Group) {
+	register(Entry{
+		Name: name, Title: title, About: about,
+		Spec: func(s Scale) *Spec {
+			spec := NewSpec(name, title)
+			spec.Groups = groups(s)
+			return spec
+		},
+		Report: reportAblation(name + ": " + title),
+	})
 }
 
-// Table1 exercises the tuner's decision logic on all four table cells
-// and returns what it did, reproducing Table 1.
-func Table1() []Table1Row {
-	var rows []Table1Row
-	for _, drop := range []bool{true, false} {
-		for _, throttling := range []bool{true, false} {
-			cfg := core.DefaultTunerConfig(3072)
-			cfg.AvoidLocalMaxima = false // Table 1 is the pure hill climb
-			tu := core.MustNewTuner(cfg)
-			// Establish a previous-period baseline of 1000.
-			tu.OnPeriod(1000, 100, false)
-			tput := 1000.0
-			if drop {
-				tput = 600 // < 75% of the previous period
+// variants builds a one-group grid with one point per value: the
+// paper's network at scale s and offered load rate, adjusted by set,
+// which returns the point's label.
+func variants[T any](s Scale, rate float64, values []T, set func(cfg *sim.Config, v T) string) []Group {
+	points := make([]Point, 0, len(values))
+	for _, v := range values {
+		cfg := baseConfig(s)
+		cfg.Rate = rate
+		label := set(&cfg, v)
+		points = append(points, Point{Label: label, Config: cfg})
+	}
+	return []Group{{Points: points}}
+}
+
+func init() {
+	// The paper credits linear extrapolation with 3-5% throughput near
+	// saturation.
+	registerStudy("ext1", "estimator ablation (tune @ saturation)",
+		"Linear extrapolation vs last-value estimation of the global "+
+			"full-buffer count (the paper credits extrapolation with 3-5%).",
+		func(s Scale) []Group {
+			return variants(s, 0.03, []sim.EstimatorKind{sim.LinearEstimator, sim.LastValueEstimator},
+				func(cfg *sim.Config, est sim.EstimatorKind) string {
+					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: est}
+					return string(est)
+				})
+		})
+	// The paper found 32-192 cycles performs within a few percent.
+	registerStudy("ext2", "tuning period sensitivity",
+		"Sweeps the tuning period 32-192 cycles (the paper uses 96).",
+		func(s Scale) []Group {
+			return variants(s, 0.03, []int64{32, 64, 96, 160, 192},
+				func(cfg *sim.Config, period int64) string {
+					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, TuningPeriod: period}
+					return fmt.Sprintf("period=%d", period)
+				})
+		})
+	// The paper found steps of 1-4% of all buffers perform within ~4%,
+	// slightly better with decrement > increment.
+	registerStudy("ext3", "increment/decrement sensitivity",
+		"Sweeps the tuner's step sizes around the paper's 1%/4% choice.",
+		func(s Scale) []Group {
+			steps := []struct{ inc, dec float64 }{
+				{0.01, 0.01}, {0.01, 0.04}, {0.04, 0.01}, {0.04, 0.04}, {0.02, 0.02},
 			}
-			tu.OnPeriod(tput, 100, throttling)
-			rows = append(rows, Table1Row{Drop: drop, Throttling: throttling, Decision: tu.LastDecision()})
-		}
-	}
-	return rows
-}
-
-// AblationPoint is one configuration of an ablation sweep.
-type AblationPoint struct {
-	Name     string
-	Accepted float64
-	Latency  float64
-}
-
-// runAblation executes a single-group spec and maps the results to
-// named (throughput, latency) points — the shape every Ext* sweep
-// shares. Point labels become the row names.
-func (r Runner) runAblation(spec *Spec) ([]AblationPoint, error) {
-	grouped, err := r.RunSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	points := spec.Points()
-	out := make([]AblationPoint, len(points))
-	at := 0
-	for _, group := range grouped {
-		for _, res := range group {
-			out[at] = AblationPoint{Name: points[at].Label,
-				Accepted: res.AcceptedFlits, Latency: res.AvgNetworkLatency}
-			at++
-		}
-	}
-	return out, nil
-}
-
-// ablationSpec assembles a one-group spec from (label, config) pairs.
-func ablationSpec(name, title string, points ...Point) *Spec {
-	spec := NewSpec(name, title)
-	spec.Groups = append(spec.Groups, Group{Points: points})
-	return spec
-}
-
-// Ext1Estimator compares linear extrapolation against last-value
-// estimation near saturation (the paper reports 3-5% throughput from
-// extrapolation).
-func Ext1Estimator(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext1Estimator(s, rate)
-}
-
-// Ext1Spec is the estimator ablation's declarative grid.
-func Ext1Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
-	var points []Point
-	for _, est := range []sim.EstimatorKind{sim.LinearEstimator, sim.LastValueEstimator} {
-		cfg := baseConfig(s)
-		cfg.Rate = rate
-		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: est}
-		points = append(points, Point{Label: string(est), Config: cfg})
-	}
-	return ablationSpec("ext1", "estimator ablation (tune @ saturation)", points...)
-}
-
-// Ext1Estimator runs the estimator ablation on this runner's pool.
-func (r Runner) Ext1Estimator(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext1Spec(s, rate))
-}
-
-// Ext2TuningPeriod sweeps the tuning period (the paper found 32-192
-// cycles performs within a few percent; it uses 96).
-func Ext2TuningPeriod(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext2TuningPeriod(s, rate)
-}
-
-// Ext2Spec is the tuning-period sweep's declarative grid.
-func Ext2Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
-	var points []Point
-	for _, period := range []int64{32, 64, 96, 160, 192} {
-		cfg := baseConfig(s)
-		cfg.Rate = rate
-		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, TuningPeriod: period}
-		points = append(points, Point{Label: fmt.Sprintf("period=%d", period), Config: cfg})
-	}
-	return ablationSpec("ext2", "tuning period sensitivity", points...)
-}
-
-// Ext2TuningPeriod runs the tuning-period sweep on this runner's pool.
-func (r Runner) Ext2TuningPeriod(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext2Spec(s, rate))
-}
-
-// Ext3Steps sweeps the tuner's increment/decrement step sizes (the paper
-// found 1-4% of all buffers performs within ~4%, slightly better with
-// decrement > increment).
-func Ext3Steps(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext3Steps(s, rate)
-}
-
-// Ext3Spec is the step-size sweep's declarative grid.
-func Ext3Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
-	steps := []struct{ inc, dec float64 }{
-		{0.01, 0.01}, {0.01, 0.04}, {0.04, 0.01}, {0.04, 0.04}, {0.02, 0.02},
-	}
-	var points []Point
-	for _, st := range steps {
-		cfg := baseConfig(s)
-		cfg.Rate = rate
-		tc := core.DefaultTunerConfig(cfg.TotalBuffers())
-		tc.IncrementFraction = st.inc
-		tc.DecrementFraction = st.dec
-		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Tuner: &tc}
-		points = append(points, Point{Label: fmt.Sprintf("inc=%g%%,dec=%g%%", st.inc*100, st.dec*100), Config: cfg})
-	}
-	return ablationSpec("ext3", "increment/decrement sensitivity", points...)
-}
-
-// Ext3Steps runs the step-size sweep on this runner's pool.
-func (r Runner) Ext3Steps(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext3Spec(s, rate))
-}
-
-// Ext4NarrowSideband compares the full-precision side-band against the
-// technical report's narrow (9-bit) side-band, which quantizes the
-// transported counts.
-func Ext4NarrowSideband(s Scale, rate float64) ([]AblationPoint, error) {
-	return Runner{}.Ext4NarrowSideband(s, rate)
-}
-
-// Ext4Spec is the side-band-width ablation's declarative grid.
-func Ext4Spec(s Scale, rate float64) *Spec {
-	if rate == 0 {
-		rate = 0.03
-	}
-	var points []Point
-	for _, bits := range []int{0, 9} {
-		cfg := baseConfig(s)
-		cfg.Rate = rate
-		cfg.SidebandBits = bits
-		cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
-		name := "full-precision"
-		if bits > 0 {
-			name = fmt.Sprintf("%d-bit", bits)
-		}
-		points = append(points, Point{Label: name, Config: cfg})
-	}
-	return ablationSpec("ext4", "narrow side-band", points...)
-}
-
-// Ext4NarrowSideband runs the side-band-width ablation on this runner's
-// pool.
-func (r Runner) Ext4NarrowSideband(s Scale, rate float64) ([]AblationPoint, error) {
-	return r.runAblation(Ext4Spec(s, rate))
+			return variants(s, 0.03, steps, func(cfg *sim.Config, st struct{ inc, dec float64 }) string {
+				tc := core.DefaultTunerConfig(cfg.TotalBuffers())
+				tc.IncrementFraction = st.inc
+				tc.DecrementFraction = st.dec
+				cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Tuner: &tc}
+				return fmt.Sprintf("inc=%g%%,dec=%g%%", st.inc*100, st.dec*100)
+			})
+		})
+	// The technical report's narrow side-band quantizes the transported
+	// counts.
+	registerStudy("ext4", "narrow side-band",
+		"Full-precision vs 9-bit quantized side-band counts.",
+		func(s Scale) []Group {
+			return variants(s, 0.03, []int{0, 9}, func(cfg *sim.Config, bits int) string {
+				cfg.SidebandBits = bits
+				cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
+				if bits > 0 {
+					return fmt.Sprintf("%d-bit", bits)
+				}
+				return "full-precision"
+			})
+		})
+	// Larger h means a longer gather duration, staler global information
+	// and a slower control loop (the technical report quantifies this;
+	// the paper assumes h = 2 throughout).
+	registerStudy("ext5", "side-band hop delay",
+		"Sweeps the side-band hop delay h (gather duration g = (k/2)*h*n): "+
+			"staler global information slows the control loop.",
+		func(s Scale) []Group {
+			return variants(s, 0.03, []int{1, 2, 4, 8}, func(cfg *sim.Config, h int) string {
+				cfg.SidebandHopDelay = h
+				cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
+				return fmt.Sprintf("h=%d (g=%d)", h, cfg.GatherDuration())
+			})
+		})
+	registerStudy("ext6", "consumption channels",
+		"Sweeps delivery channels per node on the uncontrolled network "+
+			"(Basak & Panda: consumption bandwidth bounds saturation).",
+		func(s Scale) []Group {
+			return variants(s, 0.03, []int{1, 2, 4}, func(cfg *sim.Config, c int) string {
+				cfg.DeliveryChannels = c
+				return fmt.Sprintf("consumption=%d", c)
+			})
+		})
+	registerStudy("ext7", "selection policy",
+		"Compares adaptive-routing port selection policies near saturation.",
+		func(s Scale) []Group {
+			return variants(s, 0.02, []router.SelectionPolicy{router.RotatePorts, router.FirstPort, router.MostFreeVCs},
+				func(cfg *sim.Config, pol router.SelectionPolicy) string {
+					cfg.Selection = pol
+					return "selection=" + pol.String()
+				})
+		})
+	registerStudy("ext8", "gather mechanism",
+		"Dedicated side-band vs meta-packets vs piggybacking as the "+
+			"controller's information substrate (Section 3.1 alternatives).",
+		func(s Scale) []Group {
+			return variants(s, 0.03, []sideband.Mechanism{sideband.Dedicated, sideband.MetaPacket, sideband.Piggyback},
+				func(cfg *sim.Config, m sideband.Mechanism) string {
+					cfg.SidebandMechanism = m
+					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
+					return "gather=" + m.String()
+				})
+		})
+	// The technical report's steady-load study; the HPCA paper prints
+	// only uniform random in full.
+	register(Entry{
+		Name: "ext9", Title: "all patterns, base vs tune (recovery)",
+		About: "Base-vs-tune rate curves for all four of the paper's " +
+			"communication patterns (the technical report's steady-load study).",
+		Spec: func(s Scale) *Spec {
+			spec := NewSpec("ext9", "all patterns, base vs tune (recovery)")
+			for _, pat := range []traffic.PatternKind{
+				traffic.UniformRandom, traffic.BitReversal, traffic.PerfectShuffle, traffic.Butterfly,
+			} {
+				for _, sch := range []sim.Scheme{{Kind: sim.Base}, {Kind: sim.SelfTuned}} {
+					cfg := baseConfig(s)
+					cfg.Pattern = pat
+					cfg.Scheme = sch
+					name := string(pat) + "/" + string(sch.Kind)
+					spec.Groups = append(spec.Groups, rateGroup(name, name+" ", cfg))
+				}
+			}
+			return spec
+		},
+		Report: reportCurves("ext9: all patterns, base vs tune (recovery)", "ext9.csv"),
+	})
+	// The paper argues its controller applies to cut-through networks
+	// as well; cut-through contains blocked packets inside single
+	// routers, so tree saturation is milder but still present once
+	// router buffers fill.
+	registerStudy("ext10", "wormhole vs cut-through",
+		"Base and Tune on wormhole vs virtual cut-through switching "+
+			"(whole-packet buffers) at overload.",
+		func(s Scale) []Group {
+			type variant struct {
+				name      string
+				switching router.Switching
+				scheme    sim.Scheme
+			}
+			return variants(s, 0.04, []variant{
+				{"wormhole/base", router.Wormhole, sim.Scheme{Kind: sim.Base}},
+				{"wormhole/tune", router.Wormhole, sim.Scheme{Kind: sim.SelfTuned}},
+				{"cutthrough/base", router.CutThrough, sim.Scheme{Kind: sim.Base}},
+				{"cutthrough/tune", router.CutThrough, sim.Scheme{Kind: sim.SelfTuned}},
+			}, func(cfg *sim.Config, v variant) string {
+				cfg.Switching = v.switching
+				cfg.Scheme = v.scheme
+				if v.switching == router.CutThrough {
+					cfg.BufDepth = cfg.PacketLength // whole-packet buffers
+				}
+				return v.name
+			})
+		})
+	// ALO is Baydal et al.'s baseline, busy-VC counting Lopez et al.'s.
+	registerStudy("ext11", "local baselines vs tune",
+		"Both cited local baselines — busy-VC counting and ALO — against "+
+			"the self-tuned global scheme at overload.",
+		func(s Scale) []Group {
+			return variants(s, 0.04, []sim.SchemeKind{sim.Base, sim.BusyVC, sim.ALO, sim.SelfTuned},
+				func(cfg *sim.Config, kind sim.SchemeKind) string {
+					cfg.Scheme = sim.Scheme{Kind: kind}
+					return string(kind)
+				})
+		})
+	// The k-ary n-cube framing implies the controller generalizes across
+	// dimensionality. The tuning period defaults to three gather
+	// durations of the 3-cube's side-band (g = 4*2*3 = 24 cycles).
+	registerStudy("ext12", "8-ary 3-cube",
+		"Base vs Tune on an 8-ary 3-cube (512 nodes): the controller "+
+			"generalizes across network dimensionality.",
+		func(s Scale) []Group {
+			return variants(s, 0.05, []sim.SchemeKind{sim.Base, sim.SelfTuned},
+				func(cfg *sim.Config, kind sim.SchemeKind) string {
+					cfg.K, cfg.N = 8, 3
+					cfg.Scheme = sim.Scheme{Kind: kind}
+					return "8-ary 3-cube/" + string(kind)
+				})
+		})
+	// AIMD reacts per source to DECbit marks from its own packets, so it
+	// needs no side-band at all; the comparison shows what that
+	// end-to-end feedback loop costs (and buys) relative to global
+	// full-buffer tuning under each traffic shape. One group per
+	// workload, labeled "<workload>/<scheme>".
+	registerStudy("ext13", "controller zoo: aimd vs tune vs alo",
+		"The AIMD window controller (per-source end-to-end feedback from "+
+			"DECbit marks, no side-band) against the self-tuned global scheme "+
+			"and the ALO local baseline, on uniform random, butterfly and the "+
+			"Figure 6 bursty workload.",
+		func(s Scale) []Group {
+			schemes := []sim.Scheme{{Kind: sim.AIMD}, {Kind: sim.SelfTuned}, {Kind: sim.ALO}}
+			var groups []Group
+			for _, pat := range []traffic.PatternKind{traffic.UniformRandom, traffic.Butterfly} {
+				g := Group{Name: string(pat)}
+				for _, sch := range schemes {
+					cfg := baseConfig(s)
+					cfg.Pattern = pat
+					cfg.Rate = 0.04
+					cfg.Scheme = sch
+					g.Points = append(g.Points, Point{Label: string(pat) + "/" + string(sch.Kind), Config: cfg})
+				}
+				groups = append(groups, g)
+			}
+			sched := burstySchedule(s)
+			g := Group{Name: "bursty"}
+			for _, sch := range schemes {
+				cfg := baseConfig(s)
+				cfg.ScheduleSpec = sched
+				cfg.WarmupCycles = 0
+				cfg.MeasureCycles = sched.TotalDuration()
+				cfg.Scheme = sch
+				g.Points = append(g.Points, Point{Label: "bursty/" + string(sch.Kind), Config: cfg})
+			}
+			return append(groups, g)
+		})
+	// Unlike ext5, where delay only stales the tuner's global view, the
+	// hop delay here sets the latency of every congestion notification
+	// and, through the staleness default of two gather durations, how
+	// long a notified source stays gated.
+	registerStudy("ext14", "notification hop-delay sensitivity",
+		"Sweeps the side-band hop delay under the notification-based "+
+			"controller: the delay sets both notification latency and the "+
+			"staleness window gating sources, so it directly scales the "+
+			"feedback loop the controller closes.",
+		func(s Scale) []Group {
+			return variants(s, 0.04, []int{1, 2, 4, 8}, func(cfg *sim.Config, h int) string {
+				cfg.SidebandHopDelay = h
+				cfg.Scheme = sim.Scheme{Kind: sim.Notify}
+				return fmt.Sprintf("h=%d (g=%d)", h, cfg.GatherDuration())
+			})
+		})
 }

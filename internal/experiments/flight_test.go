@@ -31,6 +31,19 @@ func slowConfig() sim.Config {
 	return cfg
 }
 
+// waitingCtx signals on waiting each time Done is read. Flight.do reads
+// a caller's Done only when it starts waiting on another caller's
+// execution, so the signal marks a follower that has joined the flight.
+type waitingCtx struct {
+	context.Context
+	waiting chan<- struct{}
+}
+
+func (c waitingCtx) Done() <-chan struct{} {
+	c.waiting <- struct{}{}
+	return c.Context.Done()
+}
+
 // Concurrent do calls under one key must collapse to a single
 // execution: one leader runs fn, every follower adopts its result with
 // shared=true.
@@ -65,18 +78,22 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 	}()
 	<-started
 
+	// Release the leader only once every follower is waiting on it: a
+	// follower that arrived after the leader finished would rightly lead
+	// a fresh execution of its own.
 	const followers = 4
 	followerDone := make(chan outcome, followers)
-	var ready sync.WaitGroup
+	waiting := make(chan struct{}, followers)
 	for i := 0; i < followers; i++ {
-		ready.Add(1)
 		go func() {
-			ready.Done()
-			res, hit, shared, err := f.do(context.Background(), "key", followerFn)
+			ctx := waitingCtx{Context: context.Background(), waiting: waiting}
+			res, hit, shared, err := f.do(ctx, "key", followerFn)
 			followerDone <- outcome{res, hit, shared, err}
 		}()
 	}
-	ready.Wait()
+	for i := 0; i < followers; i++ {
+		<-waiting
+	}
 	close(release)
 
 	lead := <-leaderDone

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"fmt"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"repro/internal/router"
+	"repro/internal/sim"
 )
 
 // RunContext carries everything an experiment needs to execute and
@@ -21,9 +21,9 @@ type RunContext struct {
 	CSVDir string
 }
 
-// csv writes one CSV file into the context's directory, or does nothing
-// when no directory is configured.
-func (ctx RunContext) csv(name string, write func(w io.Writer) error) error {
+// csv writes rows as one CSV file into the context's directory, or does
+// nothing when no directory is configured.
+func (ctx RunContext) csv(name string, rows [][]string) error {
 	if ctx.CSVDir == "" {
 		return nil
 	}
@@ -31,14 +31,17 @@ func (ctx RunContext) csv(name string, write func(w io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return write(f)
+	if err := csv.NewWriter(f).WriteAll(rows); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// Entry is one named experiment of the paper's evaluation. Spec returns
-// the declarative grid the experiment simulates (possibly empty for
-// analytic entries like tab1); Run executes it and prints the rows the
-// paper reports.
+// Entry is one named experiment of the paper's evaluation: a builder
+// for the grid it simulates and the formatter that turns the grid's
+// results into the rows the paper reports. Analytic entries (tab1,
+// fig6) build an empty grid and compute their rows in the formatter.
 type Entry struct {
 	// Name is the registry key ("fig3", "ext11", ...).
 	Name string
@@ -48,12 +51,26 @@ type Entry struct {
 	About string
 	// Spec builds the experiment's serializable grid at a scale.
 	Spec func(s Scale) *Spec
-	// Run executes the experiment and writes its report.
-	Run func(ctx RunContext) error
+	// Report writes the text report to ctx.Out and any CSV files to
+	// ctx.CSVDir, given the results of spec grouped like spec.
+	Report func(ctx RunContext, spec *Spec, grouped [][]sim.Result) error
+}
+
+// Run executes the experiment: it builds the grid at ctx.Scale, runs it
+// once on ctx.Runner and reports the results. Every caller that runs a
+// registry entry — stcc-paper, "stcc run -spec", "stcc table" and the
+// stcc-serve job manager — goes through here.
+func (e Entry) Run(ctx RunContext) error {
+	spec := e.Spec(ctx.Scale)
+	grouped, err := ctx.Runner.RunSpec(spec)
+	if err != nil {
+		return err
+	}
+	return e.Report(ctx, spec, grouped)
 }
 
 // registry maps experiment names to entries. It is assembled once at
-// init from the static entry list; iterate it through Names(), which
+// init from the register calls; iterate it through Names(), which
 // sorts, so no map-order nondeterminism can leak into output.
 var registry = make(map[string]Entry)
 
@@ -94,257 +111,4 @@ func register(e Entry) {
 // emptySpec is the Spec builder for entries that run no simulations.
 func emptySpec(name, title string) func(Scale) *Spec {
 	return func(Scale) *Spec { return NewSpec(name, title) }
-}
-
-// mergeSpecs concatenates the groups of several specs under one name,
-// for entries (fig3, fig7) that run the same grid per deadlock mode.
-func mergeSpecs(name, title string, specs ...*Spec) *Spec {
-	out := NewSpec(name, title)
-	for _, s := range specs {
-		for _, g := range s.Groups {
-			g.Name = s.Title + ": " + g.Name
-			out.Groups = append(out.Groups, g)
-		}
-	}
-	return out
-}
-
-func init() {
-	register(Entry{
-		Name: "tab1", Title: "tuning decision table",
-		About: "Drives the real tuner through all four (drop, throttling) cells " +
-			"and reports its decisions; reproduces Table 1 exactly. Analytic — no simulations.",
-		Spec: emptySpec("tab1", "tuning decision table"),
-		Run: func(ctx RunContext) error {
-			PrintTable1(ctx.Out, Table1())
-			return nil
-		},
-	})
-	register(Entry{
-		Name: "fig1", Title: "saturation collapse (base, recovery)",
-		About: "Rate sweeps of the uncontrolled network for uniform random and " +
-			"butterfly: delivered bandwidth collapses past the pattern-dependent " +
-			"saturation point.",
-		Spec: func(s Scale) *Spec { return Fig1Spec(s, nil) },
-		Run: func(ctx RunContext) error {
-			curves, err := ctx.Runner.Fig1(ctx.Scale, nil)
-			if err != nil {
-				return err
-			}
-			PrintCurves(ctx.Out, "fig1: saturation collapse (base, recovery)", curves)
-			return ctx.csv("fig1.csv", func(w io.Writer) error { return WriteCurvesCSV(w, curves) })
-		},
-	})
-	register(Entry{
-		Name: "fig2", Title: "throughput vs full buffers (base, recovery)",
-		About: "Sweeps offered load and records where each run settles in " +
-			"(full buffers, throughput) space: the hill the self-tuner climbs.",
-		Spec: func(s Scale) *Spec { return Fig2Spec(s, nil) },
-		Run: func(ctx RunContext) error {
-			pts, err := ctx.Runner.Fig2(ctx.Scale, nil)
-			if err != nil {
-				return err
-			}
-			PrintFig2(ctx.Out, pts)
-			return ctx.csv("fig2.csv", func(w io.Writer) error { return WriteFig2CSV(w, pts) })
-		},
-	})
-	register(Entry{
-		Name: "fig3", Title: "overall performance: base vs ALO vs tune, both deadlock modes",
-		About: "Throughput and latency vs offered load for Base, ALO and Tune, " +
-			"under deadlock recovery and deadlock avoidance.",
-		Spec: func(s Scale) *Spec {
-			return mergeSpecs("fig3", "overall performance",
-				Fig3Spec(s, router.Recovery, nil), Fig3Spec(s, router.Avoidance, nil))
-		},
-		Run: func(ctx RunContext) error {
-			for _, mode := range []router.DeadlockMode{router.Recovery, router.Avoidance} {
-				curves, err := ctx.Runner.Fig3Curves(ctx.Scale, mode, nil)
-				if err != nil {
-					return err
-				}
-				PrintCurves(ctx.Out, "fig3: overall performance, "+mode.String(), curves)
-				if err := ctx.csv("fig3_"+mode.String()+".csv", func(w io.Writer) error {
-					return WriteCurvesCSV(w, curves)
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	})
-	register(Entry{
-		Name: "fig4", Title: "self-tuning operation: threshold and throughput vs time",
-		About: "Hill climbing only vs hill climbing plus local-maximum avoidance " +
-			"on the avoidance configuration under a fixed regeneration interval; " +
-			"the avoidance mechanism's sawtooth sustains throughput.",
-		Spec: func(s Scale) *Spec { return Fig4Spec(s, 0) },
-		Run: func(ctx RunContext) error {
-			traces, err := ctx.Runner.Fig4(ctx.Scale, 0)
-			if err != nil {
-				return err
-			}
-			// Print a decimated view; the CSV has every period.
-			for _, tr := range traces {
-				fmt.Fprintf(ctx.Out, "fig4 trace %s: %d periods, final threshold %.1f\n",
-					tr.Name, len(tr.Cycle), tr.Threshold[len(tr.Threshold)-1])
-			}
-			return ctx.csv("fig4.csv", func(w io.Writer) error { return WriteFig4CSV(w, traces) })
-		},
-	})
-	register(Entry{
-		Name: "fig5", Title: "static thresholds vs self-tuning (recovery)",
-		About: "Static global thresholds 500/250/50 against the self-tuned " +
-			"controller on uniform random and butterfly: no single static " +
-			"threshold suits both patterns.",
-		Spec: func(s Scale) *Spec { return Fig5Spec(s, nil) },
-		Run: func(ctx RunContext) error {
-			curves, err := ctx.Runner.Fig5(ctx.Scale, nil)
-			if err != nil {
-				return err
-			}
-			PrintCurves(ctx.Out, "fig5: static thresholds vs self-tuning (recovery)", curves)
-			return ctx.csv("fig5.csv", func(w io.Writer) error { return WriteCurvesCSV(w, curves) })
-		},
-	})
-	register(Entry{
-		Name: "fig6", Title: "offered bursty load schedule",
-		About: "Prints the alternating low-load / high-burst workload (random, " +
-			"bit-reversal, shuffle, butterfly bursts) that Figure 7 consumes. " +
-			"Analytic — no simulations.",
-		Spec: emptySpec("fig6", "offered bursty load"),
-		Run: func(ctx RunContext) error {
-			rows, _, err := Fig6(ctx.Scale)
-			if err != nil {
-				return err
-			}
-			PrintFig6(ctx.Out, rows)
-			return nil
-		},
-	})
-	register(Entry{
-		Name: "fig7", Title: "performance under bursty load, both deadlock modes",
-		About: "Base, ALO and Tune under the Figure 6 bursty workload: Tune " +
-			"delivers steady bandwidth across bursts with the lowest latency.",
-		Spec: func(s Scale) *Spec {
-			return mergeSpecs("fig7", "performance under bursty load",
-				Fig7Spec(s, router.Recovery), Fig7Spec(s, router.Avoidance))
-		},
-		Run: func(ctx RunContext) error {
-			for _, mode := range []router.DeadlockMode{router.Recovery, router.Avoidance} {
-				series, err := ctx.Runner.Fig7(ctx.Scale, mode)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(ctx.Out, "fig7 (%s):\n", mode)
-				PrintFig7(ctx.Out, series)
-				if err := ctx.csv("fig7_"+mode.String()+".csv", func(w io.Writer) error {
-					return WriteFig7CSV(w, series)
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	})
-
-	type ablationEntry struct {
-		name, title, about string
-		spec               func(s Scale) *Spec
-		run                func(r Runner, s Scale) ([]AblationPoint, error)
-	}
-	for _, a := range []ablationEntry{
-		{"ext1", "estimator ablation (tune @ saturation)",
-			"Linear extrapolation vs last-value estimation of the global " +
-				"full-buffer count (the paper credits extrapolation with 3-5%).",
-			func(s Scale) *Spec { return Ext1Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext1Estimator(s, 0) }},
-		{"ext2", "tuning period sensitivity",
-			"Sweeps the tuning period 32-192 cycles (the paper uses 96).",
-			func(s Scale) *Spec { return Ext2Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext2TuningPeriod(s, 0) }},
-		{"ext3", "increment/decrement sensitivity",
-			"Sweeps the tuner's step sizes around the paper's 1%/4% choice.",
-			func(s Scale) *Spec { return Ext3Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext3Steps(s, 0) }},
-		{"ext4", "narrow side-band",
-			"Full-precision vs 9-bit quantized side-band counts.",
-			func(s Scale) *Spec { return Ext4Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext4NarrowSideband(s, 0) }},
-		{"ext5", "side-band hop delay",
-			"Sweeps the side-band hop delay h (gather duration g = (k/2)*h*n): " +
-				"staler global information slows the control loop.",
-			func(s Scale) *Spec { return Ext5Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext5HopDelay(s, 0) }},
-		{"ext6", "consumption channels",
-			"Sweeps delivery channels per node on the uncontrolled network " +
-				"(Basak & Panda: consumption bandwidth bounds saturation).",
-			func(s Scale) *Spec { return Ext6Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext6ConsumptionChannels(s, 0) }},
-		{"ext7", "selection policy",
-			"Compares adaptive-routing port selection policies near saturation.",
-			func(s Scale) *Spec { return Ext7Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext7Selection(s, 0) }},
-		{"ext8", "gather mechanism",
-			"Dedicated side-band vs meta-packets vs piggybacking as the " +
-				"controller's information substrate (Section 3.1 alternatives).",
-			func(s Scale) *Spec { return Ext8Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext8GatherMechanism(s, 0) }},
-		{"ext10", "wormhole vs cut-through",
-			"Base and Tune on wormhole vs virtual cut-through switching " +
-				"(whole-packet buffers) at overload.",
-			func(s Scale) *Spec { return Ext10Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext10CutThrough(s, 0) }},
-		{"ext11", "local baselines vs tune",
-			"Both cited local baselines — busy-VC counting and ALO — against " +
-				"the self-tuned global scheme at overload.",
-			func(s Scale) *Spec { return Ext11Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext11LocalBaselines(s, 0) }},
-		{"ext12", "8-ary 3-cube",
-			"Base vs Tune on an 8-ary 3-cube (512 nodes): the controller " +
-				"generalizes across network dimensionality.",
-			func(s Scale) *Spec { return Ext12Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext12ThreeCube(s, 0) }},
-		{"ext13", "controller zoo: aimd vs tune vs alo",
-			"The AIMD window controller (per-source end-to-end feedback from " +
-				"DECbit marks, no side-band) against the self-tuned global scheme " +
-				"and the ALO local baseline, on uniform random, butterfly and the " +
-				"Figure 6 bursty workload.",
-			func(s Scale) *Spec { return Ext13Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext13ControllerZoo(s, 0) }},
-		{"ext14", "notification hop-delay sensitivity",
-			"Sweeps the side-band hop delay under the notification-based " +
-				"controller: the delay sets both notification latency and the " +
-				"staleness window gating sources, so it directly scales the " +
-				"feedback loop the controller closes.",
-			func(s Scale) *Spec { return Ext14Spec(s, 0) },
-			func(r Runner, s Scale) ([]AblationPoint, error) { return r.Ext14NotifyHopDelay(s, 0) }},
-	} {
-		a := a
-		register(Entry{
-			Name: a.name, Title: a.title, About: a.about, Spec: a.spec,
-			Run: func(ctx RunContext) error {
-				pts, err := a.run(ctx.Runner, ctx.Scale)
-				if err != nil {
-					return err
-				}
-				PrintAblation(ctx.Out, a.name+": "+a.title, pts)
-				return nil
-			},
-		})
-	}
-	register(Entry{
-		Name: "ext9", Title: "all patterns, base vs tune (recovery)",
-		About: "Base-vs-tune rate curves for all four of the paper's " +
-			"communication patterns (the technical report's steady-load study).",
-		Spec: func(s Scale) *Spec { return Ext9Spec(s, nil) },
-		Run: func(ctx RunContext) error {
-			curves, err := ctx.Runner.Ext9AllPatterns(ctx.Scale, nil)
-			if err != nil {
-				return err
-			}
-			PrintCurves(ctx.Out, "ext9: all patterns, base vs tune (recovery)", curves)
-			return ctx.csv("ext9.csv", func(w io.Writer) error { return WriteCurvesCSV(w, curves) })
-		},
-	})
 }

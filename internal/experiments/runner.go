@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 
@@ -13,9 +14,7 @@ import (
 // scheme x deadlock-mode x seed — across a pool of worker goroutines.
 // Each point is a self-contained sim.Engine run (own RNG, own fabric), so
 // points are embarrassingly parallel; the runner only schedules them and
-// reassembles results in deterministic input order. Every figure and
-// extension driver in this package is a method on Runner; the package-
-// level functions of the same names run on the zero Runner, which uses
+// reassembles results in deterministic input order. The zero Runner uses
 // every available CPU.
 type Runner struct {
 	// Workers caps the number of concurrently running simulations.
@@ -114,9 +113,11 @@ func (r Runner) workerCount(n int) int {
 // pool and blocks until all started jobs finish. fn must store its own
 // result at its index; distinct indices never race. The first error
 // cancels the dispatch of not-yet-started jobs via context, and the
-// returned error is the one with the lowest index among jobs that ran —
-// so the reported error does not depend on the worker count. A canceled
-// Runner.Ctx stops dispatch the same way and surfaces ctx's error.
+// returned error is the lowest-index failure among jobs that ran, not
+// counting jobs that merely saw that cancellation — so the reported
+// error names the root cause and does not depend on the worker count. A
+// canceled Runner.Ctx stops dispatch the same way and surfaces ctx's
+// error.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
 	return r.forEach(n, nil, fn)
 }
@@ -185,11 +186,26 @@ func (r Runner) forEach(n int, ctxFn func(ctx context.Context, i int) error, fn 
 	wg.Wait()
 
 	// The lowest failing index is always dispatched before any higher
-	// one, so this choice is deterministic for deterministic jobs.
+	// one, so this choice is deterministic for deterministic jobs. A job
+	// that failed only because a sibling's error canceled the shared
+	// context is a symptom, so it never masks that error, even from a
+	// lower index. Cancellation is the answer only when the caller
+	// canceled or when no job failed for any other reason.
+	callerCanceled := base.Err() != nil
+	var canceled error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled):
+			if canceled == nil {
+				canceled = err
+			}
+		case !callerCanceled:
 			return err
 		}
+	}
+	if canceled != nil {
+		return canceled
 	}
 	// Every dispatched job succeeded; if dispatch stopped early it was
 	// the base context, not a job error.

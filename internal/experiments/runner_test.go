@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -83,44 +82,66 @@ func TestForEachCancelsAfterError(t *testing.T) {
 	}
 }
 
+// TestForEachCanceledSiblingDoesNotMaskError pins the root-cause rule
+// deterministically: index 0 runs until the shared context is canceled
+// and then reports that cancellation, while index 1 fails for a real
+// reason. The real error must win even though index 0 is lower. With
+// two workers both jobs are always running when index 1 fails: the
+// dispatcher hands out index 1 only after index 0 is taken, and index 0
+// cannot finish before the cancellation.
+func TestForEachCanceledSiblingDoesNotMaskError(t *testing.T) {
+	invalid := errors.New("point 1: invalid config")
+	err := Runner{Workers: 2}.forEach(2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return invalid
+		}
+		<-ctx.Done()
+		return fmt.Errorf("point 0: %w", ctx.Err())
+	}, nil)
+	if err != invalid {
+		t.Fatalf("err = %v, want %v", err, invalid)
+	}
+}
+
+// When the caller cancels, the cancellation is reported even if a job
+// also failed for another reason on the way down.
+func TestForEachReportsCallerCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	err := Runner{Workers: 2, Ctx: ctx}.forEach(2, func(jobCtx context.Context, i int) error {
+		if i == 1 {
+			cancel()
+			return errors.New("write failed during shutdown")
+		}
+		<-jobCtx.Done()
+		return jobCtx.Err()
+	}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 // TestRunnerDeterminism is the headline regression test for the parallel
-// sweep runner: a figure grid must produce byte-identical results no
-// matter how many workers execute it. Fig1 covers the plain rate grid;
-// Fig5 covers the widest scheme x pattern grid including the global
-// self-tuned controller.
+// sweep runner: an entry's grid must produce byte-identical results and
+// reports no matter how many workers execute it. fig1 covers the plain
+// rate grid; fig5 covers the widest scheme x pattern grid including the
+// global self-tuned controller.
 func TestRunnerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	serial := Runner{Workers: 1}
-	wide := Runner{Workers: 8}
-
-	f1a, err := serial.Fig1(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1b, err := wide.Fig1(tiny, tinyRates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f1a, f1b) {
-		t.Errorf("fig1: workers=1 and workers=8 disagree\n1: %+v\n8: %+v", f1a, f1b)
-	}
-	ja, _ := json.Marshal(f1a)
-	jb, _ := json.Marshal(f1b)
-	if string(ja) != string(jb) {
-		t.Errorf("fig1: serialized curves differ:\n%s\n%s", ja, jb)
-	}
-
-	f5a, err := serial.Fig5(tiny, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5b, err := wide.Fig5(tiny, []float64{0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f5a, f5b) {
-		t.Errorf("fig5: workers=1 and workers=8 disagree")
+	for _, tc := range []struct {
+		name  string
+		rates []float64
+	}{{"fig1", tinyRates}, {"fig5", []float64{0.02}}} {
+		_, serial, serialReport := runEntry(t, Runner{Workers: 1}, tc.name, tiny, atRates(tc.rates...))
+		_, wide, wideReport := runEntry(t, Runner{Workers: 8}, tc.name, tiny, atRates(tc.rates...))
+		ja, _ := json.Marshal(serial)
+		jb, _ := json.Marshal(wide)
+		if string(ja) != string(jb) {
+			t.Errorf("%s: workers=1 and workers=8 results differ:\n%s\n%s", tc.name, ja, jb)
+		}
+		if serialReport != wideReport {
+			t.Errorf("%s: workers=1 and workers=8 reports differ:\n%s\n%s", tc.name, serialReport, wideReport)
+		}
 	}
 }

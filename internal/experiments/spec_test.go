@@ -105,8 +105,8 @@ func TestRegistryEntryMetadata(t *testing.T) {
 		if e.Title == "" || e.About == "" {
 			t.Errorf("entry %q missing Title or About", name)
 		}
-		if e.Spec == nil || e.Run == nil {
-			t.Errorf("entry %q missing Spec or Run", name)
+		if e.Spec == nil || e.Report == nil {
+			t.Errorf("entry %q missing Spec or Report", name)
 		}
 		if spec := e.Spec(Quick); spec.Name != name {
 			t.Errorf("entry %q builds spec named %q", name, spec.Name)
@@ -210,7 +210,7 @@ func TestRunSpecErrorContext(t *testing.T) {
 
 // The merged fig3/fig7 specs must still carry every per-mode point.
 func TestMergedModeSpecs(t *testing.T) {
-	for name, wantPer := range map[string]int{"fig3": 3 * len(DefaultRates), "fig7": 3} {
+	for name, wantPer := range map[string]int{"fig3": 3 * len(defaultRates), "fig7": 3} {
 		e, _ := Lookup(name)
 		spec := e.Spec(Quick)
 		if got := spec.NumPoints(); got != 2*wantPer {

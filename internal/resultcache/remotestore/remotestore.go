@@ -53,7 +53,7 @@ var _ resultcache.Store = (*Store)(nil)
 func New(addr string, client *http.Client) (*Store, error) {
 	base, err := BaseURL(addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("remotestore: %w", err)
 	}
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
@@ -61,18 +61,23 @@ func New(addr string, client *http.Client) (*Store, error) {
 	return &Store{base: base, client: client}, nil
 }
 
-// BaseURL normalizes a peer address to a base URL: "host:port" gains
-// the http scheme, trailing slashes are dropped, and an empty address
-// is rejected.
+// BaseURL normalizes a peer daemon address to a base URL: a bare
+// "host:port" gains the http scheme, trailing slashes are dropped, and
+// an empty address or a scheme other than http(s) is rejected. It is
+// the one normalizer for every peer address, result store and dispatch
+// peer alike.
 func BaseURL(addr string) (string, error) {
-	addr = strings.TrimRight(strings.TrimSpace(addr), "/")
+	addr = strings.TrimSpace(addr)
 	if addr == "" {
-		return "", fmt.Errorf("remotestore: empty peer address")
+		return "", fmt.Errorf("empty peer address")
 	}
-	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
+	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	return addr, nil
+	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
+		return "", fmt.Errorf("peer %q: only http(s) peers are supported", addr)
+	}
+	return strings.TrimRight(addr, "/"), nil
 }
 
 // Peer returns the normalized base URL this store talks to.

@@ -84,11 +84,17 @@ func TestBaseURL(t *testing.T) {
 		wantErr  bool
 	}{
 		{"localhost:8080", "http://localhost:8080", false},
+		{"localhost:8080/", "http://localhost:8080", false},
 		{"http://node1:8080/", "http://node1:8080", false},
+		{"http://node1:8080//", "http://node1:8080", false},
 		{"https://node1:8080", "https://node1:8080", false},
+		{"https://node1:8080/", "https://node1:8080", false},
 		{" node2:9090 ", "http://node2:9090", false},
 		{"", "", true},
 		{"   ", "", true},
+		{"ftp://h", "", true},
+		{"unix:///tmp/stcc.sock", "", true},
+		{"grpc://node1:8080", "", true},
 	}
 	for _, tc := range cases {
 		got, err := remotestore.BaseURL(tc.in)

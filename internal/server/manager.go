@@ -45,10 +45,8 @@ type Event struct {
 	Type string `json:"type"`
 	// Points is the grid size (queued and started events).
 	Points int `json:"points,omitempty"`
-	// Point is the completed point (point events). Its Index/Total are
-	// relative to the grid that ran it; registry entries that execute
-	// several grids (fig3 runs one per deadlock mode) emit per-grid
-	// indices while PointsDone counts across the whole job.
+	// Point is the completed point (point events). Its Index/Total
+	// locate it in the job's grid, so Total equals the job's Points.
 	Point *experiments.PointEvent `json:"point,omitempty"`
 	// PointsDone is the job-wide completion count after this event.
 	PointsDone int `json:"points_done,omitempty"`
@@ -118,6 +116,7 @@ type Job struct {
 	cacheHits int
 	shared    int
 	remote    int
+	fresh     int // points simulated by this job: neither cached nor shared
 	err       error
 	result    json.RawMessage
 	events    []Event
@@ -159,6 +158,11 @@ func (j *Job) recordPoint(ev experiments.PointEvent) {
 	if ev.Remote {
 		j.remote++
 	}
+	// A follower adopting a leader's cache hit carries both flags, so
+	// only a point with neither was simulated for this job.
+	if !ev.CacheHit && !ev.Shared {
+		j.fresh++
+	}
 	j.appendEventLocked(Event{Type: "point", Point: &ev, PointsDone: j.done})
 }
 
@@ -177,7 +181,7 @@ func (j *Job) Status() JobStatus {
 		CacheHits:    j.cacheHits,
 		SharedPoints: j.shared,
 		RemotePoints: j.remote,
-		CacheHit:     j.state == StateDone && j.done == j.cacheHits+j.shared,
+		CacheHit:     j.state == StateDone && j.fresh == 0,
 		Result:       j.result,
 	}
 	if j.err != nil {
@@ -377,9 +381,9 @@ func (m *Manager) runJob(j *Job) {
 	var payload JobResult
 	var err error
 	if j.sub.Name != "" {
-		// Registry reference: the entry's own driver renders the same
-		// report stcc-paper prints (and covers analytic entries that
-		// run no simulations at all).
+		// Registry reference: the entry runs the job's grid and renders
+		// the same report stcc-paper prints (analytic entries run no
+		// simulations at all).
 		e, ok := experiments.Lookup(j.sub.Name)
 		if !ok {
 			err = fmt.Errorf("unknown experiment %q", j.sub.Name)
@@ -420,7 +424,7 @@ func (m *Manager) finish(j *Job, payload JobResult, err error) {
 		j.appendEventLocked(Event{
 			Type:       StateDone,
 			PointsDone: j.done,
-			CacheHit:   j.done == j.cacheHits+j.shared,
+			CacheHit:   j.fresh == 0,
 		})
 		m.met.done.Add(1)
 	case errors.Is(err, context.Canceled) || j.canceled:

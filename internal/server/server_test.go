@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/resultcache/fsstore"
 	"repro/internal/resultcache/memstore"
@@ -316,6 +317,48 @@ func TestSubmitTab1AndStreamEvents(t *testing.T) {
 	st2 := waitTerminal(t, ts, id2)
 	if !bytes.Equal(st.Result, st2.Result) {
 		t.Errorf("re-submission result differs:\n first %s\nsecond %s", st.Result, st2.Result)
+	}
+}
+
+// TestRegistryJobPointEventsCoverGrid submits fig3 by name — the entry
+// whose grid merges both deadlock modes — and requires its point events
+// to index the job's whole grid: every event's total equals the job's
+// point count and each index appears exactly once. The submission is
+// built directly so the grid can run at a tiny scale.
+func TestRegistryJobPointEventsCoverGrid(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{})
+	e, _ := experiments.Lookup("fig3")
+	scale := experiments.Scale{Warmup: 50, Measure: 100}
+	job, err := s.Manager().Submit(&cli.Submission{Name: "fig3", ScaleName: "tiny", Scale: scale, Spec: e.Spec(scale)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, ts, job.ID())
+	st := getStatus(t, ts, job.ID())
+	if st.State != server.StateDone || st.Points != 48 || st.PointsDone != 48 {
+		t.Fatalf("status = %+v, want done with 48/48 points", st)
+	}
+	seen := make(map[int]int)
+	for _, ev := range events {
+		if ev.Type != "point" {
+			continue
+		}
+		var payload server.Event
+		if err := json.Unmarshal([]byte(ev.Data), &payload); err != nil {
+			t.Fatal(err)
+		}
+		if payload.Point.Total != st.Points {
+			t.Errorf("point event total %d, want the job's %d points", payload.Point.Total, st.Points)
+		}
+		seen[payload.Point.Index]++
+	}
+	for i := 0; i < st.Points; i++ {
+		if seen[i] != 1 {
+			t.Errorf("point index %d seen %d times, want once", i, seen[i])
+		}
+	}
+	if len(seen) != st.Points {
+		t.Errorf("%d distinct point indices, want %d", len(seen), st.Points)
 	}
 }
 

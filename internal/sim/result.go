@@ -55,7 +55,6 @@ type Result struct {
 
 func (e *Engine) result() Result {
 	nodes := e.topo.Nodes()
-	meas := e.cfg.MeasureCycles
 	from, to := e.warmup, e.total
 	r := Result{
 		Scheme:  e.cfg.Scheme.Kind,
@@ -87,7 +86,6 @@ func (e *Engine) result() Result {
 	r.AcceptedFlits = e.tputSeries.Window(from, to)
 	r.AcceptedPackets = r.AcceptedFlits / float64(e.cfg.PacketLength)
 	r.AvgFullBuffers = e.fullSeries.Window(from, to)
-	_ = meas
 	if e.glob != nil {
 		r.FinalThreshold = e.glob.Threshold()
 		r.ThresholdTrace = e.glob.Trace()

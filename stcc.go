@@ -17,10 +17,11 @@
 //	res, err := stcc.Run(cfg)
 //	fmt.Println(res.AcceptedFlits)       // delivered flits/node/cycle
 //
-// The experiment drivers behind every table and figure of the paper's
-// evaluation are exposed through the Fig1..Fig7, Table1 and Ext*
-// functions; `go test -bench .` regenerates them all, and the
-// cmd/stcc-paper binary writes them as CSV at the paper's full scale.
+// Every table and figure of the paper's evaluation, plus the extension
+// studies, is a named Experiment: LookupExperiment("fig3") returns its
+// grid builder and formatter, and Experiment.Run executes it. `go test
+// -bench Experiments` regenerates them all, and the cmd/stcc-paper
+// binary writes them as CSV at the paper's full scale.
 //
 // The package is a thin facade: the implementation lives in
 // internal/{topology,packet,router,traffic,sideband,core,congestion,sim,
@@ -286,7 +287,7 @@ func DefaultTunerConfig(totalBuffers int) TunerConfig {
 	return core.DefaultTunerConfig(totalBuffers)
 }
 
-// Experiment drivers: one per table/figure of the paper's evaluation.
+// Experiment run lengths and the rate-sweep types analysis consumes.
 type (
 	// Scale controls experiment run lengths.
 	Scale = experiments.Scale
@@ -352,54 +353,18 @@ var (
 	PaperScale = experiments.Paper
 )
 
-// Experiment drivers. Each regenerates one artifact of the paper's
-// evaluation at the given scale; see EXPERIMENTS.md for the paper-vs-
-// measured record.
-var (
-	// Fig1 is the saturation-collapse sweep (random + butterfly, base).
-	Fig1 = experiments.Fig1
-	// Fig2 is throughput vs full buffers (the hill the tuner climbs).
-	Fig2 = experiments.Fig2
-	// Fig3 is the Base/ALO/Tune comparison for one deadlock mode.
-	Fig3 = experiments.Fig3Curves
-	// Fig4 is the self-tuning threshold/throughput trace.
-	Fig4 = experiments.Fig4
-	// Fig5 is static thresholds vs self-tuning on two patterns.
-	Fig5 = experiments.Fig5
-	// Fig6 is the bursty offered-load schedule.
-	Fig6 = experiments.Fig6
-	// Fig7 is throughput over time under the bursty load.
-	Fig7 = experiments.Fig7
-	// Table1 exercises the tuning decision table.
-	Table1 = experiments.Table1
-	// Ext1Estimator compares congestion estimators.
-	Ext1Estimator = experiments.Ext1Estimator
-	// Ext2TuningPeriod sweeps the tuning period.
-	Ext2TuningPeriod = experiments.Ext2TuningPeriod
-	// Ext3Steps sweeps the tuner's step sizes.
-	Ext3Steps = experiments.Ext3Steps
-	// Ext4NarrowSideband compares side-band widths.
-	Ext4NarrowSideband = experiments.Ext4NarrowSideband
-	// Ext5HopDelay sweeps the side-band hop delay.
-	Ext5HopDelay = experiments.Ext5HopDelay
-	// Ext6ConsumptionChannels sweeps delivery channels per node.
-	Ext6ConsumptionChannels = experiments.Ext6ConsumptionChannels
-	// Ext7Selection compares adaptive port selection policies.
-	Ext7Selection = experiments.Ext7Selection
-	// Ext8GatherMechanism compares information gather mechanisms.
-	Ext8GatherMechanism = experiments.Ext8GatherMechanism
-	// Ext9AllPatterns sweeps base vs tune over all four patterns.
-	Ext9AllPatterns = experiments.Ext9AllPatterns
-	// Ext10CutThrough compares wormhole and cut-through switching.
-	Ext10CutThrough = experiments.Ext10CutThrough
-	// Ext11LocalBaselines compares both cited local baselines to Tune.
-	Ext11LocalBaselines = experiments.Ext11LocalBaselines
-	// Ext12ThreeCube checks generality on an 8-ary 3-cube.
-	Ext12ThreeCube = experiments.Ext12ThreeCube
-	// Ext13ControllerZoo compares AIMD, the self-tuned scheme and ALO
-	// across uniform, butterfly and bursty workloads.
-	Ext13ControllerZoo = experiments.Ext13ControllerZoo
-	// Ext14NotifyHopDelay sweeps the notification controller's
-	// side-band hop delay.
-	Ext14NotifyHopDelay = experiments.Ext14NotifyHopDelay
+// Experiments: one registry entry per table, figure and extension study
+// of the paper's evaluation; see EXPERIMENTS.md for the paper-vs-measured
+// record and "stcc list" for the names.
+type (
+	// Experiment is a named grid builder plus the formatter that prints
+	// the rows the paper reports; Run executes it.
+	Experiment = experiments.Entry
+	// ExperimentContext carries an experiment's runner, scale, output
+	// sink and optional CSV directory.
+	ExperimentContext = experiments.RunContext
 )
+
+// LookupExperiment returns the named experiment ("tab1", "fig1".."fig7",
+// "ext1".."ext14").
+func LookupExperiment(name string) (Experiment, bool) { return experiments.Lookup(name) }

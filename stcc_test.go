@@ -1,7 +1,9 @@
 package stcc
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -178,13 +180,32 @@ func TestPublicEventRecorder(t *testing.T) {
 }
 
 func TestPublicExperimentDrivers(t *testing.T) {
-	if rows := Table1(); len(rows) != 4 {
-		t.Errorf("Table1 rows = %d", len(rows))
+	tab1, ok := LookupExperiment("tab1")
+	if !ok {
+		t.Fatal("LookupExperiment(tab1) failed")
 	}
-	// One tiny end-to-end driver through the facade.
-	curves, err := Fig1(Scale{Warmup: 200, Measure: 1_200}, []float64{0.005})
-	if err != nil || len(curves) != 2 {
-		t.Fatalf("Fig1: %v, %d curves", err, len(curves))
+	var out bytes.Buffer
+	if err := tab1.Run(ExperimentContext{Out: &out}); err != nil || !strings.Contains(out.String(), "decrement") {
+		t.Errorf("tab1: %v, report %q", err, out.String())
+	}
+	// One tiny end-to-end grid through the facade: fig1 trimmed to its
+	// lowest rate, then reported by the entry's own formatter.
+	fig1, _ := LookupExperiment("fig1")
+	scale := Scale{Warmup: 200, Measure: 1_200}
+	spec := fig1.Spec(scale)
+	for i := range spec.Groups {
+		spec.Groups[i].Points = spec.Groups[i].Points[:1]
+	}
+	grouped, err := Runner{}.RunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := fig1.Report(ExperimentContext{Scale: scale, Out: &out}, spec, grouped); err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Groups) != 2 || !strings.Contains(out.String(), "butterfly") {
+		t.Errorf("fig1: %d curves, report %q", len(spec.Groups), out.String())
 	}
 }
 
