@@ -28,20 +28,20 @@ bench:
 
 # Regenerate the checked-in benchmark-trajectory report. Uses real
 # benchtime (minutes, not a smoke run); see README.md ("Benchmark
-# trajectory") for how to read BENCH_*.json.
+# trajectory") for how to read BENCH_*.json. The previous trajectory
+# point is the baseline the report embeds and diffs against.
 BENCH_LABEL ?= PR10
+BENCH_BASELINE ?= BENCH_PR10.json
 bench-json:
-	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -out BENCH_$(BENCH_LABEL).json
+	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json
 
-# The determinism gate CI runs as its own job: golden fingerprints, the
-# serial-vs-sharded twin comparison (including mid-run hysteresis flips
-# of the adaptive dispatch policy), and the registry-wide worker sweep,
-# all under the race detector so the parallel stepper's barrier and
-# merge paths are checked for memory-model bugs, not just for byte-equal
-# results.
+# The determinism gate CI runs as its own job: the golden fingerprints
+# (direct, across Runner worker counts, through the result cache, the
+# service and peer dispatch) and the accepted-and-ignored shard fields,
+# all under the race detector so a data race between concurrently
+# running points fails the gate, not just a changed result.
 determinism:
-	$(GO) test -race -run 'TestSharded|TestShardPartition|TestTracingForcesSerial|TestAdaptiveDispatchFlipsMidRun' ./internal/router/
-	$(GO) test -race -run 'TestDeterminism|TestShardedSteppingAcrossRegistry' .
+	$(GO) test -race -run 'TestDeterminism|TestShardFieldsAcceptedAndIgnored' .
 
 # lint is the full static gate: formatting, the standard vet suite, the
 # determinism-contract suite, the experiment-spec round trip, and (when
@@ -116,3 +116,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLatencyAccounting$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitQuoted$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzWantComment$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigJSON$$' -fuzztime $(FUZZTIME) ./internal/sim

@@ -28,7 +28,7 @@ const steadyStateWarmup = 8000
 // torusSteadyStateWarmup is the 4096-node torus warm-up: one of its
 // cycles costs roughly 16x a 256-node cycle, so the full warm-up would
 // dominate the test; 2500 cycles is past the big topology's occupancy
-// ramp and its sharded scratch-list high-water marks at the gated rate.
+// ramp at the gated rate.
 const torusSteadyStateWarmup = 2500
 
 // engineShapes are the operating points the gate (and
@@ -109,44 +109,31 @@ func TestEngineStepZeroSteadyStateAllocs(t *testing.T) {
 // path from the engine's statistics and control layers: zero allocs AND
 // zero bytes per op. The fabric has no growing statistics, so any
 // nonzero bytes/op is a leak in the step path (historically: a
-// per-recovery drain-bookkeeping map that escaped to the heap, then a
-// 7 B/op cross-shard handoff-list growth on the 4096-node torus). The
-// sharded shapes pin Dispatch to "sharded" so the same load runs
-// through the deterministic parallel step even on a single-CPU runner,
-// and its scratch buffers (handoff lists, crossbar candidate and move
-// lists, suspect merges) must likewise reach a steady high-water mark
-// and stop growing. The torus4096 shapes gate the big topology whose
-// sharded leak motivated the structural pre-sizing: every per-shard
-// list is now allocated to its structural capacity at construction.
+// per-recovery drain-bookkeeping map that escaped to the heap). The
+// torus4096 shape gates a 4096-node network, where a per-node leak
+// would show sixteen times over.
 func TestFabricStepZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second steady-state measurement")
 	}
 	for _, tc := range []struct {
-		name     string
-		k, n     int
-		rate     float64
-		workers  int
-		dispatch router.DispatchPolicy
-		warmup   int
-		prefill  int
+		name    string
+		k, n    int
+		rate    float64
+		warmup  int
+		prefill int
 	}{
-		{"idle", 16, 2, 0, 0, 0, steadyStateWarmup, 4096},
-		{"low", 16, 2, 0.002, 0, 0, steadyStateWarmup, 4096},
-		{"saturated", 16, 2, 0.2, 0, 0, steadyStateWarmup, 4096},
-		{"low-sharded", 16, 2, 0.002, 8, router.DispatchSharded, steadyStateWarmup, 4096},
-		{"saturated-sharded", 16, 2, 0.2, 8, router.DispatchSharded, steadyStateWarmup, 4096},
-		{"torus4096-low", 16, 3, 0.002, 0, 0, torusSteadyStateWarmup, 65536},
-		{"torus4096-low-sharded", 16, 3, 0.002, 8, router.DispatchSharded, torusSteadyStateWarmup, 65536},
+		{"idle", 16, 2, 0, steadyStateWarmup, 4096},
+		{"low", 16, 2, 0.002, steadyStateWarmup, 4096},
+		{"saturated", 16, 2, 0.2, steadyStateWarmup, 4096},
+		{"torus4096-low", 16, 3, 0.002, torusSteadyStateWarmup, 65536},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			topo := topology.MustNew(tc.k, tc.n)
 			fab := router.MustNew(router.Config{
 				Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-				Workers: tc.workers, Dispatch: tc.dispatch,
 			})
-			defer fab.Close()
 			rng := rand.New(rand.NewSource(1))
 			pool := packet.NewPool()
 			// Cover the run's peak in-flight population (the injection

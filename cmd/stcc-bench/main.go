@@ -11,21 +11,20 @@
 //
 //	go run ./cmd/stcc-bench -shapes 'torus4096/low'
 //
-// -baseline diffs the fresh run against a checked-in report and exits
-// nonzero if any shared shape regressed past -tolerance, which is how
-// CI turns the trajectory into a gate:
+// -baseline names the previous checked-in report: its shapes become the
+// new report's baseline block, and the fresh run is diffed against them,
+// exiting nonzero if any shared shape regressed past -tolerance. This is
+// how CI turns the trajectory into a gate. Baseline shapes the fresh run
+// did not measure are skipped.
 //
 //	go run ./cmd/stcc-bench -baseline BENCH_PR8.json -tolerance 0.5
 //
 // The 256-node shapes mirror BenchmarkFabricStep and BenchmarkEngineStep:
 // the bare router fabric and the full engine, each at idle, low load, and
 // saturation. The torus4096 shapes step a 16-ary 3-cube (4096 nodes)
-// through the same three regimes serially (w1) and with shard workers
-// available (wN) — results are byte-identical either way, and since PR8
-// the wN fabric decides per cycle (occupancy-adaptive dispatch) whether
-// the barrier rounds actually pay, so the pair isolates what the
-// dispatch policy ships on this machine rather than the raw cost of an
-// always-on parallel stepper.
+// through the same three regimes. Their names keep the "/w1" suffix of
+// the trajectory's earlier serial-versus-sharded pairs, so old reports
+// still diff against them.
 // Every fabric and engine is stepped to steady state before the timed
 // region, so the numbers describe the recurring per-cycle cost — the
 // construction and ramp-up transients are excluded by design.
@@ -75,7 +74,7 @@ type Report struct {
 	NumCPU    int     `json:"num_cpu"`
 	Shapes    []Shape `json:"shapes"`
 	// Baseline carries the prior trajectory point the shapes should be
-	// read against (the previous PR's checked-in numbers).
+	// read against: the shapes of the -baseline report.
 	Baseline []Shape `json:"baseline,omitempty"`
 	Note     string  `json:"note,omitempty"`
 }
@@ -85,7 +84,6 @@ type fabricShape struct {
 	name    string
 	k, n    int
 	rate    float64
-	workers int
 	warmup  int
 	prefill int // packets stocked in the pool; covers peak in-flight
 }
@@ -113,54 +111,35 @@ func main() {
 	}
 	keep := func(name string) bool { return filter == nil || filter.MatchString(name) }
 
-	// The sharded operating point: every available CPU. On a single-CPU
-	// machine the workers are still constructed, but the adaptive
-	// dispatch policy steps serially there (barrier rounds are pure
-	// coordination overhead with one core), so wN records what actually
-	// ships on this machine.
-	shardedWorkers := runtime.NumCPU()
-	if shardedWorkers < 2 {
-		shardedWorkers = 8
-	}
-
 	report := Report{
 		Label:     *label,
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Baseline:  pr8Baseline(),
 		Note: "steady-state per-cycle cost; warmup excluded (store/* shapes " +
-			"measure one Put+Get of a real result per op instead). Baseline " +
-			"is BENCH_PR8.json (occupancy-adaptive sharded stepping and the " +
-			"O(active) engine loop). PR10 adds the distributed sweep fabric " +
-			"and with it the store/{fs,mem,remote} result-store shapes: mem " +
-			"is the marshal floor, fs adds file I/O plus an atomic rename, " +
-			"remote adds a loopback HTTP round trip to a peer daemon.",
+			"measure one Put+Get of a real result per op instead: mem is the " +
+			"marshal floor, fs adds file I/O plus an atomic rename, remote " +
+			"adds a loopback HTTP round trip to a peer daemon).",
+	}
+	var base *Report
+	if *baselineFile != "" {
+		b, err := readReport(*baselineFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "stcc-bench: %v\n", err)
+			os.Exit(1)
+		}
+		base = b
+		report.Baseline = b.Shapes
+		report.Note += " Baseline is " + *baselineFile + "."
 	}
 
 	shapes := []fabricShape{
-		{"fabric/idle", 16, 2, 0, 0, warmupCycles, 4096},
-		{"fabric/low", 16, 2, 0.002, 0, warmupCycles, 4096},
-		{"fabric/saturated", 16, 2, 0.2, 0, warmupCycles, 4096},
-	}
-	for _, w := range []int{1, shardedWorkers} {
-		for _, tc := range []struct {
-			name string
-			rate float64
-		}{
-			{"idle", 0},
-			{"low", 0.002},
-			{"saturated", 0.2},
-		} {
-			shapes = append(shapes, fabricShape{
-				name: fmt.Sprintf("fabric/torus4096/%s/w%d", tc.name, w),
-				k:    16, n: 3,
-				rate:    tc.rate,
-				workers: w,
-				warmup:  torusWarmupCycles,
-				prefill: 65536,
-			})
-		}
+		{"fabric/idle", 16, 2, 0, warmupCycles, 4096},
+		{"fabric/low", 16, 2, 0.002, warmupCycles, 4096},
+		{"fabric/saturated", 16, 2, 0.2, warmupCycles, 4096},
+		{"fabric/torus4096/idle/w1", 16, 3, 0, torusWarmupCycles, 65536},
+		{"fabric/torus4096/low/w1", 16, 3, 0.002, torusWarmupCycles, 65536},
+		{"fabric/torus4096/saturated/w1", 16, 3, 0.2, torusWarmupCycles, 65536},
 	}
 	type point struct {
 		name string
@@ -232,13 +211,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *baselineFile != "" {
-		regressions, err := compareBaseline(report.Shapes, *baselineFile, *tolerance)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stcc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if regressions > 0 {
+	if base != nil {
+		if regressions := compareBaseline(report.Shapes, base.Shapes, *tolerance); regressions > 0 {
 			fmt.Fprintf(os.Stderr, "stcc-bench: %d shape(s) regressed past tolerance %.0f%%\n",
 				regressions, *tolerance*100)
 			os.Exit(1)
@@ -246,24 +220,29 @@ func main() {
 	}
 }
 
-// compareBaseline diffs the fresh shapes against the report in path and
+// readReport parses a checked-in BENCH_*.json report.
+func readReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return &r, nil
+}
+
+// compareBaseline diffs the fresh shapes against the baseline shapes and
 // prints a per-shape delta line for every shape the two runs share.
 // A shape counts as a regression when its ns/op exceeds the baseline by
 // more than the tolerance fraction, when its allocs/op grew at all, or
 // when its bytes/op grew from an exact zero — the bytes and allocs gates
 // are strict because the hot path's contract is "no per-cycle growth",
 // not "bounded growth".
-func compareBaseline(fresh []Shape, path string, tol float64) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return 0, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	byName := make(map[string]Shape, len(base.Shapes))
-	for _, s := range base.Shapes {
+func compareBaseline(fresh, baseline []Shape, tol float64) int {
+	byName := make(map[string]Shape, len(baseline))
+	for _, s := range baseline {
 		byName[s.Name] = s
 	}
 	regressions := 0
@@ -295,7 +274,7 @@ func compareBaseline(fresh []Shape, path string, tol float64) (int, error) {
 		fmt.Fprintf(os.Stderr, "%-34s %12.1f ns/op vs %12.1f (%+6.1f%%)  %3d B/op vs %3d  %s\n",
 			s.Name, s.NsPerOp, old.NsPerOp, delta, s.BytesPerOp, old.BytesPerOp, verdict)
 	}
-	return regressions, nil
+	return regressions
 }
 
 // repeats is how many measurement rounds the whole shape list runs
@@ -334,18 +313,14 @@ func toShape(name string, r testing.BenchmarkResult) Shape {
 }
 
 // measureFabric times one network cycle of a k-ary n-cube fabric with
-// pool-fed injection at the given per-node rate, stepping serially when
-// s.workers <= 1 and with shard workers (under the default adaptive
-// dispatch policy) otherwise. The pool is prefilled past the shape's
-// peak in-flight population so B/op reflects the fabric, not pool
-// growth.
+// pool-fed injection at the given per-node rate. The pool is prefilled
+// past the shape's peak in-flight population so B/op reflects the
+// fabric, not pool growth.
 func measureFabric(s fabricShape) Shape {
 	topo := topology.MustNew(s.k, s.n)
 	fab := router.MustNew(router.Config{
 		Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-		Workers: s.workers,
 	})
-	defer fab.Close()
 	rng := rand.New(rand.NewSource(1))
 	pool := packet.NewPool()
 	pool.Prefill(s.prefill, 8*s.n*s.k) // trail capacity covers worst-case hops
@@ -401,27 +376,4 @@ func measureEngine(name string, rate float64, scheme sim.Scheme) Shape {
 			e.Step()
 		}
 	}))
-}
-
-// pr8Baseline is the previous trajectory point: the checked-in
-// BENCH_PR8.json shape numbers (occupancy-adaptive dispatch, per-shard
-// stage skipping, fused barrier rounds, O(active) engine injection
-// scan; first point where the w8 torus shapes beat w1). The store/*
-// shapes are new in PR10 and have no prior point. Older history lives
-// on in each BENCH_*.json's own baseline block.
-func pr8Baseline() []Shape {
-	return []Shape{
-		{Name: "fabric/idle", NsPerOp: 20.86, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/low", NsPerOp: 10755.4, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/saturated", NsPerOp: 90829.4, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/torus4096/idle/w1", NsPerOp: 20.72, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/torus4096/low/w1", NsPerOp: 498375.2, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/torus4096/saturated/w1", NsPerOp: 9388627.5, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/torus4096/idle/w8", NsPerOp: 21.54, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/torus4096/low/w8", NsPerOp: 428816.7, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "fabric/torus4096/saturated/w8", NsPerOp: 8983814.7, BytesPerOp: 0, AllocsPerOp: 0},
-		{Name: "engine/idle", NsPerOp: 2872.8, BytesPerOp: 4, AllocsPerOp: 0},
-		{Name: "engine/low", NsPerOp: 113808.0, BytesPerOp: 558, AllocsPerOp: 0},
-		{Name: "engine/saturated", NsPerOp: 152732.9, BytesPerOp: 1239, AllocsPerOp: 0},
-	}
 }

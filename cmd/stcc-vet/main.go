@@ -1,8 +1,7 @@
 // Command stcc-vet is the determinism-contract multichecker: it runs
-// the repo's custom analyzer suite (atomicguard, counterguard, detrand,
-// hotalloc, maporder, shardguard) over the module. See the
-// "Determinism contract" section of README.md for the rules it
-// enforces.
+// the repo's custom analyzer suite (counterguard, detrand, hotalloc,
+// maporder) over the module. See the "Determinism contract" section of
+// README.md for the rules it enforces.
 //
 // Two invocation modes:
 //

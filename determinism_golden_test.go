@@ -170,134 +170,58 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestShardedSteppingAcrossRegistry sweeps every registered experiment
-// at a tiny scale and requires ShardWorkers=8 to reproduce the serial
-// fingerprint bit for bit on each distinct configuration. The registry
-// configs are 256-node networks (four 64-node shards at 8 workers; the
-// 64-node golden grid above collapses to a single shard and steps
-// serially), so this is the determinism gate for the parallel rounds:
-// every scheme kind, deadlock mode, traffic pattern and switching
-// discipline the paper's evaluation uses goes through the sharded
-// barrier/merge path and must be indistinguishable from serial.
-// It also pins the knobs' fingerprint neutrality: configs differing
-// only in ShardWorkers or ShardDispatch content-address identically.
-// The sharded run pins Dispatch to "sharded" so the parallel rounds are
-// actually exercised even on a single-CPU runner, where the default
-// adaptive policy would (correctly) step everything serially.
-func TestShardedSteppingAcrossRegistry(t *testing.T) {
-	tiny := experiments.Scale{Warmup: 200, Measure: 1000, BurstLow: 300, BurstHigh: 450}
-	seen := map[string]bool{}
-	var configs []sim.Config
-	var labels []string
-	for _, name := range experiments.Names() {
-		e, ok := experiments.Lookup(name)
-		if !ok {
-			t.Fatalf("registry names %q but Lookup misses it", name)
+// TestShardFieldsAcceptedAndIgnored pins the wire contract for the
+// shard_workers and shard_dispatch fields: a config carrying them
+// marshals, re-parses and validates, content-addresses like the same
+// config without them, and reproduces the serial golden result. The
+// rows are the feedback-driven controllers, whose DECbit marking and
+// notification paths are the most order-sensitive state in a run.
+func TestShardFieldsAcceptedAndIgnored(t *testing.T) {
+	for _, gc := range goldenCases() {
+		if gc.name != "aimd-recovery" && gc.name != "notify-recovery" {
+			continue
 		}
-		for _, g := range e.Spec(tiny).Groups {
-			if len(g.Points) == 0 {
-				continue
-			}
-			// One point per group bounds runtime while covering every
-			// curve's scheme/mode/pattern combination.
-			pt := g.Points[0]
-			fp, err := pt.Config.Fingerprint()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, g.Name, err)
-			}
-			if seen[fp] {
-				continue
-			}
-			seen[fp] = true
-			configs = append(configs, pt.Config)
-			labels = append(labels, name+"/"+g.Name)
-		}
-	}
-	if len(configs) < 8 {
-		t.Fatalf("registry sweep found only %d distinct configs; expected the full catalog", len(configs))
-	}
-	for i, cfg := range configs {
-		i, cfg := i, cfg
-		t.Run(labels[i], func(t *testing.T) {
+		gc := gc
+		t.Run(gc.name, func(t *testing.T) {
 			t.Parallel()
-			serCfg := cfg
-			serCfg.ShardWorkers = 1
-			serCfg.ShardDispatch = router.DispatchSerial
-			shCfg := cfg
-			shCfg.ShardWorkers = 8
-			shCfg.ShardDispatch = router.DispatchSharded
-			serFP, err := serCfg.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			shFP, err := shCfg.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serFP != shFP {
-				t.Fatalf("config fingerprint depends on ShardWorkers/ShardDispatch: %s vs %s", serFP, shFP)
-			}
-			adCfg := cfg
-			adCfg.ShardDispatch = router.DispatchAdaptive
-			adFP, err := adCfg.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if adFP != serFP {
-				t.Fatalf("config fingerprint depends on ShardDispatch: %s vs %s", adFP, serFP)
-			}
-			serial, err := sim.Run(serCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := sim.Run(shCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := resultFingerprint(serial), resultFingerprint(sharded); a != b {
-				t.Errorf("ShardWorkers=1 fingerprint %s != ShardWorkers=8 fingerprint %s (delivered %d vs %d, recoveries %d vs %d)",
-					a, b, serial.PacketsDelivered, sharded.PacketsDelivered,
-					serial.Recoveries, sharded.Recoveries)
-			}
-		})
-	}
-}
+			plain := goldenConfig(gc)
+			cfg := plain
+			cfg.ShardWorkers = 8
+			cfg.ShardDispatch = router.DispatchSharded
 
-// TestDeterminismNewSchemesSaturatedSharded is the sharded-twin gate
-// for the feedback-driven controllers at a deliberately saturated
-// operating point: a 256-node network (four 64-node shards at 8
-// workers) driven past saturation, where the congestion bits toggle
-// constantly, AIMD windows halve and regrow, and the notification wheel
-// carries steady traffic. ShardWorkers=8 must reproduce the serial run
-// bit for bit — the proof that DECbit maintenance and feedback delivery
-// are order-free across the shard barrier.
-func TestDeterminismNewSchemesSaturatedSharded(t *testing.T) {
-	for _, sch := range []sim.Scheme{{Kind: sim.AIMD}, {Kind: sim.Notify}} {
-		sch := sch
-		t.Run(string(sch.Kind), func(t *testing.T) {
-			t.Parallel()
-			cfg := sim.NewConfig()
-			cfg.WarmupCycles, cfg.MeasureCycles = 200, 1200
-			cfg.Rate = 0.06
-			cfg.Seed = 11
-			cfg.Scheme = sch
-			serCfg := cfg
-			serCfg.ShardWorkers = 1
-			serCfg.ShardDispatch = router.DispatchSerial
-			shCfg := cfg
-			shCfg.ShardWorkers = 8
-			shCfg.ShardDispatch = router.DispatchSharded
-			serial, err := sim.Run(serCfg)
+			data, err := json.Marshal(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded, err := sim.Run(shCfg)
+			if !bytes.Contains(data, []byte(`"shard_workers":8,"shard_dispatch":"sharded"`)) {
+				t.Fatalf("wire form lost the shard fields: %s", data)
+			}
+			var parsed sim.Config
+			if err := json.Unmarshal(data, &parsed); err != nil {
+				t.Fatal(err)
+			}
+			if err := parsed.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if parsed.ShardWorkers != 8 || parsed.ShardDispatch != router.DispatchSharded {
+				t.Fatalf("re-parsed shard fields %d/%v, want 8/sharded", parsed.ShardWorkers, parsed.ShardDispatch)
+			}
+			want, err := plain.Fingerprint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a, b := resultFingerprint(serial), resultFingerprint(sharded); a != b {
-				t.Errorf("ShardWorkers=1 fingerprint %s != ShardWorkers=8 fingerprint %s (delivered %d vs %d)",
-					a, b, serial.PacketsDelivered, sharded.PacketsDelivered)
+			for _, c := range []sim.Config{cfg, parsed} {
+				if got, err := c.Fingerprint(); err != nil || got != want {
+					t.Fatalf("config fingerprint %s (err %v), want the unsharded %s", got, err, want)
+				}
+			}
+
+			r, err := sim.Run(parsed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultFingerprint(r); got != gc.want {
+				t.Errorf("result fingerprint %s, want serial golden %s", got, gc.want)
 			}
 		})
 	}

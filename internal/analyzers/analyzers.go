@@ -25,20 +25,17 @@ var DeterministicPackages = []string{
 const RouterPackage = "repro/internal/router"
 
 // Suite returns the full analyzer suite with its per-package scoping,
-// sorted by analyzer name: atomicguard and hotalloc run everywhere
-// (they are gated by sync/atomic usage and //stcc:hotpath annotations
-// respectively, so out-of-scope packages cost one cheap scan), detrand
-// and maporder on every deterministic package, counterguard and
-// shardguard on the router only. Both cmd/stcc-vet drivers and the
+// sorted by analyzer name: hotalloc runs everywhere (it is gated by
+// //stcc:hotpath annotations, so out-of-scope packages cost one cheap
+// scan), detrand and maporder on every deterministic package, and
+// counterguard on the router only. Both cmd/stcc-vet drivers and the
 // self-check test use this one definition.
 func Suite() []framework.Config {
 	return []framework.Config{
-		{Analyzer: AtomicGuard},
 		{Analyzer: CounterGuard, Applies: isRouter},
 		{Analyzer: DetRand, Applies: isDeterministic},
 		{Analyzer: HotAlloc},
 		{Analyzer: MapOrder, Applies: isDeterministic},
-		{Analyzer: ShardGuard, Applies: isRouter},
 	}
 }
 

@@ -31,26 +31,17 @@ func TestCounterGuard(t *testing.T) {
 	framework.TestRunner(t, testdata(t), analyzers.CounterGuard, "counterguard/a")
 }
 
-func TestShardGuard(t *testing.T) {
-	framework.TestRunner(t, testdata(t), analyzers.ShardGuard, "shardguard/a")
-}
-
 func TestHotAlloc(t *testing.T) {
 	framework.TestRunner(t, testdata(t), analyzers.HotAlloc, "hotalloc/a")
 }
 
-func TestAtomicGuard(t *testing.T) {
-	framework.TestRunner(t, testdata(t), analyzers.AtomicGuard, "atomicguard/a")
-}
-
 // TestSuiteScoping pins the package filters: the determinism analyzers
-// cover exactly the deterministic packages, counterguard and shardguard
-// only the router, and the annotation/usage-gated analyzers
-// (atomicguard, hotalloc) every package including cmd/.
+// cover exactly the deterministic packages, counterguard only the
+// router, and the annotation-gated hotalloc every package including cmd/.
 func TestSuiteScoping(t *testing.T) {
 	suite := analyzers.Suite()
-	if len(suite) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(suite))
+	if len(suite) != 4 {
+		t.Fatalf("suite has %d analyzers, want 4", len(suite))
 	}
 	applies := func(cfg framework.Config, pkg string) bool {
 		return cfg.Applies == nil || cfg.Applies(pkg)
@@ -65,7 +56,7 @@ func TestSuiteScoping(t *testing.T) {
 			t.Errorf("%s does not apply to the router package", cfg.Analyzer.Name)
 		}
 	}
-	for _, name := range []string{"atomicguard", "counterguard", "detrand", "hotalloc", "maporder", "shardguard"} {
+	for _, name := range []string{"counterguard", "detrand", "hotalloc", "maporder"} {
 		if _, ok := byName[name]; !ok {
 			t.Errorf("suite is missing analyzer %s", name)
 		}
@@ -84,16 +75,12 @@ func TestSuiteScoping(t *testing.T) {
 			t.Errorf("%s applies to the analyzer package itself", name)
 		}
 	}
-	for _, name := range []string{"counterguard", "shardguard"} {
-		if applies(byName[name], "repro/internal/sim") {
-			t.Errorf("%s applies outside the router package", name)
-		}
+	if applies(byName["counterguard"], "repro/internal/sim") {
+		t.Errorf("counterguard applies outside the router package")
 	}
-	for _, name := range []string{"atomicguard", "hotalloc"} {
-		for _, pkg := range []string{"repro/cmd/stcc", "repro/internal/server", "repro/internal/packet"} {
-			if !applies(byName[name], pkg) {
-				t.Errorf("%s does not apply to %s; it must cover every package", name, pkg)
-			}
+	for _, pkg := range []string{"repro/cmd/stcc", "repro/internal/server", "repro/internal/packet"} {
+		if !applies(byName["hotalloc"], pkg) {
+			t.Errorf("hotalloc does not apply to %s; it must cover every package", pkg)
 		}
 	}
 }

@@ -30,19 +30,17 @@ var CounterGuard = &framework.Analyzer{
 The incremental netCounters sums (fullBuffers, latched, ownedOuts,
 occupiedIns, pendingIns, srcActive), the per-lane occupancy array (occ),
 the per-node lane masks (occMask, boundMask, headMask, latchMask,
-ownedMask), the active bitsets with their summary level (actWords,
-sumWords) and the DECbit congestion-marking state (nodeOcc, congWords,
-congStable) are denormalized views of router state. They stay consistent
-only if every state transition updates them exactly once; that
-discipline lives in buffer.go, and this analyzer rejects writes from
-any other file.`,
+ownedMask), the active bitsets (actWords) and the DECbit
+congestion-marking state (nodeOcc, congWords, congStable) are
+denormalized views of router state. They stay consistent only if every
+state transition updates them exactly once; that discipline lives in
+buffer.go, and this analyzer rejects writes from any other file.`,
 	Run: runCounterGuard,
 }
 
 // guardedCounters are the field names the analyzer protects.
 var guardedCounters = map[string]bool{
-	// netCounters fields: the network-wide sums and the per-shard deltas
-	// folded into them.
+	// netCounters fields: the network-wide sums.
 	"fullBuffers": true,
 	"latched":     true,
 	"ownedOuts":   true,
@@ -58,10 +56,6 @@ var guardedCounters = map[string]bool{
 	"latchMask": true,
 	"ownedMask": true,
 	"actWords":  true,
-	// The bitset summary level: bit w mirrors actWords[w] != 0. A stage
-	// writing it directly (or taking its address for an atomic op) would
-	// let the two levels disagree, silently skipping shard rounds.
-	"sumWords": true,
 	// DECbit congestion marking: the per-node buffered-flit fold, the
 	// live congestion bitset it drives (hysteresis state), and the
 	// cycle-stable snapshot header pushes mark packets against. A

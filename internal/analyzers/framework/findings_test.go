@@ -8,7 +8,7 @@ import (
 )
 
 var sampleFindings = []Finding{
-	{File: "internal/router/parallel.go", Line: 42, Col: 3, Analyzer: "shardguard", Message: "shard stage write to shared Fabric state f.now"},
+	{File: "internal/router/stages.go", Line: 42, Col: 3, Analyzer: "counterguard", Message: "direct write to active-set counter latched outside buffer.go"},
 	{File: "internal/sim/engine.go", Line: 7, Col: 1, Analyzer: "hotalloc", Message: "make in hot path allocates"},
 }
 
@@ -19,7 +19,7 @@ func TestWriteTextGolden(t *testing.T) {
 	if err := WriteText(&buf, sampleFindings); err != nil {
 		t.Fatal(err)
 	}
-	want := "internal/router/parallel.go:42:3: shardguard: shard stage write to shared Fabric state f.now\n" +
+	want := "internal/router/stages.go:42:3: counterguard: direct write to active-set counter latched outside buffer.go\n" +
 		"internal/sim/engine.go:7:1: hotalloc: make in hot path allocates\n"
 	if buf.String() != want {
 		t.Errorf("text output:\n%s\nwant:\n%s", buf.String(), want)
@@ -35,11 +35,11 @@ func TestWriteJSONGolden(t *testing.T) {
 	}
 	want := `[
   {
-    "file": "internal/router/parallel.go",
+    "file": "internal/router/stages.go",
     "line": 42,
     "col": 3,
-    "analyzer": "shardguard",
-    "message": "shard stage write to shared Fabric state f.now"
+    "analyzer": "counterguard",
+    "message": "direct write to active-set counter latched outside buffer.go"
   },
   {
     "file": "internal/sim/engine.go",

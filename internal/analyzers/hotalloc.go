@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analyzers/framework"
 )
@@ -49,6 +50,21 @@ func runHotAlloc(pass *framework.Pass) error {
 		}
 	}
 	return nil
+}
+
+// docDirective reports whether the function's doc comment carries the
+// directive.
+func docDirective(fd *ast.FuncDecl, directive string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if strings.HasPrefix(text, directive) {
+			return true
+		}
+	}
+	return false
 }
 
 type hotChecker struct {

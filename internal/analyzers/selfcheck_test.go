@@ -24,18 +24,17 @@ func repoRoot(t *testing.T) string {
 
 // TestSuiteCleanOnRepo is the regression gate for the determinism
 // contract: the whole module — cmd/ and examples/ included, since the
-// "./..." pattern covers every package — must pass all six analyzers.
+// "./..." pattern covers every package — must pass all four analyzers.
 // If this fails, either fix the flagged code or (for a reviewed
-// exception) add the analyzer's suppression directive
-// (//stcc:maporder, //stcc:shardguard, //stcc:hotalloc,
-// //stcc:atomicguard ...) with a justification.
+// exception) add the analyzer's suppression directive (//stcc:maporder,
+// //stcc:hotalloc ...) with a justification.
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds export data for the whole module; skipped in -short")
 	}
 	suite := analyzers.Suite()
-	if len(suite) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6 (the gate must run the whole registry)", len(suite))
+	if len(suite) != 4 {
+		t.Fatalf("suite has %d analyzers, want 4 (the gate must run the whole registry)", len(suite))
 	}
 	var out bytes.Buffer
 	n, err := framework.Run(repoRoot(t), []string{"./..."}, suite, &out)

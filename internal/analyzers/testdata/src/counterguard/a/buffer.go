@@ -3,8 +3,7 @@
 // mutate the active-set counters and the structure-of-arrays hot state.
 package a
 
-// netCounters mirrors the router's network-wide active-set sums (and
-// the per-shard deltas folded into them).
+// netCounters mirrors the router's network-wide active-set sums.
 type netCounters struct {
 	fullBuffers int
 	latched     int
@@ -14,42 +13,19 @@ type netCounters struct {
 	srcActive   int
 }
 
-func (nc *netCounters) add(d *netCounters) {
-	nc.fullBuffers += d.fullBuffers
-	nc.latched += d.latched
-	nc.ownedOuts += d.ownedOuts
-	nc.occupiedIns += d.occupiedIns
-	nc.pendingIns += d.pendingIns
-	nc.srcActive += d.srcActive
-}
-
-// activeWords mirrors the node-level active bitsets and their summary
-// level (bit w of sumWords set iff actWords[w] != 0). Maintaining both
-// in lockstep — including through an address taken for an atomic op —
+// activeWords mirrors the node-level active bitsets; maintaining them
 // is legal here and only here.
 type activeWords struct {
 	actWords []uint64
-	sumWords []uint64
 }
 
-func (a *activeWords) set(i int32) {
-	w := i >> 6
-	if a.actWords[w] == 0 {
-		atomicOr(&a.sumWords[w>>6], 1<<uint(w&63))
-	}
-	a.actWords[w] |= 1 << uint(i&63)
-}
+func (a *activeWords) set(i int32) { a.actWords[i>>6] |= 1 << uint(i&63) }
 
-func (a *activeWords) clearBit(i int32) {
-	w := i >> 6
-	if a.actWords[w] &^= 1 << uint(i&63); a.actWords[w] == 0 {
-		a.sumWords[w>>6] &^= 1 << uint(w&63)
-	}
-}
+func (a *activeWords) clearBit(i int32) { a.actWords[i>>6] &^= 1 << uint(i&63) }
 
-// atomicOr stands in for sync/atomic.OrUint64 (fixture packages avoid
-// real imports).
-func atomicOr(p *uint64, v uint64) { *p |= v }
+// orWord stands in for any helper that writes through a pointer, such
+// as sync/atomic.OrUint64 (fixture packages avoid real imports).
+func orWord(p *uint64, v uint64) { *p |= v }
 
 // Fabric mirrors the router fabric's counter-bearing struct: the SoA
 // occupancy array, the per-node lane masks, a bitset, the sums, and
@@ -86,7 +62,6 @@ func (f *Fabric) initSoA(nodes, lanes int) {
 	f.latchMask = make([]uint64, nodes)
 	f.ownedMask = make([]uint64, nodes)
 	f.actOcc.actWords = make([]uint64, (nodes+63)>>6)
-	f.actOcc.sumWords = make([]uint64, 1)
 	f.nodeOcc = make([]int32, nodes)
 	f.congWords = make([]uint64, (nodes+63)>>6)
 	f.congStable = make([]uint64, (nodes+63)>>6)
@@ -97,17 +72,17 @@ func (f *Fabric) initSoA(nodes, lanes int) {
 func (f *Fabric) snapshotCongestion() { copy(f.congStable, f.congWords) }
 
 // push is an accessor: counter, array and mask writes here are legal.
-func (b *vcBuffer) push(nc *netCounters) {
+func (b *vcBuffer) push() {
 	fab := b.fab
 	n := fab.occ[b.gid]
 	fab.occ[b.gid] = n + 1
 	if n == 0 {
 		fab.occMask[b.node] |= 1 << b.lane
 		fab.actOcc.set(b.node)
-		nc.occupiedIns++
-		nc.pendingIns++
+		fab.net.occupiedIns++
+		fab.net.pendingIns++
 	}
-	nc.fullBuffers++
+	fab.net.fullBuffers++
 	// DECbit maintenance rides the same accessor: legal here.
 	no := fab.nodeOcc[b.node] + 1
 	fab.nodeOcc[b.node] = no
@@ -117,25 +92,25 @@ func (b *vcBuffer) push(nc *netCounters) {
 }
 
 // pop is an accessor: counter writes here are legal.
-func (b *vcBuffer) pop(nc *netCounters) {
+func (b *vcBuffer) pop() {
 	fab := b.fab
-	nc.fullBuffers--
+	fab.net.fullBuffers--
 	fab.occ[b.gid]--
 	if fab.occ[b.gid] == 0 {
 		fab.occMask[b.node] &^= 1 << b.lane
 		if fab.occMask[b.node] == 0 {
 			fab.actOcc.clearBit(b.node)
 		}
-		nc.occupiedIns--
+		fab.net.occupiedIns--
 	}
 }
 
-func (f *Fabric) acquire(ni int32, nc *netCounters) {
+func (f *Fabric) acquire(ni int32) {
 	f.ownedMask[ni] |= 1
-	nc.ownedOuts++
+	f.net.ownedOuts++
 }
 
-func (f *Fabric) latch(ni int32, nc *netCounters) {
+func (f *Fabric) latch(ni int32) {
 	f.latchMask[ni] |= 1
-	nc.latched += 1
+	f.net.latched += 1
 }

@@ -47,9 +47,9 @@ const (
 // FeedbackEvent is one observation delivered to a Controller. Events are
 // delivered deterministically at cycle boundaries: injection events in
 // the engine's node-visit order, delivery events in the fabric's
-// delivery order (which the sharded stepper merges in node-index
-// order), and notifications in side-band arrival order. Controllers may
-// therefore keep per-source state without any synchronization.
+// delivery order, and notifications in side-band arrival order.
+// Controllers may therefore keep per-source state without any
+// synchronization.
 type FeedbackEvent struct {
 	Kind FeedbackKind
 	// Cycle is when the event was observed at the source.

@@ -22,12 +22,10 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -45,9 +43,6 @@ const (
 	defaultPoll     = 10 * time.Millisecond
 	defaultTimeout  = 30 * time.Second
 )
-
-// maxBodyBytes bounds any response body read from a peer.
-const maxBodyBytes = 64 << 20
 
 var (
 	// ErrNoPeers rejects a coordinator with an empty peer set.
@@ -316,28 +311,15 @@ func (c *Coordinator) tryPeer(ctx context.Context, peer string, body []byte, wan
 
 // submit POSTs the one-point spec and returns the accepted job id.
 func (c *Coordinator) submit(ctx context.Context, peer string, body []byte) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer drain(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-	case http.StatusTooManyRequests:
-		return "", errShed
-	default:
-		return "", fmt.Errorf("submit: %s", resp.Status)
-	}
 	var sr submitResp
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&sr); err != nil {
-		return "", fmt.Errorf("submit: decoding response: %w", err)
-	}
-	if sr.ID == "" {
+	status, err := remotestore.Call(ctx, c.client, http.MethodPost, peer+"/v1/jobs", body, &sr,
+		http.StatusAccepted, http.StatusTooManyRequests)
+	switch {
+	case err != nil:
+		return "", fmt.Errorf("submit: %w", err)
+	case status == http.StatusTooManyRequests:
+		return "", errShed
+	case sr.ID == "":
 		return "", fmt.Errorf("submit: response carries no job id")
 	}
 	return sr.ID, nil
@@ -372,38 +354,21 @@ func (c *Coordinator) await(ctx context.Context, peer, id string) (jobStatus, er
 
 // status fetches one job snapshot.
 func (c *Coordinator) status(ctx context.Context, peer, id string) (jobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return jobStatus{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return jobStatus{}, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return jobStatus{}, fmt.Errorf("status %s: %s", id, resp.Status)
-	}
 	var st jobStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&st); err != nil {
-		return jobStatus{}, fmt.Errorf("status %s: decoding: %w", id, err)
+	if _, err := remotestore.Call(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id, nil, &st,
+		http.StatusOK); err != nil {
+		return jobStatus{}, fmt.Errorf("status %s: %w", id, err)
 	}
 	return st, nil
 }
 
 // cancelJob best-effort cancels an abandoned job. The coordinator's
 // context is already dead here, so a short independent deadline bounds
-// the cleanup call.
+// the cleanup call; its outcome is ignored.
 func (c *Coordinator) cancelJob(peer, id string) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, peer+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := c.client.Do(req); err == nil {
-		drain(resp.Body)
-	}
+	_, _ = remotestore.Call(ctx, c.client, http.MethodDelete, peer+"/v1/jobs/"+id, nil, nil)
 }
 
 // sleep blocks for d or until ctx dies.
@@ -416,11 +381,4 @@ func sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// drain discards and closes a response body so the underlying
-// connection returns to the client's pool.
-func drain(body io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(body, maxBodyBytes))
-	body.Close()
 }

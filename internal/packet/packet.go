@@ -7,7 +7,6 @@ package packet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -163,7 +162,6 @@ func New(id ID, src, dst topology.NodeID, length int, now int64) *Packet {
 	return &Packet{
 		ID: id, Src: src, Dst: dst, Length: length,
 		CreatedAt: now, InjectedAt: -1, DeliveredAt: -1,
-		//stcc:atomicguard construction precedes publication; no concurrent reader exists yet
 		LastProgress: now,
 		SrcRemaining: length,
 	}
@@ -181,7 +179,6 @@ func (p *Packet) reset(id ID, src, dst topology.NodeID, length int, now int64) {
 	*p = Packet{
 		ID: id, Src: src, Dst: dst, Length: length,
 		CreatedAt: now, InjectedAt: -1, DeliveredAt: -1,
-		//stcc:atomicguard reset happens on the pool free list; no concurrent reader exists
 		LastProgress: now,
 		SrcRemaining: length,
 		Trail:        trail,
@@ -230,45 +227,16 @@ func (p *Packet) TotalLatency() int64 {
 	return p.DeliveredAt - p.CreatedAt
 }
 
-// Progress marks that the packet advanced at cycle now. It is the
-// serial-phase counterpart of ProgressAtomic: injection and coordinator
-// rounds run single-threaded, barrier-ordered against stage workers.
+// Progress marks that the packet advanced at cycle now.
 //
 //stcc:hotpath
-func (p *Packet) Progress(now int64) {
-	//stcc:atomicguard serial phases are barrier-ordered with the atomic stage stores
-	p.LastProgress = now
-}
-
-// ProgressAtomic is Progress for concurrent stage workers: several flits
-// of one worm can advance at different routers within the same parallel
-// round, so the store must be atomic. Every writer stores the same cycle
-// value, which keeps the result identical to serial stepping.
-//
-//stcc:hotpath
-func (p *Packet) ProgressAtomic(now int64) { atomic.StoreInt64(&p.LastProgress, now) }
+func (p *Packet) Progress(now int64) { p.LastProgress = now }
 
 // BlockedFor returns how many cycles the packet has gone without progress
-// as of cycle now. Deadlock detection runs in the serial referee phase,
-// after every stage worker's atomic store has been barrier-ordered.
+// as of cycle now.
 //
 //stcc:hotpath
-func (p *Packet) BlockedFor(now int64) int64 {
-	//stcc:atomicguard detection reads in the serial phase, after the worker barrier
-	return now - p.LastProgress
-}
-
-// BlockedForAtomic is BlockedFor for a detection scan that shares a
-// parallel round with injection at other shards. The racing stores all
-// carry the current cycle, and any packet they touch made progress no
-// earlier than the previous cycle, so whichever value the load observes
-// the packet reads as blocked for at most one cycle — far below any
-// valid timeout. The atomic load only keeps the race detector honest.
-//
-//stcc:hotpath
-func (p *Packet) BlockedForAtomic(now int64) int64 {
-	return now - atomic.LoadInt64(&p.LastProgress)
-}
+func (p *Packet) BlockedFor(now int64) int64 { return now - p.LastProgress }
 
 // PushTrail records that the head flit entered loc.
 //

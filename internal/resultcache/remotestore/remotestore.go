@@ -20,10 +20,12 @@ package remotestore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,10 +33,10 @@ import (
 	"repro/internal/sim"
 )
 
-// maxEntryBytes bounds a fetched entry. Result JSON with full time
-// series runs tens of KB; anything past this is a protocol error, not a
-// result.
-const maxEntryBytes = 64 << 20
+// MaxBodyBytes bounds any response body read from a peer daemon. Result
+// JSON with full time series runs tens of KB; anything past this is a
+// protocol error, not a result.
+const MaxBodyBytes = 64 << 20
 
 // Store reads and writes result entries on one peer daemon. Construct
 // with New. Safe for concurrent use (http.Client is).
@@ -80,6 +82,50 @@ func BaseURL(addr string) (string, error) {
 	return strings.TrimRight(addr, "/"), nil
 }
 
+// Call performs one JSON request against a peer daemon. A non-nil body
+// is sent as application/json. The response status must be one of
+// accept, or Call returns an error naming the request; the status is
+// returned whenever a response arrived, so callers can branch on an
+// accepted non-2xx status such as a 404 miss or a 429 shed. A 2xx body
+// is decoded into out (when non-nil), reading at most MaxBodyBytes. The
+// body is always drained and closed so the connection returns to the
+// client's pool.
+func Call(ctx context.Context, client *http.Client, method, url string, body []byte, out any, accept ...int) (int, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, MaxBodyBytes))
+		resp.Body.Close()
+	}()
+	if !slices.Contains(accept, resp.StatusCode) {
+		return resp.StatusCode, fmt.Errorf("%s %s: %s", method, url, resp.Status)
+	}
+	if out == nil || resp.StatusCode/100 != 2 {
+		return resp.StatusCode, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
+	if err != nil {
+		return resp.StatusCode, err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return resp.StatusCode, fmt.Errorf("%s %s: decoding response: %w", method, url, err)
+	}
+	return resp.StatusCode, nil
+}
+
 // Peer returns the normalized base URL this store talks to.
 func (s *Store) Peer() string { return s.base }
 
@@ -91,29 +137,13 @@ func (s *Store) Get(fingerprint string) (sim.Result, bool, error) {
 	if err := resultcache.CheckFingerprint(fingerprint); err != nil {
 		return sim.Result{}, false, err
 	}
-	resp, err := s.client.Get(s.base + "/v1/cache/" + fingerprint)
-	if err != nil {
-		return sim.Result{}, false, fmt.Errorf("remotestore: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return sim.Result{}, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return sim.Result{}, false, fmt.Errorf("remotestore: GET %s/v1/cache/%s: %s",
-			s.base, fingerprint, resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes))
-	if err != nil {
-		return sim.Result{}, false, fmt.Errorf("remotestore: %w", err)
-	}
 	var r sim.Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return sim.Result{}, false, fmt.Errorf("remotestore: entry %s from %s does not parse: %w",
-			fingerprint, s.base, err)
+	status, err := Call(context.Background(), s.client, http.MethodGet, s.base+"/v1/cache/"+fingerprint,
+		nil, &r, http.StatusOK, http.StatusNotFound)
+	if err != nil {
+		return sim.Result{}, false, fmt.Errorf("remotestore: %w", err)
 	}
-	return r, true, nil
+	return r, status == http.StatusOK, nil
 }
 
 // Put stores the result on the peer.
@@ -125,37 +155,20 @@ func (s *Store) Put(fingerprint string, r sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("remotestore: %w", err)
 	}
-	req, err := http.NewRequest(http.MethodPut, s.base+"/v1/cache/"+fingerprint, bytes.NewReader(data))
-	if err != nil {
+	if _, err := Call(context.Background(), s.client, http.MethodPut, s.base+"/v1/cache/"+fingerprint,
+		data, nil, http.StatusNoContent, http.StatusOK); err != nil {
 		return fmt.Errorf("remotestore: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("remotestore: %w", err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("remotestore: PUT %s/v1/cache/%s: %s", s.base, fingerprint, resp.Status)
 	}
 	return nil
 }
 
 // Len asks the peer for its entry count.
 func (s *Store) Len() (int, error) {
-	resp, err := s.client.Get(s.base + "/v1/cache")
-	if err != nil {
-		return 0, fmt.Errorf("remotestore: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("remotestore: GET %s/v1/cache: %s", s.base, resp.Status)
-	}
 	var stats struct {
 		Entries int `json:"entries"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if _, err := Call(context.Background(), s.client, http.MethodGet, s.base+"/v1/cache",
+		nil, &stats, http.StatusOK); err != nil {
 		return 0, fmt.Errorf("remotestore: %w", err)
 	}
 	return stats.Entries, nil

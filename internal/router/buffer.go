@@ -10,7 +10,6 @@ package router
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/packet"
 	"repro/internal/topology"
@@ -19,17 +18,13 @@ import (
 // This file is the only place the fabric's structure-of-arrays hot state
 // may be written: the per-lane occupancy array (occ), the per-node lane
 // masks (occMask, boundMask, headMask, latchMask, ownedMask), the
-// node-level active bitsets (actWords) with their per-shard summary
-// level (sumWords), and the netCounters sums. The
+// node-level active bitsets (actWords), and the netCounters sums. The
 // counterguard analyzer enforces the restriction; every transition goes
 // through the accessors below so the masks, the bitsets and the counters
-// can never drift apart, in serial or in sharded stepping.
+// can never drift apart.
 
 // netCounters are the network-wide active-set sums the per-cycle stages
-// consult to skip whole sweeps in O(1). In serial stepping the accessors
-// write the fabric's own instance; in sharded stepping each shard passes
-// its private delta instance and the coordinator folds the deltas into
-// the fabric's between barriers, so workers never contend on them.
+// consult to skip whole sweeps in O(1).
 type netCounters struct {
 	fullBuffers int // completely full countable VC buffers
 	latched     int // output latches holding a flit
@@ -37,18 +32,6 @@ type netCounters struct {
 	occupiedIns int // non-empty input VCs
 	pendingIns  int // input VCs whose front is an unrouted header
 	srcActive   int // nodes with a packet streaming into injection
-}
-
-// add folds a shard's delta into the fabric-wide sums.
-//
-//stcc:hotpath
-func (nc *netCounters) add(d *netCounters) {
-	nc.fullBuffers += d.fullBuffers
-	nc.latched += d.latched
-	nc.ownedOuts += d.ownedOuts
-	nc.occupiedIns += d.occupiedIns
-	nc.pendingIns += d.pendingIns
-	nc.srcActive += d.srcActive
 }
 
 // initSoA allocates the structure-of-arrays hot state for a fabric of
@@ -76,8 +59,8 @@ func (f *Fabric) initSoA(nodes int) {
 }
 
 // snapshotCongestion copies the live congestion bits into the stable
-// set that header pushes mark packets against. The coordinator calls it
-// at the top of every Step, before any stage runs — the only congStable
+// set that header pushes mark packets against. It runs at the top of
+// every Step, before any stage runs — the only congStable
 // write site, so the marking decision for the whole cycle is frozen at
 // the cycle boundary.
 //
@@ -88,69 +71,23 @@ func (f *Fabric) snapshotCongestion() {
 
 // activeWords is a bitset with one bit per node ("active words"): the
 // per-cycle stages iterate set bits with trailing-zero scans instead of
-// walking every router. Shard partitions are aligned to 64-node
-// boundaries, so two shards never write the same actWords word. sumWords
-// is the second level of the hierarchy — bit w is set iff actWords[w] is
-// non-zero — and lets the coordinator decide in O(shards) which shards
-// have any work for a round (see anyIn). One sumWords word spans 64
-// actWords words (4096 nodes), so shards DO share summary words; the
-// summary updates are atomic Or/And, which is deterministic because
-// concurrent shards touch distinct bits and bit set/clear commutes.
-// The coordinator only reads sumWords between phases, after the barrier,
-// so plain loads in anyIn are ordered. Both levels are maintained in
-// lockstep here so they can never disagree; counterguard pins every
-// write to this file.
+// walking every router. counterguard pins every write to this file.
 type activeWords struct {
 	actWords []uint64
-	sumWords []uint64
 }
 
 func (a *activeWords) init(nodes int) {
-	words := (nodes + 63) >> 6
-	a.actWords = make([]uint64, words)
-	a.sumWords = make([]uint64, (words+63)>>6)
+	a.actWords = make([]uint64, (nodes+63)>>6)
 }
 
 //stcc:hotpath
 func (a *activeWords) set(i int32) {
-	w := i >> 6
-	if a.actWords[w] == 0 {
-		atomic.OrUint64(&a.sumWords[w>>6], 1<<uint(w&63))
-	}
-	a.actWords[w] |= 1 << uint(i&63)
+	a.actWords[i>>6] |= 1 << uint(i&63)
 }
 
 //stcc:hotpath
 func (a *activeWords) clearBit(i int32) {
-	w := i >> 6
-	if a.actWords[w] &^= 1 << uint(i&63); a.actWords[w] == 0 {
-		atomic.AndUint64(&a.sumWords[w>>6], ^(uint64(1) << uint(w&63)))
-	}
-}
-
-// anyIn reports whether any node in [lo, hi) is active, reading only
-// the summary level. lo must be 64-aligned (shard partitions are); hi
-// may be ragged, but because a shard owns its trailing partial word
-// exclusively, rounding hi up to the word boundary is exact.
-//
-//stcc:hotpath
-func (a *activeWords) anyIn(lo, hi int) bool {
-	wlo, whi := lo>>6, (hi+63)>>6 // active-word index range [wlo, whi)
-	slo, shi := wlo>>6, (whi-1)>>6
-	first := ^uint64(0) << uint(wlo&63)
-	last := ^uint64(0) >> uint(63-((whi-1)&63))
-	if slo == shi {
-		return a.sumWords[slo]&first&last != 0
-	}
-	if a.sumWords[slo]&first != 0 {
-		return true
-	}
-	for si := slo + 1; si < shi; si++ {
-		if a.sumWords[si] != 0 {
-			return true
-		}
-	}
-	return a.sumWords[shi]&last != 0
+	a.actWords[i>>6] &^= 1 << uint(i&63)
 }
 
 // flit is one flow-control unit: the idx-th flit of pkt. arrived is the
@@ -221,7 +158,7 @@ func (b *vcBuffer) front() flit {
 }
 
 //stcc:hotpath
-func (b *vcBuffer) push(f flit, nc *netCounters) {
+func (b *vcBuffer) push(f flit) {
 	fab := b.fab
 	n := fab.occ[b.gid]
 	if int(n) == len(b.buf) {
@@ -240,25 +177,24 @@ func (b *vcBuffer) push(f flit, nc *netCounters) {
 		bit := uint64(1) << b.lane
 		fab.occMask[b.node] |= bit
 		fab.actOccupied.set(int32(b.node))
-		nc.occupiedIns++
+		fab.net.occupiedIns++
 		if f.idx == 0 {
 			fab.headMask[b.node] |= bit
 		}
 		if !b.bound {
-			nc.pendingIns++
+			fab.net.pendingIns++
 			fab.actPending.set(int32(b.node))
 		}
 	}
 	if b.countable && int(n)+1 == len(b.buf) {
-		nc.fullBuffers++
+		fab.net.fullBuffers++
 	}
 	if fab.markHi > 0 && b.countable {
 		// DECbit maintenance. The bit raises against the live per-node
 		// occupancy (order-free within a cycle: pushes only grow it, so
-		// the crossing happens iff the phase's final occupancy crosses),
+		// the crossing happens iff the stage's final occupancy crosses),
 		// but the packet mark reads the cycle-stable snapshot, and only
-		// on the header flit — a packet's header is in exactly one
-		// buffer, so exactly one shard writes the packet per cycle.
+		// on the header flit.
 		no := fab.nodeOcc[b.node] + 1
 		fab.nodeOcc[b.node] = no
 		if no >= fab.markHi {
@@ -271,14 +207,14 @@ func (b *vcBuffer) push(f flit, nc *netCounters) {
 }
 
 //stcc:hotpath
-func (b *vcBuffer) pop(nc *netCounters) flit {
+func (b *vcBuffer) pop() flit {
 	fab := b.fab
 	n := fab.occ[b.gid]
 	if n == 0 {
 		panic(fmt.Sprintf("router: underflow of %v", b))
 	}
 	if b.countable && int(n) == len(b.buf) {
-		nc.fullBuffers--
+		fab.net.fullBuffers--
 	}
 	f := b.buf[b.head]
 	b.buf[b.head] = flit{}
@@ -295,9 +231,9 @@ func (b *vcBuffer) pop(nc *netCounters) flit {
 		if fab.occMask[b.node] == 0 {
 			fab.actOccupied.clearBit(int32(b.node))
 		}
-		nc.occupiedIns--
+		fab.net.occupiedIns--
 		if !b.bound {
-			nc.pendingIns--
+			fab.net.pendingIns--
 			if fab.occMask[b.node]&^fab.boundMask[b.node] == 0 {
 				fab.actPending.clearBit(int32(b.node))
 			}
@@ -310,7 +246,7 @@ func (b *vcBuffer) pop(nc *netCounters) flit {
 	if fab.markHi > 0 && b.countable {
 		// DECbit hysteresis: the bit lowers only once the router has
 		// drained to half its mark. Pops only shrink the occupancy
-		// within their phase, so clearing is as order-free as setting.
+		// within their stage, so clearing is as order-free as setting.
 		no := fab.nodeOcc[b.node] - 1
 		fab.nodeOcc[b.node] = no
 		if no <= fab.markLo {
@@ -325,7 +261,7 @@ func (b *vcBuffer) pop(nc *netCounters) flit {
 // an unrouted header.
 //
 //stcc:hotpath
-func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int, nc *netCounters) {
+func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int) {
 	fab := b.fab
 	b.bound = true
 	b.boundPkt = pkt
@@ -333,7 +269,7 @@ func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int, nc *netCounters)
 	b.outVC = vc
 	fab.boundMask[b.node] |= uint64(1) << b.lane
 	if fab.occ[b.gid] > 0 {
-		nc.pendingIns--
+		fab.net.pendingIns--
 		if fab.occMask[b.node]&^fab.boundMask[b.node] == 0 {
 			fab.actPending.clearBit(int32(b.node))
 		}
@@ -345,7 +281,7 @@ func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int, nc *netCounters)
 // arbitration candidate again.
 //
 //stcc:hotpath
-func (b *vcBuffer) clearBinding(nc *netCounters) {
+func (b *vcBuffer) clearBinding() {
 	fab := b.fab
 	b.bound = false
 	b.boundPkt = nil
@@ -353,7 +289,7 @@ func (b *vcBuffer) clearBinding(nc *netCounters) {
 	b.outVC = 0
 	fab.boundMask[b.node] &^= uint64(1) << b.lane
 	if fab.occ[b.gid] > 0 {
-		nc.pendingIns++
+		fab.net.pendingIns++
 		fab.actPending.set(int32(b.node))
 	}
 }
@@ -376,8 +312,7 @@ func (b *vcBuffer) CountOf(p *packet.Packet) int {
 }
 
 // EvictFront implements packet.Location: deadlock recovery removes the
-// worm's front flit. Recovery always runs on the coordinator, so the
-// fabric-wide counters are written directly.
+// worm's front flit.
 //
 //stcc:hotpath
 func (b *vcBuffer) EvictFront(p *packet.Packet) {
@@ -385,7 +320,7 @@ func (b *vcBuffer) EvictFront(p *packet.Packet) {
 	if f.pkt != p {
 		panic(fmt.Sprintf("router: EvictFront of %v: front belongs to %v, not %v", b, f.pkt, p))
 	}
-	b.pop(&b.fab.net)
+	b.pop()
 }
 
 func (b *vcBuffer) String() string {
@@ -406,7 +341,7 @@ type latch struct {
 }
 
 //stcc:hotpath
-func (l *latch) set(f flit, nc *netCounters) {
+func (l *latch) set(f flit) {
 	if l.full {
 		panic(fmt.Sprintf("router: latch collision at %v", l))
 	}
@@ -414,11 +349,11 @@ func (l *latch) set(f flit, nc *netCounters) {
 	l.full = true
 	l.fab.latchMask[l.node] |= uint64(1) << l.lane
 	l.fab.actLatched.set(int32(l.node))
-	nc.latched++
+	l.fab.net.latched++
 }
 
 //stcc:hotpath
-func (l *latch) clear(nc *netCounters) flit {
+func (l *latch) clear() flit {
 	f := l.f
 	l.f = flit{}
 	l.full = false
@@ -426,7 +361,7 @@ func (l *latch) clear(nc *netCounters) flit {
 	if l.fab.latchMask[l.node] == 0 {
 		l.fab.actLatched.clearBit(int32(l.node))
 	}
-	nc.latched--
+	l.fab.net.latched--
 	return f
 }
 
@@ -440,15 +375,14 @@ func (l *latch) CountOf(p *packet.Packet) int {
 	return 0
 }
 
-// EvictFront implements packet.Location. Recovery runs on the
-// coordinator; the fabric-wide counters are written directly.
+// EvictFront implements packet.Location.
 //
 //stcc:hotpath
 func (l *latch) EvictFront(p *packet.Packet) {
 	if !l.full || l.f.pkt != p {
 		panic(fmt.Sprintf("router: EvictFront of %v: not holding a flit of %v", l, p))
 	}
-	l.clear(&l.fab.net)
+	l.clear()
 }
 
 func (l *latch) String() string {
@@ -467,19 +401,19 @@ type srcSlot struct {
 // keeps the active-source bitset and counter in lockstep.
 //
 //stcc:hotpath
-func (s *srcSlot) setPacket(p *packet.Packet, nc *netCounters) {
+func (s *srcSlot) setPacket(p *packet.Packet) {
 	s.pkt = p
 	s.fab.actSrc.set(int32(s.node))
-	nc.srcActive++
+	s.fab.net.srcActive++
 }
 
 // clearPacket ends the stream (tail injected, or evicted by recovery).
 //
 //stcc:hotpath
-func (s *srcSlot) clearPacket(nc *netCounters) {
+func (s *srcSlot) clearPacket() {
 	s.pkt = nil
 	s.fab.actSrc.clearBit(int32(s.node))
-	nc.srcActive--
+	s.fab.net.srcActive--
 }
 
 // CountOf implements packet.Location.
@@ -502,7 +436,7 @@ func (s *srcSlot) EvictFront(p *packet.Packet) {
 	}
 	p.SrcRemaining--
 	if p.SrcRemaining == 0 {
-		s.clearPacket(&s.fab.net)
+		s.clearPacket()
 	}
 }
 
@@ -519,17 +453,17 @@ type outVC struct {
 func (o *outVC) free() bool { return o.ownerPkt == nil }
 
 //stcc:hotpath
-func (o *outVC) acquire(b *vcBuffer, pkt *packet.Packet, nc *netCounters) {
+func (o *outVC) acquire(b *vcBuffer, pkt *packet.Packet) {
 	o.owner = b
 	o.ownerPkt = pkt
 	fab := o.lat.fab
 	fab.ownedMask[o.lat.node] |= uint64(1) << o.lat.lane
 	fab.actOwned.set(int32(o.lat.node))
-	nc.ownedOuts++
+	fab.net.ownedOuts++
 }
 
 //stcc:hotpath
-func (o *outVC) release(nc *netCounters) {
+func (o *outVC) release() {
 	o.owner = nil
 	o.ownerPkt = nil
 	fab := o.lat.fab
@@ -537,5 +471,5 @@ func (o *outVC) release(nc *netCounters) {
 	if fab.ownedMask[o.lat.node] == 0 {
 		fab.actOwned.clearBit(int32(o.lat.node))
 	}
-	nc.ownedOuts--
+	fab.net.ownedOuts--
 }

@@ -36,7 +36,7 @@ func newDecbitHarness(t *testing.T, mark float64) *decbitHarness {
 func (h *decbitHarness) push() {
 	for _, b := range h.bufs {
 		if !b.full() {
-			b.push(flit{pkt: h.pkt, idx: 1}, &h.f.net)
+			b.push(flit{pkt: h.pkt, idx: 1})
 			h.occ++
 			return
 		}
@@ -48,7 +48,7 @@ func (h *decbitHarness) push() {
 func (h *decbitHarness) pop() {
 	for _, b := range h.bufs {
 		if b.len() > 0 {
-			b.pop(&h.f.net)
+			b.pop()
 			h.occ--
 			return
 		}
@@ -120,19 +120,19 @@ func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 
 	// Live bit set, snapshot still from the empty network: no mark.
 	early := packet.New(2, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: early, idx: 0}, &h.f.net)
+	h.bufs[len(h.bufs)-1].push(flit{pkt: early, idx: 0})
 	if early.Marked {
 		t.Fatal("header marked against the live bit before any snapshot")
 	}
 
 	h.f.snapshotCongestion()
 	late := packet.New(3, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: late, idx: 0}, &h.f.net)
+	h.bufs[len(h.bufs)-1].push(flit{pkt: late, idx: 0})
 	if !late.Marked {
 		t.Fatal("header pushed at a congested router after the snapshot not marked")
 	}
 	body := packet.New(4, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: body, idx: 1}, &h.f.net)
+	h.bufs[len(h.bufs)-1].push(flit{pkt: body, idx: 1})
 	if body.Marked {
 		t.Fatal("body flit marked its packet")
 	}
@@ -145,7 +145,7 @@ func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 	h.check(false)
 	h.f.snapshotCongestion()
 	after := packet.New(5, 0, 1, 4, 0)
-	h.bufs[0].push(flit{pkt: after, idx: 0}, &h.f.net)
+	h.bufs[0].push(flit{pkt: after, idx: 0})
 	if after.Marked {
 		t.Fatal("header marked after the router drained and the snapshot refreshed")
 	}

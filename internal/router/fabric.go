@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 
 	"repro/internal/packet"
 	"repro/internal/topology"
@@ -96,27 +95,16 @@ func (s Switching) String() string {
 	}
 }
 
-// DispatchPolicy selects how a fabric built with Workers > 1 schedules
-// each cycle. Like Workers itself it is scheduling-only: serial and
-// sharded stepping are byte-identical, so the policy never changes
-// results and is excluded from simulation fingerprints.
+// DispatchPolicy is a wire-compatibility field: a fabric always steps
+// serially, but configurations may still name a policy ("adaptive",
+// "sharded" or "serial"). The value is accepted and ignored; an unknown
+// name is still rejected.
 type DispatchPolicy uint8
 
+// The accepted dispatch policies. None changes how a fabric steps.
 const (
-	// DispatchAdaptive (the default) picks serial or sharded execution
-	// each cycle from the network's active population with hysteresis:
-	// barrier rounds only pay off once enough lanes are live, so a
-	// lightly loaded (or warming-up) network steps serially and flips to
-	// the shard workers as occupancy builds. On a single-CPU host it
-	// always steps serially — there is no parallel hardware to amortize
-	// the round dispatch.
 	DispatchAdaptive DispatchPolicy = iota
-	// DispatchSharded always uses the sharded stepper when shards exist
-	// (the pre-adaptive behavior; also what the twin tests force so the
-	// parallel machinery is exercised regardless of host shape).
 	DispatchSharded
-	// DispatchSerial always steps serially while keeping the shard
-	// partition built (diagnostic).
 	DispatchSerial
 )
 
@@ -162,21 +150,12 @@ type Config struct {
 	// Switching selects wormhole (default) or virtual cut-through flow
 	// control.
 	Switching Switching
-	// Workers is the number of shards the cycle loop is partitioned
-	// into, each stepped by its own persistent worker (the coordinator
-	// runs shard 0 in place). 0 or 1 selects serial stepping. The knob
-	// never changes results: sharded stepping is byte-identical to
-	// serial, so it is excluded from simulation fingerprints.
-	Workers int
-	// Dispatch selects how a sharded fabric schedules each cycle
-	// (adaptive hysteresis by default). Scheduling-only, like Workers.
+	// Workers and Dispatch are accepted and ignored: the fabric always
+	// steps serially, and parallelism comes from running independent
+	// simulations side by side. A negative worker count or an unknown
+	// policy is still an error.
+	Workers  int
 	Dispatch DispatchPolicy
-	// AdaptHigh and AdaptLow override the adaptive dispatch hysteresis
-	// thresholds (active lanes network-wide): serial stepping flips to
-	// sharded at AdaptHigh and back below AdaptLow. Zero selects
-	// defaults scaled by the shard count. Setting AdaptLow requires
-	// AdaptHigh >= AdaptLow.
-	AdaptHigh, AdaptLow int
 	// CongestMark enables DECbit-style congestion marking when positive:
 	// a router raises its congestion bit while the buffered-flit
 	// occupancy across its physical-channel VC buffers is at least
@@ -222,14 +201,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("router: unknown dispatch policy %d", c.Dispatch)
 	}
-	if c.AdaptHigh < 0 || c.AdaptLow < 0 {
-		return fmt.Errorf("router: negative adaptive dispatch threshold (%d, %d)", c.AdaptHigh, c.AdaptLow)
-	}
 	if c.CongestMark < 0 || c.CongestMark > 1 {
 		return fmt.Errorf("router: congestion mark %g out of [0,1]", c.CongestMark)
-	}
-	if c.AdaptLow > c.AdaptHigh {
-		return fmt.Errorf("router: AdaptLow %d exceeds AdaptHigh %d", c.AdaptLow, c.AdaptHigh)
 	}
 	dlv := c.DeliveryChannels
 	if dlv == 0 {
@@ -291,21 +264,6 @@ type node struct {
 	src srcSlot
 }
 
-// stepCtx is the per-worker stage context: the counter sink stage code
-// threads into the buffer accessors, and the scratch the routing stage
-// reuses. Serial stepping uses the fabric's own instance (sink = the
-// fabric-wide counters); each shard owns one.
-type stepCtx struct {
-	nc    *netCounters
-	ports []int // routeAdaptive scratch
-	// atomic marks a shard worker's context: the fused
-	// route/inject/detect round runs injection progress stores
-	// concurrently with detection loads at other shards, so stamps must
-	// go through the atomic store (same-value, hence order-free). Serial
-	// stepping keeps the plain store.
-	atomic bool
-}
-
 // Fabric is the whole network of routers plus global bookkeeping. It is
 // advanced one cycle at a time by Step; packet generation, throttling and
 // statistics live in the sim package on top.
@@ -359,12 +317,10 @@ type Fabric struct {
 	// per-node fold of the occ array maintained at the same push/pop
 	// sites. congWords is the live congestion bitset (bit = node):
 	// raised when nodeOcc crosses markHi, lowered at markLo (half the
-	// mark). congStable is the coordinator's copy from the last cycle
+	// mark). congStable is its copy from the last cycle
 	// boundary; header pushes mark packets against it, so the marking
-	// decision never depends on intra-cycle push order and sharded
-	// stepping stays byte-identical. All three are node-indexed and
-	// shard partitions are 64-node aligned, so shards never share a
-	// word; every write lives in buffer.go under counterguard.
+	// decision never depends on intra-cycle push order. Every write lives
+	// in buffer.go under counterguard.
 	nodeOcc    []int32
 	congWords  []uint64
 	congStable []uint64
@@ -410,42 +366,10 @@ type Fabric struct {
 
 	// OnEvent, when set, receives packet lifecycle events (injection,
 	// routing, delivery, deadlock suspicion/recovery). Nil costs one
-	// predictable branch per event site. Tracing forces serial stepping
-	// (events interleave with stage work in serial order).
+	// predictable branch per event site.
 	OnEvent func(e trace.Event)
 
-	serial stepCtx // serial stepping's stage context
-
-	// Sharded stepping state (nil/empty when Workers <= 1 or the
-	// network is too small to split); see parallel.go.
-	shards    []shard
-	shardSpan int // nodes per shard, a multiple of 64
-	workers   *workerPool
-
-	// shardActive is the coordinator's per-round dispatch mask: the
-	// mark* helpers derive it from the active-bitset summaries (or the
-	// per-shard scratch lists) and runPhaseMasked wakes only the marked
-	// workers.
-	shardActive []bool
-	// dstShard maps every output lane to the shard owning its
-	// downstream node (-1 for delivery lanes), so the link stage stages
-	// a handoff without dividing by the shard span.
-	dstShard []int16
-
-	// Adaptive dispatch (Config.Dispatch): hysteresis state and
-	// resolved thresholds. maxProcs is captured at construction; on a
-	// single-CPU host the adaptive policy never shards.
-	maxProcs   int
-	useSharded bool
-	adaptHi    int
-	adaptLo    int
-
-	// popped marks input lanes whose buffer has already been popped by a
-	// committed crossbar move this stage (one bit per lane, poppedDirty
-	// lists the set bits for O(moves) clearing). The crossbar finalize
-	// round uses it to reconstruct serial credit visibility.
-	popped      []uint64
-	poppedDirty []int32
+	ports []int // routeAdaptive scratch: the minimal ports of one header
 }
 
 // New builds the fabric. The configuration must validate.
@@ -531,7 +455,6 @@ func New(cfg Config) (*Fabric, error) {
 			f.dstGid[base+phys*cfg.VCs+v] = -1
 		}
 	}
-	f.maxProcs = runtime.GOMAXPROCS(0)
 
 	nextBuf, nextFlit, nextOut := 0, 0, 0
 	takeBuf := func(n int) []vcBuffer {
@@ -591,8 +514,6 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		nd.src = srcSlot{fab: f, node: nd.id}
 	}
-	f.serial = stepCtx{nc: &f.net}
-	f.initShards()
 	return f, nil
 }
 
@@ -740,7 +661,7 @@ func (f *Fabric) StartInjection(pkt *packet.Packet) {
 	if pkt.SrcRemaining != pkt.Length {
 		panic(fmt.Sprintf("router: packet %d already partially injected", pkt.ID))
 	}
-	nd.src.setPacket(pkt, &f.net)
+	nd.src.setPacket(pkt)
 	f.inFlight++
 }
 
@@ -750,26 +671,14 @@ func (f *Fabric) StartInjection(pkt *packet.Packet) {
 // The order gives headers the paper's one-cycle routing delay: a header
 // routed in cycle t traverses the crossbar no earlier than t+1.
 //
-// With Workers > 1 the stages run as deterministic parallel rounds over
-// a fixed node partition (see parallel.go); the results are
-// byte-identical to serial stepping, and the dispatch policy (adaptive
-// by default) decides per cycle whether the rounds pay for their
-// barriers. Tracing (OnEvent) forces the serial path so event order
-// stays the serial interleaving.
-//
 //stcc:hotpath
 func (f *Fabric) Step() {
 	if f.markHi > 0 {
 		// Refresh the cycle-stable congestion bits the marking decision
 		// reads: packets arriving during cycle t are marked against the
 		// bits as of the end of t-1, so the decision never depends on
-		// intra-cycle push order and sharded stepping stays
-		// byte-identical to serial.
+		// intra-cycle push order.
 		f.snapshotCongestion()
-	}
-	if len(f.shards) > 1 && f.OnEvent == nil && f.dispatchSharded() {
-		f.stepSharded()
-		return
 	}
 	f.recoveryStep()
 	f.linkStage()
@@ -783,10 +692,8 @@ func (f *Fabric) Step() {
 }
 
 // deliver finalizes a packet: stamps delivery, updates counters, invokes
-// the callbacks. Parallel rounds queue delivered tails instead and the
-// coordinator calls this between rounds, preserving node-order callbacks.
+// the callbacks.
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) deliver(p *packet.Packet, now int64) {
 	p.DeliveredAt = now
@@ -811,12 +718,15 @@ func (f *Fabric) emit(kind trace.Kind, p *packet.Packet, node topology.NodeID) {
 }
 
 // countDeliveredFlit accounts one flit leaving through a delivery channel
-// (or the recovery lane). Parallel rounds count into per-shard fields
-// folded by mergeLink, so only serial code may bump the fabric sums.
+// (or the recovery lane).
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) countDeliveredFlit() {
 	f.deliveredFlits++
 	f.deliveredWindow++
 }
+
+// Close is a no-op: a fabric holds no goroutines or other resources that
+// need releasing. It remains so that callers may close every fabric they
+// build without knowing how it steps.
+func (f *Fabric) Close() {}

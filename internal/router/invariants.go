@@ -151,28 +151,6 @@ func (f *Fabric) CheckInvariants() error {
 		}
 	}
 
-	// The summary level must mirror the active words exactly: bit w of
-	// sumWords is set iff actWords[w] is non-zero. A divergence means a
-	// stage skipped (or needlessly ran) a shard round.
-	for _, c := range [...]struct {
-		name string
-		a    *activeWords
-	}{
-		{"occupied", &f.actOccupied},
-		{"pending", &f.actPending},
-		{"latched", &f.actLatched},
-		{"owned", &f.actOwned},
-		{"src", &f.actSrc},
-	} {
-		for w, aw := range c.a.actWords {
-			want := aw != 0
-			if got := c.a.sumWords[w>>6]&(1<<uint(w&63)) != 0; got != want {
-				return fmt.Errorf("bitset %s summary word bit %d = %v, want %v (actWords[%d] = %x)",
-					c.name, w, got, want, w, aw)
-			}
-		}
-	}
-
 	recount := netCounters{
 		fullBuffers: fullBuffers,
 		latched:     latched,

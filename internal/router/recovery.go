@@ -64,37 +64,29 @@ type recoveryState struct {
 // queue grows, and frozen worms clog the network: this is the mechanism
 // behind the paper's throughput collapse in the recovery configuration.
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) detectDeadlock() {
 	// An empty network (net.occupiedIns == 0) holds nothing blockable, but
 	// the suspect queue below must still be serviced: re-arm timers keep
 	// running for frozen packets whose flits sit outside input buffers.
 	if f.net.occupiedIns > 0 {
-		start := len(f.suspects)
 		for wi, w := range f.actOccupied.actWords {
 			for w != 0 {
 				ni := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				f.detectNode(ni, &f.suspects)
+				f.detectNode(ni)
 			}
 		}
-		f.freezeSuspects(f.suspects[start:])
 	}
 	f.serviceSuspects()
 }
 
-// detectNode scans node ni's input lanes whose front flit is a header
-// and appends fresh timeouts to out (in lane order). It only reads: the
-// caller freezes the collected suspects afterwards (freezeSuspects), so
-// the same scan can run inside the fused parallel round, where a Mode
-// write here would race with concurrent routing and injection reading
-// Mode at other shards. A packet's head flit fronts exactly one lane
-// network-wide, so deferring the freeze cannot change any other detect
-// decision within the cycle.
+// detectNode scans node ni's input lanes whose front flit is a header,
+// in lane order, and freezes each packet blocked past the timeout,
+// queueing it for the recovery token.
 //
 //stcc:hotpath
-func (f *Fabric) detectNode(ni int, out *[]suspect) {
+func (f *Fabric) detectNode(ni int) {
 	now := f.now
 	timeout := f.cfg.DeadlockTimeout
 	base := ni * f.lanesIn
@@ -105,24 +97,11 @@ func (f *Fabric) detectNode(ni int, out *[]suspect) {
 		if fl.pkt.Mode.Frozen() {
 			continue
 		}
-		if fl.pkt.BlockedForAtomic(now) > timeout {
-			*out = append(*out, suspect{buf: b, pkt: fl.pkt, at: now})
+		if fl.pkt.BlockedFor(now) > timeout {
+			fl.pkt.Mode = packet.Suspected
+			f.suspects = append(f.suspects, suspect{buf: b, pkt: fl.pkt, at: now})
+			f.emit(trace.Suspected, fl.pkt, b.node)
 		}
-	}
-}
-
-// freezeSuspects commits a batch of fresh suspects: each packet freezes
-// in place and the suspicion event is emitted, in the order the scan
-// found them — identical to the order the pre-deferral serial scan
-// wrote Mode and emitted inline.
-//
-//stcc:serialonly
-//stcc:hotpath
-func (f *Fabric) freezeSuspects(fresh []suspect) {
-	for i := range fresh {
-		s := &fresh[i]
-		s.pkt.Mode = packet.Suspected
-		f.emit(trace.Suspected, s.pkt, s.buf.node)
 	}
 }
 
@@ -132,7 +111,6 @@ func (f *Fabric) freezeSuspects(fresh []suspect) {
 // resumes normal routing with a fresh timer; without this, one
 // serialized token would freeze a saturated network forever.
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) serviceSuspects() {
 	now := f.now
@@ -176,7 +154,6 @@ func (f *Fabric) feedingLatch(b *vcBuffer) *outVC {
 // and reconstructs its locations from the packet's trail. The recovery
 // state and its locations array are reused across recoveries.
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) startRecovery(head *vcBuffer) {
 	pkt := head.front().pkt
@@ -224,15 +201,14 @@ func (f *Fabric) startRecovery(head *vcBuffer) {
 // recovered packet: its wormhole binding and the output VC its header
 // allocated at this router (whose downstream flits have already drained).
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
 	if b.bound && b.boundPkt == pkt {
 		o := &f.nodes[b.node].outs[b.outPort][b.outVC]
 		if o.ownerPkt == pkt {
-			o.release(&f.net)
+			o.release()
 		}
-		b.clearBinding(&f.net)
+		b.clearBinding()
 	}
 }
 
@@ -240,20 +216,17 @@ func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
 // packet's flit has been evicted from its latch (the in-flight tail
 // case).
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) cleanupOutVC(o *outVC, pkt *packet.Packet) {
 	if o.ownerPkt == pkt {
-		o.release(&f.net)
+		o.release()
 	}
 }
 
 // recoveryStep advances the active recovery by one cycle: evict one flit
 // into the deadlock-buffer lane and count lane arrivals at the
-// destination. Recovery always runs on the coordinator, before the
-// stages, so it works on the fabric-wide counters directly.
+// destination. Recovery runs before the other stages.
 //
-//stcc:serialonly
 //stcc:hotpath
 func (f *Fabric) recoveryStep() {
 	r := f.rec

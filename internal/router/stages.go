@@ -31,7 +31,7 @@ func (f *Fabric) linkStage() {
 		for w != 0 {
 			ni := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			f.linkNode(ni, &f.serial)
+			f.linkNode(ni)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func (f *Fabric) linkStage() {
 // node, physical lanes hand off to the downstream neighbor.
 //
 //stcc:hotpath
-func (f *Fabric) linkNode(ni int, ctx *stepCtx) {
+func (f *Fabric) linkNode(ni int) {
 	now := f.now
 	base := ni * f.lanesOut
 	for lm := f.latchMask[ni]; lm != 0; lm &= lm - 1 {
@@ -49,14 +49,14 @@ func (f *Fabric) linkNode(ni int, ctx *stepCtx) {
 		if o.lat.f.pkt.Mode.Frozen() {
 			continue
 		}
-		fl := o.lat.clear(ctx.nc)
+		fl := o.lat.clear()
 		fl.pkt.Progress(now)
 		p := o.lat.port
 		if p == f.dlvPort {
 			f.countDeliveredFlit()
 			fl.pkt.Consumed++
 			if fl.isTail() {
-				o.release(ctx.nc)
+				o.release()
 				f.deliver(fl.pkt, now)
 			}
 			continue
@@ -66,12 +66,12 @@ func (f *Fabric) linkNode(ni int, ctx *stepCtx) {
 			panic(fmt.Sprintf("router: link overflow into %v at cycle %d", tb, now))
 		}
 		fl.arrived = now
-		tb.push(fl, ctx.nc)
+		tb.push(fl)
 		if fl.isHead() {
 			fl.pkt.PushTrail(tb)
 		}
 		if fl.isTail() {
-			o.release(ctx.nc)
+			o.release()
 		}
 	}
 }
@@ -107,7 +107,7 @@ func (f *Fabric) crossbarNode(ni int) {
 		p := int(f.laneOutPort[lane])
 		base, nvc := f.outPortBase[p], f.outPortWidth[p]
 		cm &^= ((uint64(1) << uint(nvc)) - 1) << uint(base)
-		f.crossbarPort(nd, ni, p, base, nvc, &f.serial)
+		f.crossbarPort(nd, ni, p, base, nvc)
 	}
 }
 
@@ -117,7 +117,7 @@ func (f *Fabric) crossbarNode(ni int) {
 // delivery (consumption) channel drains independently.
 //
 //stcc:hotpath
-func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int, ctx *stepCtx) {
+func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int) {
 	now := f.now
 	pm := (f.ownedMask[ni] &^ f.latchMask[ni]) >> uint(base)
 	outs := f.outsA[ni*f.lanesOut+base : ni*f.lanesOut+base+nvc]
@@ -145,15 +145,15 @@ func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int, ctx *stepCtx) {
 				continue // no downstream credit
 			}
 		}
-		fl := b.pop(ctx.nc)
+		fl := b.pop()
 		if fl.pkt != o.ownerPkt {
 			panic(fmt.Sprintf("router: %v front flit of %v, owner %v", b, fl.pkt, o.ownerPkt))
 		}
 		fl.pkt.Progress(now)
 		if fl.isTail() {
-			b.clearBinding(ctx.nc)
+			b.clearBinding()
 		}
-		o.lat.set(fl, ctx.nc)
+		o.lat.set(fl)
 		if !dlv {
 			if nd.swPtr[p] = vi + 1; nd.swPtr[p] == nvc {
 				nd.swPtr[p] = 0
@@ -178,7 +178,7 @@ func (f *Fabric) routingStage() {
 		for w != 0 {
 			ni := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			f.arbitrate(&f.nodes[ni], &f.serial)
+			f.arbitrate(&f.nodes[ni])
 		}
 	}
 }
@@ -192,7 +192,7 @@ func (f *Fabric) inputVCAt(nd *node, idx int) *vcBuffer {
 }
 
 //stcc:hotpath
-func (f *Fabric) arbitrate(nd *node, ctx *stepCtx) {
+func (f *Fabric) arbitrate(nd *node) {
 	ni := int(nd.id)
 	// Candidate lanes: occupied, unbound, head flit at the front. The
 	// frozen and arrival-cycle checks stay live per candidate, exactly
@@ -205,13 +205,13 @@ func (f *Fabric) arbitrate(nd *node, ctx *stepCtx) {
 	ap := nd.arbPtr
 	for m := cm >> uint(ap); m != 0; m &= m - 1 {
 		idx := ap + bits.TrailingZeros64(m)
-		if f.tryArbSlot(nd, idx, total, ctx) {
+		if f.tryArbSlot(nd, idx, total) {
 			return
 		}
 	}
 	for m := cm & ((uint64(1) << uint(ap)) - 1); m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
-		if f.tryArbSlot(nd, idx, total, ctx) {
+		if f.tryArbSlot(nd, idx, total) {
 			return
 		}
 	}
@@ -223,7 +223,7 @@ func (f *Fabric) arbitrate(nd *node, ctx *stepCtx) {
 // candidate was ineligible this cycle and the scan continues.
 //
 //stcc:hotpath
-func (f *Fabric) tryArbSlot(nd *node, idx, total int, ctx *stepCtx) bool {
+func (f *Fabric) tryArbSlot(nd *node, idx, total int) bool {
 	b := f.inputVCAt(nd, idx)
 	fl := b.front()
 	if fl.pkt.Mode.Frozen() {
@@ -235,7 +235,7 @@ func (f *Fabric) tryArbSlot(nd *node, idx, total int, ctx *stepCtx) bool {
 		return false
 	}
 	nd.arbPtr = (idx + 1) % total
-	f.routeHeader(nd, b, fl.pkt, ctx)
+	f.routeHeader(nd, b, fl.pkt)
 	return true
 }
 
@@ -261,11 +261,11 @@ func (f *Fabric) vcAvailable(nd *node, port, vc int, pkt *packet.Packet) bool {
 // arbiter slot.
 //
 //stcc:hotpath
-func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *stepCtx) bool {
+func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet) bool {
 	if pkt.Dst == nd.id {
 		for v := range nd.outs[f.dlvPort] {
 			if nd.outs[f.dlvPort][v].free() {
-				f.allocate(nd, b, pkt, f.dlvPort, v, ctx)
+				f.allocate(nd, b, pkt, f.dlvPort, v)
 				return true
 			}
 		}
@@ -274,15 +274,15 @@ func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *ste
 	switch f.cfg.Mode {
 	case Recovery:
 		// All virtual channels are fully adaptive.
-		return f.routeAdaptive(nd, b, pkt, 0, ctx)
+		return f.routeAdaptive(nd, b, pkt, 0)
 	default: // Avoidance
-		if pkt.Mode != packet.Escape && f.routeAdaptive(nd, b, pkt, 1, ctx) {
+		if pkt.Mode != packet.Escape && f.routeAdaptive(nd, b, pkt, 1) {
 			return true
 		}
 		// Escape lane: dimension-order over the mesh on VC 0. Once a
 		// packet enters the escape lane it stays there (conservative
 		// Duato protocol, trivially deadlock free).
-		if f.routeEscape(nd, b, pkt, ctx) {
+		if f.routeEscape(nd, b, pkt) {
 			pkt.Mode = packet.Escape
 			return true
 		}
@@ -295,9 +295,9 @@ func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *ste
 // minVC up, taking the first free output VC.
 //
 //stcc:hotpath
-func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC int, ctx *stepCtx) bool {
-	ports := f.topo.MinimalPorts(nd.id, pkt.Dst, ctx.ports[:0])
-	ctx.ports = ports
+func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC int) bool {
+	ports := f.topo.MinimalPorts(nd.id, pkt.Dst, f.ports[:0])
+	f.ports = ports
 	if len(ports) == 0 {
 		return false
 	}
@@ -325,7 +325,7 @@ func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC 
 		p := ports[(start+i)%len(ports)]
 		for v := minVC; v < f.cfg.VCs; v++ {
 			if f.vcAvailable(nd, p, v, pkt) {
-				f.allocate(nd, b, pkt, p, v, ctx)
+				f.allocate(nd, b, pkt, p, v)
 				return true
 			}
 		}
@@ -336,13 +336,13 @@ func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC 
 // routeEscape allocates escape VC 0 on the mesh dimension-order port.
 //
 //stcc:hotpath
-func (f *Fabric) routeEscape(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *stepCtx) bool {
+func (f *Fabric) routeEscape(nd *node, b *vcBuffer, pkt *packet.Packet) bool {
 	p, ok := f.topo.DORMeshNextPort(nd.id, pkt.Dst)
 	if !ok {
 		return false // local destination handled earlier
 	}
 	if f.vcAvailable(nd, p, 0, pkt) {
-		f.allocate(nd, b, pkt, p, 0, ctx)
+		f.allocate(nd, b, pkt, p, 0)
 		return true
 	}
 	return false
@@ -351,19 +351,15 @@ func (f *Fabric) routeEscape(nd *node, b *vcBuffer, pkt *packet.Packet, ctx *ste
 // allocate binds input VC b to output VC (port, vc) for the packet.
 //
 //stcc:hotpath
-func (f *Fabric) allocate(nd *node, b *vcBuffer, pkt *packet.Packet, port, vc int, ctx *stepCtx) {
+func (f *Fabric) allocate(nd *node, b *vcBuffer, pkt *packet.Packet, port, vc int) {
 	o := &nd.outs[port][vc]
 	if !o.free() {
 		panic(fmt.Sprintf("router: double allocation of node %d port %d vc %d", nd.id, port, vc))
 	}
-	b.setBinding(pkt, port, vc, ctx.nc)
-	o.acquire(b, pkt, ctx.nc)
+	b.setBinding(pkt, port, vc)
+	o.acquire(b, pkt)
 	pkt.Hops++
-	if ctx.atomic {
-		pkt.ProgressAtomic(f.now)
-	} else {
-		pkt.Progress(f.now)
-	}
+	pkt.Progress(f.now)
 	f.emit(trace.Routed, pkt, nd.id)
 }
 
@@ -379,7 +375,7 @@ func (f *Fabric) injectionStage() {
 		for w != 0 {
 			ni := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			f.injectNode(ni, &f.serial)
+			f.injectNode(ni)
 		}
 	}
 }
@@ -387,7 +383,7 @@ func (f *Fabric) injectionStage() {
 // injectNode streams one flit of node ni's current source packet.
 //
 //stcc:hotpath
-func (f *Fabric) injectNode(ni int, ctx *stepCtx) {
+func (f *Fabric) injectNode(ni int) {
 	nd := &f.nodes[ni]
 	pkt := nd.src.pkt
 	if pkt == nil || pkt.Mode.Frozen() {
@@ -399,19 +395,15 @@ func (f *Fabric) injectNode(ni int, ctx *stepCtx) {
 		return
 	}
 	idx := pkt.Length - pkt.SrcRemaining
-	b.push(flit{pkt: pkt, idx: idx, arrived: now}, ctx.nc)
+	b.push(flit{pkt: pkt, idx: idx, arrived: now})
 	pkt.SrcRemaining--
-	if ctx.atomic {
-		pkt.ProgressAtomic(now)
-	} else {
-		pkt.Progress(now)
-	}
+	pkt.Progress(now)
 	if idx == 0 {
 		pkt.InjectedAt = now
 		pkt.PushTrail(b)
 		f.emit(trace.Injected, pkt, pkt.Src)
 	}
 	if pkt.SrcRemaining == 0 {
-		nd.src.clearPacket(ctx.nc)
+		nd.src.clearPacket()
 	}
 }

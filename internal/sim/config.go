@@ -188,17 +188,16 @@ type Config struct {
 
 	Scheme Scheme
 
-	// ShardWorkers is the number of worker shards the router's cycle
-	// loop is partitioned into (0 or 1 = serial stepping). Sharded
-	// stepping is byte-identical to serial — the knob trades CPUs for
-	// wall time, never results — so it is excluded from Fingerprint and
-	// two runs differing only here share cached results.
+	// ShardWorkers is accepted and ignored: one simulation always steps
+	// serially, and parallelism comes from running independent points
+	// side by side (Runner workers, peer dispatch). The field keeps
+	// configs and specs that set it parsing; a negative value is still
+	// rejected. Fingerprint excludes it, so such configs share cached
+	// results with configs that leave it unset.
 	ShardWorkers int
 
-	// ShardDispatch selects how a sharded fabric schedules each cycle:
-	// adaptive occupancy hysteresis (default), always sharded, or
-	// always serial. Scheduling-only like ShardWorkers — byte-identical
-	// results either way — so it too is excluded from Fingerprint.
+	// ShardDispatch is accepted and ignored like ShardWorkers; an
+	// unknown policy name is still rejected, and Fingerprint excludes it.
 	ShardDispatch router.DispatchPolicy
 
 	// Durations. Statistics cover [WarmupCycles, WarmupCycles+MeasureCycles).

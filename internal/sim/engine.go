@@ -153,8 +153,7 @@ func New(cfg Config) (*Engine, error) {
 		Mode: cfg.Mode, DeadlockTimeout: cfg.DeadlockTimeout,
 		TokenWaitTimeout: cfg.TokenWaitTimeout,
 		DeliveryChannels: cfg.DeliveryChannels, Selection: cfg.Selection,
-		Switching: cfg.Switching, Workers: cfg.ShardWorkers,
-		Dispatch:    cfg.ShardDispatch,
+		Switching:   cfg.Switching,
 		CongestMark: cfg.Scheme.markFraction(),
 	})
 	if err != nil {
@@ -255,9 +254,6 @@ func (e *Engine) onDelivered(p *packet.Packet) {
 		e.hops.Add(float64(p.Hops))
 	}
 	// End-to-end feedback to the controller, echoing the DECbit mark.
-	// Delivery callbacks fire in a deterministic order (the sharded
-	// stepper finalizes deliveries in node-index order), so per-source
-	// controller state evolves identically at any worker count.
 	e.thr.Observe(congestion.FeedbackEvent{
 		Kind:   congestion.PacketDelivered,
 		Cycle:  p.DeliveredAt,
@@ -302,10 +298,6 @@ func (e *Engine) RunContext(ctx context.Context, every int64, fn func(now int64)
 	if e.fab.Now() != 0 {
 		return Result{}, fmt.Errorf("sim: engine already run")
 	}
-	// Sharded stepping parks worker goroutines between cycles; release
-	// them when the run ends (including cancellation) so sweeps that
-	// build many engines do not accumulate idle goroutines.
-	defer e.fab.Close()
 	done := ctx.Done() // nil for context.Background(): no per-cycle cost
 	for now := int64(0); now < e.total; now++ {
 		if done != nil && now&cancelCheckMask == 0 {
@@ -328,15 +320,14 @@ func (e *Engine) RunContext(ctx context.Context, every int64, fn func(now int64)
 // drivers: the caller controls the cycle loop and may inspect the
 // fabric between cycles. Statistics accumulate exactly as under Run;
 // mixing Step with a later Run is rejected by Run's already-run guard.
-// Step-driven engines with ShardWorkers > 1 should Close when done.
 //
 //stcc:hotpath
 func (e *Engine) Step() { e.step(e.fab.Now()) }
 
-// Close releases the fabric's worker goroutines, if any. Run and
-// RunContext close automatically; only Step-driven callers need this.
-// The engine remains usable: the workers restart on the next Step.
-func (e *Engine) Close() { e.fab.Close() }
+// Close is a no-op: an engine holds no goroutines or other resources
+// that need releasing. It remains so that callers may close every
+// engine they build.
+func (e *Engine) Close() {}
 
 // CheckInvariants verifies the engine's structural invariants: the
 // fabric's (buffer occupancy, counters, flit conservation, no
@@ -393,9 +384,7 @@ func (e *Engine) step(now int64) {
 
 	// 4. Network cycle, then the congestion-bit edge scan: routers whose
 	// bit rose this cycle broadcast a side-band notification. Reading
-	// the bits here — after the step, from the coordinator — keeps the
-	// scan off the sharded stages entirely (shardguard-clean) and sees
-	// the same deterministic end-of-cycle state at any worker count.
+	// the bits here, after the step, sees the end-of-cycle state.
 	e.fab.Step()
 	if e.notifier != nil {
 		e.scanCongestionEdges(now)

@@ -1,0 +1,83 @@
+package sim
+
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/router"
+)
+
+// Harness bounds: inputs beyond them still go through parse, Validate
+// and the round trip, but are not built, so one input never costs more
+// than an ext12-sized engine.
+const (
+	fuzzMaxNodes    = 512 // ext12's 8-ary 3-cube
+	fuzzMaxBufDepth = 64
+	fuzzMaxHopDelay = 64 // the notification wheel is diameter x hop delay
+)
+
+// FuzzConfigJSON feeds arbitrary bytes to the Config wire form. Any
+// input that parses and validates must marshal, re-parse and keep its
+// fingerprint, and sim.New must build it without panicking.
+func FuzzConfigJSON(f *testing.F) {
+	cube := NewConfig()
+	cube.K, cube.N = 8, 3
+	cube.Rate = 0.05
+	cube.Scheme = Scheme{Kind: SelfTuned}
+	sharded := NewConfig()
+	sharded.ShardWorkers = 8
+	sharded.ShardDispatch = router.DispatchSharded
+	for _, c := range []Config{NewConfig(), cube, sharded} {
+		data, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		if err := json.Unmarshal(data, &c); err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			return
+		}
+		fp, err := c.Fingerprint()
+		if err != nil {
+			t.Fatalf("validated config has no fingerprint: %v", err)
+		}
+		out, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("validated config does not marshal: %v", err)
+		}
+		var back Config
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-parse of own encoding: %v\n%s", err, out)
+		}
+		if got, err := back.Fingerprint(); err != nil || got != fp {
+			t.Fatalf("round trip changed fingerprint %s -> %s (err %v)\n%s", fp, got, err, out)
+		}
+		if !fuzzCheap(c) {
+			return
+		}
+		e, err := New(c)
+		if err != nil {
+			t.Fatalf("New rejected a validated config: %v\n%s", err, out)
+		}
+		e.Close()
+	})
+}
+
+// fuzzCheap reports whether c is within the harness bounds.
+func fuzzCheap(c Config) bool {
+	if c.BufDepth > fuzzMaxBufDepth || c.SidebandHopDelay > fuzzMaxHopDelay {
+		return false
+	}
+	nodes := 1
+	for i := 0; i < c.N; i++ {
+		if nodes *= c.K; nodes > fuzzMaxNodes {
+			return false
+		}
+	}
+	return true
+}

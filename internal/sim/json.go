@@ -53,10 +53,10 @@ type configJSON struct {
 
 	Scheme schemeJSON `json:"scheme"`
 
-	// shard_workers and shard_dispatch are carried on the wire (a spec
-	// can pin them) but are excluded from Fingerprint: sharded stepping
-	// is byte-identical to serial, so they must not split the result
-	// cache.
+	// shard_workers and shard_dispatch are accepted and ignored: they
+	// still parse and validate, so older specs keep working, but they
+	// never change a run and Fingerprint excludes them, so they must not
+	// split the result cache.
 	ShardWorkers  int                   `json:"shard_workers,omitempty"`
 	ShardDispatch router.DispatchPolicy `json:"shard_dispatch,omitempty"`
 
@@ -263,10 +263,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 // keys the result cache and the spec-integrity checks. Configs with no
 // wire form (live Schedule, custom throttler) have no fingerprint.
 //
-// ShardWorkers and ShardDispatch are zeroed before hashing: sharded
-// stepping is byte-identical to serial, so runs differing only in
-// worker count or dispatch policy are the same experiment and must
-// share cache entries.
+// ShardWorkers and ShardDispatch are zeroed before hashing: they are
+// accepted and ignored, so runs differing only there are the same
+// experiment and must share cache entries.
 func (c Config) Fingerprint() (string, error) {
 	c.ShardWorkers = 0
 	c.ShardDispatch = 0

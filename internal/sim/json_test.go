@@ -126,6 +126,7 @@ func TestConfigJSONRejectsBadVersion(t *testing.T) {
 
 func TestConfigJSONRejectsBadEnums(t *testing.T) {
 	cfg := NewConfig()
+	cfg.ShardDispatch = router.DispatchSharded // accepted and ignored, but its name is still checked
 	data, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +137,7 @@ func TestConfigJSONRejectsBadEnums(t *testing.T) {
 		{`"switching":"wormhole"`, `"switching":"circuit"`},
 		{`"sideband_mechanism":"sideband"`, `"sideband_mechanism":"telepathy"`},
 		{`"kind":"base"`, `"kind":"magic"`},
+		{`"shard_dispatch":"sharded"`, `"shard_dispatch":"turbo"`},
 	} {
 		bad := strings.Replace(string(data), swap[0], swap[1], 1)
 		if bad == string(data) {

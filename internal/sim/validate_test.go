@@ -31,6 +31,8 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown-selection", func(c *Config) { c.Selection = router.SelectionPolicy(99) }, "selection"},
 		{"unknown-switching", func(c *Config) { c.Switching = router.Switching(99) }, "switching"},
 		{"unknown-deadlock-mode", func(c *Config) { c.Mode = router.DeadlockMode(99) }, "deadlock mode"},
+		{"negative-shard-workers", func(c *Config) { c.ShardWorkers = -1 }, "worker count"},
+		{"unknown-shard-dispatch", func(c *Config) { c.ShardDispatch = router.DispatchPolicy(99) }, "dispatch policy"},
 		{"hop-delay-zero", func(c *Config) { c.SidebandHopDelay = 0 }, "hop delay"},
 		{"negative-sideband-bits", func(c *Config) { c.SidebandBits = -1 }, "width"},
 		{"unknown-mechanism", func(c *Config) { c.SidebandMechanism = sideband.Mechanism(99) }, "mechanism"},

@@ -110,16 +110,8 @@ const (
 	LastValueEstimator = sim.LastValueEstimator
 )
 
-// Deadlock handling.
-type (
-	// DeadlockMode selects avoidance or recovery.
-	DeadlockMode = router.DeadlockMode
-
-	// DispatchPolicy selects how a sharded fabric schedules each cycle
-	// (Config.ShardDispatch). Results are byte-identical under every
-	// policy; see DispatchAdaptive.
-	DispatchPolicy = router.DispatchPolicy
-)
+// DeadlockMode selects avoidance or recovery.
+type DeadlockMode = router.DeadlockMode
 
 // Deadlock modes.
 const (
@@ -128,21 +120,6 @@ const (
 	// Recovery detects deadlock by timeout and drains suspects through
 	// a token-serialized deadlock-buffer lane (Disha).
 	Recovery = router.Recovery
-)
-
-// Dispatch policies for Config.ShardDispatch. The knob is pure
-// scheduling — results are byte-identical under every setting, and
-// Config.Fingerprint ignores it.
-const (
-	// DispatchAdaptive (the default) steps serially on quiet cycles and
-	// shards once the active population crosses the hysteresis band; it
-	// never shards on a single-CPU host.
-	DispatchAdaptive = router.DispatchAdaptive
-	// DispatchSharded always runs the parallel rounds (when ShardWorkers
-	// gives the fabric more than one shard).
-	DispatchSharded = router.DispatchSharded
-	// DispatchSerial always steps serially.
-	DispatchSerial = router.DispatchSerial
 )
 
 // Workload types.
