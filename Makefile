@@ -30,7 +30,7 @@ bench:
 # benchtime (minutes, not a smoke run); see README.md ("Benchmark
 # trajectory") for how to read BENCH_*.json. The previous trajectory
 # point is the baseline the report embeds and diffs against.
-BENCH_LABEL ?= PR10
+BENCH_LABEL ?= PR14
 BENCH_BASELINE ?= BENCH_PR10.json
 bench-json:
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json
@@ -117,3 +117,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitQuoted$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzWantComment$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigJSON$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleSpec$$' -fuzztime $(FUZZTIME) ./internal/traffic

@@ -2,11 +2,13 @@
 //
 // After warm-up, one simulated cycle must not allocate: packets come from
 // the per-engine free list, router state lives in arenas sized at
-// construction, source queues are rings that reuse vacated slots, and the
-// side-band keeps its in-flight backing array. AllocsPerOp rounds down,
-// so rare amortized growth (a statistics buffer doubling) is tolerated,
-// but anything that allocates once per cycle or per packet fails the
-// gate.
+// construction, source queues reuse freed pages, latencies are counted
+// in a histogram sized by the largest latency, and the side-band keeps
+// its in-flight backing array.
+// AllocsPerOp rounds down, so rare amortized growth is tolerated, but
+// anything that allocates once per cycle or per packet fails the gate.
+// The engine shapes also bound bytes/op per shape; the fabric shapes
+// require exactly zero.
 package stcc
 
 import (
@@ -37,34 +39,34 @@ const torusSteadyStateWarmup = 2500
 // saturated point additionally under each feedback-driven controller,
 // so the DECbit marking path, the AIMD window machinery and the
 // notification wheel are all inside the zero-alloc contract.
+//
+// maxBytes bounds each shape's amortized bytes/op. At idle and low load
+// only the sample series and rare new peaks (largest latency, packets
+// in flight, one node's backlog) still grow: 1 and 10 B/op measured.
+// Past saturation the open-loop source queues gain about ten entries a
+// cycle (offered minus accepted load) at 12 B each, allocated in 8 KB
+// slabs of pages, which the model requires: 125-132 B/op measured, and
+// up to 175 under the race detector, whose shorter timing window sees
+// each slab as a larger share. A revived per-delivery sample slice
+// measured 289 B/op at low load and 347-423 B/op saturated, so each
+// ceiling fails it.
 var engineShapes = []struct {
-	name   string
-	rate   float64
-	scheme sim.Scheme
+	name     string
+	rate     float64
+	scheme   sim.Scheme
+	maxBytes int64
 }{
-	{"idle", 0.0001, sim.Scheme{Kind: sim.SelfTuned}},
-	{"low", 0.02, sim.Scheme{Kind: sim.SelfTuned}},
-	{"saturated", 0.06, sim.Scheme{Kind: sim.SelfTuned}},
-	{"aimd-saturated", 0.06, sim.Scheme{Kind: sim.AIMD}},
-	{"notify-saturated", 0.06, sim.Scheme{Kind: sim.Notify}},
+	{"idle", 0.0001, sim.Scheme{Kind: sim.SelfTuned}, 64},
+	{"low", 0.02, sim.Scheme{Kind: sim.SelfTuned}, 64},
+	{"saturated", 0.06, sim.Scheme{Kind: sim.SelfTuned}, 256},
+	{"aimd-saturated", 0.06, sim.Scheme{Kind: sim.AIMD}, 256},
+	{"notify-saturated", 0.06, sim.Scheme{Kind: sim.Notify}, 256},
 }
 
-// engineBytesPerOpCeiling bounds the engine shapes' amortized bytes/op.
-// A full engine cycle performs zero discrete allocations, but two
-// by-design growth sources remain and do not decay over the run: the
-// measurement-phase latency series appends one sample per delivered
-// packet (~16 B x ~15 deliveries/cycle at saturation), and the
-// open-loop pending-injection queue grows whenever offered load exceeds
-// acceptance, which is the definition of the saturated shape. Together
-// they amortize to roughly 900 B/op at saturation (profiled: nothing
-// else in the loop allocates), so the engine gate is a ceiling rather
-// than the fabric gate's exact zero. The ceiling still bites: leaking a
-// packet plus its trail per delivery would add ~10 KB/op.
-const engineBytesPerOpCeiling = 2048
-
 // TestEngineStepZeroSteadyStateAllocs asserts that a full engine cycle
-// (generation, throttling, injection, network step, sampling) allocates
-// nothing at steady state for all three shapes.
+// (generation, throttling, injection, network step, sampling) makes no
+// allocation at steady state and stays under its shape's bytes/op
+// ceiling.
 func TestEngineStepZeroSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second steady-state measurement")
@@ -93,9 +95,9 @@ func TestEngineStepZeroSteadyStateAllocs(t *testing.T) {
 				t.Errorf("engine %s: %d allocs/op (%d B/op) at steady state, want 0",
 					tc.name, allocs, r.AllocedBytesPerOp())
 			}
-			if bytes := r.AllocedBytesPerOp(); bytes > engineBytesPerOpCeiling {
-				t.Errorf("engine %s: %d B/op at steady state, want <= %d (amortized stats growth only)",
-					tc.name, bytes, engineBytesPerOpCeiling)
+			if bytes := r.AllocedBytesPerOp(); bytes > tc.maxBytes {
+				t.Errorf("engine %s: %d B/op at steady state, want <= %d (series and backlog growth only)",
+					tc.name, bytes, tc.maxBytes)
 			}
 			if err := e.CheckInvariants(); err != nil {
 				t.Errorf("engine %s: invariants after measurement: %v", tc.name, err)

@@ -22,8 +22,8 @@ import (
 // has grown — the same form maporder accepts) and anything inside a
 // panic(...) argument (the allocation happens only on the failure
 // path). A reviewed site is suppressed with //stcc:hotalloc <why> on
-// its line or the line above — e.g. the pending-queue ring's amortized
-// growth.
+// its line or the line above — e.g. a new source-queue slab when the
+// total backlog reaches a new peak.
 var HotAlloc = &framework.Analyzer{
 	Name: "hotalloc",
 	Doc: `flag allocating constructs in //stcc:hotpath functions

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/congestion"
@@ -294,6 +295,9 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles <= 0 {
 		return fmt.Errorf("sim: need non-negative warmup and positive measure cycles")
+	}
+	if c.WarmupCycles > math.MaxInt64-c.MeasureCycles {
+		return fmt.Errorf("sim: warmup_cycles %d + measure_cycles %d overflows the run length", c.WarmupCycles, c.MeasureCycles)
 	}
 	if c.SampleInterval < 0 {
 		return fmt.Errorf("sim: negative sample interval")

@@ -17,82 +17,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// pending is a generated-but-not-injected packet. Keeping queue entries
-// compact (instead of materializing Packet objects at generation time)
-// bounds memory when sweeping far past saturation, where source queues
-// grow with simulation length.
-type pending struct {
-	created int64
-	dst     topology.NodeID
-}
-
-// pendingQueue is a head-indexed ring deque of pending packets. The old
-// representation (a plain slice popped with copy(q, q[1:])) shifted the
-// whole backlog on every injection — O(n) per dequeue, quadratic over a
-// saturated run — and re-grew the slice after every generation burst.
-// The ring pops in O(1) and, once at steady-state capacity, never
-// allocates: push reuses the slots pop vacates.
-type pendingQueue struct {
-	buf  []pending
-	head int
-	n    int
-}
-
-//stcc:hotpath
-func (q *pendingQueue) len() int { return q.n }
-
-// push appends p, doubling the ring when full (amortized O(1); at
-// steady state the ring reaches a fixed size and growth stops).
-//
-//stcc:hotpath
-func (q *pendingQueue) push(p pending) {
-	if q.n == len(q.buf) {
-		//stcc:hotalloc amortized ring doubling; steady state reuses vacated slots
-		grown := make([]pending, max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.at(i)
-		}
-		q.buf = grown
-		q.head = 0
-	}
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = p
-	q.n++
-}
-
-// front returns the oldest entry; the queue must be non-empty.
-//
-//stcc:hotpath
-func (q *pendingQueue) front() pending { return q.buf[q.head] }
-
-// pop removes and returns the oldest entry in O(1).
-//
-//stcc:hotpath
-func (q *pendingQueue) pop() pending {
-	p := q.buf[q.head]
-	q.buf[q.head] = pending{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
-	return p
-}
-
-// at returns the i-th oldest entry (0 is the front).
-//
-//stcc:hotpath
-func (q *pendingQueue) at(i int) pending {
-	j := q.head + i
-	if j >= len(q.buf) {
-		j -= len(q.buf)
-	}
-	return q.buf[j]
-}
-
 // Engine runs one simulation.
 type Engine struct {
 	cfg   Config
@@ -113,9 +37,9 @@ type Engine struct {
 	prevCong []uint64
 	notifyFn func(to, from topology.NodeID, marked bool)
 
-	queues   []pendingQueue // per-node source queues
-	qActive  []uint64       // bitset of nodes with a non-empty source queue
-	pool     *packet.Pool   // free list; delivered packets are recycled here
+	queues   sourceQueues
+	qActive  []uint64     // bitset of nodes with a non-empty source queue
+	pool     *packet.Pool // free list; delivered packets are recycled here
 	nextID   packet.ID
 	created  int64
 	injStart int // rotating start node of the injection scan
@@ -124,7 +48,7 @@ type Engine struct {
 	warmup          int64
 	total           int64
 	netLatency      stats.LatencyStats
-	totLatency      stats.LatencyStats
+	totLatency      stats.Accumulator // only its mean is reported
 	hops            stats.Accumulator
 	delivered       int64 // all packets
 	deliveredMeas   int64 // packets created after warm-up
@@ -172,7 +96,7 @@ func New(cfg Config) (*Engine, error) {
 		side:    side,
 		sched:   sched,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		queues:  make([]pendingQueue, topo.Nodes()),
+		queues:  newSourceQueues(topo.Nodes()),
 		qActive: make([]uint64, (topo.Nodes()+63)>>6),
 		pool:    packet.NewPool(),
 		warmup:  cfg.WarmupCycles,
@@ -359,7 +283,7 @@ func (e *Engine) step(now int64) {
 	for n := 0; n < nodes; n++ {
 		if dst, ok := e.sched.Generate(now, topology.NodeID(n), e.rng); ok {
 			e.created++
-			e.queues[n].push(pending{created: now, dst: dst})
+			e.queues.push(n, now, dst)
 			e.qActive[n>>6] |= 1 << uint(n&63)
 		}
 	}
@@ -430,21 +354,20 @@ func (e *Engine) injectRange(now int64, lo, hi int, throttled *bool) {
 //
 //stcc:hotpath
 func (e *Engine) injectNode(now int64, n int, throttled *bool) {
-	q := &e.queues[n]
 	if !e.fab.CanStartInjection(topology.NodeID(n)) {
 		return
 	}
-	head := q.front()
-	if !e.thr.AllowInjection(now, topology.NodeID(n), head.dst) {
+	created, dst := e.queues.front(n)
+	if !e.thr.AllowInjection(now, topology.NodeID(n), dst) {
 		e.throttleDenials++
 		*throttled = true
 		return
 	}
-	q.pop()
-	if q.len() == 0 {
+	e.queues.pop(n)
+	if e.queues.len(n) == 0 {
 		e.qActive[n>>6] &^= 1 << uint(n&63)
 	}
-	p := e.pool.Get(e.nextID, topology.NodeID(n), head.dst, e.cfg.PacketLength, head.created)
+	p := e.pool.Get(e.nextID, topology.NodeID(n), dst, e.cfg.PacketLength, created)
 	e.nextID++
 	p.Progress(now)
 	e.fab.StartInjection(p)

@@ -17,8 +17,9 @@ const (
 )
 
 // FuzzConfigJSON feeds arbitrary bytes to the Config wire form. Any
-// input that parses and validates must marshal, re-parse and keep its
-// fingerprint, and sim.New must build it without panicking.
+// input that parses and validates must run a positive number of
+// cycles, marshal, re-parse and keep its fingerprint, and sim.New must
+// build it without panicking.
 func FuzzConfigJSON(f *testing.F) {
 	cube := NewConfig()
 	cube.K, cube.N = 8, 3
@@ -41,6 +42,9 @@ func FuzzConfigJSON(f *testing.F) {
 		}
 		if err := c.Validate(); err != nil {
 			return
+		}
+		if c.TotalCycles() <= 0 {
+			t.Fatalf("validated config runs %d cycles", c.TotalCycles())
 		}
 		fp, err := c.Fingerprint()
 		if err != nil {

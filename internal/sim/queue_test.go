@@ -2,76 +2,162 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/topology"
 )
 
-// TestPendingQueueFIFO drives the ring deque through growth, wrap-around,
-// and drain, checking strict FIFO order throughout. The old slice-based
-// queue shifted the whole backlog per pop; the ring must preserve the
-// exact same observable order.
-func TestPendingQueueFIFO(t *testing.T) {
-	var q pendingQueue
-	next := int64(0) // next value to push
-	want := int64(0) // next value expected out
-
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			q.push(pending{created: next, dst: topology.NodeID(next % 7)})
-			next++
+// entries returns node n's queued creation cycles, oldest first, by
+// walking its page chain.
+func (s *sourceQueues) entries(n int) []int64 {
+	q := s.q[n]
+	out := make([]int64, 0, q.n)
+	id, slot := q.head, q.lo
+	for len(out) < q.n {
+		if slot == pageLen {
+			id, slot = s.pageAt(id).next, 0
 		}
+		out = append(out, s.pageAt(id).created[slot])
+		slot++
 	}
-	pop := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if got := q.front(); got.created != want {
-				t.Fatalf("front() = %d, want %d", got.created, want)
-			}
-			got := q.pop()
-			if got.created != want || got.dst != topology.NodeID(want%7) {
-				t.Fatalf("pop() = {%d %d}, want {%d %d}", got.created, got.dst, want, want%7)
-			}
-			want++
-		}
-	}
-
-	// Interleave pushes and pops so head walks around the ring while the
-	// ring repeatedly fills, grows, and partially drains.
-	push(3)
-	pop(2)
-	push(10) // forces growth with head mid-ring
-	pop(8)
-	for round := 0; round < 50; round++ {
-		push(7)
-		pop(5)
-	}
-	if q.len() != int(next-want) {
-		t.Fatalf("len() = %d, want %d", q.len(), next-want)
-	}
-	pop(q.len()) // drain completely
-	if q.len() != 0 {
-		t.Fatalf("len() = %d after drain, want 0", q.len())
-	}
-
-	// Steady-state reuse: a full wrap at fixed occupancy must not grow
-	// the ring.
-	push(4)
-	capBefore := len(q.buf)
-	for i := 0; i < 5*capBefore; i++ {
-		push(1)
-		pop(1)
-	}
-	if len(q.buf) != capBefore {
-		t.Fatalf("ring grew from %d to %d at fixed occupancy", capBefore, len(q.buf))
-	}
-	pop(q.len())
+	return out
 }
 
-// TestLongBacklogDrainsFIFO backlogs one source queue far beyond its
-// initial capacity and then drains it through the engine's injection
-// path, asserting packets are created in generation order. This is the
-// regression test for the former O(n) copy-dequeue: behavior must stay
-// identical while the dequeue is now O(1).
+// TestPageFillsSizeClass pins the layout pageLen and slabPages are
+// chosen for: a 256 B page with no padding, and a slab that is exactly
+// the 8 KB allocator size class.
+func TestPageFillsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(page{}); size != 256 {
+		t.Fatalf("page is %d bytes, want 256", size)
+	}
+	if size := unsafe.Sizeof([slabPages]page{}); size != 8192 {
+		t.Fatalf("slab is %d bytes, want 8192", size)
+	}
+}
+
+// TestSourceQueuesFIFO drives two nodes' queues across many page
+// boundaries with interleaved pushes and pops, checking strict FIFO
+// order and destinations, then drains one to empty and refills it.
+func TestSourceQueuesFIFO(t *testing.T) {
+	s := newSourceQueues(2)
+	next := [2]int64{}
+	want := [2]int64{}
+	push := func(n, k int) {
+		for i := 0; i < k; i++ {
+			s.push(n, next[n], topology.NodeID(next[n]%7))
+			next[n]++
+		}
+	}
+	pop := func(n, k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			created, dst := s.front(n)
+			if created != want[n] || dst != topology.NodeID(want[n]%7) {
+				t.Fatalf("node %d front = {%d %d}, want {%d %d}", n, created, dst, want[n], want[n]%7)
+			}
+			s.pop(n)
+			want[n]++
+		}
+	}
+
+	push(0, 3)
+	pop(0, 2)
+	push(1, 5*pageLen+3) // node 1 spans six pages
+	push(0, pageLen)     // node 0's tail crosses a boundary mid-page
+	pop(1, 2*pageLen+1)
+	for round := 0; round < 50; round++ {
+		push(0, 7)
+		push(1, 3)
+		pop(0, 5)
+		pop(1, 4)
+	}
+	for n := 0; n < 2; n++ {
+		if s.len(n) != int(next[n]-want[n]) {
+			t.Fatalf("node %d len = %d, want %d", n, s.len(n), next[n]-want[n])
+		}
+		if got := s.entries(n); len(got) != s.len(n) || (len(got) > 0 && got[0] != want[n]) {
+			t.Fatalf("node %d page walk %v, want %d entries from %d", n, got, s.len(n), want[n])
+		}
+	}
+
+	// Drain node 0 to empty: it keeps one page and refills it in order.
+	pop(0, s.len(0))
+	if s.len(0) != 0 {
+		t.Fatalf("len = %d after drain, want 0", s.len(0))
+	}
+	q := s.q[0]
+	if q.head == 0 || q.head != q.tail || q.lo != 0 || q.hi != 0 {
+		t.Fatalf("drained queue %+v, want one page rewound to slot 0", q)
+	}
+	push(0, 2*pageLen+5)
+	pop(0, s.len(0))
+	pop(1, s.len(1))
+}
+
+// TestSourceQueuesShareFreePages checks that a page one node drains is
+// the page the next node to cross a boundary takes, that a constant
+// backlog takes no new page however long it runs, and that a backlog
+// moving between nodes costs its peak total, not each node's peak.
+func TestSourceQueuesShareFreePages(t *testing.T) {
+	s := newSourceQueues(4)
+	for i := 0; i < 3*pageLen; i++ {
+		s.push(0, int64(i), 1)
+	}
+	pages := s.used
+	for i := 0; i < pageLen; i++ {
+		s.pop(0)
+	}
+	freed := s.free
+	if freed == 0 {
+		t.Fatal("draining a full head page freed nothing")
+	}
+	s.push(2, 0, 3) // node 2's first page is node 0's drained one
+	if s.q[2].head != freed || s.used != pages {
+		t.Fatalf("node 2 took page %d (%d pages used), want freed page %d (%d used)",
+			s.q[2].head, s.used, freed, pages)
+	}
+	s.pop(2)
+
+	// Constant backlog: after one lap through its pages, a queue that
+	// pushes one entry per pop only ever reuses freed pages.
+	for i := 0; i < 2*pageLen; i++ {
+		s.push(0, 0, 1)
+		s.pop(0)
+	}
+	pages = s.used
+	for i := 0; i < 100*pageLen; i++ {
+		s.push(0, 0, 1)
+		s.pop(0)
+	}
+	if s.used != pages {
+		t.Fatalf("constant backlog of %d grew the pages used %d -> %d", s.len(0), pages, s.used)
+	}
+
+	// A backlog of ten pages moving round the four nodes: per-node
+	// peaks would sum to forty pages; shared pages stay near ten.
+	for n := 0; n < 4; n++ {
+		for s.len(n) > 0 {
+			s.pop(n)
+		}
+	}
+	for i := 0; i < 10*pageLen; i++ {
+		s.push(0, 0, 1)
+	}
+	for round := 0; round < 40; round++ {
+		from, to := round%4, (round+1)%4
+		for s.len(from) > 0 {
+			s.pop(from)
+			s.push(to, 0, 1)
+		}
+	}
+	if limit := int32(10 + 2*4); s.used > limit {
+		t.Fatalf("a 10-page backlog moving between 4 nodes built %d pages, want <= %d", s.used, limit)
+	}
+}
+
+// TestLongBacklogDrainsFIFO backlogs the source queues across many
+// pages and then drains them through the engine's injection path,
+// asserting packets are created in generation order.
 func TestLongBacklogDrainsFIFO(t *testing.T) {
 	cfg := NewConfig()
 	cfg.K, cfg.N = 4, 2
@@ -88,24 +174,24 @@ func TestLongBacklogDrainsFIFO(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		e.Step()
 	}
+	nodes := len(e.queues.q)
 	backlog := 0
-	for n := range e.queues {
-		if l := e.queues[n].len(); l > backlog {
+	for n := 0; n < nodes; n++ {
+		if l := e.queues.len(n); l > backlog {
 			backlog = l
 		}
 	}
 	if backlog < 500 {
-		t.Fatalf("deepest backlog %d, want >= 500 (load too low to exercise ring growth)", backlog)
+		t.Fatalf("deepest backlog %d, want >= 500 (load too low to span many pages)", backlog)
 	}
 
-	// Per-queue FIFO: entries must sit in strictly non-decreasing
-	// generation order after all the wraps and growths above.
-	for n := range e.queues {
-		q := &e.queues[n]
-		for i := 1; i < q.len(); i++ {
-			if q.at(i).created < q.at(i-1).created {
-				t.Fatalf("queue %d: entry %d created %d before predecessor %d",
-					n, i, q.at(i).created, q.at(i-1).created)
+	// Per-queue FIFO: entries must sit in strictly increasing generation
+	// order across every page boundary.
+	for n := 0; n < nodes; n++ {
+		got := e.queues.entries(n)
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("queue %d: entry %d created %d, predecessor %d", n, i, got[i], got[i-1])
 			}
 		}
 	}
@@ -114,28 +200,31 @@ func TestLongBacklogDrainsFIFO(t *testing.T) {
 	// at most one entry per cycle, so entries in one queue carry strictly
 	// increasing creation cycles, and a front-value change means the old
 	// front was injected. Every node must inject its backlog in strictly
-	// increasing creation order — the FIFO contract the old copy-dequeue
-	// provided and the ring must preserve.
-	lastCreated := make([]int64, len(e.queues))
+	// increasing creation order.
+	lastCreated := make([]int64, nodes)
 	for n := range lastCreated {
 		lastCreated[n] = -1
 	}
 	injections := 0
-	before := make([]int64, len(e.queues))
+	before := make([]int64, nodes)
 	for i := 0; i < 20_000; i++ {
-		for n := range e.queues {
-			if e.queues[n].len() > 0 {
-				before[n] = e.queues[n].front().created
-			} else {
-				before[n] = -1
+		for n := 0; n < nodes; n++ {
+			before[n] = -1
+			if e.queues.len(n) > 0 {
+				before[n], _ = e.queues.front(n)
 			}
 		}
 		e.Step()
-		for n := range e.queues {
+		for n := 0; n < nodes; n++ {
 			if before[n] < 0 {
 				continue
 			}
-			if e.queues[n].len() == 0 || e.queues[n].front().created != before[n] {
+			injected := e.queues.len(n) == 0
+			if !injected {
+				front, _ := e.queues.front(n)
+				injected = front != before[n]
+			}
+			if injected {
 				// This node injected its front entry this cycle.
 				if before[n] <= lastCreated[n] {
 					t.Fatalf("node %d injected packet created %d after one created %d",

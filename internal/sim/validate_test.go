@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -53,6 +54,8 @@ func TestValidateRejections(t *testing.T) {
 		}, "duration"},
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "warmup"},
 		{"zero-measure", func(c *Config) { c.MeasureCycles = 0 }, "measure"},
+		{"cycle-count-overflow", func(c *Config) { c.WarmupCycles, c.MeasureCycles = math.MaxInt64, 1 }, "warmup_cycles"},
+		{"cycle-count-overflow-names-measure", func(c *Config) { c.WarmupCycles, c.MeasureCycles = 1, math.MaxInt64 }, "measure_cycles"},
 		{"negative-sample-interval", func(c *Config) { c.SampleInterval = -1 }, "sample interval"},
 		{"unknown-scheme", func(c *Config) { c.Scheme.Kind = "magic" }, "scheme"},
 		{"busyvc-negative-limit", func(c *Config) { c.Scheme = Scheme{Kind: BusyVC, BusyLimit: -1} }, "busy-VC"},

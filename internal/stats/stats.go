@@ -114,18 +114,42 @@ func (s *Series) Window(from, to int64) float64 {
 	return sum / float64(n)
 }
 
-// LatencyStats summarizes packet latencies.
+// latencyCap bounds LatencyStats' dense histogram: a sample that is a
+// non-negative integer below it is counted, anything else is kept in
+// the overflow list. Latencies are whole cycles, and a run would need
+// a packet in flight for 65536 cycles to reach the overflow list.
+const latencyCap = 1 << 16
+
+// LatencyStats summarizes packet latencies. Integral samples below
+// latencyCap are counted in a histogram that grows to the largest such
+// sample, so memory follows the largest latency, not the number of
+// packets; every other sample is kept in an overflow list. Percentile
+// walks the two in value order and returns exactly the nearest-rank
+// sample a sort of every sample would.
 type LatencyStats struct {
-	samples []float64
-	sorted  bool
-	acc     Accumulator
+	counts   []int64   // counts[v] is how many samples equal v
+	overflow []float64 // samples the histogram cannot hold
+	sorted   bool      // overflow is in sort.Float64s order
+	acc      Accumulator
 }
 
 // Add records one latency sample.
+//
+//stcc:hotpath
 func (l *LatencyStats) Add(v float64) {
-	l.samples = append(l.samples, v)
-	l.sorted = false
 	l.acc.Add(v)
+	if v >= 0 && v < latencyCap {
+		if i := int(v); float64(i) == v {
+			if i >= len(l.counts) {
+				//stcc:hotalloc geometric growth up to the largest latency, not per sample
+				l.counts = append(l.counts, make([]int64, i+1-len(l.counts))...)
+			}
+			l.counts[i]++
+			return
+		}
+	}
+	l.overflow = append(l.overflow, v)
+	l.sorted = false
 }
 
 // Count returns the number of samples.
@@ -145,25 +169,48 @@ func (l *LatencyStats) Max() float64 {
 // Percentile returns the q-th percentile (q in [0,100]) using
 // nearest-rank, or 0 when empty.
 func (l *LatencyStats) Percentile(q float64) float64 {
-	if len(l.samples) == 0 {
+	n := l.acc.Count
+	if n == 0 {
 		return 0
 	}
+	var rank int64
+	switch {
+	case q <= 0:
+	case q >= 100:
+		rank = n - 1
+	default:
+		rank = max(0, int64(math.Ceil(q/100*float64(n)))-1)
+	}
+	return l.nth(rank)
+}
+
+// nth returns the sample of the given 0-based rank in sort.Float64s
+// order, merging the histogram with the sorted overflow list. No
+// overflow sample equals a histogram value, so ties cannot reorder.
+func (l *LatencyStats) nth(rank int64) float64 {
 	if !l.sorted {
-		sort.Float64s(l.samples)
+		sort.Float64s(l.overflow)
 		l.sorted = true
 	}
-	if q <= 0 {
-		return l.samples[0]
+	j := 0
+	for v, c := range l.counts {
+		fv := float64(v)
+		for ; j < len(l.overflow) && floatLess(l.overflow[j], fv); j++ {
+			if rank == 0 {
+				return l.overflow[j]
+			}
+			rank--
+		}
+		if rank < c {
+			return fv
+		}
+		rank -= c
 	}
-	if q >= 100 {
-		return l.samples[len(l.samples)-1]
-	}
-	rank := int(math.Ceil(q/100*float64(len(l.samples)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return l.samples[rank]
+	return l.overflow[j+int(rank)]
 }
+
+// floatLess is sort.Float64s' order: NaN first, then ascending.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
 
 // Counter is a monotone event counter with windowed deltas.
 type Counter struct {

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +156,98 @@ func TestLatencyStats(t *testing.T) {
 	l.Add(5)
 	if got := l.Percentile(0); got != 5 {
 		t.Errorf("P0 after add = %v", got)
+	}
+}
+
+// refLatency is the reference LatencyStats is held to: it keeps every
+// sample and sorts them all for each percentile.
+type refLatency struct{ samples []float64 }
+
+func (r *refLatency) percentile(q float64) float64 {
+	if len(r.samples) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), r.samples...)
+	sort.Float64s(s)
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 100 {
+		return s[len(s)-1]
+	}
+	return s[max(0, int(math.Ceil(q/100*float64(len(s))))-1)]
+}
+
+// TestLatencyStatsMatchesSortedReference checks the histogram against
+// a reference that sorts every sample: mostly integral latencies, with
+// non-integral, negative and at-or-above-cap samples mixed in, and
+// queries interleaved with the adds. Count, Mean, Max and every
+// percentile must be exactly equal.
+func TestLatencyStatsMatchesSortedReference(t *testing.T) {
+	qs := []float64{0, 0.1, 50, 95, 99, 100}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var l LatencyStats
+		var ref refLatency
+		var acc Accumulator
+		n := rng.Intn(3000)
+		for i := 0; i < n; i++ {
+			var v float64
+			switch r := rng.Intn(20); {
+			case r < 15:
+				v = float64(rng.Intn(400))
+			case r == 15:
+				v = rng.Float64() * 400 // non-integral
+			case r == 16:
+				v = -float64(rng.Intn(50)) - rng.Float64()*float64(rng.Intn(2))
+			case r == 17:
+				v = latencyCap + float64(rng.Intn(3)) // at or just above the cap
+			case r == 18:
+				v = latencyCap - 1 // the histogram's last slot
+			default:
+				v = float64(rng.Intn(latencyCap * 4))
+			}
+			l.Add(v)
+			ref.samples = append(ref.samples, v)
+			acc.Add(v)
+			if rng.Intn(200) == 0 {
+				q := qs[rng.Intn(len(qs))]
+				if got, want := l.Percentile(q), ref.percentile(q); got != want {
+					t.Fatalf("seed %d after %d adds: P%g = %v, want %v", seed, i+1, q, got, want)
+				}
+			}
+		}
+		if l.Count() != int64(len(ref.samples)) {
+			t.Fatalf("seed %d: Count = %d, want %d", seed, l.Count(), len(ref.samples))
+		}
+		wantMax := 0.0
+		if acc.Count > 0 {
+			wantMax = acc.Max
+		}
+		if l.Mean() != acc.Mean() || l.Max() != wantMax {
+			t.Fatalf("seed %d: Mean/Max = %v/%v, want %v/%v", seed, l.Mean(), l.Max(), acc.Mean(), wantMax)
+		}
+		for _, q := range qs {
+			if got, want := l.Percentile(q), ref.percentile(q); got != want {
+				t.Fatalf("seed %d: P%g = %v, want %v", seed, q, got, want)
+			}
+		}
+	}
+}
+
+// TestLatencyStatsMemoryFollowsMaxLatency pins the point of the
+// histogram: a million samples below 1000 cycles hold a histogram of a
+// few thousand counters and no overflow list.
+func TestLatencyStatsMemoryFollowsMaxLatency(t *testing.T) {
+	var l LatencyStats
+	for i := 0; i < 1_000_000; i++ {
+		l.Add(float64(i % 1000))
+	}
+	if cap(l.counts) > 4*1000 || len(l.overflow) != 0 {
+		t.Fatalf("histogram cap %d, overflow %d after 1e6 samples below 1000", cap(l.counts), len(l.overflow))
+	}
+	if got := l.Percentile(50); got != 499 {
+		t.Fatalf("P50 = %v, want 499", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/topology"
@@ -34,6 +35,9 @@ func NewSchedule(phases []Phase, loop bool) (*Schedule, error) {
 	for i, ph := range phases {
 		if ph.Duration <= 0 {
 			return nil, fmt.Errorf("traffic: phase %d has non-positive duration %d", i, ph.Duration)
+		}
+		if ph.Duration > math.MaxInt64-total {
+			return nil, fmt.Errorf("traffic: phase %d's duration %d takes the schedule past %d cycles", i, ph.Duration, int64(math.MaxInt64))
 		}
 		if ph.Pattern == nil || ph.Process == nil {
 			return nil, fmt.Errorf("traffic: phase %d missing pattern or process", i)

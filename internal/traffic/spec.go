@@ -1,6 +1,9 @@
 package traffic
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file is the serializable face of the workload layer. A Schedule
 // holds live Pattern/Process values and cannot cross a JSON boundary;
@@ -111,10 +114,15 @@ func (s *ScheduleSpec) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("traffic: schedule spec needs at least one phase")
 	}
+	var total int64
 	for i, ph := range s.Phases {
 		if ph.Duration <= 0 {
 			return fmt.Errorf("traffic: phase %d has non-positive duration %d", i, ph.Duration)
 		}
+		if ph.Duration > math.MaxInt64-total {
+			return fmt.Errorf("traffic: phase %d's duration %d takes the schedule past %d cycles", i, ph.Duration, int64(math.MaxInt64))
+		}
+		total += ph.Duration
 		switch ph.Pattern {
 		case UniformRandom, BitReversal, PerfectShuffle, Butterfly, Transpose, BitComplement, HotspotKind:
 		default:

@@ -2,7 +2,9 @@ package traffic
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -67,17 +69,102 @@ func TestScheduleSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []ScheduleSpec{
-		{},
-		{Phases: []PhaseSpec{{Duration: 0, Pattern: UniformRandom, Process: ProcessSpec{Kind: IdleProcess}}}},
-		{Phases: []PhaseSpec{{Duration: 10, Pattern: "nope", Process: ProcessSpec{Kind: IdleProcess}}}},
-		{Phases: []PhaseSpec{{Duration: 10, Pattern: UniformRandom, Process: ProcessSpec{Kind: "nope"}}}},
+	long := PhaseSpec{Duration: SteadyDuration, Pattern: UniformRandom, Process: ProcessSpec{Kind: BernoulliProcess, P: 0.1}}
+	bad := []struct {
+		spec    ScheduleSpec
+		wantErr string
+	}{
+		{ScheduleSpec{}, "at least one phase"},
+		{ScheduleSpec{Phases: []PhaseSpec{{Duration: 0, Pattern: UniformRandom, Process: ProcessSpec{Kind: IdleProcess}}}}, "phase 0"},
+		{ScheduleSpec{Phases: []PhaseSpec{{Duration: 10, Pattern: "nope", Process: ProcessSpec{Kind: IdleProcess}}}}, "phase 0"},
+		{ScheduleSpec{Phases: []PhaseSpec{{Duration: 10, Pattern: UniformRandom, Process: ProcessSpec{Kind: "nope"}}}}, "phase 0"},
+		// Two steady-length phases sum past MaxInt64: the total would
+		// wrap negative and the run would silently generate nothing.
+		{ScheduleSpec{Phases: []PhaseSpec{long, long}}, "phase 1"},
+		// Four looping ones wrap to exactly 0, and At would divide by it.
+		{fourPhaseLoop(), "phase 1"},
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
+	for i, tc := range bad {
+		err := tc.spec.Validate()
+		if err == nil {
 			t.Errorf("bad spec %d accepted", i)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("bad spec %d: error %q does not mention %q", i, err, tc.wantErr)
+		}
+		if _, err := tc.spec.Build(64); err == nil {
+			t.Errorf("bad spec %d builds", i)
 		}
 	}
+	edge := ScheduleSpec{Phases: []PhaseSpec{long, long}}
+	edge.Phases[1].Duration = math.MaxInt64 - SteadyDuration
+	if err := edge.Validate(); err != nil {
+		t.Errorf("durations summing to exactly MaxInt64 rejected: %v", err)
+	}
+}
+
+// fourPhaseLoop is a looping schedule of four steady-length phases,
+// whose durations sum to 2^64.
+func fourPhaseLoop() ScheduleSpec {
+	ph := PhaseSpec{Duration: SteadyDuration, Pattern: UniformRandom, Process: ProcessSpec{Kind: PeriodicProcess, Interval: 3}}
+	return ScheduleSpec{Phases: []PhaseSpec{ph, ph, ph, ph}, Loop: true}
+}
+
+// FuzzScheduleSpec feeds arbitrary bytes to the ScheduleSpec wire form.
+// Validate and Build must never panic; a spec that builds must answer
+// At at its edges, and its encoding must round-trip unchanged.
+func FuzzScheduleSpec(f *testing.F) {
+	loop := fourPhaseLoop()
+	for _, s := range []*ScheduleSpec{
+		SteadySpec(UniformRandom, ProcessSpec{Kind: BernoulliProcess, P: 0.02}),
+		PaperBurstySpec(PaperBurstyOptions{}),
+		&loop,
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s ScheduleSpec
+		if err := json.Unmarshal(data, &s); err != nil {
+			return
+		}
+		valid := s.Validate() == nil
+		for _, nodes := range []int{64, 256} {
+			sched, err := s.Build(nodes)
+			if err != nil {
+				continue
+			}
+			if !valid {
+				t.Fatalf("Build(%d) accepted a spec Validate rejects", nodes)
+			}
+			total := sched.TotalDuration()
+			if total <= 0 || total != s.TotalDuration() {
+				t.Fatalf("Build(%d) total %d, spec total %d", nodes, total, s.TotalDuration())
+			}
+			for _, now := range []int64{0, total - 1, total, math.MaxInt64} {
+				sched.At(now)
+			}
+		}
+		if !valid {
+			return
+		}
+		out, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatalf("valid spec does not marshal: %v", err)
+		}
+		var back ScheduleSpec
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-parse of own encoding: %v\n%s", err, out)
+		}
+		again, err := json.Marshal(&back)
+		if err != nil || string(again) != string(out) {
+			t.Fatalf("round trip changed encoding (err %v):\n%s\n%s", err, out, again)
+		}
+	})
 }
 
 // TestPaperBurstySpecMatchesSchedule checks that the declarative spec

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -274,6 +275,14 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if _, err := NewSchedule([]Phase{{Duration: 5, Pattern: pat, Process: nil}}, false); err == nil {
 		t.Error("nil process accepted")
+	}
+	long := Phase{Duration: 1 << 62, Pattern: pat, Process: Idle{}}
+	if _, err := NewSchedule([]Phase{long, long}, false); err == nil || !strings.Contains(err.Error(), "phase 1") {
+		t.Errorf("durations summing past MaxInt64: err %v, want one naming phase 1", err)
+	}
+	if _, err := NewSchedule([]Phase{{Duration: math.MaxInt64 - 5, Pattern: pat, Process: Idle{}},
+		{Duration: 5, Pattern: pat, Process: Idle{}}}, true); err != nil {
+		t.Errorf("durations summing to exactly MaxInt64 rejected: %v", err)
 	}
 }
 
