@@ -118,3 +118,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWantComment$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigJSON$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleSpec$$' -fuzztime $(FUZZTIME) ./internal/traffic
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache/fsstore

@@ -109,40 +109,15 @@ func Replicate(cfg sim.Config, seeds []int64) (Replication, error) {
 	return ReplicateWith(experiments.Runner{}, cfg, seeds)
 }
 
-// ReplicateWith is Replicate on the given runner's worker pool. Results
-// are aggregated in seed order, so the statistics are identical for any
+// ReplicateWith is Replicate on the given runner. Results are
+// aggregated in seed order, so the statistics are identical for any
 // worker count.
 func ReplicateWith(run experiments.Runner, cfg sim.Config, seeds []int64) (Replication, error) {
-	if len(seeds) == 0 {
-		return Replication{}, fmt.Errorf("analysis: need at least one seed")
-	}
-	results := make([]sim.Result, len(seeds))
-	err := run.ForEach(len(seeds), func(i int) error {
-		c := cfg
-		c.Seed = seeds[i]
-		r, err := sim.Run(c)
-		if err != nil {
-			return fmt.Errorf("analysis: seed %d: %w", seeds[i], err)
-		}
-		results[i] = r
-		return nil
-	})
+	reps, err := replicate(run, "replicate", cfg, []sim.Scheme{cfg.Scheme}, seeds)
 	if err != nil {
 		return Replication{}, err
 	}
-	var acc, lat, rec, full []float64
-	for _, r := range results {
-		acc = append(acc, r.AcceptedFlits)
-		lat = append(lat, r.AvgNetworkLatency)
-		rec = append(rec, float64(r.Recoveries))
-		full = append(full, r.AvgFullBuffers)
-	}
-	return Replication{
-		Accepted:   newStat(acc),
-		Latency:    newStat(lat),
-		Recoveries: newStat(rec),
-		FullBufs:   newStat(full),
-	}, nil
+	return reps[0], nil
 }
 
 // CompareRow is one scheme's aggregated outcome for Compare.
@@ -158,52 +133,67 @@ func Compare(cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]CompareRow,
 	return CompareWith(experiments.Runner{}, cfg, schemes, seeds)
 }
 
-// CompareWith is Compare on the given runner's worker pool. The full
-// scheme x seed grid is flattened into one job list, so a 4-scheme,
-// 5-seed comparison keeps 20 workers busy rather than 5.
+// CompareWith is Compare on the given runner. The full scheme x seed
+// grid is one spec, so a 4-scheme, 5-seed comparison keeps 20 workers
+// busy rather than 5.
 func CompareWith(run experiments.Runner, cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]CompareRow, error) {
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("analysis: need at least one scheme")
 	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("analysis: need at least one seed")
-	}
-	results := make([]sim.Result, len(schemes)*len(seeds))
-	err := run.ForEach(len(results), func(i int) error {
-		c := cfg
-		c.Scheme = schemes[i/len(seeds)]
-		c.Seed = seeds[i%len(seeds)]
-		r, err := sim.Run(c)
-		if err != nil {
-			return fmt.Errorf("analysis: scheme %s seed %d: %w", c.Scheme.Kind, c.Seed, err)
-		}
-		results[i] = r
-		return nil
-	})
+	reps, err := replicate(run, "compare", cfg, schemes, seeds)
 	if err != nil {
 		return nil, err
 	}
-	var rows []CompareRow
-	for si, sch := range schemes {
+	rows := make([]CompareRow, len(schemes))
+	for i, sch := range schemes {
+		rows[i] = CompareRow{Name: string(sch.Kind), Rep: reps[i]}
+		if sch.Kind == sim.StaticGlobal {
+			rows[i].Name = fmt.Sprintf("static(%g)", sch.StaticThreshold)
+		}
+	}
+	return rows, nil
+}
+
+// replicate runs cfg under every scheme once per seed as one grid on
+// run.RunSpec, so the runner's context, result cache, singleflight and
+// peer dispatch apply as for any experiment, and aggregates each
+// scheme's results in seed order.
+func replicate(run experiments.Runner, name string, cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]Replication, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("analysis: need at least one seed")
+	}
+	spec := experiments.NewSpec(name, "")
+	for _, sch := range schemes {
+		g := experiments.Group{Name: string(sch.Kind)}
+		for _, seed := range seeds {
+			c := cfg
+			c.Scheme, c.Seed = sch, seed
+			g.Points = append(g.Points, experiments.Point{
+				Label: fmt.Sprintf("scheme %s seed %d", sch.Kind, seed), Config: c})
+		}
+		spec.Groups = append(spec.Groups, g)
+	}
+	grouped, err := run.RunSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]Replication, len(grouped))
+	for i, results := range grouped {
 		var acc, lat, rec, full []float64
-		for _, r := range results[si*len(seeds) : (si+1)*len(seeds)] {
+		for _, r := range results {
 			acc = append(acc, r.AcceptedFlits)
 			lat = append(lat, r.AvgNetworkLatency)
 			rec = append(rec, float64(r.Recoveries))
 			full = append(full, r.AvgFullBuffers)
 		}
-		name := string(sch.Kind)
-		if sch.Kind == sim.StaticGlobal {
-			name = fmt.Sprintf("static(%g)", sch.StaticThreshold)
-		}
-		rows = append(rows, CompareRow{Name: name, Rep: Replication{
+		reps[i] = Replication{
 			Accepted:   newStat(acc),
 			Latency:    newStat(lat),
 			Recoveries: newStat(rec),
 			FullBufs:   newStat(full),
-		}})
+		}
 	}
-	return rows, nil
+	return reps, nil
 }
 
 // Heatmap renders per-node values of a k x k network as an ASCII

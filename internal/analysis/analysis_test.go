@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
@@ -157,6 +160,71 @@ func TestCompareBadConfig(t *testing.T) {
 	cfg.VCs = 0
 	if _, err := Compare(cfg, []sim.Scheme{{Kind: sim.Base}}, []int64{1}); err == nil {
 		t.Error("bad config accepted")
+	}
+}
+
+// TestCompareMatchesDirectRuns pins that running the grid as one spec
+// on Runner.RunSpec leaves every statistic as a plain per-seed sim.Run
+// aggregation computes it.
+func TestCompareMatchesDirectRuns(t *testing.T) {
+	schemes := []sim.Scheme{{Kind: sim.Base}, {Kind: sim.SelfTuned}}
+	seeds := []int64{1, 2}
+	rows, err := CompareWith(experiments.Runner{Workers: 2}, smallCfg(), schemes, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sch := range schemes {
+		var acc, lat, rec, full []float64
+		for _, seed := range seeds {
+			c := smallCfg()
+			c.Scheme, c.Seed = sch, seed
+			r, err := sim.Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc = append(acc, r.AcceptedFlits)
+			lat = append(lat, r.AvgNetworkLatency)
+			rec = append(rec, float64(r.Recoveries))
+			full = append(full, r.AvgFullBuffers)
+		}
+		want := Replication{newStat(acc), newStat(lat), newStat(rec), newStat(full)}
+		if rows[i].Rep != want {
+			t.Errorf("%s: compare row %+v, direct runs %+v", sch.Kind, rows[i].Rep, want)
+		}
+	}
+	rep, err := ReplicateWith(experiments.Runner{Workers: 2}, smallCfg(), []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != rows[0].Rep {
+		t.Errorf("replicate %+v differs from compare's base row %+v", rep, rows[0].Rep)
+	}
+}
+
+// declineRemote counts the points a runner dispatches, then declines
+// them so they would run locally.
+type declineRemote struct{ calls atomic.Int64 }
+
+func (d *declineRemote) ExecPoint(context.Context, sim.Config, string) (sim.Result, error) {
+	d.calls.Add(1)
+	return sim.Result{}, errors.New("declined")
+}
+
+// TestCompareHonorsCanceledContext requires an already-canceled runner
+// context to stop Compare and Replicate before any point is dispatched.
+func TestCompareHonorsCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	remote := &declineRemote{}
+	run := experiments.Runner{Workers: 2, Ctx: ctx, Remote: remote}
+	if _, err := CompareWith(run, smallCfg(), []sim.Scheme{{Kind: sim.Base}}, []int64{1, 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("compare: err = %v, want context.Canceled", err)
+	}
+	if _, err := ReplicateWith(run, smallCfg(), []int64{1, 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("replicate: err = %v, want context.Canceled", err)
+	}
+	if n := remote.calls.Load(); n != 0 {
+		t.Errorf("%d points dispatched under a canceled context", n)
 	}
 }
 

@@ -94,16 +94,6 @@ func baselineKey(f Finding) BaselineEntry {
 	return BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message, Count: 0}
 }
 
-// NewBaseline builds a baseline from findings (the -write-baseline
-// path).
-func NewBaseline(fs []Finding) *Baseline {
-	b := &Baseline{counts: map[BaselineEntry]int{}}
-	for _, f := range fs {
-		b.counts[baselineKey(f)]++
-	}
-	return b
-}
-
 // LoadBaseline reads a baseline file written by WriteBaseline. An
 // empty array is a valid (and the ideal) baseline.
 func LoadBaseline(path string) (*Baseline, error) {

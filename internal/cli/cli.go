@@ -20,6 +20,7 @@ import (
 
 	stcc "repro"
 	"repro/internal/analysis"
+	"repro/internal/congestion"
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
@@ -50,13 +51,13 @@ func Main(args []string) int {
 	case "sweep":
 		err = cmdSweep(ctx, args[1:])
 	case "bursty":
-		err = cmdBursty(args[1:])
+		err = cmdBursty(ctx, args[1:])
 	case "trace":
-		err = cmdTrace(args[1:])
+		err = cmdTrace(ctx, args[1:])
 	case "table":
 		err = cmdTable(args[1:])
 	case "compare":
-		err = cmdCompare(args[1:])
+		err = cmdCompare(ctx, args[1:])
 	case "list":
 		err = cmdList(args[1:])
 	case "describe":
@@ -128,17 +129,21 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 	vcs := fs.Int("vcs", 3, "virtual channels per physical channel")
 	depth := fs.Int("depth", 8, "flits per VC buffer")
 	plen := fs.Int("plen", 16, "packet length in flits")
-	mode := fs.String("mode", "recovery", "deadlock handling: recovery or avoidance")
+	mode := fs.String("mode", router.Recovery.String(), fmt.Sprintf("deadlock handling: %s or %s", router.Recovery, router.Avoidance))
 	timeout := fs.Int64("timeout", 160, "deadlock detection timeout (cycles)")
 	tokenWait := fs.Int64("tokenwait", 0, "recovery token wait before re-arm (0 = 2.4x timeout)")
 	hop := fs.Int("hop", 2, "side-band hop delay (cycles)")
 	bits := fs.Int("bits", 0, "side-band width in bits (0 = full precision)")
-	pattern := fs.String("pattern", "random", "communication pattern: random, bitreversal, shuffle, butterfly, transpose, complement")
+	var patterns []string
+	for _, kind := range traffic.PatternKinds() {
+		patterns = append(patterns, string(kind))
+	}
+	pattern := fs.String("pattern", string(traffic.UniformRandom), "communication pattern: "+strings.Join(patterns, ", "))
 	rate := fs.Float64("rate", 0.01, "offered load (packets/node/cycle)")
 	warmup := fs.Int64("warmup", 100_000, "warm-up cycles (ignored in statistics)")
 	measure := fs.Int64("measure", 500_000, "measured cycles")
 	seed := fs.Int64("seed", 1, "random seed")
-	scheme := fs.String("scheme", "base", "congestion control: base, alo, static, tune, tune-hillclimb")
+	scheme := fs.String("scheme", string(sim.Base), "congestion control: "+strings.Join(congestion.Names(), ", "))
 	threshold := fs.Float64("threshold", 250, "full-buffer threshold for -scheme static")
 	estimator := fs.String("estimator", "linear", "congestion estimator: linear or last")
 	period := fs.Int64("period", 0, "tuning period in cycles (0 = 3 gather durations)")
@@ -148,13 +153,8 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		cfg.K, cfg.N = *k, *n
 		cfg.VCs, cfg.BufDepth = *vcs, *depth
 		cfg.PacketLength = *plen
-		switch *mode {
-		case "recovery":
-			cfg.Mode = router.Recovery
-		case "avoidance":
-			cfg.Mode = router.Avoidance
-		default:
-			return cfg, fmt.Errorf("unknown -mode %q", *mode)
+		if err := cfg.Mode.UnmarshalText([]byte(*mode)); err != nil {
+			return cfg, fmt.Errorf("-mode: %w", err)
 		}
 		cfg.DeadlockTimeout = *timeout
 		cfg.TokenWaitTimeout = *tokenWait
@@ -410,7 +410,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	})
 }
 
-func cmdBursty(args []string) error {
+func cmdBursty(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bursty", flag.ExitOnError)
 	build := netFlags(fs)
 	lowDur := fs.Int64("lowdur", 50_000, "low-load phase duration (cycles)")
@@ -442,7 +442,7 @@ func cmdBursty(args []string) error {
 	cfg.MeasureCycles = sched.TotalDuration()
 	cfg.SampleInterval = *sample
 	return prof(func() error {
-		r, err := stcc.Run(cfg)
+		r, err := stcc.RunContext(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -456,7 +456,7 @@ func cmdBursty(args []string) error {
 	})
 }
 
-func cmdTrace(args []string) error {
+func cmdTrace(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	build := netFlags(fs)
 	regen := fs.Int64("regen", 100, "packet regeneration interval (cycles)")
@@ -482,7 +482,7 @@ func cmdTrace(args []string) error {
 	}
 	cfg.Scheme.KeepTrace = true
 	return prof(func() error {
-		r, err := stcc.Run(cfg)
+		r, err := stcc.RunContext(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -494,7 +494,7 @@ func cmdTrace(args []string) error {
 	})
 }
 
-func cmdCompare(args []string) error {
+func cmdCompare(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	build := netFlags(fs)
 	seedsFlag := fs.String("seeds", "1,2,3", "comma-separated seeds for replication")
@@ -525,7 +525,7 @@ func cmdCompare(args []string) error {
 			{Kind: sim.StaticGlobal, StaticThreshold: cfg.Scheme.StaticThreshold},
 			{Kind: sim.SelfTuned},
 		}
-		rows, err := analysis.CompareWith(experiments.Runner{Workers: *workers}, cfg, schemes, seeds)
+		rows, err := analysis.CompareWith(experiments.Runner{Workers: *workers, Ctx: ctx}, cfg, schemes, seeds)
 		if err != nil {
 			return err
 		}

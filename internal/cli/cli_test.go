@@ -3,12 +3,14 @@ package cli
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/congestion"
 	"repro/internal/experiments"
 )
 
@@ -85,7 +87,7 @@ func TestCmdSweepWithCache(t *testing.T) {
 }
 
 func TestCmdBursty(t *testing.T) {
-	err := cmdBursty(small("-lowdur", "300", "-highdur", "400",
+	err := cmdBursty(context.Background(), small("-lowdur", "300", "-highdur", "400",
 		"-lowint", "200", "-highint", "40", "-sample", "256"))
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +95,7 @@ func TestCmdBursty(t *testing.T) {
 }
 
 func TestCmdTrace(t *testing.T) {
-	if err := cmdTrace(small("-regen", "120")); err != nil {
+	if err := cmdTrace(context.Background(), small("-regen", "120")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,13 +125,50 @@ func TestNetFlagsDefaults(t *testing.T) {
 }
 
 func TestCmdCompare(t *testing.T) {
-	if err := cmdCompare(small("-seeds", "1,2")); err != nil {
+	if err := cmdCompare(context.Background(), small("-seeds", "1,2")); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestSimCommandsHonorCancel pins the Ctrl-C path: Main traps SIGINT
+// into a context, so a subcommand that ignored it could not be
+// interrupted at all. An already-canceled context must stop each one
+// with context.Canceled.
+func TestSimCommandsHonorCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func() error{
+		"bursty":  func() error { return cmdBursty(ctx, small()) },
+		"trace":   func() error { return cmdTrace(ctx, small()) },
+		"compare": func() error { return cmdCompare(ctx, small("-seeds", "1,2")) },
+	} {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a canceled context: err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestNetFlagsHelpListsEveryName requires the -scheme and -pattern help
+// to name every registered scheme and built-in pattern.
+func TestNetFlagsHelpListsEveryName(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	netFlags(fs)
+	for flagName, names := range map[string][]string{
+		"scheme":  congestion.Names(),
+		"pattern": {"random", "bitreversal", "shuffle", "butterfly", "transpose", "complement", "hotspot"},
+		"mode":    {"recovery", "avoidance"},
+	} {
+		usage := fs.Lookup(flagName).Usage
+		for _, name := range names {
+			if !strings.Contains(usage, name) {
+				t.Errorf("-%s help %q omits %q", flagName, usage, name)
+			}
+		}
+	}
+}
+
 func TestCmdCompareRejectsBadSeeds(t *testing.T) {
-	if err := cmdCompare(small("-seeds", "x")); err == nil {
+	if err := cmdCompare(context.Background(), small("-seeds", "x")); err == nil {
 		t.Fatal("bad seeds accepted")
 	}
 }
@@ -139,7 +178,7 @@ func TestCmdCompareRejectsBadSeeds(t *testing.T) {
 func TestNegativeWorkersRejected(t *testing.T) {
 	for name, run := range map[string]func() error{
 		"sweep":   func() error { return cmdSweep(context.Background(), small("-workers", "-1")) },
-		"compare": func() error { return cmdCompare(small("-workers", "-2")) },
+		"compare": func() error { return cmdCompare(context.Background(), small("-workers", "-2")) },
 		"run":     func() error { return cmdRun(context.Background(), small("-workers", "-3")) },
 	} {
 		err := run()

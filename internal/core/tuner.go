@@ -33,35 +33,36 @@ func (s StaticThreshold) OnPeriod(float64, float64, bool) {}
 func (s StaticThreshold) Name() string { return fmt.Sprintf("static(%g)", float64(s)) }
 
 // TunerConfig parameterizes the self-tuning mechanism. The zero value is
-// not valid; use DefaultTunerConfig.
+// not valid; use DefaultTunerConfig. The json tags are its wire names
+// inside sim.Config's scheme.tuner.
 type TunerConfig struct {
 	// TotalBuffers is the network-wide virtual-channel buffer count
 	// (3072 for the paper's 16-ary 2-cube with 3 VCs); thresholds are
 	// clamped to [0, TotalBuffers].
-	TotalBuffers int
+	TotalBuffers int `json:"total_buffers"`
 	// InitialFraction sets the starting threshold as a fraction of
 	// TotalBuffers (paper: "an initial value based on network
 	// parameters, e.g. 10% of all buffers").
-	InitialFraction float64
+	InitialFraction float64 `json:"initial_fraction"`
 	// IncrementFraction and DecrementFraction are the constant additive
 	// tuning steps (paper: 1% and 4% of all buffers; 30 and 122 for the
 	// 16-ary 2-cube — marginally better when the decrement is larger).
-	IncrementFraction float64
-	DecrementFraction float64
+	IncrementFraction float64 `json:"increment_fraction"`
+	DecrementFraction float64 `json:"decrement_fraction"`
 	// DropFraction defines a "drop in bandwidth": throughput below
 	// DropFraction * previous period's throughput (paper: 75%).
-	DropFraction float64
+	DropFraction float64 `json:"drop_fraction"`
 	// RecoverFraction triggers local-maximum avoidance: throughput below
 	// RecoverFraction * best observed period resets the threshold to
 	// min(T_max, N_max).
-	RecoverFraction float64
+	RecoverFraction float64 `json:"recover_fraction"`
 	// ResetPeriods is r: after this many consecutive corrective resets
 	// the remembered maximum is recomputed from scratch, letting the
 	// scheme adapt to a changed communication pattern (paper: r = 5).
-	ResetPeriods int
+	ResetPeriods int `json:"reset_periods"`
 	// AvoidLocalMaxima enables the Section 4.2 mechanism. Disabling it
 	// yields the "hill climbing only" configuration of Figure 4.
-	AvoidLocalMaxima bool
+	AvoidLocalMaxima bool `json:"avoid_local_maxima"`
 }
 
 // DefaultTunerConfig returns the paper's tuning parameters for a network

@@ -1,10 +1,12 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 
+	"repro/internal/enum"
 	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -26,16 +28,14 @@ const (
 	Recovery
 )
 
-func (m DeadlockMode) String() string {
-	switch m {
-	case Avoidance:
-		return "avoidance"
-	case Recovery:
-		return "recovery"
-	default:
-		return fmt.Sprintf("DeadlockMode(%d)", uint8(m))
-	}
-}
+// Each wire enum's names live in one table; String, the text codec that
+// carries the enum in sim.Config's JSON form, and Config.Validate's
+// range check all read it.
+var deadlockModes = enum.New[DeadlockMode]("router", "deadlock mode", "avoidance", "recovery")
+
+func (m DeadlockMode) String() string                { return deadlockModes.String(m) }
+func (m DeadlockMode) MarshalText() ([]byte, error)  { return deadlockModes.MarshalText(m) }
+func (m *DeadlockMode) UnmarshalText(b []byte) error { return deadlockModes.UnmarshalText(m, b) }
 
 // SelectionPolicy chooses among the minimal output ports a fully
 // adaptive header may take.
@@ -54,18 +54,11 @@ const (
 	MostFreeVCs
 )
 
-func (p SelectionPolicy) String() string {
-	switch p {
-	case RotatePorts:
-		return "rotate"
-	case FirstPort:
-		return "first"
-	case MostFreeVCs:
-		return "mostfree"
-	default:
-		return fmt.Sprintf("SelectionPolicy(%d)", uint8(p))
-	}
-}
+var selectionPolicies = enum.New[SelectionPolicy]("router", "selection policy", "rotate", "first", "mostfree")
+
+func (p SelectionPolicy) String() string                { return selectionPolicies.String(p) }
+func (p SelectionPolicy) MarshalText() ([]byte, error)  { return selectionPolicies.MarshalText(p) }
+func (p *SelectionPolicy) UnmarshalText(b []byte) error { return selectionPolicies.UnmarshalText(p, b) }
 
 // Switching selects the flow control discipline.
 type Switching uint8
@@ -84,21 +77,15 @@ const (
 	CutThrough
 )
 
-func (s Switching) String() string {
-	switch s {
-	case Wormhole:
-		return "wormhole"
-	case CutThrough:
-		return "cutthrough"
-	default:
-		return fmt.Sprintf("Switching(%d)", uint8(s))
-	}
-}
+var switchings = enum.New[Switching]("router", "switching discipline", "wormhole", "cutthrough")
+
+func (s Switching) String() string                { return switchings.String(s) }
+func (s Switching) MarshalText() ([]byte, error)  { return switchings.MarshalText(s) }
+func (s *Switching) UnmarshalText(b []byte) error { return switchings.UnmarshalText(s, b) }
 
 // DispatchPolicy is a wire-compatibility field: a fabric always steps
-// serially, but configurations may still name a policy ("adaptive",
-// "sharded" or "serial"). The value is accepted and ignored; an unknown
-// name is still rejected.
+// serially, but configurations may still name a policy. The value is
+// accepted and ignored; an unknown name is still rejected.
 type DispatchPolicy uint8
 
 // The accepted dispatch policies. None changes how a fabric steps.
@@ -108,18 +95,11 @@ const (
 	DispatchSerial
 )
 
-func (d DispatchPolicy) String() string {
-	switch d {
-	case DispatchAdaptive:
-		return "adaptive"
-	case DispatchSharded:
-		return "sharded"
-	case DispatchSerial:
-		return "serial"
-	default:
-		return fmt.Sprintf("DispatchPolicy(%d)", uint8(d))
-	}
-}
+var dispatchPolicies = enum.New[DispatchPolicy]("router", "dispatch policy", "adaptive", "sharded", "serial")
+
+func (d DispatchPolicy) String() string                { return dispatchPolicies.String(d) }
+func (d DispatchPolicy) MarshalText() ([]byte, error)  { return dispatchPolicies.MarshalText(d) }
+func (d *DispatchPolicy) UnmarshalText(b []byte) error { return dispatchPolicies.UnmarshalText(d, b) }
 
 // Config describes the router fabric. The paper's configuration is a
 // 16-ary 2-cube with 3 VCs of depth 8 and 16-flit packets.
@@ -175,6 +155,10 @@ func (c Config) Validate() error {
 	if c.Topo == nil {
 		return fmt.Errorf("router: topology is required")
 	}
+	if err := errors.Join(deadlockModes.Check(c.Mode), selectionPolicies.Check(c.Selection),
+		switchings.Check(c.Switching), dispatchPolicies.Check(c.Dispatch)); err != nil {
+		return err
+	}
 	if c.VCs < 1 {
 		return fmt.Errorf("router: need at least 1 virtual channel, got %d", c.VCs)
 	}
@@ -196,11 +180,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("router: negative worker count %d", c.Workers)
 	}
-	switch c.Dispatch {
-	case DispatchAdaptive, DispatchSharded, DispatchSerial:
-	default:
-		return fmt.Errorf("router: unknown dispatch policy %d", c.Dispatch)
-	}
 	if c.CongestMark < 0 || c.CongestMark > 1 {
 		return fmt.Errorf("router: congestion mark %g out of [0,1]", c.CongestMark)
 	}
@@ -217,19 +196,6 @@ func (c Config) Validate() error {
 	}
 	if out := c.Topo.PhysPorts()*c.VCs + dlv; out > 64 {
 		return fmt.Errorf("router: %d output lanes per node exceed the 64-lane mask width", out)
-	}
-	switch c.Selection {
-	case RotatePorts, FirstPort, MostFreeVCs:
-	default:
-		return fmt.Errorf("router: unknown selection policy %d", c.Selection)
-	}
-	switch c.Switching {
-	case Wormhole, CutThrough:
-	default:
-		return fmt.Errorf("router: unknown switching discipline %d", c.Switching)
-	}
-	if c.Mode != Avoidance && c.Mode != Recovery {
-		return fmt.Errorf("router: unknown deadlock mode %d", c.Mode)
 	}
 	return nil
 }
@@ -570,16 +536,6 @@ func (f *Fabric) CongestionBits() []uint64 { return f.congWords }
 // bit sets at hi and clears at lo. Both zero when marking is disabled.
 func (f *Fabric) CongestMarks() (hi, lo int) {
 	return int(f.markHi), int(f.markLo)
-}
-
-// BufferedFlitsAt returns node's buffered-flit count over its
-// physical-channel VC buffers, from the incrementally maintained
-// per-node fold (only available while marking is enabled).
-func (f *Fabric) BufferedFlitsAt(node topology.NodeID) int {
-	if f.markHi == 0 {
-		return 0
-	}
-	return int(f.nodeOcc[node])
 }
 
 // FullVCBuffersAt returns the number of completely full physical-channel

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+
+	"repro/internal/enum"
 )
 
 // Snapshot is one global aggregate as observed by every node.
@@ -73,18 +75,13 @@ const (
 	Piggyback
 )
 
-func (m Mechanism) String() string {
-	switch m {
-	case Dedicated:
-		return "sideband"
-	case MetaPacket:
-		return "metapacket"
-	case Piggyback:
-		return "piggyback"
-	default:
-		return fmt.Sprintf("Mechanism(%d)", uint8(m))
-	}
-}
+// mechanisms is Mechanism's one name table: String, the text codec of
+// sim.Config's JSON form and Config.Validate's range check read it.
+var mechanisms = enum.New[Mechanism]("sideband", "mechanism", "sideband", "metapacket", "piggyback")
+
+func (m Mechanism) String() string                { return mechanisms.String(m) }
+func (m Mechanism) MarshalText() ([]byte, error)  { return mechanisms.MarshalText(m) }
+func (m *Mechanism) UnmarshalText(b []byte) error { return mechanisms.UnmarshalText(m, b) }
 
 // Config describes the side-band.
 type Config struct {
@@ -127,14 +124,11 @@ func (c Config) Validate() error {
 	if c.Bits < 0 {
 		return fmt.Errorf("sideband: negative width %d", c.Bits)
 	}
-	switch c.Mechanism {
-	case Dedicated, Piggyback:
-	case MetaPacket:
-		if c.TotalBuffers <= 0 {
-			return fmt.Errorf("sideband: MetaPacket mechanism needs TotalBuffers")
-		}
-	default:
-		return fmt.Errorf("sideband: unknown mechanism %d", c.Mechanism)
+	if err := mechanisms.Check(c.Mechanism); err != nil {
+		return err
+	}
+	if c.Mechanism == MetaPacket && c.TotalBuffers <= 0 {
+		return fmt.Errorf("sideband: MetaPacket mechanism needs TotalBuffers")
 	}
 	if c.PiggybackP < 0 || c.PiggybackP > 1 {
 		return fmt.Errorf("sideband: PiggybackP %g out of [0,1]", c.PiggybackP)
@@ -145,17 +139,15 @@ func (c Config) Validate() error {
 // Network is the side-band state machine. Call Tick exactly once per
 // simulated cycle.
 type Network struct {
-	cfg    Config
-	g      int64
-	src    Source
-	sinks  []Sink
-	inFly  []Snapshot // measured, not yet visible
-	last   [2]Snapshot
-	nlast  int
-	visLog []Snapshot // optional history for tracing
-	keep   bool
-	rng    *rand.Rand // Piggyback loss process
-	pp     float64
+	cfg   Config
+	g     int64
+	src   Source
+	sinks []Sink
+	inFly []Snapshot // measured, not yet visible
+	last  [2]Snapshot
+	nlast int
+	rng   *rand.Rand // Piggyback loss process
+	pp    float64
 }
 
 // New constructs a side-band over src. Panics on invalid config (configs
@@ -180,12 +172,6 @@ func (n *Network) GatherDuration() int64 { return n.g }
 
 // Subscribe registers a sink for visible snapshots.
 func (n *Network) Subscribe(s Sink) { n.sinks = append(n.sinks, s) }
-
-// KeepHistory makes the network retain all visible snapshots for tracing.
-func (n *Network) KeepHistory() { n.keep = true }
-
-// History returns retained snapshots (empty unless KeepHistory was set).
-func (n *Network) History() []Snapshot { return n.visLog }
 
 // quantize emulates transporting v over a Bits-wide side-band: the value
 // is right-shifted until it fits, then restored, losing low-order
@@ -243,9 +229,6 @@ func (n *Network) Tick(now int64) {
 		n.last[1] = s
 		if n.nlast < 2 {
 			n.nlast++
-		}
-		if n.keep {
-			n.visLog = append(n.visLog, s)
 		}
 		for _, sink := range n.sinks {
 			sink.OnSnapshot(s)

@@ -176,25 +176,6 @@ func TestLatestAndLastTwo(t *testing.T) {
 	}
 }
 
-func TestHistoryRetention(t *testing.T) {
-	src := &fakeSource{}
-	nw := New(paperCfg(), src)
-	nw.KeepHistory()
-	for now := int64(0); now <= 200; now++ {
-		nw.Tick(now)
-	}
-	if len(nw.History()) != len(nw.History()) || len(nw.History()) == 0 {
-		t.Fatal("no history retained")
-	}
-	nw2 := New(paperCfg(), src)
-	for now := int64(0); now <= 200; now++ {
-		nw2.Tick(now)
-	}
-	if len(nw2.History()) != 0 {
-		t.Error("history retained without KeepHistory")
-	}
-}
-
 func TestNarrowSidebandQuantizes(t *testing.T) {
 	src := &fakeSource{full: 0b1111111111} // 1023 needs 10 bits
 	cfg := paperCfg()

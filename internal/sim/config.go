@@ -74,41 +74,53 @@ const (
 	LastValueEstimator EstimatorKind = "last"
 )
 
-// Scheme configures the congestion controller.
+// check rejects an estimator name other than the two kinds ("" is linear).
+func (k EstimatorKind) check() error {
+	switch k {
+	case "", LinearEstimator, LastValueEstimator:
+		return nil
+	}
+	return fmt.Errorf("sim: unknown estimator %q", k)
+}
+
+// Scheme configures the congestion controller. Its json tags, like
+// Config's, are the wire names; the optional knobs are omitempty, so
+// configs that predate a knob keep their encoding and fingerprint.
 type Scheme struct {
-	Kind SchemeKind
+	Kind SchemeKind `json:"kind"`
 	// StaticThreshold is the full-buffer threshold for StaticGlobal.
-	StaticThreshold float64
+	StaticThreshold float64 `json:"static_threshold,omitempty"`
 	// BusyLimit is the busy-VC injection limit for BusyVC; zero selects
 	// half the node's output VCs.
-	BusyLimit int
+	BusyLimit int `json:"busy_limit,omitempty"`
 	// Estimator applies to the global schemes; empty means linear.
-	Estimator EstimatorKind
+	Estimator EstimatorKind `json:"estimator,omitempty"`
 	// TuningPeriod in cycles for the global schemes; 0 means three
 	// gather periods (the paper's 96 cycles for the 16-ary 2-cube).
-	TuningPeriod int64
+	TuningPeriod int64 `json:"tuning_period,omitempty"`
 	// Tuner overrides the tuning parameters; nil means the paper
 	// defaults for the configured network.
-	Tuner *core.TunerConfig
+	Tuner *core.TunerConfig `json:"tuner,omitempty"`
 	// KeepTrace retains the per-tuning-period threshold trace.
-	KeepTrace bool
+	KeepTrace bool `json:"keep_trace,omitempty"`
 	// WindowMin and WindowMax bound the AIMD per-source injection
 	// window, in packets; zero selects the scheme defaults (1 and 64).
-	WindowMin int
-	WindowMax int
+	WindowMin int `json:"window_min,omitempty"`
+	WindowMax int `json:"window_max,omitempty"`
 	// MarkThreshold is the router occupancy fraction at which the
 	// DECbit congestion bit sets, for the mark-based schemes (AIMD,
 	// Notify); zero selects DefaultMarkThreshold. The bit clears at
 	// half the mark (hysteresis).
-	MarkThreshold float64
+	MarkThreshold float64 `json:"mark_threshold,omitempty"`
 	// Staleness is how long a delivered congestion notification keeps
 	// gating injection (Notify), in cycles; zero selects two gather
 	// durations.
-	Staleness int64
+	Staleness int64 `json:"staleness,omitempty"`
 	// Custom is the throttler to run when Kind is Custom. If it
 	// implements sideband.Sink it is subscribed to global snapshots; if
-	// it implements ViewBinder it receives the router-local view.
-	Custom congestion.Throttler
+	// it implements ViewBinder it receives the router-local view. It
+	// has no wire form (see Config.Serializable).
+	Custom congestion.Throttler `json:"-"`
 }
 
 // params maps the Scheme to the congestion registry's parameter struct.
@@ -152,42 +164,46 @@ type ViewBinder interface {
 }
 
 // Config describes one simulation run. NewConfig supplies the paper's
-// defaults.
+// defaults. The json tags are the versioned wire form (see MarshalJSON):
+// the field order is the encoding order Fingerprint hashes, so fields
+// must not be reordered, and a new optional field must be omitempty to
+// keep existing fingerprints.
 type Config struct {
 	// Network shape.
-	K, N     int
-	VCs      int
-	BufDepth int
+	K        int `json:"k"`
+	N        int `json:"n"`
+	VCs      int `json:"vcs"`
+	BufDepth int `json:"buf_depth"`
 
 	// PacketLength in flits.
-	PacketLength int
+	PacketLength int `json:"packet_length"`
 
 	// Deadlock handling.
-	Mode             router.DeadlockMode
-	DeadlockTimeout  int64
-	TokenWaitTimeout int64 // 0 = 3x DeadlockTimeout
+	Mode             router.DeadlockMode `json:"mode"`
+	DeadlockTimeout  int64               `json:"deadlock_timeout,omitempty"`
+	TokenWaitTimeout int64               `json:"token_wait_timeout,omitempty"` // 0 = 3x DeadlockTimeout
 
 	// Side-band parameters.
-	SidebandHopDelay  int
-	SidebandBits      int                // 0 = full precision
-	SidebandMechanism sideband.Mechanism // dedicated, meta-packet or piggyback
-	PiggybackP        float64            // snapshot delivery probability (piggyback)
+	SidebandHopDelay  int                `json:"sideband_hop_delay"`
+	SidebandBits      int                `json:"sideband_bits,omitempty"` // 0 = full precision
+	SidebandMechanism sideband.Mechanism `json:"sideband_mechanism"`      // dedicated, meta-packet or piggyback
+	PiggybackP        float64            `json:"piggyback_p,omitempty"`   // snapshot delivery probability (piggyback)
 
 	// Router extensions beyond the paper's fixed configuration.
-	DeliveryChannels int                    // consumption channels per node (0 = 1)
-	Selection        router.SelectionPolicy // adaptive port selection
-	Switching        router.Switching       // wormhole (default) or cut-through
+	DeliveryChannels int                    `json:"delivery_channels,omitempty"` // consumption channels per node (0 = 1)
+	Selection        router.SelectionPolicy `json:"selection"`                   // adaptive port selection
+	Switching        router.Switching       `json:"switching"`                   // wormhole (default) or cut-through
 
 	// Workload, by precedence: a live Schedule (in-process callers
 	// only; not serializable), a declarative ScheduleSpec (the form
 	// experiment specs and JSON configs carry), or Pattern+Rate for a
 	// steady Bernoulli load.
-	Schedule     *traffic.Schedule
-	ScheduleSpec *traffic.ScheduleSpec
-	Pattern      traffic.PatternKind
-	Rate         float64 // packets/node/cycle
+	Schedule     *traffic.Schedule     `json:"-"`
+	ScheduleSpec *traffic.ScheduleSpec `json:"schedule,omitempty"`
+	Pattern      traffic.PatternKind   `json:"pattern,omitempty"`
+	Rate         float64               `json:"rate,omitempty"` // packets/node/cycle
 
-	Scheme Scheme
+	Scheme Scheme `json:"scheme"`
 
 	// ShardWorkers is accepted and ignored: one simulation always steps
 	// serially, and parallelism comes from running independent points
@@ -195,21 +211,21 @@ type Config struct {
 	// configs and specs that set it parsing; a negative value is still
 	// rejected. Fingerprint excludes it, so such configs share cached
 	// results with configs that leave it unset.
-	ShardWorkers int
+	ShardWorkers int `json:"shard_workers,omitempty"`
 
 	// ShardDispatch is accepted and ignored like ShardWorkers; an
 	// unknown policy name is still rejected, and Fingerprint excludes it.
-	ShardDispatch router.DispatchPolicy
+	ShardDispatch router.DispatchPolicy `json:"shard_dispatch,omitempty"`
 
 	// Durations. Statistics cover [WarmupCycles, WarmupCycles+MeasureCycles).
-	WarmupCycles  int64
-	MeasureCycles int64
+	WarmupCycles  int64 `json:"warmup_cycles"`
+	MeasureCycles int64 `json:"measure_cycles"`
 
 	// SampleInterval is the time-series resolution in cycles; 0 means
 	// one gather period.
-	SampleInterval int64
+	SampleInterval int64 `json:"sample_interval,omitempty"`
 
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // NewConfig returns the paper's simulation parameters: a 16-ary 2-cube,
@@ -260,16 +276,10 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	rc := router.Config{Topo: topo, VCs: c.VCs, BufDepth: c.BufDepth,
-		Mode: c.Mode, DeadlockTimeout: c.DeadlockTimeout, TokenWaitTimeout: c.TokenWaitTimeout,
-		DeliveryChannels: c.DeliveryChannels, Selection: c.Selection, Switching: c.Switching,
-		Workers: c.ShardWorkers, Dispatch: c.ShardDispatch,
-		CongestMark: c.Scheme.markFraction()}
-	if err := rc.Validate(); err != nil {
+	if err := c.routerConfig(topo).Validate(); err != nil {
 		return err
 	}
-	sc := c.sidebandConfig(topo)
-	if err := sc.Validate(); err != nil {
+	if err := c.sidebandConfig(topo).Validate(); err != nil {
 		return err
 	}
 	if c.PacketLength < 1 {
@@ -340,10 +350,8 @@ func (c Config) Validate() error {
 	if c.Scheme.Staleness < 0 {
 		return fmt.Errorf("sim: negative notification staleness %d", c.Scheme.Staleness)
 	}
-	switch c.Scheme.Estimator {
-	case "", LinearEstimator, LastValueEstimator:
-	default:
-		return fmt.Errorf("sim: unknown estimator %q", c.Scheme.Estimator)
+	if err := c.Scheme.Estimator.check(); err != nil {
+		return err
 	}
 	if tp := c.Scheme.TuningPeriod; tp < 0 {
 		return fmt.Errorf("sim: negative tuning period %d", tp)
@@ -379,6 +387,17 @@ func (c Config) Validate() error {
 
 // TotalCycles returns the full run length.
 func (c Config) TotalCycles() int64 { return c.WarmupCycles + c.MeasureCycles }
+
+// routerConfig assembles the router fabric configuration.
+func (c Config) routerConfig(topo *topology.Torus) router.Config {
+	return router.Config{
+		Topo: topo, VCs: c.VCs, BufDepth: c.BufDepth,
+		Mode: c.Mode, DeadlockTimeout: c.DeadlockTimeout, TokenWaitTimeout: c.TokenWaitTimeout,
+		DeliveryChannels: c.DeliveryChannels, Selection: c.Selection, Switching: c.Switching,
+		Workers: c.ShardWorkers, Dispatch: c.ShardDispatch,
+		CongestMark: c.Scheme.markFraction(),
+	}
+}
 
 // sidebandConfig assembles the side-band configuration.
 func (c Config) sidebandConfig(topo *topology.Torus) sideband.Config {

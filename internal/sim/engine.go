@@ -72,14 +72,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab, err := router.New(router.Config{
-		Topo: topo, VCs: cfg.VCs, BufDepth: cfg.BufDepth,
-		Mode: cfg.Mode, DeadlockTimeout: cfg.DeadlockTimeout,
-		TokenWaitTimeout: cfg.TokenWaitTimeout,
-		DeliveryChannels: cfg.DeliveryChannels, Selection: cfg.Selection,
-		Switching:   cfg.Switching,
-		CongestMark: cfg.Scheme.markFraction(),
-	})
+	fab, err := router.New(cfg.routerConfig(topo))
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,13 @@ const (
 	HotspotKind    PatternKind = "hotspot"
 )
 
+// patternKinds is the one list of built-in kinds: flag help prints it
+// and ScheduleSpec.Validate checks phase patterns against it.
+var patternKinds = []PatternKind{UniformRandom, BitReversal, PerfectShuffle, Butterfly, Transpose, BitComplement, HotspotKind}
+
+// PatternKinds returns the built-in pattern kinds NewPattern accepts.
+func PatternKinds() []PatternKind { return append([]PatternKind(nil), patternKinds...) }
+
 // NewPattern constructs a built-in pattern for a network of the given
 // node count. Bit-permutation patterns require the node count to be a
 // power of two.

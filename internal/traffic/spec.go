@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the serializable face of the workload layer. A Schedule
@@ -123,9 +124,7 @@ func (s *ScheduleSpec) Validate() error {
 			return fmt.Errorf("traffic: phase %d's duration %d takes the schedule past %d cycles", i, ph.Duration, int64(math.MaxInt64))
 		}
 		total += ph.Duration
-		switch ph.Pattern {
-		case UniformRandom, BitReversal, PerfectShuffle, Butterfly, Transpose, BitComplement, HotspotKind:
-		default:
+		if !slices.Contains(patternKinds, ph.Pattern) {
 			return fmt.Errorf("traffic: phase %d has unknown pattern %q", i, ph.Pattern)
 		}
 		if err := ph.Process.Validate(); err != nil {
