@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet vet-json govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
+.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
 
 all: build lint test
 
@@ -85,17 +85,10 @@ vet:
 
 # The custom determinism-contract analyzers; see README.md
 # ("Determinism contract") for the rules and internal/analyzers for the
-# implementation. The baseline is empty (the tree is clean); it exists
-# so a future exceptional finding can be acknowledged without turning
-# the gate off.
+# implementation. Exits 2 on any finding; a reviewed exception is an
+# in-source directive with a reason (//stcc:maporder, //stcc:hotalloc).
 stcc-vet:
-	$(GO) run ./cmd/stcc-vet -baseline .stcc-vet-baseline.json ./...
-
-# Machine-readable findings for CI artifacts and editor tooling. Exit
-# status matches stcc-vet (2 on non-baselined findings), so CI can both
-# archive the report and fail the job from one invocation.
-vet-json:
-	$(GO) run ./cmd/stcc-vet -format json -baseline .stcc-vet-baseline.json ./... > stcc-vet.json
+	$(GO) run ./cmd/stcc-vet ./...
 
 # govulncheck needs network access to fetch the vuln DB and is not baked
 # into every dev container; run it when present, say so when not. CI

@@ -21,8 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/packet"
-	"repro/internal/router"
+	"repro/internal/shapes"
 	"repro/internal/sideband"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -71,114 +70,44 @@ func BenchmarkExperiments(b *testing.B) {
 
 // ---- Micro-benchmarks of the simulator's hot paths. ----
 
-// BenchmarkRouterStepLoaded measures one network cycle of the paper's
-// 256-node fabric under moderate load.
-func BenchmarkRouterStepLoaded(b *testing.B) {
-	topo := topology.MustNew(16, 2)
-	fab := router.MustNew(router.Config{
-		Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-	})
-	rng := rand.New(rand.NewSource(1))
-	pool := packet.NewPool()
-	fab.OnDelivered = pool.Put
-	var id packet.ID
-	inject := func() {
-		for n := 0; n < topo.Nodes(); n++ {
-			if rng.Float64() < 0.02 && fab.CanStartInjection(topology.NodeID(n)) {
-				dst := topology.NodeID(rng.Intn(topo.Nodes()))
-				if dst == topology.NodeID(n) {
-					continue
-				}
-				fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
-				id++
-			}
-		}
-	}
-	for i := 0; i < 2000; i++ { // warm the network up
-		inject()
-		fab.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inject()
-		fab.Step()
-	}
-}
-
-// BenchmarkFabricStep measures one network cycle of the paper's 256-node
-// fabric at three occupancy regimes. The idle and low cases are where the
-// per-node active-set counters pay off (most routers are skipped in O(1));
-// the saturated case checks the bookkeeping does not slow the full-scan
-// regime down. Injection draws from a packet.Pool fed by the delivery
-// hook, so the numbers reflect the fabric's own steady-state allocation
-// behavior rather than the harness's.
+// BenchmarkFabricStep measures one network cycle of every fabric shape
+// in internal/shapes: the paper's 256-node fabric and a 4096-node torus,
+// each idle, at low load and saturated. The idle and low cases are where
+// the per-node active-set counters pay off (most routers are skipped in
+// O(1)); the saturated case checks the bookkeeping does not slow the
+// full-scan regime down. Injection draws from a prefilled packet.Pool
+// fed by the delivery hook, so the numbers reflect the fabric's own
+// steady-state allocation behavior rather than the harness's.
 func BenchmarkFabricStep(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{
-		{"idle", 0},
-		{"low", 0.002},
-		{"saturated", 0.2},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			topo := topology.MustNew(16, 2)
-			fab := router.MustNew(router.Config{
-				Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-			})
-			rng := rand.New(rand.NewSource(1))
-			pool := packet.NewPool()
-			pool.Prefill(4096, 32) // cover peak in-flight so Get never allocates mid-run
-			fab.OnDelivered = pool.Put
-			var id packet.ID
-			inject := func() {
-				if tc.rate == 0 {
-					return
-				}
-				for n := 0; n < topo.Nodes(); n++ {
-					if rng.Float64() < tc.rate && fab.CanStartInjection(topology.NodeID(n)) {
-						dst := topology.NodeID(rng.Intn(topo.Nodes()))
-						if dst == topology.NodeID(n) {
-							continue
-						}
-						fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
-						id++
-					}
-				}
-			}
-			for i := 0; i < 2000; i++ { // reach steady-state occupancy
-				inject()
-				fab.Step()
+	for _, s := range shapes.Fabrics {
+		var run *shapes.FabricRun
+		b.Run(s.Name, func(b *testing.B) {
+			if run == nil { // warm up once, not once per b.N probe
+				run = s.Start()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inject()
-				fab.Step()
+				run.Step()
 			}
 		})
 	}
 }
 
 // BenchmarkEngineStep measures a full engine cycle (generation,
-// throttling, network step, sampling) at three operating points of the
-// self-tuned configuration. The engine is stepped to steady state before
-// the timer starts, so ns/op and allocs/op describe the steady-state hot
+// throttling, network step, sampling) at every engine shape in
+// internal/shapes. The engine is stepped to steady state before the
+// timer starts, so ns/op and allocs/op describe the steady-state hot
 // path, not the construction and ramp-up transient.
 func BenchmarkEngineStep(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{
-		{"idle", 0.0001},
-		{"low", 0.02},
-		{"saturated", 0.06},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			e := newBenchEngine(b, tc.rate)
-			for i := 0; i < 2000; i++ { // reach steady-state occupancy
-				e.Step()
+	for _, s := range shapes.Engines {
+		var e *sim.Engine
+		b.Run(s.Name, func(b *testing.B) {
+			if e == nil { // warm up once, not once per b.N probe
+				var err error
+				if e, err = s.Start(); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -187,23 +116,6 @@ func BenchmarkEngineStep(b *testing.B) {
 			}
 		})
 	}
-}
-
-// newBenchEngine builds a self-tuned engine for incremental stepping;
-// MeasureCycles is effectively unbounded because the caller paces the
-// cycle loop with Step.
-func newBenchEngine(b *testing.B, rate float64) *sim.Engine {
-	b.Helper()
-	cfg := sim.NewConfig()
-	cfg.Rate = rate
-	cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
-	cfg.WarmupCycles = 1
-	cfg.MeasureCycles = 1 << 40
-	e, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e
 }
 
 // BenchmarkTopologyMinimalPorts measures adaptive route candidate
@@ -247,23 +159,5 @@ func BenchmarkPatternDest(b *testing.B) {
 				p.Dest(topology.NodeID(i%256), rng)
 			}
 		})
-	}
-}
-
-// BenchmarkSimCycleEndToEnd measures a full engine cycle including
-// traffic generation, throttling and statistics.
-func BenchmarkSimCycleEndToEnd(b *testing.B) {
-	cfg := sim.NewConfig()
-	cfg.Rate = 0.02
-	cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
-	cfg.WarmupCycles = 1
-	cfg.MeasureCycles = int64(b.N) + 2000
-	e, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := e.Run(); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -19,12 +19,14 @@
 //
 //	go run ./cmd/stcc-bench -baseline BENCH_PR8.json -tolerance 0.5
 //
-// The 256-node shapes mirror BenchmarkFabricStep and BenchmarkEngineStep:
-// the bare router fabric and the full engine, each at idle, low load, and
-// saturation. The torus4096 shapes step a 16-ary 3-cube (4096 nodes)
-// through the same three regimes. Their names keep the "/w1" suffix of
-// the trajectory's earlier serial-versus-sharded pairs, so old reports
-// still diff against them.
+// The fabric and engine shapes are the internal/shapes table, which the
+// allocation gate and BenchmarkFabricStep/BenchmarkEngineStep iterate
+// too: the bare router fabric and the full engine on the paper's
+// 256-node network, each idle, at low load and saturated (the engine
+// also saturated under aimd and notify), plus a 4096-node 16-ary 3-cube
+// fabric at the same three rates. The torus names keep the "/w1" suffix
+// of the trajectory's earlier serial-versus-sharded pairs, so old
+// reports still diff against them.
 // Every fabric and engine is stepped to steady state before the timed
 // region, so the numbers describe the recurring per-cycle cost — the
 // construction and ramp-up transients are excluded by design.
@@ -34,28 +36,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
-	"repro/internal/packet"
-	"repro/internal/router"
-	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/shapes"
 )
-
-// warmupCycles matches the steady-state gate in alloc_regression_test.go:
-// long enough that every transient growth source (pool fill, queue ramp,
-// statistics buffers) has settled.
-const warmupCycles = 8000
-
-// torusWarmupCycles is the big-topology warm-up. The 4096-node torus
-// costs roughly 16x a 256-node cycle, so the full warmupCycles would
-// dominate the run; 2000 cycles is past its occupancy ramp at every
-// measured rate.
-const torusWarmupCycles = 2000
 
 // Shape is one measured operating point.
 type Shape struct {
@@ -68,24 +56,17 @@ type Shape struct {
 
 // Report is the emitted document.
 type Report struct {
-	Label     string  `json:"label"`
-	GoVersion string  `json:"go_version"`
-	GOARCH    string  `json:"goarch"`
-	NumCPU    int     `json:"num_cpu"`
-	Shapes    []Shape `json:"shapes"`
+	Label     string `json:"label"`
+	GoVersion string `json:"go_version"`
+	GOARCH    string `json:"goarch"`
+	NumCPU    int    `json:"num_cpu"`
+	// GOMAXPROCS is the run's setting, which can be below NumCPU.
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Shapes     []Shape `json:"shapes"`
 	// Baseline carries the prior trajectory point the shapes should be
 	// read against: the shapes of the -baseline report.
 	Baseline []Shape `json:"baseline,omitempty"`
 	Note     string  `json:"note,omitempty"`
-}
-
-// fabricShape describes one fabric operating point to measure.
-type fabricShape struct {
-	name    string
-	k, n    int
-	rate    float64
-	warmup  int
-	prefill int // packets stocked in the pool; covers peak in-flight
 }
 
 func main() {
@@ -112,10 +93,11 @@ func main() {
 	keep := func(name string) bool { return filter == nil || filter.MatchString(name) }
 
 	report := Report{
-		Label:     *label,
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
+		Label:      *label,
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "steady-state per-cycle cost; warmup excluded (store/* shapes " +
 			"measure one Put+Get of a real result per op instead: mem is the " +
 			"marshal floor, fs adds file I/O plus an atomic rename, remote " +
@@ -133,46 +115,22 @@ func main() {
 		report.Note += " Baseline is " + *baselineFile + "."
 	}
 
-	shapes := []fabricShape{
-		{"fabric/idle", 16, 2, 0, warmupCycles, 4096},
-		{"fabric/low", 16, 2, 0.002, warmupCycles, 4096},
-		{"fabric/saturated", 16, 2, 0.2, warmupCycles, 4096},
-		{"fabric/torus4096/idle/w1", 16, 3, 0, torusWarmupCycles, 65536},
-		{"fabric/torus4096/low/w1", 16, 3, 0.002, torusWarmupCycles, 65536},
-		{"fabric/torus4096/saturated/w1", 16, 3, 0.2, torusWarmupCycles, 65536},
-	}
-	type point struct {
-		name string
-		run  func() Shape
-	}
 	var points []point
-	for _, s := range shapes {
-		s := s
-		points = append(points, point{s.name, func() Shape { return measureFabric(s) }})
+	for _, s := range shapes.Fabrics {
+		name := reportName("fabric", s.Name)
+		points = append(points, point{name, func() Shape { return measure(name, s.Start()) }})
 	}
-	for _, tc := range []struct {
-		name   string
-		rate   float64
-		scheme sim.Scheme
-	}{
-		{"engine/idle", 0.0001, sim.Scheme{Kind: sim.SelfTuned}},
-		{"engine/low", 0.02, sim.Scheme{Kind: sim.SelfTuned}},
-		{"engine/saturated", 0.06, sim.Scheme{Kind: sim.SelfTuned}},
-		// The feedback-driven controllers at the same saturated point:
-		// these carry the DECbit marking fold, the per-packet feedback
-		// events, and (for notify) the side-band notification wheel, so
-		// their per-cycle cost relative to engine/saturated is the price
-		// of the feedback path itself.
-		{"engine/aimd-saturated", 0.06, sim.Scheme{Kind: sim.AIMD}},
-		{"engine/notify-saturated", 0.06, sim.Scheme{Kind: sim.Notify}},
-	} {
-		tc := tc
-		points = append(points, point{tc.name, func() Shape { return measureEngine(tc.name, tc.rate, tc.scheme) }})
+	for _, s := range shapes.Engines {
+		name := reportName("engine", s.Name)
+		points = append(points, point{name, func() Shape {
+			e, err := s.Start()
+			if err != nil {
+				fatal(err)
+			}
+			return measure(name, e)
+		}})
 	}
-	for _, sp := range storePoints() {
-		sp := sp
-		points = append(points, point{sp.Name, sp.Run})
-	}
+	points = append(points, storePoints()...)
 	merged := map[string]*Shape{}
 	var order []string
 	for round := 0; round < repeats; round++ {
@@ -312,68 +270,22 @@ func toShape(name string, r testing.BenchmarkResult) Shape {
 	}
 }
 
-// measureFabric times one network cycle of a k-ary n-cube fabric with
-// pool-fed injection at the given per-node rate. The pool is prefilled
-// past the shape's peak in-flight population so B/op reflects the
-// fabric, not pool growth.
-func measureFabric(s fabricShape) Shape {
-	topo := topology.MustNew(s.k, s.n)
-	fab := router.MustNew(router.Config{
-		Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-	})
-	rng := rand.New(rand.NewSource(1))
-	pool := packet.NewPool()
-	pool.Prefill(s.prefill, 8*s.n*s.k) // trail capacity covers worst-case hops
-	fab.OnDelivered = pool.Put
-	var id packet.ID
-	inject := func() {
-		if s.rate == 0 {
-			return
-		}
-		for n := 0; n < topo.Nodes(); n++ {
-			if rng.Float64() < s.rate && fab.CanStartInjection(topology.NodeID(n)) {
-				dst := topology.NodeID(rng.Intn(topo.Nodes()))
-				if dst == topology.NodeID(n) {
-					continue
-				}
-				fab.StartInjection(pool.Get(id, topology.NodeID(n), dst, 16, fab.Now()))
-				id++
-			}
-		}
+// reportName is a shape's name in the report: kind/name, except that
+// the torus shapes keep their "/w1" trajectory names.
+func reportName(kind, name string) string {
+	if regime, ok := strings.CutPrefix(name, "torus4096-"); ok {
+		return kind + "/torus4096/" + regime + "/w1"
 	}
-	for i := 0; i < s.warmup; i++ {
-		inject()
-		fab.Step()
-	}
-	return toShape(s.name, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			inject()
-			fab.Step()
-		}
-	}))
+	return kind + "/" + name
 }
 
-// measureEngine times a full engine cycle (generation, throttling,
-// injection, network step, sampling) under the given scheme.
-func measureEngine(name string, rate float64, scheme sim.Scheme) Shape {
-	cfg := sim.NewConfig()
-	cfg.Rate = rate
-	cfg.Scheme = scheme
-	cfg.WarmupCycles = 1
-	cfg.MeasureCycles = 1 << 40 // the loops below pace the cycles
-	e, err := sim.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	for i := 0; i < warmupCycles; i++ {
-		e.Step()
-	}
+// measure times one Step per op of a shape that Start has already
+// built and warmed up.
+func measure(name string, shape interface{ Step() }) Shape {
 	return toShape(name, testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.Step()
+			shape.Step()
 		}
 	}))
 }

@@ -14,10 +14,11 @@ import (
 	"repro/internal/sim"
 )
 
-// storePoint is one result-store shape to measure.
-type storePoint struct {
-	Name string
-	Run  func() Shape
+// point is one shape to measure: run builds it, warms it up and times
+// it.
+type point struct {
+	name string
+	run  func() Shape
 }
 
 // storePoints builds the store/{fs,mem,remote} shapes: one Put + one
@@ -26,8 +27,8 @@ type storePoint struct {
 // an atomic rename; mem is the marshal/unmarshal floor; remote adds a
 // full HTTP round trip to an in-process peer daemon (loopback, so the
 // number is protocol overhead, not network distance).
-func storePoints() []storePoint {
-	return []storePoint{
+func storePoints() []point {
+	return []point{
 		{"store/fs", func() Shape {
 			dir, err := os.MkdirTemp("", "stcc-bench-fsstore")
 			if err != nil {

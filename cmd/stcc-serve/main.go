@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -42,11 +43,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stcc-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheDir := fs.String("cache", "", "result cache directory (empty: no cache)")
 	queue := fs.Int("queue", 0, "job queue depth (0: default 16)")
@@ -57,8 +59,19 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// server.Config reads 0 as "default"; a negative count would mean
+	// all CPUs, the default depth or no job worker at all, so reject it.
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"queue", *queue}, {"jobs", *jobs}, {"workers", *workers}} {
+		if f.n < 0 {
+			fmt.Fprintf(stderr, "stcc-serve: -%s must be >= 0, got %d\n", f.name, f.n)
+			return 2
+		}
+	}
 
-	logger := log.New(os.Stderr, "stcc-serve: ", log.LstdFlags)
+	logger := log.New(stderr, "stcc-serve: ", log.LstdFlags)
 
 	cfg := server.Config{
 		QueueDepth:   *queue,
@@ -119,7 +132,7 @@ func run(args []string) int {
 		code = 1
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		code = 1
 	}
 	logger.Print("bye")

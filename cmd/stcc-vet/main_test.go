@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -35,74 +36,24 @@ func TestListGolden(t *testing.T) {
 	}
 }
 
-func TestVetProbes(t *testing.T) {
+// TestFindingsExitTwo pins the violation half of the exit contract on
+// the hotalloc fixture, which is in scope because hotalloc applies to
+// every package: exit 2, one relative file:line:col: hotalloc: line per
+// finding on stdout, and the count on stderr.
+func TestFindingsExitTwo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"stcc-vet", "-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d", code)
+	code := run([]string{"stcc-vet", "-C", "../..", "./internal/analyzers/testdata/src/hotalloc/a"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "buildID=") {
-		t.Errorf("-V=full output %q lacks a buildID", stdout.String())
-	}
-	stdout.Reset()
-	if code := run([]string{"stcc-vet", "-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d", code)
-	}
-	if strings.TrimSpace(stdout.String()) != "[]" {
-		t.Errorf("-flags output %q, want []", stdout.String())
-	}
-}
-
-func TestUnknownFormatRejected(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"stcc-vet", "-format", "xml"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-format xml exited %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "unknown format") {
-		t.Errorf("stderr %q does not name the bad format", stderr.String())
-	}
-}
-
-func TestUnknownAnalyzerRejected(t *testing.T) {
-	for _, flag := range []string{"-enable", "-disable"} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"stcc-vet", flag, "nosuch"}, &stdout, &stderr); code != 1 {
-			t.Fatalf("%s nosuch exited %d, want 1", flag, code)
-		}
-		if !strings.Contains(stderr.String(), `unknown analyzer "nosuch"`) {
-			t.Errorf("%s stderr %q does not name the unknown analyzer", flag, stderr.String())
+	line := regexp.MustCompile(`^internal/analyzers/testdata/src/hotalloc/a/a\.go:\d+:\d+: hotalloc: `)
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	for _, l := range lines {
+		if !line.MatchString(l) {
+			t.Errorf("stdout line %q does not match %s", l, line)
 		}
 	}
-}
-
-func TestSelectSuite(t *testing.T) {
-	names := func(csvEnable, csvDisable string) []string {
-		t.Helper()
-		suite, err := selectSuite(csvEnable, csvDisable)
-		if err != nil {
-			t.Fatalf("selectSuite(%q, %q): %v", csvEnable, csvDisable, err)
-		}
-		var out []string
-		for _, cfg := range suite {
-			out = append(out, cfg.Analyzer.Name)
-		}
-		return out
-	}
-	if got := names("", ""); strings.Join(got, ",") != "counterguard,detrand,hotalloc,maporder" {
-		t.Errorf("default suite selected %v, want counterguard,detrand,hotalloc,maporder", got)
-	}
-	if got := names("detrand,maporder", ""); strings.Join(got, ",") != "detrand,maporder" {
-		t.Errorf("-enable detrand,maporder selected %v", got)
-	}
-	if got := names("", "hotalloc"); len(got) != 3 || strings.Join(got, ",") == "" {
-		t.Errorf("-disable hotalloc selected %v", got)
-	} else {
-		for _, n := range got {
-			if n == "hotalloc" {
-				t.Errorf("-disable hotalloc still selected %v", got)
-			}
-		}
-	}
-	if got := names("detrand,maporder", "maporder"); strings.Join(got, ",") != "detrand" {
-		t.Errorf("enable+disable selected %v", got)
+	if want := fmt.Sprintf("stcc-vet: %d determinism-contract violation(s)\n", len(lines)); stderr.String() != want {
+		t.Errorf("stderr %q, want %q", stderr.String(), want)
 	}
 }

@@ -28,8 +28,8 @@ const RouterPackage = "repro/internal/router"
 // sorted by analyzer name: hotalloc runs everywhere (it is gated by
 // //stcc:hotpath annotations, so out-of-scope packages cost one cheap
 // scan), detrand and maporder on every deterministic package, and
-// counterguard on the router only. Both cmd/stcc-vet drivers and the
-// self-check test use this one definition.
+// counterguard on the router only. cmd/stcc-vet and the self-check
+// test use this one definition.
 func Suite() []framework.Config {
 	return []framework.Config{
 		{Analyzer: CounterGuard, Applies: isRouter},

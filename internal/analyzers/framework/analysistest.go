@@ -1,77 +1,39 @@
 package framework
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"testing"
 )
 
 // TestRunner mirrors analysistest.Run: it loads the fixture package at
-// testdata/src/<pkgRel>, runs the analyzer over it, and checks the
-// diagnostics against `// want "regexp"` comments in the fixture
-// sources. A line may carry several quoted regexps; each must be
-// matched by a distinct diagnostic on that line, and every diagnostic
-// must be claimed by some expectation.
+// testdata/src/<pkgRel> through Load, the loader cmd/stcc-vet uses,
+// runs the analyzer over it, and checks the diagnostics against
+// `// want "regexp"` comments in the fixture sources. A line may carry
+// several quoted regexps; each must be matched by a distinct diagnostic
+// on that line, and every diagnostic must be claimed by some
+// expectation.
 func TestRunner(t *testing.T, testdata string, a *Analyzer, pkgRel string) {
 	t.Helper()
-	dir := filepath.Join(testdata, "src", pkgRel)
-	entries, err := os.ReadDir(dir)
+	pkgs, err := Load(filepath.Join(testdata, "src", pkgRel), ".")
 	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
+		t.Fatalf("loading fixture %s: %v", pkgRel, err)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, e.Name())
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s loaded %d packages, want 1", pkgRel, len(pkgs))
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatalf("no fixture files in %s", dir)
-	}
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-
-	info := NewInfo()
-	conf := types.Config{Importer: lazyStdImporter(fset)}
-	tpkg, err := conf.Check(pkgRel, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", pkgRel, err)
-	}
-
-	diags, err := RunOne(a, &Package{
-		PkgPath: pkgRel, Dir: dir, Fset: fset,
-		Syntax: files, Types: tpkg, TypesInfo: info,
-	})
+	pkg := pkgs[0]
+	diags, err := RunOne(a, pkg)
 	if err != nil {
 		t.Fatalf("running %s on fixture: %v", a.Name, err)
 	}
 
-	wants := collectWants(t, fset, files)
+	wants := collectWants(t, pkg.Fset, pkg.Syntax)
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := pkg.Fset.Position(d.Pos)
 		key := posKey{filepath.Base(pos.Filename), pos.Line}
 		matched := false
 		rest := wants[key][:0]
@@ -161,40 +123,4 @@ func splitQuoted(s string) []string {
 		i = j
 	}
 	return out
-}
-
-var (
-	stdExportMu sync.Mutex
-	stdExports  = map[string]string{}
-)
-
-// lazyStdImporter resolves fixture imports (standard library only) by
-// asking the go command for export data one package at a time, caching
-// across fixtures. Fixtures import a handful of std packages, so the
-// per-path `go list -export` (cached by the build cache after the first
-// run) keeps the test setup dependency-free.
-func lazyStdImporter(fset *token.FileSet) types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		stdExportMu.Lock()
-		file, ok := stdExports[path]
-		stdExportMu.Unlock()
-		if !ok {
-			cmd := exec.Command("go", "list", "-export", "-f", "{{.Export}}", path)
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			out, err := cmd.Output()
-			if err != nil {
-				return nil, fmt.Errorf("go list -export %s: %v\n%s", path, err, stderr.String())
-			}
-			file = strings.TrimSpace(string(out))
-			if file == "" {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			stdExportMu.Lock()
-			stdExports[path] = file
-			stdExportMu.Unlock()
-		}
-		return os.Open(file)
-	}
-	return importer.ForCompiler(fset, "gc", lookup)
 }

@@ -1,9 +1,9 @@
 // Package framework is a minimal, dependency-free re-implementation of
 // the golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass,
-// Diagnostic) plus the three drivers the repo needs: a `go list`-backed
-// loader for whole-module runs, a unitchecker-style adapter so the same
-// binary works as `go vet -vettool`, and an analysistest-style fixture
-// runner driven by `// want "regexp"` comments.
+// Diagnostic) plus one `go list`-backed loader. Two callers share that
+// loader: Run, which cmd/stcc-vet uses for whole-module runs, and an
+// analysistest-style fixture runner driven by `// want "regexp"`
+// comments.
 //
 // The container this repo grows in has no module proxy access, so the
 // real x/tools packages cannot be fetched; this package mirrors their
@@ -48,7 +48,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report delivers one diagnostic. Drivers set it; analyzers call it
+	// Report delivers one diagnostic. RunOne sets it; analyzers call it
 	// (usually via Reportf).
 	Report func(Diagnostic)
 }
@@ -63,20 +63,4 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-}
-
-// NewInfo returns a types.Info with every map the analyzers consult
-// allocated. Sharing one constructor keeps the loader, the unitchecker
-// adapter, and the fixture runner in sync about which facts are
-// available on a Pass.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Instances:  map[*ast.Ident]types.Instance{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
 }

@@ -20,7 +20,6 @@ import (
 // everything a Pass needs.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
@@ -35,9 +34,7 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
-	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -53,7 +50,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,DepOnly,Error",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -88,7 +85,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportDataImporter(fset, exports)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.CgoFiles) > 0 {
@@ -97,7 +100,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			// appears.
 			continue
 		}
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
+		pkg, err := checkPackage(fset, imp, t)
 		if err != nil {
 			return nil, err
 		}
@@ -106,48 +109,37 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// checkPackage parses and type-checks one package from source, importing
-// dependencies through imp.
-func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, pkgDir string, goFiles []string) (*Package, error) {
+// checkPackage parses and type-checks one listed package from source,
+// importing its dependencies through imp.
+func checkPackage(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Package, error) {
 	var files []*ast.File
-	for _, name := range goFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(pkgDir, name)
-		}
+	for _, name := range t.GoFiles {
+		path := filepath.Join(t.Dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", path, err)
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Instances:  map[*ast.Ident]types.Instance{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
+	tpkg, err := conf.Check(t.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", pkgPath, err)
+		return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 	}
 	return &Package{
-		PkgPath:   pkgPath,
-		Dir:       pkgDir,
+		PkgPath:   t.ImportPath,
 		Fset:      fset,
 		Syntax:    files,
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
-}
-
-// exportDataImporter returns a types.Importer that resolves import
-// paths through the gc compiler's export data files, as produced by
-// `go list -export` (and recorded in the exports map, import path →
-// file).
-func exportDataImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	return importer.ForCompiler(fset, "gc", lookup)
 }

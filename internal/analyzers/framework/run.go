@@ -15,15 +15,15 @@ type Config struct {
 	Applies func(pkgPath string) bool
 }
 
-// RunFindings loads the packages matching patterns under dir, applies
-// every applicable analyzer, and returns the diagnostics as sorted
-// Findings with file paths relative to dir. A non-nil error means the
-// run itself failed (load, type-check, or analyzer abort), not that
-// diagnostics were found.
-func RunFindings(dir string, patterns []string, cfgs []Config) ([]Finding, error) {
+// Run loads the packages matching patterns under dir, applies every
+// applicable analyzer, writes the diagnostics to w in file:line:col
+// order with file paths relative to dir, and returns their count. A
+// non-nil error means the run itself failed (load, type-check, or
+// analyzer abort), not that diagnostics were found.
+func Run(dir string, patterns []string, cfgs []Config, w io.Writer) (int, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	root := dir
 	if abs, err := filepath.Abs(dir); err == nil {
@@ -37,7 +37,7 @@ func RunFindings(dir string, patterns []string, cfgs []Config) ([]Finding, error
 			}
 			diags, err := RunOne(cfg.Analyzer, pkg)
 			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %v", cfg.Analyzer.Name, pkg.PkgPath, err)
+				return 0, fmt.Errorf("%s on %s: %v", cfg.Analyzer.Name, pkg.PkgPath, err)
 			}
 			for _, d := range diags {
 				pos := pkg.Fset.Position(d.Pos)
@@ -52,17 +52,6 @@ func RunFindings(dir string, patterns []string, cfgs []Config) ([]Finding, error
 		}
 	}
 	sortFindings(findings)
-	return findings, nil
-}
-
-// Run is the text-mode convenience wrapper around RunFindings: it
-// writes diagnostics to w in file:line:col order and returns their
-// count.
-func Run(dir string, patterns []string, cfgs []Config, w io.Writer) (int, error) {
-	findings, err := RunFindings(dir, patterns, cfgs)
-	if err != nil {
-		return 0, err
-	}
 	if err := WriteText(w, findings); err != nil {
 		return 0, err
 	}

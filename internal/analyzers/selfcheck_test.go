@@ -47,9 +47,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 }
 
 // TestVetToolCleanOnRepo runs the actual cmd/stcc-vet binary the way CI
-// and developers do, pinning the exit-status contract (0 on a clean
-// tree) in both output formats, including the checked-in (empty)
-// baseline that `make vet-json` uses.
+// and developers do, pinning the clean half of the exit-status
+// contract: exit 0 and no output on a clean tree.
 func TestVetToolCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs cmd/stcc-vet; skipped in -short")
@@ -63,18 +62,5 @@ func TestVetToolCleanOnRepo(t *testing.T) {
 	}
 	if s := strings.TrimSpace(string(out)); s != "" {
 		t.Errorf("stcc-vet produced output on a clean tree:\n%s", s)
-	}
-
-	// The CI invocation: machine-readable output filtered through the
-	// checked-in baseline, which must be empty (the tree is clean).
-	cmd = exec.Command("go", "run", "./cmd/stcc-vet",
-		"-format", "json", "-baseline", ".stcc-vet-baseline.json", "./...")
-	cmd.Dir = root
-	out, err = cmd.Output()
-	if err != nil {
-		t.Fatalf("stcc-vet -format json -baseline failed: %v\n%s", err, out)
-	}
-	if s := strings.TrimSpace(string(out)); s != "[]" {
-		t.Errorf("json findings on a clean tree = %s, want []", s)
 	}
 }

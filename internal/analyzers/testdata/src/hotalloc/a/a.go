@@ -49,7 +49,7 @@ func (r *ring) hotBad(v int, other []int) string {
 	p := &box{n: v}              // want `&box\{\.\.\.\} in hot path heap-allocates`
 	q := new(box)                // want `new in hot path allocates`
 	lit := []int{v}              // want `slice literal in hot path allocates`
-	consume(r.b)                 // want `passing hotalloc/a\.box to an interface parameter boxes it`
+	consume(r.b)                 // want `passing repro/internal/analyzers/testdata/src/hotalloc/a\.box to an interface parameter boxes it`
 	f := func() int { return v } // want `closure literal in hot path`
 	s := fmt.Sprint(v)           // want `fmt\.Sprint in hot path allocates`
 	s = s + "x"                  // want `string concatenation in hot path`
