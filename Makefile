@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke cluster-smoke
+.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke
 
 all: build lint test
 
@@ -18,7 +18,7 @@ test:
 # cancellation and error selection behave differently once goroutines
 # really run in parallel, and a 1-CPU runner would hide that.
 test-cpu:
-	$(GO) test -cpu 1,4 ./internal/experiments ./internal/server ./internal/dispatch
+	$(GO) test -cpu 1,4 ./internal/experiments ./internal/server
 
 race:
 	$(GO) test -race ./...
@@ -36,10 +36,10 @@ bench-json:
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json
 
 # The determinism gate CI runs as its own job: the golden fingerprints
-# (direct, across Runner worker counts, through the result cache, the
-# service and peer dispatch) and the accepted-and-ignored shard fields,
-# all under the race detector so a data race between concurrently
-# running points fails the gate, not just a changed result.
+# (direct, across Runner worker counts, through the result cache and the
+# service) and the accepted-and-ignored shard fields, all under the race
+# detector so a data race between concurrently running points fails the
+# gate, not just a changed result.
 determinism:
 	$(GO) test -race -run 'TestDeterminism|TestShardFieldsAcceptedAndIgnored' .
 
@@ -68,13 +68,6 @@ serve:
 # (CI runs this after the unit tests).
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-# Boot two peer daemons, farm a sweep across them, and require the
-# merged output byte-identical to a local run — healthy, degraded (one
-# dead peer), and remote-result-store paths. See README.md ("Running a
-# cluster").
-cluster-smoke:
-	bash scripts/cluster_smoke.sh
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -100,8 +100,7 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "steady-state per-cycle cost; warmup excluded (store/* shapes " +
 			"measure one Put+Get of a real result per op instead: mem is the " +
-			"marshal floor, fs adds file I/O plus an atomic rename, remote " +
-			"adds a loopback HTTP round trip to a peer daemon).",
+			"marshal floor, fs adds file I/O plus an atomic rename).",
 	}
 	var base *Report
 	if *baselineFile != "" {

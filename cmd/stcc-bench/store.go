@@ -2,15 +2,12 @@ package main
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"testing"
 
 	"repro/internal/resultcache"
 	"repro/internal/resultcache/fsstore"
 	"repro/internal/resultcache/memstore"
-	"repro/internal/resultcache/remotestore"
-	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -21,12 +18,10 @@ type point struct {
 	run  func() Shape
 }
 
-// storePoints builds the store/{fs,mem,remote} shapes: one Put + one
-// Get of a realistic cached result per op, against each backend of the
-// distributed sweep fabric. The fs backend pays fsync-free file I/O and
-// an atomic rename; mem is the marshal/unmarshal floor; remote adds a
-// full HTTP round trip to an in-process peer daemon (loopback, so the
-// number is protocol overhead, not network distance).
+// storePoints builds the store/{fs,mem} shapes: one Put + one Get of a
+// realistic cached result per op, against each result-store backend.
+// The fs backend pays fsync-free file I/O and an atomic rename; mem is
+// the marshal/unmarshal floor.
 func storePoints() []point {
 	return []point{
 		{"store/fs", func() Shape {
@@ -43,16 +38,6 @@ func storePoints() []point {
 		}},
 		{"store/mem", func() Shape {
 			return measureStore("store/mem", memstore.New())
-		}},
-		{"store/remote", func() Shape {
-			srv := server.New(server.Config{Cache: memstore.New()})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			s, err := remotestore.New(ts.URL, nil)
-			if err != nil {
-				fatal(err)
-			}
-			return measureStore("store/remote", s)
 		}},
 	}
 }
@@ -75,7 +60,7 @@ func measureStore(name string, s resultcache.Store) Shape {
 		fatal(err)
 	}
 	// One warm round trip outside the timed region: backend setup costs
-	// (directory stat, HTTP connection establishment) are excluded.
+	// (directory stat) are excluded.
 	if err := s.Put(fp, res); err != nil {
 		fatal(err)
 	}

@@ -10,14 +10,9 @@
 //	stcc emit-spec fig4 | curl -sd @- localhost:8080/v1/jobs
 //	curl -N localhost:8080/v1/jobs/job-000001/events
 //
-// A daemon started with -peers joins the distributed sweep fabric as a
-// coordinator: cache-missing grid points are farmed to the listed peer
-// daemons over the same /v1/jobs API, verified by fingerprint, and
-// merged in deterministic order; any peer failure falls back to local
-// execution. The /v1/cache endpoints expose the daemon's result store
-// to remote clients (see internal/resultcache/remotestore).
-//
-//	stcc-serve -addr :8080 -cache results/cache -peers node1:8080,node2:8080
+// Every point runs in this process, spread over -workers simulations
+// per job. GET /v1/cache reports the result store's entry count; the
+// store is filled only by the daemon's own runs.
 //
 // SIGINT/SIGTERM drains: the listener closes, running jobs get -drain
 // to finish, then the process exits.
@@ -36,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/resultcache/fsstore"
 	"repro/internal/server"
 	"repro/internal/version"
@@ -54,7 +48,6 @@ func run(args []string, stderr io.Writer) int {
 	queue := fs.Int("queue", 0, "job queue depth (0: default 16)")
 	jobs := fs.Int("jobs", 0, "concurrent jobs (0: default 2)")
 	workers := fs.Int("workers", 0, "concurrent simulations per job (0: all CPUs)")
-	peers := fs.String("peers", "", "comma-separated peer daemons (host:port,...) to farm grid points to")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown grace period for running jobs")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,15 +80,6 @@ func run(args []string, stderr io.Writer) int {
 		}
 		cfg.Cache = cache
 		logger.Printf("result cache at %s", cache.Dir())
-	}
-	if list := dispatch.ParsePeers(*peers); len(list) > 0 {
-		co, err := dispatch.New(dispatch.Config{Peers: list})
-		if err != nil {
-			logger.Print(err)
-			return 1
-		}
-		cfg.Dispatch = co
-		logger.Printf("dispatching to peers %v", co.Peers())
 	}
 
 	srv := server.New(cfg)

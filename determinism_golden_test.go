@@ -24,10 +24,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/resultcache/fsstore"
-	"repro/internal/resultcache/memstore"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -347,92 +345,5 @@ func TestDeterminismThroughServer(t *testing.T) {
 				t.Errorf("pass %d: %s fingerprint %s, want golden %s", pass, gc.name, got, gc.want)
 			}
 		}
-	}
-}
-
-// TestDeterminismThroughDispatch farms the golden grid across two live
-// in-process peer daemons plus one dead address, with a single dispatch
-// attempt per point so every point that round-robins onto the dead peer
-// falls back to local execution. The merged sweep — part remote, part
-// local fallback — must be byte-identical to a purely local run and
-// reproduce the seed-engine fingerprints: the distributed fabric is not
-// allowed to be observable in the results.
-func TestDeterminismThroughDispatch(t *testing.T) {
-	var peers []string
-	for i := 0; i < 2; i++ {
-		srv := server.New(server.Config{Cache: memstore.New()})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				t.Errorf("peer shutdown: %v", err)
-			}
-		}()
-		peers = append(peers, ts.URL)
-	}
-	// A dead peer: bind a port, then close it so connections are refused.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	co, err := dispatch.New(dispatch.Config{
-		Peers:    []string{peers[0], deadURL, peers[1]},
-		Attempts: 1, // dead-peer points fall back locally instead of retrying
-		Backoff:  time.Millisecond,
-		Poll:     time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := goldenCases()
-	spec := experiments.NewSpec("goldens", "determinism golden grid")
-	for _, gc := range cases {
-		spec.AddGroup(gc.name, experiments.Point{Label: gc.name, Config: goldenConfig(gc)})
-	}
-
-	local, err := experiments.Runner{}.RunSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	farmed, err := experiments.Runner{Remote: co}.RunSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localJSON, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	farmedJSON, err := json.Marshal(farmed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(localJSON, farmedJSON) {
-		t.Errorf("farmed sweep is not byte-identical to the local sweep")
-	}
-	for i, gc := range cases {
-		if got := resultFingerprint(farmed[i][0]); got != gc.want {
-			t.Errorf("%s fingerprint %s, want golden %s", gc.name, got, gc.want)
-		}
-	}
-
-	// The topology guarantees both paths were exercised: eight points
-	// round-robin over three peer slots, so at least two landed on the
-	// dead address (local fallback) and at least four went remote.
-	st := co.Stats()
-	if st.Remote == 0 {
-		t.Error("no point was executed remotely; the fabric never engaged")
-	}
-	if st.Fallbacks == 0 {
-		t.Error("no point fell back locally; the dead peer was never hit")
-	}
-	if st.Dispatched != int64(len(cases)) {
-		t.Errorf("dispatched %d points, want %d", st.Dispatched, len(cases))
-	}
-	if st.Remote+st.Fallbacks != st.Dispatched {
-		t.Errorf("remote %d + fallbacks %d != dispatched %d", st.Remote, st.Fallbacks, st.Dispatched)
 	}
 }

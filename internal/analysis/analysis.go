@@ -155,9 +155,9 @@ func CompareWith(run experiments.Runner, cfg sim.Config, schemes []sim.Scheme, s
 }
 
 // replicate runs cfg under every scheme once per seed as one grid on
-// run.RunSpec, so the runner's context, result cache, singleflight and
-// peer dispatch apply as for any experiment, and aggregates each
-// scheme's results in seed order.
+// run.RunSpec, so the runner's context, result cache and singleflight
+// apply as for any experiment, and aggregates each scheme's results in
+// seed order.
 func replicate(run experiments.Runner, name string, cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]Replication, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("analysis: need at least one seed")

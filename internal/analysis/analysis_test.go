@@ -201,29 +201,34 @@ func TestCompareMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// declineRemote counts the points a runner dispatches, then declines
-// them so they would run locally.
-type declineRemote struct{ calls atomic.Int64 }
+// countingStore counts the points a runner starts: with a cache
+// attached, Get is the first thing a runner does with each point. It
+// always misses and discards what is put, so counted points run.
+type countingStore struct{ gets atomic.Int64 }
 
-func (d *declineRemote) ExecPoint(context.Context, sim.Config, string) (sim.Result, error) {
-	d.calls.Add(1)
-	return sim.Result{}, errors.New("declined")
+func (c *countingStore) Get(string) (sim.Result, bool, error) {
+	c.gets.Add(1)
+	return sim.Result{}, false, nil
 }
+
+func (c *countingStore) Put(string, sim.Result) error { return nil }
+
+func (c *countingStore) Len() (int, error) { return 0, nil }
 
 // TestCompareHonorsCanceledContext requires an already-canceled runner
 // context to stop Compare and Replicate before any point is dispatched.
 func TestCompareHonorsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	remote := &declineRemote{}
-	run := experiments.Runner{Workers: 2, Ctx: ctx, Remote: remote}
+	store := &countingStore{}
+	run := experiments.Runner{Workers: 2, Ctx: ctx, Cache: store}
 	if _, err := CompareWith(run, smallCfg(), []sim.Scheme{{Kind: sim.Base}}, []int64{1, 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("compare: err = %v, want context.Canceled", err)
 	}
 	if _, err := ReplicateWith(run, smallCfg(), []int64{1, 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("replicate: err = %v, want context.Canceled", err)
 	}
-	if n := remote.calls.Load(); n != 0 {
+	if n := store.gets.Load(); n != 0 {
 		t.Errorf("%d points dispatched under a canceled context", n)
 	}
 }

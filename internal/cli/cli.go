@@ -21,11 +21,9 @@ import (
 	stcc "repro"
 	"repro/internal/analysis"
 	"repro/internal/congestion"
-	"repro/internal/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
 	"repro/internal/resultcache/fsstore"
-	"repro/internal/resultcache/remotestore"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -212,21 +210,17 @@ func profileFlags(fs *flag.FlagSet) func(run func() error) error {
 	}
 }
 
-// openCache opens the content-addressed result store named by a -cache
-// flag: a directory path selects the on-disk backend, an http(s):// URL
-// selects a peer stcc-serve daemon's cache over the network. An unset
-// flag returns an explicitly nil Store (never a typed-nil concrete
-// pointer, which would read as an attached cache to the runner).
+// openCache opens the on-disk result store named by a -cache flag. A
+// URL is refused rather than taken for a relative path, which would
+// silently create a directory tree named after it. An unset flag
+// returns an explicitly nil Store (never a typed-nil concrete pointer,
+// which would read as an attached cache to the runner).
 func openCache(dir string) (resultcache.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	if strings.HasPrefix(dir, "http://") || strings.HasPrefix(dir, "https://") {
-		s, err := remotestore.New(dir, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
+	if strings.Contains(dir, "://") {
+		return nil, fmt.Errorf("-cache %q: takes a directory, not a URL", dir)
 	}
 	s, err := fsstore.New(dir)
 	if err != nil {
@@ -235,31 +229,12 @@ func openCache(dir string) (resultcache.Store, error) {
 	return s, nil
 }
 
-// openDispatch builds the peer-dispatch coordinator named by a -peers
-// flag ("host:port,host:port"), or returns nil when the flag is unset.
-func openDispatch(peers string) (*dispatch.Coordinator, error) {
-	list := dispatch.ParsePeers(peers)
-	if len(list) == 0 {
-		return nil, nil
-	}
-	return dispatch.New(dispatch.Config{Peers: list})
-}
-
-// attachDispatch sets a runner's remote executor, guarding against the
-// typed-nil interface trap.
-func attachDispatch(r *experiments.Runner, co *dispatch.Coordinator) {
-	if co != nil {
-		r.Remote = co
-	}
-}
-
 func cmdRun(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	build := netFlags(fs)
 	specPath := fs.String("spec", "", "run a serialized submission (JSON `file`: spec, config, or registry reference) instead of a flag-built config")
 	workers := fs.Int("workers", 0, "parallel simulations for -spec runs (0 = all CPUs)")
-	cacheDir := fs.String("cache", "", "result store: a cache `dir`, or http://host:port for a peer daemon's cache (optional)")
-	peers := fs.String("peers", "", "comma-separated peer daemons (`host:port,...`) to farm -spec points to")
+	cacheDir := fs.String("cache", "", "result cache `dir` (optional)")
 	asJSON := fs.Bool("json", false, "emit the full result as JSON (including time series)")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -269,7 +244,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		return err
 	}
 	if *specPath != "" {
-		return prof(func() error { return runSpecFile(ctx, *specPath, *workers, *cacheDir, *peers, *asJSON) })
+		return prof(func() error { return runSpecFile(ctx, *specPath, *workers, *cacheDir, *asJSON) })
 	}
 	cfg, err := build()
 	if err != nil {
@@ -294,7 +269,7 @@ func cmdRun(ctx context.Context, args []string) error {
 // bare config, or a registry reference like {"name":"fig3"} — and
 // prints one row per point (or, with -json, the grouped results
 // verbatim). The same parser backs the stcc-serve POST /v1/jobs body.
-func runSpecFile(ctx context.Context, path string, workers int, cacheDir, peers string, asJSON bool) error {
+func runSpecFile(ctx context.Context, path string, workers int, cacheDir string, asJSON bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -307,12 +282,7 @@ func runSpecFile(ctx context.Context, path string, workers int, cacheDir, peers 
 	if err != nil {
 		return err
 	}
-	co, err := openDispatch(peers)
-	if err != nil {
-		return err
-	}
 	runner := experiments.Runner{Workers: workers, Cache: cache, Ctx: ctx}
-	attachDispatch(&runner, co)
 	if sub.Name != "" {
 		// Registry reference: run the entry itself so analytic entries
 		// (tab1, fig6) and figure-shaped reports work too.
@@ -358,8 +328,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	rates := fs.String("rates", "0.005,0.01,0.015,0.02,0.025,0.03,0.04,0.06",
 		"comma-separated injection rates")
 	workers := fs.Int("workers", 0, "parallel simulations (0 = all CPUs)")
-	cacheDir := fs.String("cache", "", "result store: a cache `dir`, or http://host:port for a peer daemon's cache (optional)")
-	peersFlag := fs.String("peers", "", "comma-separated peer daemons (`host:port,...`) to farm sweep points to")
+	cacheDir := fs.String("cache", "", "result cache `dir` (optional)")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -383,10 +352,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	co, err := openDispatch(*peersFlag)
-	if err != nil {
-		return err
-	}
 	return prof(func() error {
 		// The sweep is a one-group spec, so it shares the generic
 		// runner and result cache with the registry experiments.
@@ -400,7 +365,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 		}
 		spec.Groups = append(spec.Groups, g)
 		runner := experiments.Runner{Workers: *workers, Cache: cache, Ctx: ctx}
-		attachDispatch(&runner, co)
 		grouped, err := runner.RunSpec(spec)
 		if err != nil {
 			return err

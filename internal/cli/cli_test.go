@@ -86,6 +86,29 @@ func TestCmdSweepWithCache(t *testing.T) {
 	}
 }
 
+// A -cache value with a scheme is refused with an error naming the
+// flag, not taken for a relative path: fsstore would otherwise create
+// an "http:" directory tree in the working directory.
+func TestCacheRejectsURL(t *testing.T) {
+	for _, url := range []string{"http://127.0.0.1:8081", "https://127.0.0.1:8443/cache"} {
+		_, err := openCache(url)
+		if err == nil {
+			t.Errorf("openCache(%q) accepted a URL", url)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-cache") || !strings.Contains(msg, "directory") {
+			t.Errorf("openCache(%q) error %q does not name -cache and say it takes a directory", url, msg)
+		}
+	}
+	err := cmdSweep(context.Background(), small("-rates", "0.005", "-cache", "http://127.0.0.1:8081"))
+	if err == nil || !strings.Contains(err.Error(), "-cache") {
+		t.Errorf("sweep with a URL -cache: err = %v, want a -cache error", err)
+	}
+	if _, err := os.Stat("http:"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a URL -cache left an http: path behind (stat: %v)", err)
+	}
+}
+
 func TestCmdBursty(t *testing.T) {
 	err := cmdBursty(context.Background(), small("-lowdur", "300", "-highdur", "400",
 		"-lowint", "200", "-highint", "40", "-sample", "256"))

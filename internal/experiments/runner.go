@@ -26,8 +26,7 @@ type Runner struct {
 	// result. The engine is deterministic, so a hit is bit-identical to
 	// re-running; configurations with no fingerprint (live schedules,
 	// custom throttlers) always run. Any resultcache.Store backend works:
-	// the on-disk cache, the in-process store, or a peer daemon's cache
-	// over HTTP.
+	// the on-disk fsstore or the in-process memstore.
 	Cache resultcache.Store
 	// Flight, when non-nil, deduplicates concurrent executions of the
 	// same configuration fingerprint across every runner sharing the
@@ -36,16 +35,6 @@ type Runner struct {
 	// all jobs so identical submissions racing past the result cache
 	// still run once.
 	Flight *Flight
-	// Remote, when non-nil, is offered every cache-missing serializable
-	// point before it is simulated locally: the distributed sweep fabric
-	// farms the configuration to a peer daemon and returns its result,
-	// which is then cached exactly like a local run (the engine is
-	// deterministic, so remote and local results are bit-identical). Any
-	// remote failure — peer down, shedding load, returning a result that
-	// fails verification — falls back to local execution, so attaching a
-	// Remote can never make a grid fail that would have succeeded
-	// locally. Configurations with no fingerprint never travel.
-	Remote RemoteExecutor
 	// Ctx, when non-nil, cancels grid execution: no new points are
 	// dispatched after cancellation and in-flight simulations stop
 	// between cycles, so the grid returns ctx's error promptly instead
@@ -56,17 +45,6 @@ type Runner struct {
 	// implementations must be safe for concurrent use. Points of a
 	// failed grid may be observed before the grid's error is returned.
 	OnPoint func(PointEvent)
-}
-
-// RemoteExecutor executes one serializable configuration somewhere
-// other than this process — in this repo, dispatch.Coordinator farming
-// it to a peer stcc-serve daemon. fingerprint is cfg's content address
-// (already computed by the runner); implementations must be safe for
-// concurrent use, since grid points dispatch from worker goroutines. An
-// error return means "could not produce a trustworthy result"; the
-// runner then simulates the point locally.
-type RemoteExecutor interface {
-	ExecPoint(ctx context.Context, cfg sim.Config, fingerprint string) (sim.Result, error)
 }
 
 // PointEvent describes one completed grid point for progress reporting
@@ -84,9 +62,6 @@ type PointEvent struct {
 	// Shared reports that the result was adopted from a concurrent
 	// in-flight execution of the same fingerprint (singleflight).
 	Shared bool `json:"shared"`
-	// Remote reports that the result was produced by a peer daemon via
-	// the runner's RemoteExecutor rather than simulated in this process.
-	Remote bool `json:"remote,omitempty"`
 }
 
 // ctx resolves the runner's base context.
@@ -239,15 +214,14 @@ func (r Runner) runGrid(cfgs []sim.Config, label func(i int) string, wrapErr fun
 	return out, nil
 }
 
-// runPoint runs one configuration through the in-flight dedup layer,
-// the result cache, and the remote dispatch hook when they are attached.
-// Unserializable configurations (no fingerprint) bypass all three; a
-// cache read or write failure is a real error so full disks surface
-// instead of silently degrading (corrupt entries are quarantined by the
-// cache itself and re-run as misses), but a remote failure is not — the
-// point simply runs locally.
+// runPoint runs one configuration through the in-flight dedup layer
+// and the result cache when they are attached, and otherwise simulates
+// it in this process. Unserializable configurations (no fingerprint)
+// bypass both; a cache read or write failure is a real error so full
+// disks surface instead of silently degrading (corrupt entries are
+// quarantined by the cache itself and re-run as misses).
 func (r Runner) runPoint(ctx context.Context, cfg sim.Config) (sim.Result, PointEvent, error) {
-	if r.Cache == nil && r.Flight == nil && r.Remote == nil {
+	if r.Cache == nil && r.Flight == nil {
 		res, err := sim.RunContext(ctx, cfg)
 		return res, PointEvent{}, err
 	}
@@ -256,7 +230,6 @@ func (r Runner) runPoint(ctx context.Context, cfg sim.Config) (sim.Result, Point
 		res, err := sim.RunContext(ctx, cfg) // in-process-only config: always run
 		return res, PointEvent{}, err
 	}
-	var remote bool
 	exec := func() (sim.Result, bool, error) {
 		if r.Cache != nil {
 			if res, ok, err := r.Cache.Get(fp); err != nil {
@@ -265,11 +238,10 @@ func (r Runner) runPoint(ctx context.Context, cfg sim.Config) (sim.Result, Point
 				return res, true, nil
 			}
 		}
-		res, ran, err := r.execPoint(ctx, cfg, fp)
+		res, err := sim.RunContext(ctx, cfg)
 		if err != nil {
 			return sim.Result{}, false, err
 		}
-		remote = ran
 		if r.Cache != nil {
 			if err := r.Cache.Put(fp, res); err != nil {
 				return sim.Result{}, false, err
@@ -279,26 +251,8 @@ func (r Runner) runPoint(ctx context.Context, cfg sim.Config) (sim.Result, Point
 	}
 	if r.Flight == nil {
 		res, hit, err := exec()
-		return res, PointEvent{CacheHit: hit, Remote: remote}, err
+		return res, PointEvent{CacheHit: hit}, err
 	}
 	res, hit, shared, err := r.Flight.do(ctx, fp, exec)
-	return res, PointEvent{CacheHit: hit, Shared: shared, Remote: remote}, err
-}
-
-// execPoint produces one cache-missing result, preferring the remote
-// executor when one is attached. Remote failures are deliberately
-// swallowed: the coordinator records them in its own stats, and the
-// fallback local run is exactly the computation that would have happened
-// with no Remote at all.
-func (r Runner) execPoint(ctx context.Context, cfg sim.Config, fp string) (sim.Result, bool, error) {
-	if r.Remote != nil {
-		if res, err := r.Remote.ExecPoint(ctx, cfg, fp); err == nil {
-			return res, true, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return sim.Result{}, false, err
-		}
-	}
-	res, err := sim.RunContext(ctx, cfg)
-	return res, false, err
+	return res, PointEvent{CacheHit: hit, Shared: shared}, err
 }

@@ -1,9 +1,8 @@
 // Package memstore is the in-process backend of the result store: a
 // mutex-guarded map from fingerprint to the entry's canonical JSON
-// bytes. It exists for tests and for ephemeral sweep workers — peers
-// that serve /v1/cache to a coordinator but have no disk of their own —
-// and it doubles as the reference implementation of the Store contract:
-// no I/O, no atomic-rename subtleties, just the semantics.
+// bytes. It is the reference implementation of the Store contract — no
+// I/O, no atomic-rename subtleties, just the semantics — and the store
+// tests attach wherever a disk would only add noise.
 //
 // Entries are held as marshaled bytes, not parsed structs, for two
 // reasons: Get hands every caller an independent value (no aliasing of

@@ -1,23 +1,25 @@
-// Package resultcache defines the content-addressed result store of the
-// distributed sweep fabric: every sim.Result is filed under its
-// configuration's fingerprint (the hex SHA-256 of the config's canonical
-// JSON, see sim.Config.Fingerprint). Because a fingerprint covers every
-// input of a run — topology, scheme, workload, seed, durations — and the
-// engine is deterministic, a stored result is bit-identical to re-running
-// the configuration, so partially completed grids resume for free,
-// repeated experiments skip finished points, and peers can exchange
-// entries without trusting each other's clocks or schedulers.
+// Package resultcache defines the content-addressed result store: every
+// sim.Result is filed under its configuration's fingerprint (the hex
+// SHA-256 of the config's canonical JSON, see sim.Config.Fingerprint).
+// Because a fingerprint covers every input of a run — topology, scheme,
+// workload, seed, durations — and the engine is deterministic, a stored
+// result is bit-identical to re-running the configuration, so partially
+// completed grids resume for free and repeated experiments skip
+// finished points.
 //
 // The Store interface is the pluggable contract; the backends live in
 // per-backend subpackages, mirrored so they can be conformance-tested
 // and benchmarked against each other (see storetest):
 //
 //   - fsstore: one JSON file per fingerprint in a local directory, the
-//     original on-disk cache (atomic-rename writes, safe for concurrent
-//     processes sharing the directory);
-//   - memstore: an in-process map, for tests and ephemeral workers;
-//   - remotestore: an HTTP client that reads and writes entries on a
-//     peer stcc-serve daemon's /v1/cache/{fingerprint} endpoints.
+//     on-disk cache behind every -cache flag (atomic-rename writes, safe
+//     for concurrent processes sharing the directory);
+//   - memstore: an in-process map, the reference implementation of the
+//     contract and the store the tests attach.
+//
+// Only a process's own runs are Put: experiments.Runner files the
+// results it simulated, and nothing writes a store over the network, so
+// every stored result is one this engine produced.
 //
 // All backends share the quarantine contract: an entry that fails to
 // parse (a partial write from a kill -9, external corruption, bit rot)
@@ -56,8 +58,8 @@ type Store interface {
 
 // CheckFingerprint rejects any key that is not a 64-character lowercase
 // hex string (the SHA-256 fingerprint alphabet). Every backend validates
-// through this one gate, so a malformed key can neither escape a cache
-// directory as a relative path nor travel to a peer as a bogus URL.
+// through this one gate, so a malformed key cannot escape a cache
+// directory as a relative path.
 func CheckFingerprint(fingerprint string) error {
 	if len(fingerprint) != 64 {
 		return fmt.Errorf("resultcache: fingerprint %q is not hex sha-256", fingerprint)

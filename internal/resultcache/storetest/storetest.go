@@ -1,10 +1,10 @@
 // Package storetest is the backend-independent conformance suite for
-// resultcache.Store implementations. Every backend (fsstore, memstore,
-// remotestore) runs the same suite from its own test file, so the Store
-// contract — bit-identical round trips, clean misses, the shared
-// fingerprint gate, quarantine-on-corrupt, and safety under concurrent
-// readers, writers, and corruption — is pinned once and enforced
-// everywhere, instead of drifting per backend.
+// resultcache.Store implementations. Every backend (fsstore, memstore)
+// runs the same suite from its own test file, so the Store contract —
+// bit-identical round trips, clean misses, the shared fingerprint gate,
+// quarantine-on-corrupt, and safety under concurrent readers, writers,
+// and corruption — is pinned once and enforced everywhere, instead of
+// drifting per backend.
 package storetest
 
 import (
@@ -20,8 +20,7 @@ import (
 
 // CorruptFunc injects unparsable bytes under an existing or fresh
 // fingerprint, bypassing Put's marshaling — the backend-specific hook
-// the quarantine subtests need (write a garbage file, poke the map,
-// corrupt the peer's backing store).
+// the quarantine subtests need (write a garbage file, poke the map).
 type CorruptFunc func(fingerprint string) error
 
 // Harness adapts one backend to the suite.

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/resultcache"
-	"repro/internal/sim"
 	"repro/internal/version"
 )
 
@@ -27,8 +25,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCacheStats)
-	s.mux.HandleFunc("GET /v1/cache/{fingerprint}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /v1/cache/{fingerprint}", s.handleCachePut)
 	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -168,13 +164,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{Status: "ok"})
 }
 
-// maxCacheEntryBytes bounds a PUT /v1/cache/{fingerprint} body. Full-
-// scale results with complete time series run to a few MB; 64 MB is
-// far above any real entry while still bounding a hostile upload.
-const maxCacheEntryBytes = 64 << 20
-
-// handleCacheStats reports the store's entry count — the remote
-// backend's Len, and a cheap liveness probe for cluster scripts.
+// handleCacheStats reports the store's entry count — a cheap check
+// for scripts that a job's points were filed.
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	if s.manager.cfg.Cache == nil {
 		writeError(w, http.StatusNotFound, "no result store attached")
@@ -188,70 +179,4 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Entries int `json:"entries"`
 	}{Entries: n})
-}
-
-// handleCacheGet serves one stored result. A miss — including a
-// corrupt entry the store quarantined — is 404; remotestore maps that
-// back to a clean miss on the client side.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fingerprint")
-	if err := resultcache.CheckFingerprint(fp); err != nil {
-		s.manager.met.cacheGetMiss.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.manager.cfg.Cache == nil {
-		s.manager.met.cacheGetMiss.Add(1)
-		writeError(w, http.StatusNotFound, "no result store attached")
-		return
-	}
-	res, ok, err := s.manager.cfg.Cache.Get(fp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if !ok {
-		s.manager.met.cacheGetMiss.Add(1)
-		writeError(w, http.StatusNotFound, "no entry %s", fp)
-		return
-	}
-	s.manager.met.cacheGetHit.Add(1)
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleCachePut stores one result under its fingerprint. The body is
-// decoded strictly before it touches the store, so a peer can only
-// file well-formed sim.Result JSON; trust in the *content* is the
-// submitting side's job (the coordinator verifies fingerprints, and
-// local stores only ever Put their own runs).
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fingerprint")
-	if err := resultcache.CheckFingerprint(fp); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.manager.cfg.Cache == nil {
-		writeError(w, http.StatusServiceUnavailable, "no result store attached")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCacheEntryBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxCacheEntryBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "entry exceeds %d bytes", maxCacheEntryBytes)
-		return
-	}
-	var res sim.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		writeError(w, http.StatusBadRequest, "entry is not a result: %v", err)
-		return
-	}
-	if err := s.manager.cfg.Cache.Put(fp, res); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.manager.met.cachePuts.Add(1)
-	w.WriteHeader(http.StatusNoContent)
 }

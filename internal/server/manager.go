@@ -89,8 +89,6 @@ type JobStatus struct {
 	PointsDone   int    `json:"points_done"`
 	CacheHits    int    `json:"cache_hits"`
 	SharedPoints int    `json:"shared_points"`
-	// RemotePoints counts points executed by peer daemons (dispatch).
-	RemotePoints int `json:"remote_points,omitempty"`
 	// CacheHit reports that the finished job ran zero fresh
 	// simulations: every point was served by the result cache or
 	// adopted from a concurrent in-flight run.
@@ -115,7 +113,6 @@ type Job struct {
 	done      int
 	cacheHits int
 	shared    int
-	remote    int
 	fresh     int // points simulated by this job: neither cached nor shared
 	err       error
 	result    json.RawMessage
@@ -155,9 +152,6 @@ func (j *Job) recordPoint(ev experiments.PointEvent) {
 	if ev.Shared {
 		j.shared++
 	}
-	if ev.Remote {
-		j.remote++
-	}
 	// A follower adopting a leader's cache hit carries both flags, so
 	// only a point with neither was simulated for this job.
 	if !ev.CacheHit && !ev.Shared {
@@ -180,7 +174,6 @@ func (j *Job) Status() JobStatus {
 		PointsDone:   j.done,
 		CacheHits:    j.cacheHits,
 		SharedPoints: j.shared,
-		RemotePoints: j.remote,
 		CacheHit:     j.state == StateDone && j.fresh == 0,
 		Result:       j.result,
 	}
@@ -370,12 +363,6 @@ func (m *Manager) runJob(j *Job) {
 			j.recordPoint(ev)
 			m.met.pointDone(ev)
 		},
-	}
-	// Guarded assignment: a nil *dispatch.Coordinator stuffed into the
-	// interface field would be a non-nil RemoteExecutor that panics on
-	// first use.
-	if m.cfg.Dispatch != nil {
-		runner.Remote = m.cfg.Dispatch
 	}
 
 	var payload JobResult

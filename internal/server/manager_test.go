@@ -19,7 +19,6 @@ func TestRecordPointCacheHitShared(t *testing.T) {
 		{"adopted cache hits", []experiments.PointEvent{{CacheHit: true, Shared: true}, {CacheHit: true}}, true},
 		{"shared only", []experiments.PointEvent{{Shared: true}}, true},
 		{"one fresh point", []experiments.PointEvent{{CacheHit: true, Shared: true}, {}}, false},
-		{"fresh remote point", []experiments.PointEvent{{Remote: true}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newManager(Config{JobWorkers: -1})

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/experiments"
 )
 
@@ -27,19 +26,14 @@ type metrics struct {
 	points    atomic.Int64 // grid points completed (any source)
 	cacheHits atomic.Int64 // points served by the result cache
 	shared    atomic.Int64 // points adopted from an in-flight twin
-	remote    atomic.Int64 // points executed by a peer daemon
 	simulated atomic.Int64 // points that ran a fresh local simulation
-
-	cacheGetHit  atomic.Int64 // GET /v1/cache/{fp} hits
-	cacheGetMiss atomic.Int64 // GET /v1/cache/{fp} misses (incl. bad keys)
-	cachePuts    atomic.Int64 // PUT /v1/cache/{fp} entries stored
 }
 
 func newMetrics() *metrics { return &metrics{} }
 
-// pointDone classifies one completed point. The arms are mutually
-// exclusive by construction: a cache hit never went remote, a shared
-// point adopted whatever its leader did.
+// pointDone classifies one completed point. A point a Flight follower
+// adopts from its leader's cache hit carries both flags and counts once,
+// as a cache hit.
 func (m *metrics) pointDone(ev experiments.PointEvent) {
 	m.points.Add(1)
 	switch {
@@ -47,8 +41,6 @@ func (m *metrics) pointDone(ev experiments.PointEvent) {
 		m.cacheHits.Add(1)
 	case ev.Shared:
 		m.shared.Add(1)
-	case ev.Remote:
-		m.remote.Add(1)
 	default:
 		m.simulated.Add(1)
 	}
@@ -70,19 +62,10 @@ type Metrics struct {
 	Points       int64 `json:"points"`
 	CacheHits    int64 `json:"cache_hits"`
 	SharedPoints int64 `json:"shared_points"`
-	RemotePoints int64 `json:"remote_points"`
 	Simulated    int64 `json:"simulated"`
 	// PointsPerSec is completed points over process uptime — a coarse
 	// throughput gauge, not a moving average.
 	PointsPerSec float64 `json:"points_per_sec"`
-
-	CacheGetHits   int64 `json:"cache_get_hits"`
-	CacheGetMisses int64 `json:"cache_get_misses"`
-	CachePuts      int64 `json:"cache_puts"`
-
-	// Dispatch carries the peer-dispatch counters when the daemon runs
-	// with -peers; omitted on standalone daemons.
-	Dispatch *dispatch.Stats `json:"dispatch,omitempty"`
 }
 
 // snapshot assembles the exported counter view.
@@ -91,29 +74,21 @@ func (s *Server) snapshot() Metrics {
 	up := time.Since(s.start).Seconds()
 	points := m.points.Load()
 	out := Metrics{
-		UptimeSeconds:  up,
-		QueueDepth:     s.manager.QueueDepth(),
-		JobsSubmitted:  m.submitted.Load(),
-		JobsRejected:   m.rejected.Load(),
-		JobsDone:       m.done.Load(),
-		JobsFailed:     m.failed.Load(),
-		JobsCanceled:   m.canceled.Load(),
-		JobsRunning:    m.running.Load(),
-		Points:         points,
-		CacheHits:      m.cacheHits.Load(),
-		SharedPoints:   m.shared.Load(),
-		RemotePoints:   m.remote.Load(),
-		Simulated:      m.simulated.Load(),
-		CacheGetHits:   m.cacheGetHit.Load(),
-		CacheGetMisses: m.cacheGetMiss.Load(),
-		CachePuts:      m.cachePuts.Load(),
+		UptimeSeconds: up,
+		QueueDepth:    s.manager.QueueDepth(),
+		JobsSubmitted: m.submitted.Load(),
+		JobsRejected:  m.rejected.Load(),
+		JobsDone:      m.done.Load(),
+		JobsFailed:    m.failed.Load(),
+		JobsCanceled:  m.canceled.Load(),
+		JobsRunning:   m.running.Load(),
+		Points:        points,
+		CacheHits:     m.cacheHits.Load(),
+		SharedPoints:  m.shared.Load(),
+		Simulated:     m.simulated.Load(),
 	}
 	if up > 0 {
 		out.PointsPerSec = float64(points) / up
-	}
-	if s.manager.cfg.Dispatch != nil {
-		st := s.manager.cfg.Dispatch.Stats()
-		out.Dispatch = &st
 	}
 	return out
 }
@@ -137,7 +112,7 @@ type promSample struct {
 
 // promSamples flattens a Metrics snapshot into exposition samples.
 func promSamples(m Metrics) []promSample {
-	samples := []promSample{
+	return []promSample{
 		{"stcc_uptime_seconds", "Seconds since the daemon started.", "gauge", m.UptimeSeconds},
 		{"stcc_queue_depth", "Jobs waiting for a worker.", "gauge", float64(m.QueueDepth)},
 		{"stcc_jobs_submitted_total", "Jobs accepted into the queue.", "counter", float64(m.JobsSubmitted)},
@@ -149,24 +124,8 @@ func promSamples(m Metrics) []promSample {
 		{"stcc_points_total", "Grid points completed from any source.", "counter", float64(m.Points)},
 		{"stcc_points_cache_hits_total", "Points served by the result cache.", "counter", float64(m.CacheHits)},
 		{"stcc_points_shared_total", "Points adopted from an in-flight twin (singleflight).", "counter", float64(m.SharedPoints)},
-		{"stcc_points_remote_total", "Points executed by a peer daemon via dispatch.", "counter", float64(m.RemotePoints)},
 		{"stcc_points_simulated_total", "Points that ran a fresh local simulation.", "counter", float64(m.Simulated)},
-		{"stcc_cache_get_hits_total", "GET /v1/cache hits.", "counter", float64(m.CacheGetHits)},
-		{"stcc_cache_get_misses_total", "GET /v1/cache misses.", "counter", float64(m.CacheGetMisses)},
-		{"stcc_cache_puts_total", "PUT /v1/cache entries stored.", "counter", float64(m.CachePuts)},
 	}
-	if m.Dispatch != nil {
-		d := m.Dispatch
-		samples = append(samples,
-			promSample{"stcc_dispatch_points_total", "Points offered to the peer-dispatch fabric.", "counter", float64(d.Dispatched)},
-			promSample{"stcc_dispatch_remote_total", "Points whose verified result came from a peer.", "counter", float64(d.Remote)},
-			promSample{"stcc_dispatch_sheds_total", "Peer 429 responses observed.", "counter", float64(d.Sheds)},
-			promSample{"stcc_dispatch_errors_total", "Failed dispatch attempts other than sheds.", "counter", float64(d.Errors)},
-			promSample{"stcc_dispatch_mismatches_total", "Peer results rejected for fingerprint mismatch.", "counter", float64(d.Mismatches)},
-			promSample{"stcc_dispatch_fallbacks_total", "Points returned to local execution.", "counter", float64(d.Fallbacks)},
-		)
-	}
-	return samples
 }
 
 // handleMetricsProm renders the counters in Prometheus text exposition

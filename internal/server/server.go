@@ -23,20 +23,15 @@
 //	DELETE /v1/jobs/{id}        cancel (queued or running)
 //	GET    /v1/jobs/{id}/events SSE stream of per-point progress
 //	GET    /v1/cache            result-store stats (entry count)
-//	GET    /v1/cache/{fp}       read one cached result by fingerprint
-//	PUT    /v1/cache/{fp}       store one result by fingerprint
 //	GET    /v1/registry         the experiment catalog (stcc list over HTTP)
 //	GET    /v1/version          build provenance (debug.ReadBuildInfo)
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text exposition
 //	GET    /metrics.json        the same counters as JSON
 //
-// The /v1/cache endpoints make the daemon's result store a network
-// backend: resultcache/remotestore speaks exactly this surface, so a
-// CLI run (or another daemon) can read and feed a peer's cache. The
-// dispatch coordinator goes the other way — a daemon started with
-// -peers farms grid points to other daemons over POST /v1/jobs and
-// verifies each echoed fingerprint before trusting the result.
+// Every point a job needs runs in this process. The result store is
+// never written over HTTP: only the daemon's own runs are filed in it,
+// so a stored result is always one this engine produced.
 //
 // Submissions past the queue's capacity are rejected with 429 so load
 // sheds at the edge instead of growing an unbounded backlog, and
@@ -48,7 +43,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/resultcache"
 )
 
@@ -56,12 +50,9 @@ import (
 type Config struct {
 	// Cache, when non-nil, is the content-addressed result store shared
 	// by all jobs (and with any CLI runs pointed at the same directory).
-	// Any resultcache.Store backend works; it also backs the /v1/cache
-	// endpoints.
+	// Any resultcache.Store backend works; GET /v1/cache reports its
+	// entry count.
 	Cache resultcache.Store
-	// Dispatch, when non-nil, farms cache-missing grid points to peer
-	// daemons before simulating locally (the -peers flag).
-	Dispatch *dispatch.Coordinator
 	// QueueDepth bounds the number of submitted-but-not-started jobs;
 	// beyond it, POST /v1/jobs returns 429. Zero means 16.
 	QueueDepth int

@@ -142,8 +142,8 @@ func TestEndpointsTable(t *testing.T) {
 		{"metrics prom help", "GET", "/metrics", "", http.StatusOK, "# TYPE stcc_jobs_submitted_total counter"},
 		{"metrics json", "GET", "/metrics.json", "", http.StatusOK, `"queue_depth"`},
 		{"cache stats without store", "GET", "/v1/cache", "", http.StatusNotFound, "no result store"},
-		{"cache get bad fingerprint", "GET", "/v1/cache/nothex", "", http.StatusBadRequest, "fingerprint"},
-		{"cache put without store", "PUT", "/v1/cache/" + strings.Repeat("ab", 32), "{}", http.StatusServiceUnavailable, "no result store"},
+		{"cache get bad fingerprint", "GET", "/v1/cache/nothex", "", http.StatusNotFound, "not found"},
+		{"cache put without store", "PUT", "/v1/cache/" + strings.Repeat("ab", 32), "{}", http.StatusNotFound, "not found"},
 		{"registry", "GET", "/v1/registry", "", http.StatusOK, `"fig4"`},
 		{"registry has analytic entries", "GET", "/v1/registry", "", http.StatusOK, `"tab1"`},
 		{"jobs list empty", "GET", "/v1/jobs", "", http.StatusOK, `"jobs": []`},
@@ -540,9 +540,6 @@ func TestMetricsCounters(t *testing.T) {
 	if m.UptimeSeconds <= 0 || m.PointsPerSec <= 0 {
 		t.Errorf("rates = %+v, want positive uptime and points/sec", m)
 	}
-	if m.Dispatch != nil {
-		t.Errorf("standalone daemon exports dispatch stats: %+v", m.Dispatch)
-	}
 
 	// The Prometheus page carries the same numbers under stcc_ names.
 	presp, err := http.Get(ts.URL + "/metrics")
@@ -568,9 +565,28 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestCacheEndpoints exercises the /v1/cache surface directly: a miss,
-// a PUT, the bit-identical GET, the stats roll-up, and rejection of
-// bodies that are not results.
+// cacheEntries reads the entry count GET /v1/cache reports.
+func cacheEntries(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Entries int `json:"entries"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.Entries
+}
+
+// TestCacheEndpoints requires the result store to be unwritable over
+// HTTP. A forged result PUT under a real configuration's fingerprint
+// must be refused and never filed, so a job for that configuration
+// simulates it and returns exactly what sim.Run does; GET /v1/cache
+// then counts the job's own point.
 func TestCacheEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Cache: memstore.New()})
 
@@ -579,92 +595,56 @@ func TestCacheEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(cfg)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+fp,
+		strings.NewReader(`{"AcceptedFlits": 123.456}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := json.Marshal(res)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	get := func() (int, []byte) {
-		resp, err := http.Get(ts.URL + "/v1/cache/" + fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, raw
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		t.Errorf("PUT of a forged result = %d, want it refused", resp.StatusCode)
+	}
+	if n := cacheEntries(t, ts); n != 0 {
+		t.Errorf("cache entries after the forged PUT = %d, want 0", n)
 	}
 
-	if code, _ := get(); code != http.StatusNotFound {
-		t.Fatalf("GET before PUT = %d, want 404", code)
-	}
-
-	put := func(body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+fp, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	if code := put([]byte("not a result")); code != http.StatusBadRequest {
-		t.Errorf("PUT of garbage = %d, want 400", code)
-	}
-	if code := put(entry); code != http.StatusNoContent {
-		t.Fatalf("PUT = %d, want 204", code)
-	}
-
-	code, raw := get()
-	if code != http.StatusOK {
-		t.Fatalf("GET after PUT = %d", code)
-	}
-	var got sim.Result
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
+	body, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotJSON, entry) {
-		t.Errorf("served entry differs from stored result")
+	st := waitTerminal(t, ts, submit(t, ts, body))
+	if st.State != server.StateDone || st.CacheHits != 0 || st.CacheHit {
+		t.Fatalf("job state %q (error %q), cache_hits %d, cacheHit %v; want done with no cache hits",
+			st.State, st.Error, st.CacheHits, st.CacheHit)
 	}
-
-	sresp, err := http.Get(ts.URL + "/v1/cache")
+	var payload server.JobResult
+	if err := json.Unmarshal(st.Result, &payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(payload.Groups) != 1 || len(payload.Groups[0]) != 1 {
+		t.Fatalf("job result groups %v, want one point", payload.Groups)
+	}
+	want, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sresp.Body.Close()
-	var stats struct {
-		Entries int `json:"entries"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Entries != 1 {
-		t.Errorf("cache stats entries = %d, want 1", stats.Entries)
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics.json")
+	wantJSON, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mresp.Body.Close()
-	var m server.Metrics
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+	gotJSON, err := json.Marshal(payload.Groups[0][0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CacheGetHits != 1 || m.CacheGetMisses != 1 || m.CachePuts != 1 {
-		t.Errorf("cache endpoint counters = hits %d misses %d puts %d, want 1/1/1",
-			m.CacheGetHits, m.CacheGetMisses, m.CachePuts)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("job result differs from sim.Run:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+	if n := cacheEntries(t, ts); n != 1 {
+		t.Errorf("cache entries after the job = %d, want 1", n)
 	}
 }

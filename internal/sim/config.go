@@ -207,7 +207,7 @@ type Config struct {
 
 	// ShardWorkers is accepted and ignored: one simulation always steps
 	// serially, and parallelism comes from running independent points
-	// side by side (Runner workers, peer dispatch). The field keeps
+	// side by side (Runner workers). The field keeps
 	// configs and specs that set it parsing; a negative value is still
 	// rejected. Fingerprint excludes it, so such configs share cached
 	// results with configs that leave it unset.

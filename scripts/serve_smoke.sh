@@ -71,6 +71,15 @@ curl -fsS "$BASE/v1/cache" >"$WORKDIR/body"
 grep -q '"entries": 1' "$WORKDIR/body"
 echo "cache endpoint: ok"
 
+# The store cannot be written over HTTP: a PUT by fingerprint is refused
+# and files nothing.
+FP=$(printf '%064d' 0)
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' -X PUT -d '{"AcceptedFlits":1}' "$BASE/v1/cache/$FP")
+case "$CODE" in 2??) echo "PUT /v1/cache/$FP returned $CODE, want it refused"; exit 1 ;; esac
+curl -fsS "$BASE/v1/cache" >"$WORKDIR/body"
+grep -q '"entries": 1' "$WORKDIR/body"
+echo "cache put refused: ok ($CODE)"
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "drained: ok"
