@@ -3,8 +3,8 @@
 // registry name, a serialized spec, or a bare configuration to
 // /v1/jobs, stream per-point progress over SSE, and read back results
 // bit-identical to a local CLI run. Work is deduplicated against a
-// shared content-addressed result cache and an in-flight singleflight
-// layer, so concurrent identical submissions cost one simulation.
+// shared content-addressed result cache, so a resubmitted grid costs no
+// simulation.
 //
 //	stcc-serve -addr :8080 -cache results/cache
 //	stcc emit-spec fig4 | curl -sd @- localhost:8080/v1/jobs

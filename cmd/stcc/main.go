@@ -7,10 +7,9 @@
 //	sweep   an injection-rate sweep for one scheme (figure 1/3/5 style)
 //	bursty  the paper's bursty workload (figure 6/7)
 //	trace   the self-tuner's threshold/throughput trajectory (figure 4)
-//	table   the tuning decision table (table 1)
 //	compare all congestion control schemes on one workload, multi-seed
 //
-//	list             named experiments (tab1, fig1..fig7, ext1..ext12)
+//	list             named experiments (tab1, fig1..fig7, ext1..ext14)
 //	describe <name>  one experiment's purpose and grid
 //	emit-spec <name> write an experiment's serialized spec (JSON) to stdout
 //	spec-roundtrip   verify every registry spec survives JSON round-tripping

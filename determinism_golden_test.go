@@ -8,9 +8,7 @@
 // dependence, iteration-order dependence, stale state surviving a packet
 // reset — fails loudly instead of silently shifting every result.
 // The tests live in the external test package: they drive the engine
-// only through importable API (sim, experiments, server), and the
-// server import would otherwise cycle through internal/cli back into
-// this package's facade.
+// only through importable API (sim, experiments, server).
 package stcc_test
 
 import (

@@ -102,17 +102,11 @@ type Replication struct {
 	FullBufs   Stat
 }
 
-// Replicate runs cfg once per seed and aggregates the headline metrics.
-// It is how the repository distinguishes real effects from seed noise.
-// It runs on every available CPU; use ReplicateWith to bound the pool.
-func Replicate(cfg sim.Config, seeds []int64) (Replication, error) {
-	return ReplicateWith(experiments.Runner{}, cfg, seeds)
-}
-
-// ReplicateWith is Replicate on the given runner. Results are
-// aggregated in seed order, so the statistics are identical for any
-// worker count.
-func ReplicateWith(run experiments.Runner, cfg sim.Config, seeds []int64) (Replication, error) {
+// Replicate runs cfg once per seed on run and aggregates the headline
+// metrics. It is how the repository distinguishes real effects from
+// seed noise. Results are aggregated in seed order, so the statistics
+// are identical for any worker count; the zero Runner uses every CPU.
+func Replicate(run experiments.Runner, cfg sim.Config, seeds []int64) (Replication, error) {
 	reps, err := replicate(run, "replicate", cfg, []sim.Scheme{cfg.Scheme}, seeds)
 	if err != nil {
 		return Replication{}, err
@@ -126,17 +120,11 @@ type CompareRow struct {
 	Rep  Replication
 }
 
-// Compare runs several schemes on the same configuration and seeds,
-// returning one aggregated row per scheme. It runs on every available
-// CPU; use CompareWith to bound the pool.
-func Compare(cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]CompareRow, error) {
-	return CompareWith(experiments.Runner{}, cfg, schemes, seeds)
-}
-
-// CompareWith is Compare on the given runner. The full scheme x seed
+// Compare runs several schemes on the same configuration and seeds on
+// run, returning one aggregated row per scheme. The full scheme x seed
 // grid is one spec, so a 4-scheme, 5-seed comparison keeps 20 workers
 // busy rather than 5.
-func CompareWith(run experiments.Runner, cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]CompareRow, error) {
+func Compare(run experiments.Runner, cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]CompareRow, error) {
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("analysis: need at least one scheme")
 	}
@@ -155,9 +143,8 @@ func CompareWith(run experiments.Runner, cfg sim.Config, schemes []sim.Scheme, s
 }
 
 // replicate runs cfg under every scheme once per seed as one grid on
-// run.RunSpec, so the runner's context, result cache and singleflight
-// apply as for any experiment, and aggregates each scheme's results in
-// seed order.
+// run.RunSpec, so the runner's context and result cache apply as for
+// any experiment, and aggregates each scheme's results in seed order.
 func replicate(run experiments.Runner, name string, cfg sim.Config, schemes []sim.Scheme, seeds []int64) ([]Replication, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("analysis: need at least one seed")

@@ -101,7 +101,7 @@ func smallCfg() sim.Config {
 }
 
 func TestReplicate(t *testing.T) {
-	rep, err := Replicate(smallCfg(), []int64{1, 2, 3})
+	rep, err := Replicate(experiments.Runner{}, smallCfg(), []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +117,17 @@ func TestReplicate(t *testing.T) {
 }
 
 func TestReplicateNeedsSeeds(t *testing.T) {
-	if _, err := Replicate(smallCfg(), nil); err == nil {
+	if _, err := Replicate(experiments.Runner{}, smallCfg(), nil); err == nil {
 		t.Error("no seeds accepted")
 	}
 }
 
 func TestReplicateIsDeterministicPerSeedSet(t *testing.T) {
-	a, err := Replicate(smallCfg(), []int64{7, 8})
+	a, err := Replicate(experiments.Runner{}, smallCfg(), []int64{7, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replicate(smallCfg(), []int64{7, 8})
+	b, err := Replicate(experiments.Runner{}, smallCfg(), []int64{7, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestReplicateIsDeterministicPerSeedSet(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	rows, err := Compare(smallCfg(), []sim.Scheme{
+	rows, err := Compare(experiments.Runner{}, smallCfg(), []sim.Scheme{
 		{Kind: sim.Base},
 		{Kind: sim.StaticGlobal, StaticThreshold: 40},
 	}, []int64{1, 2})
@@ -150,7 +150,7 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareNeedsSchemes(t *testing.T) {
-	if _, err := Compare(smallCfg(), nil, []int64{1}); err == nil {
+	if _, err := Compare(experiments.Runner{}, smallCfg(), nil, []int64{1}); err == nil {
 		t.Error("no schemes accepted")
 	}
 }
@@ -158,7 +158,7 @@ func TestCompareNeedsSchemes(t *testing.T) {
 func TestCompareBadConfig(t *testing.T) {
 	cfg := smallCfg()
 	cfg.VCs = 0
-	if _, err := Compare(cfg, []sim.Scheme{{Kind: sim.Base}}, []int64{1}); err == nil {
+	if _, err := Compare(experiments.Runner{}, cfg, []sim.Scheme{{Kind: sim.Base}}, []int64{1}); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestCompareBadConfig(t *testing.T) {
 func TestCompareMatchesDirectRuns(t *testing.T) {
 	schemes := []sim.Scheme{{Kind: sim.Base}, {Kind: sim.SelfTuned}}
 	seeds := []int64{1, 2}
-	rows, err := CompareWith(experiments.Runner{Workers: 2}, smallCfg(), schemes, seeds)
+	rows, err := Compare(experiments.Runner{Workers: 2}, smallCfg(), schemes, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCompareMatchesDirectRuns(t *testing.T) {
 			t.Errorf("%s: compare row %+v, direct runs %+v", sch.Kind, rows[i].Rep, want)
 		}
 	}
-	rep, err := ReplicateWith(experiments.Runner{Workers: 2}, smallCfg(), []int64{1, 2})
+	rep, err := Replicate(experiments.Runner{Workers: 2}, smallCfg(), []int64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +222,10 @@ func TestCompareHonorsCanceledContext(t *testing.T) {
 	cancel()
 	store := &countingStore{}
 	run := experiments.Runner{Workers: 2, Ctx: ctx, Cache: store}
-	if _, err := CompareWith(run, smallCfg(), []sim.Scheme{{Kind: sim.Base}}, []int64{1, 2}); !errors.Is(err, context.Canceled) {
+	if _, err := Compare(run, smallCfg(), []sim.Scheme{{Kind: sim.Base}}, []int64{1, 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("compare: err = %v, want context.Canceled", err)
 	}
-	if _, err := ReplicateWith(run, smallCfg(), []int64{1, 2}); !errors.Is(err, context.Canceled) {
+	if _, err := Replicate(run, smallCfg(), []int64{1, 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("replicate: err = %v, want context.Canceled", err)
 	}
 	if n := store.gets.Load(); n != 0 {

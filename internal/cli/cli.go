@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -52,8 +53,6 @@ func Main(args []string) int {
 		err = cmdBursty(ctx, args[1:])
 	case "trace":
 		err = cmdTrace(ctx, args[1:])
-	case "table":
-		err = cmdTable(args[1:])
 	case "compare":
 		err = cmdCompare(ctx, args[1:])
 	case "list":
@@ -94,7 +93,6 @@ simulation:
   sweep   an injection-rate sweep for one scheme
   bursty  the paper's bursty workload
   trace   the self-tuner's threshold trajectory
-  table   the tuning decision table
   compare all congestion control schemes on one workload, multi-seed
 
 experiment registry:
@@ -274,7 +272,7 @@ func runSpecFile(ctx context.Context, path string, workers int, cacheDir string,
 	if err != nil {
 		return err
 	}
-	sub, err := ParseSubmission(data)
+	sub, err := experiments.ParseSubmission(data)
 	if err != nil {
 		return err
 	}
@@ -283,23 +281,19 @@ func runSpecFile(ctx context.Context, path string, workers int, cacheDir string,
 		return err
 	}
 	runner := experiments.Runner{Workers: workers, Cache: cache, Ctx: ctx}
-	if sub.Name != "" {
-		// Registry reference: run the entry itself so analytic entries
-		// (tab1, fig6) and figure-shaped reports work too.
-		e, _ := experiments.Lookup(sub.Name)
-		return e.Run(experiments.RunContext{Runner: runner, Scale: sub.Scale, Out: os.Stdout})
+	// -json replaces a grid's text report with its grouped results; a
+	// registry entry prints its report either way.
+	if !asJSON || sub.Name != "" {
+		_, err := sub.Run(runner, os.Stdout)
+		return err
 	}
-	grouped, err := runner.RunSpec(sub.Spec)
+	grouped, err := sub.Run(runner, io.Discard)
 	if err != nil {
 		return err
 	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(grouped)
-	}
-	experiments.PrintSpecResults(os.Stdout, sub.Spec, grouped)
-	return nil
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(grouped)
 }
 
 func printResult(r sim.Result) {
@@ -489,7 +483,7 @@ func cmdCompare(ctx context.Context, args []string) error {
 			{Kind: sim.StaticGlobal, StaticThreshold: cfg.Scheme.StaticThreshold},
 			{Kind: sim.SelfTuned},
 		}
-		rows, err := analysis.CompareWith(experiments.Runner{Workers: *workers, Ctx: ctx}, cfg, schemes, seeds)
+		rows, err := analysis.Compare(experiments.Runner{Workers: *workers, Ctx: ctx}, cfg, schemes, seeds)
 		if err != nil {
 			return err
 		}
@@ -503,13 +497,4 @@ func cmdCompare(ctx context.Context, args []string) error {
 		}
 		return nil
 	})
-}
-
-func cmdTable(args []string) error {
-	fs := flag.NewFlagSet("table", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	e, _ := experiments.Lookup("tab1")
-	return e.Run(experiments.RunContext{Out: os.Stdout})
 }

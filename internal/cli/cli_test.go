@@ -123,12 +123,6 @@ func TestCmdTrace(t *testing.T) {
 	}
 }
 
-func TestCmdTable(t *testing.T) {
-	if err := cmdTable(nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNetFlagsDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	build := netFlags(fs)

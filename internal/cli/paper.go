@@ -23,7 +23,7 @@ func PaperMain(args []string) int {
 		return 2
 	}
 
-	scale, err := parseScale(*scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stcc-paper: unknown -scale %q\n", *scaleName)
 		return 2

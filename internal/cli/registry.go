@@ -10,18 +10,6 @@ import (
 	"repro/internal/experiments"
 )
 
-// parseScale maps a -scale flag value to a run length.
-func parseScale(name string) (experiments.Scale, error) {
-	switch name {
-	case "quick":
-		return experiments.Quick, nil
-	case "paper":
-		return experiments.Paper, nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("unknown -scale %q (want quick or paper)", name)
-	}
-}
-
 // cmdList prints every registered experiment, sorted by name.
 func cmdList(args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
@@ -50,7 +38,7 @@ func cmdDescribe(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown experiment %q (see \"stcc list\")", name)
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -91,7 +79,7 @@ func cmdEmitSpec(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown experiment %q (see \"stcc list\")", name)
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}

@@ -19,18 +19,33 @@ const (
 
 func init() {
 	Register("aimd", func(env Env) (Controller, error) {
-		wmin, wmax := env.Params.WindowMin, env.Params.WindowMax
-		if wmin == 0 {
-			wmin = DefaultWindowMin
-		}
-		if wmax == 0 {
-			wmax = DefaultWindowMax
-		}
-		if wmin < 1 || wmax < wmin {
-			return nil, fmt.Errorf("congestion: aimd window bounds [%d, %d] invalid", wmin, wmax)
+		wmin, wmax, err := AIMDWindow(env.Params.WindowMin, env.Params.WindowMax)
+		if err != nil {
+			return nil, err
 		}
 		return NewAIMD(env.Global.Nodes(), wmin, wmax), nil
 	})
+}
+
+// AIMDWindow resolves a configured AIMD window, in packets: a zero
+// bound selects DefaultWindowMin or DefaultWindowMax. The resolved
+// window must satisfy 1 <= min <= max. The aimd factory and the
+// simulator's config validation both resolve windows through here.
+func AIMDWindow(wmin, wmax int) (int, int, error) {
+	if wmin == 0 {
+		wmin = DefaultWindowMin
+	}
+	if wmax == 0 {
+		wmax = DefaultWindowMax
+	}
+	if wmin < 1 {
+		return 0, 0, fmt.Errorf("congestion: aimd window min %d below 1", wmin)
+	}
+	if wmax < wmin {
+		return 0, 0, fmt.Errorf("congestion: aimd window max %d below min %d (unset bounds are %d and %d)",
+			wmax, wmin, DefaultWindowMin, DefaultWindowMax)
+	}
+	return wmin, wmax, nil
 }
 
 // AIMD is the window-based controller of Jain, Ramakrishnan & Chiu

@@ -42,6 +42,18 @@ var (
 	Paper = Scale{Warmup: 100_000, Measure: 500_000, BurstLow: 50_000, BurstHigh: 75_000}
 )
 
+// ParseScale maps a scale name, "quick" or "paper", to its run length.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "paper":
+		return Paper, nil
+	default:
+		return Scale{}, fmt.Errorf("unknown -scale %q (want quick or paper)", name)
+	}
+}
+
 // defaultRates is the packet-injection-rate sweep of the rate-axis
 // figures (packets/node/cycle). The knee of the paper's 16-ary 2-cube
 // sits near 0.02-0.025.

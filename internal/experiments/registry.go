@@ -58,8 +58,8 @@ type Entry struct {
 
 // Run executes the experiment: it builds the grid at ctx.Scale, runs it
 // once on ctx.Runner and reports the results. Every caller that runs a
-// registry entry — stcc-paper, "stcc run -spec", "stcc table" and the
-// stcc-serve job manager — goes through here.
+// registry entry — stcc-paper and Submission.Run, which serves
+// "stcc run -spec" and the stcc-serve job manager — goes through here.
 func (e Entry) Run(ctx RunContext) error {
 	spec := e.Spec(ctx.Scale)
 	grouped, err := ctx.Runner.RunSpec(spec)

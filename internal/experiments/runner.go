@@ -26,15 +26,10 @@ type Runner struct {
 	// result. The engine is deterministic, so a hit is bit-identical to
 	// re-running; configurations with no fingerprint (live schedules,
 	// custom throttlers) always run. Any resultcache.Store backend works:
-	// the on-disk fsstore or the in-process memstore.
+	// the on-disk fsstore or the in-process memstore. Runners that miss
+	// on one fingerprint at the same time each simulate it; they Put
+	// identical bytes, so the store keeps one entry.
 	Cache resultcache.Store
-	// Flight, when non-nil, deduplicates concurrent executions of the
-	// same configuration fingerprint across every runner sharing the
-	// Flight: followers wait for the leader's result instead of
-	// re-simulating. The stcc-serve job manager shares one Flight across
-	// all jobs so identical submissions racing past the result cache
-	// still run once.
-	Flight *Flight
 	// Ctx, when non-nil, cancels grid execution: no new points are
 	// dispatched after cancellation and in-flight simulations stop
 	// between cycles, so the grid returns ctx's error promptly instead
@@ -59,9 +54,6 @@ type PointEvent struct {
 	Label string `json:"label,omitempty"`
 	// CacheHit reports that the result came from the result cache.
 	CacheHit bool `json:"cacheHit"`
-	// Shared reports that the result was adopted from a concurrent
-	// in-flight execution of the same fingerprint (singleflight).
-	Shared bool `json:"shared"`
 }
 
 // ctx resolves the runner's base context.
@@ -214,45 +206,31 @@ func (r Runner) runGrid(cfgs []sim.Config, label func(i int) string, wrapErr fun
 	return out, nil
 }
 
-// runPoint runs one configuration through the in-flight dedup layer
-// and the result cache when they are attached, and otherwise simulates
-// it in this process. Unserializable configurations (no fingerprint)
-// bypass both; a cache read or write failure is a real error so full
-// disks surface instead of silently degrading (corrupt entries are
-// quarantined by the cache itself and re-run as misses).
+// runPoint runs one configuration through the result cache when one is
+// attached, and otherwise simulates it in this process. Unserializable
+// configurations (no fingerprint) bypass the cache; a cache read or
+// write failure is a real error so full disks surface instead of
+// silently degrading (corrupt entries are quarantined by the cache
+// itself and re-run as misses).
 func (r Runner) runPoint(ctx context.Context, cfg sim.Config) (sim.Result, PointEvent, error) {
-	if r.Cache == nil && r.Flight == nil {
+	var fp string
+	var err error
+	if r.Cache != nil {
+		fp, err = cfg.Fingerprint()
+	}
+	if r.Cache == nil || err != nil {
 		res, err := sim.RunContext(ctx, cfg)
 		return res, PointEvent{}, err
 	}
-	fp, err := cfg.Fingerprint()
-	if err != nil {
-		res, err := sim.RunContext(ctx, cfg) // in-process-only config: always run
-		return res, PointEvent{}, err
-	}
-	exec := func() (sim.Result, bool, error) {
-		if r.Cache != nil {
-			if res, ok, err := r.Cache.Get(fp); err != nil {
-				return sim.Result{}, false, err
-			} else if ok {
-				return res, true, nil
-			}
-		}
-		res, err := sim.RunContext(ctx, cfg)
-		if err != nil {
-			return sim.Result{}, false, err
-		}
-		if r.Cache != nil {
-			if err := r.Cache.Put(fp, res); err != nil {
-				return sim.Result{}, false, err
-			}
-		}
-		return res, false, nil
-	}
-	if r.Flight == nil {
-		res, hit, err := exec()
+	if res, hit, err := r.Cache.Get(fp); err != nil || hit {
 		return res, PointEvent{CacheHit: hit}, err
 	}
-	res, hit, shared, err := r.Flight.do(ctx, fp, exec)
-	return res, PointEvent{CacheHit: hit, Shared: shared}, err
+	res, err := sim.RunContext(ctx, cfg)
+	if err != nil {
+		return sim.Result{}, PointEvent{}, err
+	}
+	if err := r.Cache.Put(fp, res); err != nil {
+		return sim.Result{}, PointEvent{}, err
+	}
+	return res, PointEvent{}, nil
 }

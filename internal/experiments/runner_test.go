@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -142,6 +146,100 @@ func TestRunnerDeterminism(t *testing.T) {
 		}
 		if serialReport != wideReport {
 			t.Errorf("%s: workers=1 and workers=8 reports differ:\n%s\n%s", tc.name, serialReport, wideReport)
+		}
+	}
+}
+
+// fastConfig is a sub-second serializable configuration.
+func fastConfig(seed int64) sim.Config {
+	cfg := sim.NewConfig()
+	cfg.K = 4
+	cfg.WarmupCycles = 100
+	cfg.MeasureCycles = 400
+	cfg.Rate = 0.005
+	cfg.Seed = seed
+	return cfg
+}
+
+// slowConfig runs long enough that a test can cancel it mid-flight; the
+// engine polls its context between cycles, so the run still unwinds in
+// well under a second.
+func slowConfig() sim.Config {
+	cfg := fastConfig(1)
+	cfg.MeasureCycles = 200_000_000
+	return cfg
+}
+
+// A runner whose context is already canceled runs nothing, on both the
+// serial and the parallel path.
+func TestRunnerPreCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		ran := false
+		err := Runner{Workers: workers, Ctx: ctx}.ForEach(8, func(i int) error {
+			ran = true
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if ran {
+			t.Errorf("Workers=%d: fn ran under a canceled context", workers)
+		}
+	}
+}
+
+// Canceling the runner's context mid-grid aborts the in-flight
+// simulation between cycles and surfaces the cancellation.
+func TestRunnerCancelMidSimulation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	spec := NewSpec("cancel-test", "")
+	spec.AddGroup("", Point{Label: "slow", Config: slowConfig()})
+
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err := Runner{Workers: 1, Ctx: ctx}.RunSpec(spec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSpec err = %v, want context.Canceled", err)
+	}
+	// The slow configuration takes minutes to finish; unwinding fast
+	// proves the engine polled the context instead of running to
+	// completion.
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("cancellation took %s, want prompt unwind", elapsed)
+	}
+}
+
+// OnPoint observes every completed point with its label, index, and
+// cache provenance.
+func TestRunnerOnPointEvents(t *testing.T) {
+	spec := NewSpec("events-test", "")
+	spec.AddGroup("g", Point{Label: "a", Config: fastConfig(1)}, Point{Label: "b", Config: fastConfig(2)})
+
+	var mu sync.Mutex
+	byLabel := make(map[string]PointEvent)
+	_, err := Runner{Workers: 2, OnPoint: func(ev PointEvent) {
+		mu.Lock()
+		byLabel[ev.Label] = ev
+		mu.Unlock()
+	}}.RunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(byLabel) != 2 {
+		t.Fatalf("observed %d events, want 2: %v", len(byLabel), byLabel)
+	}
+	for i, label := range []string{"a", "b"} {
+		ev, ok := byLabel[label]
+		if !ok {
+			t.Fatalf("no event for label %q", label)
+		}
+		if ev.Index != i || ev.Total != 2 || ev.CacheHit {
+			t.Errorf("event %q = %+v, want index %d of 2, fresh run", label, ev, i)
 		}
 	}
 }

@@ -19,9 +19,9 @@ import (
 // configs that between them put every enum name on the wire together
 // with a tuner override, the bursty schedule and the shard fields (key
 // "config/<name>", plus "fingerprint/<name>" for the content address).
-// The fingerprints that key the result cache and peer dispatch are
-// hashes of these bytes, so a codec change that moves them must show up
-// here, even when it round-trips consistently.
+// The fingerprints that key the result cache are hashes of these
+// bytes, so a codec change that moves them must show up here, even when
+// it round-trips consistently.
 var wireGoldens = map[string]string{
 	"config/default":      "1a30a0b6dff12f52ac2ad4bb3c6cff9ff2b90ee5a5d850567ad34266c010dd12",
 	"config/enums-a":      "29d71efa9fcf0da247c96e196b84fb992c1ddb85f20837c3c1bc3353d5af5ab7",

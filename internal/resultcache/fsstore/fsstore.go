@@ -9,8 +9,8 @@
 // deterministic), so last-rename-wins is harmless. The store is
 // therefore safe for any mix of concurrent readers and writers —
 // goroutines of one process or separate processes sharing the directory
-// — which is what the stcc-serve job manager relies on when jobs race
-// past its in-flight dedup layer.
+// — which is what the stcc-serve job manager relies on when concurrent
+// jobs miss on one fingerprint and each file it.
 //
 // An entry that fails to parse (a partial file from a kill -9 on a
 // filesystem without atomic rename, or external corruption) is

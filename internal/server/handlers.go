@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/version"
 )
@@ -29,7 +28,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetricsProm)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 }
 
 // writeJSON renders one response body. Encoding a value we constructed
@@ -73,7 +71,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"submission exceeds %d bytes", maxSubmissionBytes)
 		return
 	}
-	sub, err := cli.ParseSubmission(body)
+	sub, err := experiments.ParseSubmission(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

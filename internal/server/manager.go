@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
@@ -53,8 +52,7 @@ type Event struct {
 	// Error carries the failure (failed events).
 	Error string `json:"error,omitempty"`
 	// CacheHit on a terminal done event reports that no fresh
-	// simulation ran: every point came from the result cache or an
-	// in-flight twin.
+	// simulation ran: every point came from the result cache.
 	CacheHit bool `json:"cacheHit,omitempty"`
 }
 
@@ -84,14 +82,12 @@ type JobStatus struct {
 	Scale string `json:"scale,omitempty"`
 	// Fingerprint is the submitted grid's content address (empty when
 	// the grid has no serializable form).
-	Fingerprint  string `json:"fingerprint,omitempty"`
-	Points       int    `json:"points"`
-	PointsDone   int    `json:"points_done"`
-	CacheHits    int    `json:"cache_hits"`
-	SharedPoints int    `json:"shared_points"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Points      int    `json:"points"`
+	PointsDone  int    `json:"points_done"`
+	CacheHits   int    `json:"cache_hits"`
 	// CacheHit reports that the finished job ran zero fresh
-	// simulations: every point was served by the result cache or
-	// adopted from a concurrent in-flight run.
+	// simulations: every point was served by the result cache.
 	CacheHit bool            `json:"cacheHit"`
 	Error    string          `json:"error,omitempty"`
 	Result   json.RawMessage `json:"result,omitempty"`
@@ -101,7 +97,7 @@ type JobStatus struct {
 // guarded by mu; the submission fields are immutable after Submit.
 type Job struct {
 	id     string
-	sub    *cli.Submission
+	sub    *experiments.Submission
 	name   string
 	fp     string
 	points int
@@ -112,8 +108,6 @@ type Job struct {
 	cancel    context.CancelFunc // set while running
 	done      int
 	cacheHits int
-	shared    int
-	fresh     int // points simulated by this job: neither cached nor shared
 	err       error
 	result    json.RawMessage
 	events    []Event
@@ -149,14 +143,6 @@ func (j *Job) recordPoint(ev experiments.PointEvent) {
 	if ev.CacheHit {
 		j.cacheHits++
 	}
-	if ev.Shared {
-		j.shared++
-	}
-	// A follower adopting a leader's cache hit carries both flags, so
-	// only a point with neither was simulated for this job.
-	if !ev.CacheHit && !ev.Shared {
-		j.fresh++
-	}
 	j.appendEventLocked(Event{Type: "point", Point: &ev, PointsDone: j.done})
 }
 
@@ -165,17 +151,16 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:           j.id,
-		State:        j.state,
-		Name:         j.name,
-		Scale:        j.sub.ScaleName,
-		Fingerprint:  j.fp,
-		Points:       j.points,
-		PointsDone:   j.done,
-		CacheHits:    j.cacheHits,
-		SharedPoints: j.shared,
-		CacheHit:     j.state == StateDone && j.fresh == 0,
-		Result:       j.result,
+		ID:          j.id,
+		State:       j.state,
+		Name:        j.name,
+		Scale:       j.sub.ScaleName,
+		Fingerprint: j.fp,
+		Points:      j.points,
+		PointsDone:  j.done,
+		CacheHits:   j.cacheHits,
+		CacheHit:    j.state == StateDone && j.cacheHits == j.done,
+		Result:      j.result,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -183,12 +168,10 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Manager owns the bounded queue, the job workers, and the in-flight
-// dedup layer every job's runner shares.
+// Manager owns the bounded queue and the job workers.
 type Manager struct {
-	cfg    Config
-	flight *experiments.Flight
-	met    *metrics
+	cfg Config
+	met *metrics
 
 	baseCtx    context.Context // canceled to abort all running jobs
 	baseCancel context.CancelFunc
@@ -213,7 +196,6 @@ func newManager(cfg Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:        cfg,
-		flight:     experiments.NewFlight(),
 		met:        newMetrics(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -239,10 +221,11 @@ func (m *Manager) logf(format string, args ...any) {
 }
 
 // Submit parses nothing: it takes an already-parsed submission (the
-// handlers run cli.ParseSubmission), registers a job, and enqueues it.
+// handlers run experiments.ParseSubmission), registers a job, and
+// enqueues it.
 // A full queue rejects with ErrQueueFull rather than blocking the
 // caller — backpressure belongs at the edge.
-func (m *Manager) Submit(sub *cli.Submission) (*Job, error) {
+func (m *Manager) Submit(sub *experiments.Submission) (*Job, error) {
 	name := sub.Name
 	if name == "" {
 		name = sub.Spec.Name
@@ -357,7 +340,6 @@ func (m *Manager) runJob(j *Job) {
 	runner := experiments.Runner{
 		Workers: m.cfg.PointWorkers,
 		Cache:   m.cfg.Cache,
-		Flight:  m.flight,
 		Ctx:     ctx,
 		OnPoint: func(ev experiments.PointEvent) {
 			j.recordPoint(ev)
@@ -365,28 +347,11 @@ func (m *Manager) runJob(j *Job) {
 		},
 	}
 
-	var payload JobResult
-	var err error
-	if j.sub.Name != "" {
-		// Registry reference: the entry runs the job's grid and renders
-		// the same report stcc-paper prints (analytic entries run no
-		// simulations at all).
-		e, ok := experiments.Lookup(j.sub.Name)
-		if !ok {
-			err = fmt.Errorf("unknown experiment %q", j.sub.Name)
-		} else {
-			var buf bytes.Buffer
-			err = e.Run(experiments.RunContext{Runner: runner, Scale: j.sub.Scale, Out: &buf})
-			payload = JobResult{Experiment: j.sub.Name, Report: buf.String()}
-		}
-	} else {
-		var grouped [][]sim.Result
-		grouped, err = runner.RunSpec(j.sub.Spec)
-		if err == nil {
-			var buf bytes.Buffer
-			experiments.PrintSpecResults(&buf, j.sub.Spec, grouped)
-			payload = JobResult{Spec: j.sub.Spec.Name, Report: buf.String(), Groups: grouped}
-		}
+	var buf bytes.Buffer
+	grouped, err := j.sub.Run(runner, &buf)
+	payload := JobResult{Experiment: j.sub.Name, Report: buf.String(), Groups: grouped}
+	if j.sub.Name == "" {
+		payload.Spec = j.sub.Spec.Name
 	}
 	m.met.running.Add(-1)
 	m.finish(j, payload, err)
@@ -411,7 +376,7 @@ func (m *Manager) finish(j *Job, payload JobResult, err error) {
 		j.appendEventLocked(Event{
 			Type:       StateDone,
 			PointsDone: j.done,
-			CacheHit:   j.fresh == 0,
+			CacheHit:   j.cacheHits == j.done,
 		})
 		m.met.done.Add(1)
 	case errors.Is(err, context.Canceled) || j.canceled:

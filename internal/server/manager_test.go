@@ -3,26 +3,23 @@ package server
 import (
 	"testing"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
 )
 
-// A point a Flight follower adopts from its leader's cache hit arrives
-// with both CacheHit and Shared set. It must count as one served point,
-// not two, so a job made only of such points still reports cacheHit.
+// A job reports cacheHit, in its status and its done event, exactly
+// when every point it completed came from the result cache.
 func TestRecordPointCacheHitShared(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		events []experiments.PointEvent
 		want   bool
 	}{
-		{"adopted cache hits", []experiments.PointEvent{{CacheHit: true, Shared: true}, {CacheHit: true}}, true},
-		{"shared only", []experiments.PointEvent{{Shared: true}}, true},
-		{"one fresh point", []experiments.PointEvent{{CacheHit: true, Shared: true}, {}}, false},
+		{"all cache hits", []experiments.PointEvent{{CacheHit: true}, {CacheHit: true}}, true},
+		{"one fresh point", []experiments.PointEvent{{CacheHit: true}, {}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newManager(Config{JobWorkers: -1})
-			j := &Job{sub: &cli.Submission{}, state: StateRunning, notify: make(chan struct{})}
+			j := &Job{sub: &experiments.Submission{}, state: StateRunning, notify: make(chan struct{})}
 			for _, ev := range tc.events {
 				j.recordPoint(ev)
 			}

@@ -6,14 +6,11 @@
 // config, poll or stream its progress, and read back results that are
 // bit-identical to a local CLI run.
 //
-// Work is deduplicated through two layers. Completed points hit the
-// content-addressed result cache (resultcache): the engine is
-// deterministic, so a hit is byte-for-byte the result a fresh run would
-// produce. Concurrent identical work that races past the cache is
-// collapsed by an in-flight singleflight keyed on each configuration's
-// fingerprint (experiments.Flight), shared across every job: two
-// clients submitting the same grid at the same time cost one
-// simulation.
+// Work is deduplicated once, by the content-addressed result cache
+// (resultcache): the engine is deterministic, so a hit is byte-for-byte
+// the result a fresh run would produce. Two clients that submit the
+// same uncached grid at the same moment each simulate it; their results
+// are byte-identical and the store keeps one entry.
 //
 // The API surface:
 //
@@ -27,11 +24,12 @@
 //	GET    /v1/version          build provenance (debug.ReadBuildInfo)
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text exposition
-//	GET    /metrics.json        the same counters as JSON
 //
-// Every point a job needs runs in this process. The result store is
-// never written over HTTP: only the daemon's own runs are filed in it,
-// so a stored result is always one this engine produced.
+// Submissions are parsed and run by experiments.Submission, the same
+// path "stcc run -spec" takes. Every point a job needs runs in this
+// process. The result store is never written over HTTP: only the
+// daemon's own runs are filed in it, so a stored result is always one
+// this engine produced.
 //
 // Submissions past the queue's capacity are rejected with 429 so load
 // sheds at the edge instead of growing an unbounded backlog, and

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
+	"repro/internal/resultcache"
 	"repro/internal/resultcache/fsstore"
 	"repro/internal/resultcache/memstore"
 	"repro/internal/server"
@@ -140,7 +142,7 @@ func TestEndpointsTable(t *testing.T) {
 		{"version", "GET", "/v1/version", "", http.StatusOK, `"go_version"`},
 		{"metrics prom", "GET", "/metrics", "", http.StatusOK, "stcc_queue_depth"},
 		{"metrics prom help", "GET", "/metrics", "", http.StatusOK, "# TYPE stcc_jobs_submitted_total counter"},
-		{"metrics json", "GET", "/metrics.json", "", http.StatusOK, `"queue_depth"`},
+		{"metrics json", "GET", "/metrics.json", "", http.StatusNotFound, ""},
 		{"cache stats without store", "GET", "/v1/cache", "", http.StatusNotFound, "no result store"},
 		{"cache get bad fingerprint", "GET", "/v1/cache/nothex", "", http.StatusNotFound, "not found"},
 		{"cache put without store", "PUT", "/v1/cache/" + strings.Repeat("ab", 32), "{}", http.StatusNotFound, "not found"},
@@ -155,6 +157,7 @@ func TestEndpointsTable(t *testing.T) {
 		{"submit unknown experiment", "POST", "/v1/jobs", `{"name":"fig99"}`, http.StatusBadRequest, "unknown experiment"},
 		{"submit unknown scale", "POST", "/v1/jobs", `{"name":"fig4","scale":"huge"}`, http.StatusBadRequest, "scale"},
 		{"submit unknown spec field", "POST", "/v1/jobs", `{"groups":[],"version":1,"name":"x","zzz":3}`, http.StatusBadRequest, "unknown field"},
+		{"submit aimd window min above default max", "POST", "/v1/jobs", `{"version":1,"k":4,"n":2,"vcs":3,"buf_depth":8,"packet_length":16,"mode":"recovery","deadlock_timeout":160,"sideband_hop_delay":2,"sideband_mechanism":"sideband","selection":"rotate","switching":"wormhole","pattern":"random","rate":0.005,"scheme":{"kind":"aimd","window_min":100},"warmup_cycles":100,"measure_cycles":400,"seed":1}`, http.StatusBadRequest, "window"},
 		{"wrong method on jobs id", "POST", "/v1/jobs/job-000001", "", http.StatusMethodNotAllowed, ""},
 	}
 	for _, tc := range cases {
@@ -305,7 +308,7 @@ func TestSubmitTab1AndStreamEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// tab1 is the analytic tuning decision table; its report is the
-	// same text "stcc table" prints.
+	// same text "stcc-paper -exp tab1" prints.
 	if !strings.Contains(res.Report, "throttling") {
 		t.Errorf("tab1 report %q does not look like the decision table", res.Report)
 	}
@@ -329,7 +332,7 @@ func TestRegistryJobPointEventsCoverGrid(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{})
 	e, _ := experiments.Lookup("fig3")
 	scale := experiments.Scale{Warmup: 50, Measure: 100}
-	job, err := s.Manager().Submit(&cli.Submission{Name: "fig3", ScaleName: "tiny", Scale: scale, Spec: e.Spec(scale)})
+	job, err := s.Manager().Submit(&experiments.Submission{Name: "fig3", ScaleName: "tiny", Scale: scale, Spec: e.Spec(scale)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,15 +453,35 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalJobsShareWork submits the same config to two
-// jobs with no result cache: singleflight should let one simulate and
-// the other adopt, with the shared point visible in the counters.
-func TestConcurrentIdenticalJobsShareWork(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{JobWorkers: 2})
+// rendezvousStore returns no Get until every expected caller has
+// looked its fingerprint up, so jobs that look up one fingerprint all
+// miss before any of them files its result.
+type rendezvousStore struct {
+	resultcache.Store
+	arrived sync.WaitGroup
+}
 
-	cfg := tinyConfig(9)
-	cfg.MeasureCycles = 400_000 // long enough for the jobs to overlap
-	body, err := json.Marshal(cfg)
+func (s *rendezvousStore) Get(fp string) (sim.Result, bool, error) {
+	res, hit, err := s.Store.Get(fp)
+	s.arrived.Done()
+	s.arrived.Wait()
+	return res, hit, err
+}
+
+// TestConcurrentIdenticalJobsShareStore runs two identical jobs that
+// miss the shared result store at the same moment: each simulates the
+// point and files it. Both must finish with byte-identical results, and
+// the two Puts of one fingerprint must leave a single entry.
+func TestConcurrentIdenticalJobsShareStore(t *testing.T) {
+	fs, err := fsstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &rendezvousStore{Store: fs}
+	store.arrived.Add(2)
+	_, ts := newTestServer(t, server.Config{Cache: store, JobWorkers: 2})
+
+	body, err := json.Marshal(tinyConfig(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,19 +489,17 @@ func TestConcurrentIdenticalJobsShareWork(t *testing.T) {
 	id2 := submit(t, ts, body)
 	st1 := waitTerminal(t, ts, id1)
 	st2 := waitTerminal(t, ts, id2)
-	if st1.State != server.StateDone || st2.State != server.StateDone {
-		t.Fatalf("states = %q, %q, want done", st1.State, st2.State)
+	for _, st := range []server.JobStatus{st1, st2} {
+		if st.State != server.StateDone || st.CacheHits != 0 || st.CacheHit {
+			t.Fatalf("job %s: state %q (error %q), cache_hits %d, cacheHit %v; want done and simulated",
+				st.ID, st.State, st.Error, st.CacheHits, st.CacheHit)
+		}
 	}
 	if !bytes.Equal(st1.Result, st2.Result) {
 		t.Errorf("identical submissions returned different results:\n%s\n%s", st1.Result, st2.Result)
 	}
-	// Overlap is likely but not guaranteed (the first job can finish
-	// before the second dequeues); when it happens, exactly one job
-	// reports its point shared.
-	if shared := st1.SharedPoints + st2.SharedPoints; shared > 1 {
-		t.Errorf("shared points = %d, want at most 1", shared)
-	} else {
-		t.Logf("shared points: %d (0 means the jobs did not overlap)", shared)
+	if n := cacheEntries(t, ts); n != 1 {
+		t.Errorf("store entries after two identical jobs = %d, want 1", n)
 	}
 }
 
@@ -511,7 +532,8 @@ func TestJobsListOrdered(t *testing.T) {
 	}
 }
 
-// TestMetricsCounters checks the counter roll-up after a mixed workload.
+// TestMetricsCounters checks the counter roll-up on the /metrics page
+// after a mixed workload.
 func TestMetricsCounters(t *testing.T) {
 	cache, err := fsstore.New(t.TempDir())
 	if err != nil {
@@ -522,46 +544,55 @@ func TestMetricsCounters(t *testing.T) {
 	waitTerminal(t, ts, submit(t, ts, body))
 	waitTerminal(t, ts, submit(t, ts, body))
 
-	resp, err := http.Get(ts.URL + "/metrics.json")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m server.Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("/metrics Content-Type = %q, want text exposition", ct)
 	}
-	if m.JobsSubmitted != 2 || m.JobsDone != 2 || m.JobsRunning != 0 {
-		t.Errorf("job counters = %+v, want 2 submitted, 2 done, 0 running", m)
-	}
-	if m.Points != 4 || m.Simulated != 2 || m.CacheHits != 2 {
-		t.Errorf("point counters = %+v, want 4 points = 2 simulated + 2 cache hits", m)
-	}
-	if m.UptimeSeconds <= 0 || m.PointsPerSec <= 0 {
-		t.Errorf("rates = %+v, want positive uptime and points/sec", m)
-	}
-
-	// The Prometheus page carries the same numbers under stcc_ names.
-	presp, err := http.Get(ts.URL + "/metrics")
+	page, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer presp.Body.Close()
-	if ct := presp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("/metrics Content-Type = %q, want text exposition", ct)
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(page), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		samples[name] = v
 	}
-	page, _ := io.ReadAll(presp.Body)
+	for name, want := range map[string]float64{
+		"stcc_jobs_submitted_total":    2,
+		"stcc_jobs_done_total":         2,
+		"stcc_jobs_running":            0,
+		"stcc_points_total":            4,
+		"stcc_points_simulated_total":  2,
+		"stcc_points_cache_hits_total": 2,
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	if up := samples["stcc_uptime_seconds"]; up <= 0 {
+		t.Errorf("stcc_uptime_seconds = %v, want positive", up)
+	}
 	for _, want := range []string{
 		"# HELP stcc_points_total",
 		"# TYPE stcc_points_total counter",
-		"stcc_points_total 4",
-		"stcc_points_cache_hits_total 2",
-		"stcc_points_simulated_total 2",
-		"stcc_jobs_done_total 2",
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("/metrics page missing %q:\n%s", want, page)
 		}
+	}
+	if strings.Contains(string(page), "stcc_points_shared_total") {
+		t.Errorf("/metrics still exposes the shared-point counter:\n%s", page)
 	}
 }
 

@@ -270,7 +270,9 @@ func (c Config) GatherDuration() int64 {
 	return sideband.Config{K: c.K, N: c.N, HopDelay: c.SidebandHopDelay}.GatherDuration()
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. It applies the rules New applies
+// when it builds the controller and compiles the workload, so a config
+// that validates also builds.
 func (c Config) Validate() error {
 	topo, err := c.Topology()
 	if err != nil {
@@ -292,7 +294,9 @@ func (c Config) Validate() error {
 	switch {
 	case c.Schedule != nil:
 	case c.ScheduleSpec != nil:
-		if err := c.ScheduleSpec.Validate(); err != nil {
+		// Compiled, not only checked by name: a pattern may reject
+		// this network's node count.
+		if _, err := c.ScheduleSpec.Build(topo.Nodes()); err != nil {
 			return err
 		}
 	default:
@@ -339,13 +343,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: static scheme needs a positive threshold")
 		}
 	}
-	if wmin, wmax := c.Scheme.WindowMin, c.Scheme.WindowMax; wmin < 0 || wmax < 0 {
-		return fmt.Errorf("sim: negative AIMD window bound (min %d, max %d)", wmin, wmax)
-	} else if wmin != 0 && wmax != 0 && wmax < wmin {
-		return fmt.Errorf("sim: AIMD window max %d below min %d", wmax, wmin)
-	}
-	if mt := c.Scheme.MarkThreshold; mt < 0 || mt > 1 {
-		return fmt.Errorf("sim: mark threshold %g out of [0,1]", mt)
+	// Unset AIMD bounds resolve to the defaults, which always pass.
+	if wmin, wmax := c.Scheme.WindowMin, c.Scheme.WindowMax; wmin != 0 || wmax != 0 {
+		if _, _, err := congestion.AIMDWindow(wmin, wmax); err != nil {
+			return err
+		}
 	}
 	if c.Scheme.Staleness < 0 {
 		return fmt.Errorf("sim: negative notification staleness %d", c.Scheme.Staleness)
@@ -362,24 +364,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: negative static threshold %g", c.Scheme.StaticThreshold)
 	}
 	if tc := c.Scheme.Tuner; tc != nil {
-		if tc.TotalBuffers <= 0 {
-			return fmt.Errorf("sim: tuner config needs positive TotalBuffers, got %d", tc.TotalBuffers)
-		}
-		if tc.InitialFraction < 0 || tc.InitialFraction > 1 {
-			return fmt.Errorf("sim: tuner initial fraction %g out of [0,1]", tc.InitialFraction)
-		}
-		if tc.IncrementFraction <= 0 || tc.DecrementFraction <= 0 {
-			return fmt.Errorf("sim: tuner steps must be positive (inc %g, dec %g)",
-				tc.IncrementFraction, tc.DecrementFraction)
-		}
-		if tc.DropFraction <= 0 || tc.DropFraction >= 1 {
-			return fmt.Errorf("sim: tuner drop fraction %g out of (0,1)", tc.DropFraction)
-		}
-		if tc.RecoverFraction <= 0 || tc.RecoverFraction >= 1 {
-			return fmt.Errorf("sim: tuner recover fraction %g out of (0,1)", tc.RecoverFraction)
-		}
-		if tc.ResetPeriods < 1 {
-			return fmt.Errorf("sim: tuner reset periods must be >= 1, got %d", tc.ResetPeriods)
+		if err := tc.Validate(); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/router"
+	"repro/internal/traffic"
 )
 
 // Harness bounds: inputs beyond them still go through parse, Validate
@@ -18,8 +20,9 @@ const (
 
 // FuzzConfigJSON feeds arbitrary bytes to the Config wire form. Any
 // input that parses and validates must run a positive number of
-// cycles, marshal, re-parse and keep its fingerprint, and sim.New must
-// build it without panicking.
+// cycles, marshal, re-parse and keep its fingerprint, and, within the
+// harness bounds, sim.New must build it: Validate rejects everything
+// New would.
 func FuzzConfigJSON(f *testing.F) {
 	cube := NewConfig()
 	cube.K, cube.N = 8, 3
@@ -28,7 +31,19 @@ func FuzzConfigJSON(f *testing.F) {
 	sharded := NewConfig()
 	sharded.ShardWorkers = 8
 	sharded.ShardDispatch = router.DispatchSharded
-	for _, c := range []Config{NewConfig(), cube, sharded} {
+	// Seeds that set the parameters New resolves beyond Validate's
+	// field checks: an AIMD window, a tuner override, and a schedule
+	// whose patterns depend on the node count.
+	aimd := NewConfig()
+	aimd.K = 4
+	aimd.Scheme = Scheme{Kind: AIMD, WindowMin: 2, WindowMax: 32}
+	tuned := NewConfig()
+	tuner := core.DefaultTunerConfig(tuned.TotalBuffers())
+	tuned.Scheme = Scheme{Kind: SelfTuned, Tuner: &tuner}
+	bursty := NewConfig()
+	bursty.K = 4
+	bursty.ScheduleSpec = traffic.PaperBurstySpec(traffic.PaperBurstyOptions{})
+	for _, c := range []Config{NewConfig(), cube, sharded, aimd, tuned, bursty} {
 		data, err := json.Marshal(c)
 		if err != nil {
 			f.Fatal(err)

@@ -89,27 +89,27 @@ func TestValidateRejections(t *testing.T) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.InitialFraction = 1.5
 			c.Scheme.Tuner = &tc
-		}, "initial fraction"},
+		}, "InitialFraction"},
 		{"tuner-zero-steps", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.IncrementFraction = 0
 			c.Scheme.Tuner = &tc
-		}, "steps"},
+		}, "IncrementFraction"},
 		{"tuner-bad-drop", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.DropFraction = 1
 			c.Scheme.Tuner = &tc
-		}, "drop fraction"},
+		}, "DropFraction"},
 		{"tuner-bad-recover", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.RecoverFraction = 0
 			c.Scheme.Tuner = &tc
-		}, "recover fraction"},
+		}, "RecoverFraction"},
 		{"tuner-zero-reset-periods", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.ResetPeriods = 0
 			c.Scheme.Tuner = &tc
-		}, "reset periods"},
+		}, "ResetPeriods"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,6 +121,50 @@ func TestValidateRejections(t *testing.T) {
 			}
 			if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(tc.wantErr)) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestValidateAgreesWithNew requires Validate to reject every config
+// New rejects. Each of these once passed Validate, and so a spec check
+// and a 202 from stcc-serve, and failed only when New built the
+// controller or compiled the workload.
+func TestValidateAgreesWithNew(t *testing.T) {
+	tuner := func(mut func(*core.TunerConfig)) *core.TunerConfig {
+		tc := core.DefaultTunerConfig(3072)
+		mut(&tc)
+		return &tc
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"tuner-zero-initial-fraction", func(c *Config) {
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: tuner(func(tc *core.TunerConfig) { tc.InitialFraction = 0 })}
+		}},
+		{"tuner-increment-above-one", func(c *Config) {
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: tuner(func(tc *core.TunerConfig) { tc.IncrementFraction = 1.5 })}
+		}},
+		{"aimd-window-min-above-default-max", func(c *Config) {
+			c.Scheme = Scheme{Kind: AIMD, WindowMin: 100}
+		}},
+		{"bitreversal-schedule-on-3-ary-2-cube", func(c *Config) {
+			c.K = 3
+			c.ScheduleSpec = traffic.SteadySpec(traffic.BitReversal,
+				traffic.ProcessSpec{Kind: traffic.BernoulliProcess, P: 0.01})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := NewConfig()
+			tc.mut(&cfg)
+			e, newErr := New(cfg)
+			if newErr == nil {
+				e.Close()
+				t.Fatal("New accepted the config")
+			}
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("Validate accepted a config New rejects with %q", newErr)
 			}
 		})
 	}

@@ -55,14 +55,20 @@ if [ "$STATE" != "done" ]; then
 fi
 echo "job: done"
 
-curl -fsS "$BASE/metrics.json" >"$WORKDIR/body"
-grep -q '"jobs_done": 1' "$WORKDIR/body"
-echo "metrics.json: ok"
+# /metrics is the only metrics page: the old JSON document is gone.
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/metrics.json")
+if [ "$CODE" != 404 ]; then echo "GET /metrics.json returned $CODE, want 404"; exit 1; fi
+echo "metrics.json gone: ok"
 
-# The Prometheus text page must carry the same counter.
+# The Prometheus text page counts the job and its one simulated point,
+# and has no shared-point counter.
 curl -fsS "$BASE/metrics" >"$WORKDIR/body"
 grep -q '^stcc_jobs_done_total 1$' "$WORKDIR/body"
 grep -q '^# TYPE stcc_jobs_done_total counter$' "$WORKDIR/body"
+grep -q '^stcc_points_simulated_total 1$' "$WORKDIR/body"
+if grep -q 'stcc_points_shared_total' "$WORKDIR/body"; then
+    echo "/metrics still exposes stcc_points_shared_total"; exit 1
+fi
 echo "metrics (prometheus): ok"
 
 # The daemon's result store is reachable over /v1/cache (one entry: the

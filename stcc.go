@@ -293,28 +293,18 @@ type (
 // FindKnee locates the saturation knee of a rate sweep.
 func FindKnee(points []RatePoint) (Knee, error) { return analysis.FindKnee(points) }
 
-// Replicate runs one configuration over several seeds and aggregates the
-// headline metrics (mean, standard deviation, min, max). Runs execute in
-// parallel on every available CPU; use ReplicateWith to bound the pool.
-func Replicate(cfg Config, seeds []int64) (Replication, error) {
-	return analysis.Replicate(cfg, seeds)
-}
-
-// ReplicateWith is Replicate on the given runner's worker pool.
-func ReplicateWith(r Runner, cfg Config, seeds []int64) (Replication, error) {
-	return analysis.ReplicateWith(r, cfg, seeds)
+// Replicate runs one configuration over several seeds on r's worker
+// pool and aggregates the headline metrics (mean, standard deviation,
+// min, max). Runner{} runs on every available CPU.
+func Replicate(r Runner, cfg Config, seeds []int64) (Replication, error) {
+	return analysis.Replicate(r, cfg, seeds)
 }
 
 // CompareSchemes runs several congestion control schemes on the same
-// configuration and seeds, in parallel on every available CPU; use
-// CompareSchemesWith to bound the pool.
-func CompareSchemes(cfg Config, schemes []Scheme, seeds []int64) ([]CompareRow, error) {
-	return analysis.Compare(cfg, schemes, seeds)
-}
-
-// CompareSchemesWith is CompareSchemes on the given runner's worker pool.
-func CompareSchemesWith(r Runner, cfg Config, schemes []Scheme, seeds []int64) ([]CompareRow, error) {
-	return analysis.CompareWith(r, cfg, schemes, seeds)
+// configuration and seeds on r's worker pool. Runner{} runs on every
+// available CPU.
+func CompareSchemes(r Runner, cfg Config, schemes []Scheme, seeds []int64) ([]CompareRow, error) {
+	return analysis.Compare(r, cfg, schemes, seeds)
 }
 
 // Heatmap renders per-node values of a k x k network as an ASCII

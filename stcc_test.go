@@ -217,11 +217,11 @@ func TestPublicAnalysis(t *testing.T) {
 	}
 	cfg := quick()
 	cfg.MeasureCycles = 1_200
-	rep, err := Replicate(cfg, []int64{1, 2})
+	rep, err := Replicate(Runner{}, cfg, []int64{1, 2})
 	if err != nil || rep.Accepted.N != 2 {
 		t.Fatalf("Replicate: %v", err)
 	}
-	rows, err := CompareSchemes(cfg, []Scheme{{Kind: Base}, {Kind: SelfTuned}}, []int64{1})
+	rows, err := CompareSchemes(Runner{}, cfg, []Scheme{{Kind: Base}, {Kind: SelfTuned}}, []int64{1})
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("CompareSchemes: %v", err)
 	}
