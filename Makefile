@@ -30,8 +30,8 @@ bench:
 # benchtime (minutes, not a smoke run); see README.md ("Benchmark
 # trajectory") for how to read BENCH_*.json. The previous trajectory
 # point is the baseline the report embeds and diffs against.
-BENCH_LABEL ?= PR14
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_LABEL ?= PR19
+BENCH_BASELINE ?= BENCH_PR14.json
 bench-json:
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json
 

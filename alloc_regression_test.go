@@ -10,13 +10,50 @@
 // The engine shapes also bound bytes/op per shape; the fabric shapes
 // require exactly zero. The shapes and their warm-ups are defined once
 // in internal/shapes, shared with the step benchmarks and stcc-bench.
+// Construction is gated too: router.New's bytes per input lane.
 package stcc
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/router"
 	"repro/internal/shapes"
 )
+
+// fabricMaxBytesPerLane bounds what router.New allocates per input lane
+// (a router has 2n*VCs+1). Each lane carries a 48-byte vcBuffer, eight
+// 16-byte flit slots, a 48-byte output VC and a share of the node and
+// mask arrays: 242.5 B measured on the 16-ary 2-cube and 237.1 on the
+// 16-ary 3-cube. A revived 24-byte flit adds 64 B per lane and a ring
+// kept as a slice header 24 B, so either fails the gate; the layout
+// before both changes measured 430.7 and 421.2.
+const fabricMaxBytesPerLane = 256
+
+// TestFabricNewBytesPerLane gates router.New's allocation for the
+// network of every fabric shape.
+func TestFabricNewBytesPerLane(t *testing.T) {
+	seen := map[[2]int]bool{}
+	for _, s := range shapes.Fabrics {
+		if seen[[2]int{s.K, s.N}] {
+			continue
+		}
+		seen[[2]int{s.K, s.N}] = true
+		cfg := s.Config()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f := router.MustNew(cfg)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(f)
+		lanes := cfg.Topo.Nodes() * (cfg.Topo.PhysPorts()*cfg.VCs + 1)
+		perLane := float64(after.TotalAlloc-before.TotalAlloc) / float64(lanes)
+		t.Logf("%d-ary %d-cube: %.1f B per input lane", s.K, s.N, perLane)
+		if perLane > fabricMaxBytesPerLane {
+			t.Errorf("%d-ary %d-cube: router.New allocates %.1f B per input lane, want <= %d",
+				s.K, s.N, perLane, fabricMaxBytesPerLane)
+		}
+	}
+}
 
 // engineMaxBytes bounds each engine shape's amortized bytes/op. At idle
 // and low load only the sample series and rare new peaks (largest

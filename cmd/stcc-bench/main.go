@@ -17,7 +17,7 @@
 // how CI turns the trajectory into a gate. Baseline shapes the fresh run
 // did not measure are skipped.
 //
-//	go run ./cmd/stcc-bench -baseline BENCH_PR8.json -tolerance 0.5
+//	go run ./cmd/stcc-bench -baseline BENCH_PR19.json -tolerance 0.5
 //
 // The fabric and engine shapes are the internal/shapes table, which the
 // allocation gate and BenchmarkFabricStep/BenchmarkEngineStep iterate
@@ -29,7 +29,9 @@
 // reports still diff against them.
 // Every fabric and engine is stepped to steady state before the timed
 // region, so the numbers describe the recurring per-cycle cost — the
-// construction and ramp-up transients are excluded by design.
+// construction and ramp-up transients are excluded by design. The
+// new/<engine shape> rows measure construction instead: one sim.New of
+// that shape's configuration per op.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"testing"
 
 	"repro/internal/shapes"
+	"repro/internal/sim"
 )
 
 // Shape is one measured operating point.
@@ -98,9 +101,10 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "steady-state per-cycle cost; warmup excluded (store/* shapes " +
-			"measure one Put+Get of a real result per op instead: mem is the " +
-			"marshal floor, fs adds file I/O plus an atomic rename).",
+		Note: "steady-state per-cycle cost; warmup excluded (new/* shapes " +
+			"measure one sim.New per op instead, and store/* shapes one Put+Get " +
+			"of a real result: mem is the marshal floor, fs adds file I/O plus " +
+			"an atomic rename).",
 	}
 	var base *Report
 	if *baselineFile != "" {
@@ -128,6 +132,10 @@ func main() {
 			}
 			return measure(name, e)
 		}})
+	}
+	for _, s := range shapes.Engines {
+		name := reportName("new", s.Name)
+		points = append(points, point{name, func() Shape { return measureNew(name, s.Config()) }})
 	}
 	points = append(points, storePoints()...)
 	merged := map[string]*Shape{}
@@ -276,6 +284,18 @@ func reportName(kind, name string) string {
 		return kind + "/torus4096/" + regime + "/w1"
 	}
 	return kind + "/" + name
+}
+
+// measureNew times one sim.New of cfg per op.
+func measureNew(name string, cfg sim.Config) Shape {
+	return toShape(name, testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.New(cfg); err != nil {
+				fatal(err)
+			}
+		}
+	}))
 }
 
 // measure times one Step per op of a shape that Start has already

@@ -1,8 +1,9 @@
 // Package packet defines packets and flits (flow control units) for
 // wormhole-switched networks, along with the per-packet lifecycle state
-// the simulator tracks: creation, injection, delivery, routing mode, and
-// the trail of buffers the head flit has visited (used by Disha-style
-// deadlock recovery to locate and drain a blocked worm).
+// the simulator tracks: creation, injection, delivery and routing mode.
+// Where a worm's flits rest is the router's state, not the packet's:
+// Disha-style deadlock recovery finds a blocked worm by walking the
+// router's output-VC ownership upstream from its header.
 package packet
 
 import (
@@ -82,21 +83,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Location is any place a worm's flits can rest: a virtual-channel
-// buffer, an output latch, or the not-yet-injected remainder at the
-// source. Implementations live in the router engine; deadlock recovery
-// uses them to drain a worm in FIFO order.
-type Location interface {
-	// CountOf returns how many of p's flits the location currently
-	// holds.
-	CountOf(p *Packet) int
-	// EvictFront removes the front-most flit of p from the location. It
-	// panics if the front flit does not belong to p (a conservation
-	// bug: a worm's flits are always contiguous at the front of every
-	// location it occupies).
-	EvictFront(p *Packet)
-}
-
 // Packet is one message: Length flits that snake through the network.
 // Flits are represented implicitly as (packet, index) pairs.
 type Packet struct {
@@ -141,11 +127,6 @@ type Packet struct {
 	// enabled (router.Config.CongestMark).
 	Marked bool
 
-	// Trail is the sequence of buffer locations the head flit has
-	// entered, in order (injection channel first). Managed by the router
-	// engine; deadlock recovery walks it backwards to drain the worm.
-	Trail []Location
-
 	// recycled marks a packet that has been returned to a Pool and not
 	// yet handed out again. A recycled packet must never be referenced
 	// by network state; the router's CheckInvariants reports any that
@@ -156,32 +137,23 @@ type Packet struct {
 // New returns a packet of length flits from src to dst created at cycle
 // now. Length must be positive.
 func New(id ID, src, dst topology.NodeID, length int, now int64) *Packet {
-	if length <= 0 {
-		panic(fmt.Sprintf("packet: non-positive length %d", length))
-	}
-	return &Packet{
-		ID: id, Src: src, Dst: dst, Length: length,
-		CreatedAt: now, InjectedAt: -1, DeliveredAt: -1,
-		LastProgress: now,
-		SrcRemaining: length,
-	}
+	p := new(Packet)
+	p.reset(id, src, dst, length, now)
+	return p
 }
 
-// reset reinitializes a recycled packet in place, as New would, keeping
-// the Trail backing array so steady-state reuse does not reallocate it.
+// reset reinitializes a recycled packet in place, as New would.
 //
 //stcc:hotpath
 func (p *Packet) reset(id ID, src, dst topology.NodeID, length int, now int64) {
 	if length <= 0 {
 		panic(fmt.Sprintf("packet: non-positive length %d", length))
 	}
-	trail := p.Trail[:0]
 	*p = Packet{
 		ID: id, Src: src, Dst: dst, Length: length,
 		CreatedAt: now, InjectedAt: -1, DeliveredAt: -1,
 		LastProgress: now,
 		SrcRemaining: length,
-		Trail:        trail,
 	}
 }
 
@@ -237,11 +209,6 @@ func (p *Packet) Progress(now int64) { p.LastProgress = now }
 //
 //stcc:hotpath
 func (p *Packet) BlockedFor(now int64) int64 { return now - p.LastProgress }
-
-// PushTrail records that the head flit entered loc.
-//
-//stcc:hotpath
-func (p *Packet) PushTrail(loc Location) { p.Trail = append(p.Trail, loc) }
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt %d %d->%d len %d %s", p.ID, p.Src, p.Dst, p.Length, p.Mode)

@@ -4,14 +4,6 @@ import (
 	"testing"
 )
 
-type fakeLoc struct {
-	count   int
-	evicted int
-}
-
-func (f *fakeLoc) CountOf(p *Packet) int { return f.count }
-func (f *fakeLoc) EvictFront(p *Packet)  { f.evicted++; f.count-- }
-
 func TestNewDefaults(t *testing.T) {
 	p := New(7, 3, 9, 16, 42)
 	if p.ID != 7 || p.Src != 3 || p.Dst != 9 || p.Length != 16 {
@@ -107,28 +99,6 @@ func TestProgressAndBlockedFor(t *testing.T) {
 	p.Progress(10)
 	if got := p.BlockedFor(25); got != 15 {
 		t.Errorf("BlockedFor = %d, want 15", got)
-	}
-}
-
-func TestPushTrail(t *testing.T) {
-	p := New(1, 0, 1, 4, 0)
-	a, b := &fakeLoc{}, &fakeLoc{}
-	p.PushTrail(a)
-	p.PushTrail(b)
-	if len(p.Trail) != 2 || p.Trail[0] != a || p.Trail[1] != b {
-		t.Fatalf("trail = %v", p.Trail)
-	}
-}
-
-func TestLocationInterface(t *testing.T) {
-	p := New(1, 0, 1, 4, 0)
-	l := &fakeLoc{count: 3}
-	if l.CountOf(p) != 3 {
-		t.Error("count")
-	}
-	l.EvictFront(p)
-	if l.evicted != 1 || l.count != 2 {
-		t.Error("evict")
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 
 // Pool is a deterministic per-engine packet free list. The steady-state
 // simulation loop creates one packet per injection and drops one per
-// delivery; without recycling, every injection heap-allocates a Packet
-// (plus its Trail backing array, which grows to the hop count before
-// becoming garbage). The pool closes that loop: delivered packets are
-// returned with Put and handed back out by Get, which also reuses the
-// Trail capacity the packet accumulated on its previous trip.
+// delivery; without recycling, every injection heap-allocates a Packet.
+// The pool closes that loop: delivered packets are returned with Put
+// and handed back out by Get.
 //
 // The free list is a plain LIFO stack, not a sync.Pool: sync.Pool's
 // reuse order depends on GC timing and per-P caches, which would make
@@ -38,19 +36,17 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Prefill stocks the free list with n fresh packets whose Trail backing
-// arrays hold trailCap locations without growing. A harness that knows
-// its peak in-flight population can prefill past it so that Get never
-// allocates mid-run: without prefilling, every new in-flight maximum
-// allocates a packet and every first-time trail extension grows a
-// backing array, and those events decay only logarithmically over a
-// run, which turns "zero steady-state allocations" into an amortized
-// claim instead of an exact one. Gets-minus-Reuses staying flat after a
-// prefill proves the estimate covered the peak.
-func (pl *Pool) Prefill(n, trailCap int) {
+// Prefill stocks the free list with n fresh packets. A harness that
+// knows its peak in-flight population can prefill past it so that Get
+// never allocates mid-run: without prefilling, every new in-flight
+// maximum allocates a packet, and those events decay only
+// logarithmically over a run, which turns "zero steady-state
+// allocations" into an amortized claim instead of an exact one.
+// Gets-minus-Reuses staying flat after a prefill proves the estimate
+// covered the peak.
+func (pl *Pool) Prefill(n int) {
 	for i := 0; i < n; i++ {
 		p := New(0, 0, 0, 1, 0)
-		p.Trail = make([]Location, 0, trailCap)
 		p.recycled = true
 		pl.free = append(pl.free, p)
 	}

@@ -2,11 +2,6 @@ package packet
 
 import "testing"
 
-type poolLoc struct{}
-
-func (poolLoc) CountOf(*Packet) int { return 0 }
-func (poolLoc) EvictFront(*Packet)  {}
-
 func TestPoolReusesInLIFOOrder(t *testing.T) {
 	pl := NewPool()
 	a := pl.Get(1, 0, 1, 4, 10)
@@ -41,9 +36,7 @@ func TestPoolResetMatchesNew(t *testing.T) {
 	p.SrcRemaining = 0
 	p.Consumed = 5
 	p.Progress(149)
-	p.PushTrail(poolLoc{})
-	p.PushTrail(poolLoc{})
-	trailCap := cap(p.Trail)
+	p.Marked = true
 	pl.Put(p)
 	if !p.Recycled() {
 		t.Fatal("Put did not mark the packet recycled")
@@ -62,11 +55,8 @@ func TestPoolResetMatchesNew(t *testing.T) {
 		q.InjectedAt != fresh.InjectedAt || q.DeliveredAt != fresh.DeliveredAt ||
 		q.Mode != fresh.Mode || q.LastProgress != fresh.LastProgress ||
 		q.Hops != fresh.Hops || q.SrcRemaining != fresh.SrcRemaining ||
-		q.Consumed != fresh.Consumed || len(q.Trail) != 0 {
+		q.Consumed != fresh.Consumed || q.Marked != fresh.Marked {
 		t.Fatalf("reset packet %+v differs from New %+v", q, fresh)
-	}
-	if cap(q.Trail) != trailCap {
-		t.Fatalf("reset dropped the Trail capacity: %d, want %d", cap(q.Trail), trailCap)
 	}
 }
 

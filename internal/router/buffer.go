@@ -90,13 +90,12 @@ func (a *activeWords) clearBit(i int32) {
 	a.actWords[i>>6] &^= 1 << uint(i&63)
 }
 
-// flit is one flow-control unit: the idx-th flit of pkt. arrived is the
-// cycle the flit entered its current buffer; the routing arbiter uses it
-// to give headers the paper's one-cycle routing delay.
+// flit is one flow-control unit: the idx-th flit of pkt. It is 16
+// bytes: a header's arrival cycle, which the routing arbiter's one-cycle
+// delay needs, is read off its buffer instead (vcBuffer.arrivedNow).
 type flit struct {
-	pkt     *packet.Packet
-	idx     int
-	arrived int64
+	pkt *packet.Packet
+	idx int
 }
 
 //stcc:hotpath
@@ -110,83 +109,111 @@ func (f flit) isTail() bool { return f.idx == f.pkt.Length-1 }
 
 // vcBuffer is one virtual channel's edge buffer: a fixed-capacity FIFO of
 // flits, plus the wormhole binding state (which output VC the packet at
-// its front has been allocated). Buffers live in a per-fabric arena and
-// their flit rings are windows into a shared backing slice (see New);
-// a buffer's identity is its arena address, which is stable for the
-// fabric's lifetime. The occupancy count itself lives in the fabric's
-// contiguous occ array (indexed by gid), so a remote credit check reads
-// one hot array element instead of pulling in the whole buffer struct.
+// its front has been allocated). Buffers live in a per-fabric arena,
+// node-major by lane (bufs[node*lanesIn+lane]); a buffer's identity is
+// its arena address, which is stable for the fabric's lifetime. Its flit
+// ring is the BufDepth slots of the fabric's one flit arena starting at
+// ring. The occupancy count itself lives in the fabric's contiguous occ
+// array (indexed by gid), so a remote credit check reads one hot array
+// element instead of pulling in the whole buffer struct. Narrow fields
+// keep the struct at 48 bytes.
 type vcBuffer struct {
-	fab  *Fabric
-	node topology.NodeID
-	port int // input port (physical, or the injection port)
-	vc   int
+	fab *Fabric
 
+	// Wormhole binding: set when the front packet's header is routed,
+	// cleared when its tail flit leaves the buffer.
+	boundPkt *packet.Packet
+
+	// lastPush is the cycle of the most recent push. A buffer takes at
+	// most one flit per cycle (from its one upstream latch, or from the
+	// injection stream), which is what makes arrivedNow exact.
+	lastPush int64
+
+	node int32 // router index
 	gid  int32 // global input-lane index (node*lanesIn + lane) into fab.occ
-	lane uint8 // node-local input-lane index: bit position in the lane masks
+	ring int32 // offset of the buffer's first slot in fab.flits
+	head int32 // ring index of the front flit
 
-	buf  []flit // ring window into the fabric's flit arena, fixed capacity
-	head int
+	port uint8 // input port (physical, or the injection port)
+	vc   uint8
+	lane uint8 // node-local input-lane index: bit position in the lane masks
 
 	// countable buffers contribute to the global full-buffer metric
 	// (physical-channel VCs only, matching the paper's 3072 count).
 	countable bool
 
-	// Wormhole binding: set when the front packet's header is routed,
-	// cleared when its tail flit leaves the buffer.
-	bound    bool
-	boundPkt *packet.Packet
-	outPort  int
-	outVC    int
+	bound   bool
+	outPort uint8
+	outVC   uint8
 }
 
 //stcc:hotpath
 func (b *vcBuffer) len() int { return int(b.fab.occ[b.gid]) }
 
 //stcc:hotpath
-func (b *vcBuffer) cap() int { return len(b.buf) }
+func (b *vcBuffer) full() bool { return b.fab.occ[b.gid] == b.fab.depth }
 
+// at returns the i-th flit from the front (i < len).
+//
 //stcc:hotpath
-func (b *vcBuffer) full() bool { return int(b.fab.occ[b.gid]) == len(b.buf) }
+func (b *vcBuffer) at(i int32) flit {
+	depth := b.fab.depth
+	j := b.head + i
+	if j >= depth {
+		j -= depth
+	}
+	return b.fab.flits[b.ring+j]
+}
 
 //stcc:hotpath
 func (b *vcBuffer) front() flit {
 	if b.fab.occ[b.gid] == 0 {
 		return flit{}
 	}
-	return b.buf[b.head]
+	return b.fab.flits[b.ring+b.head]
+}
+
+// arrivedNow reports whether the front flit entered the buffer this
+// cycle. The flit pushed this cycle is the front exactly when it is the
+// only flit: a flit ahead of it arrived in an earlier cycle, and none
+// can arrive behind it until the next one.
+//
+//stcc:hotpath
+func (b *vcBuffer) arrivedNow() bool {
+	return b.lastPush == b.fab.now && b.fab.occ[b.gid] == 1
 }
 
 //stcc:hotpath
 func (b *vcBuffer) push(f flit) {
 	fab := b.fab
 	n := fab.occ[b.gid]
-	if int(n) == len(b.buf) {
+	if n == fab.depth {
 		panic(fmt.Sprintf("router: overflow of %v", b))
 	}
 	// Conditional wrap instead of %: the ring index is always already in
 	// range, and avoiding the integer division matters on a path run for
 	// every flit movement in the network.
-	i := b.head + int(n)
-	if i >= len(b.buf) {
-		i -= len(b.buf)
+	i := b.head + n
+	if i >= fab.depth {
+		i -= fab.depth
 	}
-	b.buf[i] = f
+	fab.flits[b.ring+i] = f
 	fab.occ[b.gid] = n + 1
+	b.lastPush = fab.now
 	if n == 0 {
 		bit := uint64(1) << b.lane
 		fab.occMask[b.node] |= bit
-		fab.actOccupied.set(int32(b.node))
+		fab.actOccupied.set(b.node)
 		fab.net.occupiedIns++
 		if f.idx == 0 {
 			fab.headMask[b.node] |= bit
 		}
 		if !b.bound {
 			fab.net.pendingIns++
-			fab.actPending.set(int32(b.node))
+			fab.actPending.set(b.node)
 		}
 	}
-	if b.countable && int(n)+1 == len(b.buf) {
+	if b.countable && n+1 == fab.depth {
 		fab.net.fullBuffers++
 	}
 	if fab.markHi > 0 && b.countable {
@@ -213,13 +240,14 @@ func (b *vcBuffer) pop() flit {
 	if n == 0 {
 		panic(fmt.Sprintf("router: underflow of %v", b))
 	}
-	if b.countable && int(n) == len(b.buf) {
+	if b.countable && n == fab.depth {
 		fab.net.fullBuffers--
 	}
-	f := b.buf[b.head]
-	b.buf[b.head] = flit{}
+	slot := &fab.flits[b.ring+b.head]
+	f := *slot
+	*slot = flit{}
 	b.head++
-	if b.head == len(b.buf) {
+	if b.head == fab.depth {
 		b.head = 0
 	}
 	n--
@@ -229,16 +257,16 @@ func (b *vcBuffer) pop() flit {
 		fab.occMask[b.node] &^= bit
 		fab.headMask[b.node] &^= bit
 		if fab.occMask[b.node] == 0 {
-			fab.actOccupied.clearBit(int32(b.node))
+			fab.actOccupied.clearBit(b.node)
 		}
 		fab.net.occupiedIns--
 		if !b.bound {
 			fab.net.pendingIns--
 			if fab.occMask[b.node]&^fab.boundMask[b.node] == 0 {
-				fab.actPending.clearBit(int32(b.node))
+				fab.actPending.clearBit(b.node)
 			}
 		}
-	} else if b.buf[b.head].idx == 0 {
+	} else if fab.flits[b.ring+b.head].idx == 0 {
 		fab.headMask[b.node] |= bit
 	} else {
 		fab.headMask[b.node] &^= bit
@@ -265,13 +293,13 @@ func (b *vcBuffer) setBinding(pkt *packet.Packet, port, vc int) {
 	fab := b.fab
 	b.bound = true
 	b.boundPkt = pkt
-	b.outPort = port
-	b.outVC = vc
+	b.outPort = uint8(port)
+	b.outVC = uint8(vc)
 	fab.boundMask[b.node] |= uint64(1) << b.lane
 	if fab.occ[b.gid] > 0 {
 		fab.net.pendingIns--
 		if fab.occMask[b.node]&^fab.boundMask[b.node] == 0 {
-			fab.actPending.clearBit(int32(b.node))
+			fab.actPending.clearBit(b.node)
 		}
 	}
 }
@@ -290,35 +318,32 @@ func (b *vcBuffer) clearBinding() {
 	fab.boundMask[b.node] &^= uint64(1) << b.lane
 	if fab.occ[b.gid] > 0 {
 		fab.net.pendingIns++
-		fab.actPending.set(int32(b.node))
+		fab.actPending.set(b.node)
 	}
 }
 
-// CountOf implements packet.Location.
+// countOf returns how many of p's flits the buffer holds.
 //
 //stcc:hotpath
-func (b *vcBuffer) CountOf(p *packet.Packet) int {
+func (b *vcBuffer) countOf(p *packet.Packet) int {
 	c := 0
-	i := b.head
-	for k := 0; k < b.len(); k++ {
-		if b.buf[i].pkt == p {
+	for i, n := int32(0), b.fab.occ[b.gid]; i < n; i++ {
+		if b.at(i).pkt == p {
 			c++
-		}
-		if i++; i == len(b.buf) {
-			i = 0
 		}
 	}
 	return c
 }
 
-// EvictFront implements packet.Location: deadlock recovery removes the
-// worm's front flit.
+// evictFront removes p's front flit: deadlock recovery drains the worm.
+// It panics if the front flit is not p's (a conservation bug: a worm's
+// flits are always contiguous at the front of every buffer it holds).
 //
 //stcc:hotpath
-func (b *vcBuffer) EvictFront(p *packet.Packet) {
+func (b *vcBuffer) evictFront(p *packet.Packet) {
 	f := b.front()
 	if f.pkt != p {
-		panic(fmt.Sprintf("router: EvictFront of %v: front belongs to %v, not %v", b, f.pkt, p))
+		panic(fmt.Sprintf("router: evictFront of %v: front belongs to %v, not %v", b, f.pkt, p))
 	}
 	b.pop()
 }
@@ -332,11 +357,11 @@ func (b *vcBuffer) String() string {
 // cycle here: crossbar traversal fills it, link traversal drains it.
 type latch struct {
 	fab  *Fabric
-	node topology.NodeID
-	port int
-	vc   int
-	lane uint8 // node-local output-lane index: bit position in the lane masks
 	f    flit
+	node int32
+	port uint8
+	vc   uint8
+	lane uint8 // node-local output-lane index: bit position in the lane masks
 	full bool
 }
 
@@ -348,7 +373,7 @@ func (l *latch) set(f flit) {
 	l.f = f
 	l.full = true
 	l.fab.latchMask[l.node] |= uint64(1) << l.lane
-	l.fab.actLatched.set(int32(l.node))
+	l.fab.actLatched.set(l.node)
 	l.fab.net.latched++
 }
 
@@ -359,31 +384,16 @@ func (l *latch) clear() flit {
 	l.full = false
 	l.fab.latchMask[l.node] &^= uint64(1) << l.lane
 	if l.fab.latchMask[l.node] == 0 {
-		l.fab.actLatched.clearBit(int32(l.node))
+		l.fab.actLatched.clearBit(l.node)
 	}
 	l.fab.net.latched--
 	return f
 }
 
-// CountOf implements packet.Location.
+// holds reports whether the latch holds a flit of p.
 //
 //stcc:hotpath
-func (l *latch) CountOf(p *packet.Packet) int {
-	if l.full && l.f.pkt == p {
-		return 1
-	}
-	return 0
-}
-
-// EvictFront implements packet.Location.
-//
-//stcc:hotpath
-func (l *latch) EvictFront(p *packet.Packet) {
-	if !l.full || l.f.pkt != p {
-		panic(fmt.Sprintf("router: EvictFront of %v: not holding a flit of %v", l, p))
-	}
-	l.clear()
-}
+func (l *latch) holds(p *packet.Packet) bool { return l.full && l.f.pkt == p }
 
 func (l *latch) String() string {
 	return fmt.Sprintf("latch(node %d port %d vc %d)", l.node, l.port, l.vc)
@@ -416,23 +426,13 @@ func (s *srcSlot) clearPacket() {
 	s.fab.net.srcActive--
 }
 
-// CountOf implements packet.Location.
-//
-//stcc:hotpath
-func (s *srcSlot) CountOf(p *packet.Packet) int {
-	if s.pkt == p {
-		return p.SrcRemaining
-	}
-	return 0
-}
-
-// EvictFront implements packet.Location: recovery consumes source flits
+// evictFront consumes one of p's source flits: recovery drains them
 // directly.
 //
 //stcc:hotpath
-func (s *srcSlot) EvictFront(p *packet.Packet) {
+func (s *srcSlot) evictFront(p *packet.Packet) {
 	if s.pkt != p || p.SrcRemaining == 0 {
-		panic(fmt.Sprintf("router: EvictFront of source %d: not streaming %v", s.node, p))
+		panic(fmt.Sprintf("router: evictFront of source %d: not streaming %v", s.node, p))
 	}
 	p.SrcRemaining--
 	if p.SrcRemaining == 0 {
@@ -458,7 +458,7 @@ func (o *outVC) acquire(b *vcBuffer, pkt *packet.Packet) {
 	o.ownerPkt = pkt
 	fab := o.lat.fab
 	fab.ownedMask[o.lat.node] |= uint64(1) << o.lat.lane
-	fab.actOwned.set(int32(o.lat.node))
+	fab.actOwned.set(o.lat.node)
 	fab.net.ownedOuts++
 }
 
@@ -469,7 +469,7 @@ func (o *outVC) release() {
 	fab := o.lat.fab
 	fab.ownedMask[o.lat.node] &^= uint64(1) << o.lat.lane
 	if fab.ownedMask[o.lat.node] == 0 {
-		fab.actOwned.clearBit(int32(o.lat.node))
+		fab.actOwned.clearBit(o.lat.node)
 	}
 	fab.net.ownedOuts--
 }

@@ -21,12 +21,9 @@ func newDecbitHarness(t *testing.T, mark float64) *decbitHarness {
 	cfg := testConfig(4, Recovery)
 	cfg.CongestMark = mark
 	h := &decbitHarness{t: t, f: MustNew(cfg), pkt: packet.New(1, 0, 1, 1, 0)}
-	nd := &h.f.nodes[0]
-	for p := range nd.inputs {
-		for v := range nd.inputs[p] {
-			if b := &nd.inputs[p][v]; b.countable {
-				h.bufs = append(h.bufs, b)
-			}
+	for lane := 0; lane < h.f.lanesIn; lane++ {
+		if b := &h.f.bufs[lane]; b.countable {
+			h.bufs = append(h.bufs, b)
 		}
 	}
 	return h

@@ -258,10 +258,11 @@ func TestCutThroughBlockedPacketFitsOneBuffer(t *testing.T) {
 			if p.Delivered() || p.InjectedAt < 0 || p.SrcRemaining > 0 {
 				continue
 			}
-			if p.BlockedFor(f.Now()) > 4 && len(p.Trail) > 0 {
-				last := p.Trail[len(p.Trail)-1]
-				if last.CountOf(p) == p.Length {
-					sawCompact = true
+			if p.BlockedFor(f.Now()) > 4 {
+				for i := range f.bufs {
+					if f.bufs[i].countOf(p) == p.Length {
+						sawCompact = true
+					}
 				}
 			}
 		}

@@ -197,31 +197,26 @@ func (c Config) Validate() error {
 	if out := c.Topo.PhysPorts()*c.VCs + dlv; out > 64 {
 		return fmt.Errorf("router: %d output lanes per node exceed the 64-lane mask width", out)
 	}
+	// Buffers address their flit rings by int32 offset into one arena.
+	if lanes := c.Topo.Nodes() * (c.Topo.PhysPorts()*c.VCs + 1); c.BufDepth > math.MaxInt32/lanes {
+		return fmt.Errorf("router: %d input lanes of %d flits exceed the flit arena's int32 offsets", lanes, c.BufDepth)
+	}
 	return nil
 }
 
-// node is one router: input VC buffers, output VCs with latches, and the
-// arbitration pointers. Nodes are stored by value in a single slice and
-// their buffer state lives in per-fabric arenas (see New), so one
-// router's working set is contiguous in memory instead of a pointer
+// node is one router's scalar state: the arbitration pointers and the
+// source slot. Its input VC buffers and output VCs live in the fabric's
+// node-major arenas and are addressed by index (bufs, outputVC), so
+// one router's working set is contiguous in memory instead of a pointer
 // forest; hot-path code takes &f.nodes[i] and never copies a node. The
 // active-set occupancy state lives in the Fabric's structure-of-arrays
 // lane masks, not here, so the stages touch only the hot arrays.
 type node struct {
 	id topology.NodeID
-	// inputs[port][vc]: physical ports 0..2n-1, then the injection port
-	// (single VC). Each inner slice is a full-capacity window into the
-	// fabric's vcBuffer arena; buffer identity is the arena address.
-	inputs [][]vcBuffer
-	// outs[port][vc]: physical ports 0..2n-1, then the delivery port
-	// (one slot per delivery channel). Windows into the outVC arena.
-	outs [][]outVC
 
 	// Demand-slotted round-robin pointer of the central routing arbiter
 	// (flattened over input VCs).
 	arbPtr int
-	// Per-output-port round-robin pointers for switch allocation.
-	swPtr []int
 	// Rotating start offset for adaptive output-port selection.
 	adaptPtr int
 
@@ -254,10 +249,20 @@ type Fabric struct {
 	lanesOut int // output lanes per node: PhysPorts*VCs + delivery channels
 
 	// Arenas, node-major by lane: bufs[node*lanesIn+lane] and
-	// outsA[node*lanesOut+lane]. nodes[i].inputs/outs are windows into
-	// the same storage.
+	// outsA[node*lanesOut+lane]. Lane p*VCs+v is port p's VC v; the
+	// injection channel is the last input lane and the delivery
+	// channels the last output lanes.
 	bufs  []vcBuffer
 	outsA []outVC
+
+	// flits holds every input lane's ring of depth slots, at offset
+	// vcBuffer.ring.
+	flits []flit
+	depth int32 // flits per buffer (Config.BufDepth)
+
+	// swPtr holds each output port's round-robin switch-allocation
+	// pointer, node-major: swPtr[node*(dlvPort+1)+port].
+	swPtr []uint8
 
 	// occ is the occupancy of every input lane in the network, indexed
 	// by vcBuffer.gid. It is the single source of truth buffer length
@@ -341,14 +346,12 @@ type Fabric struct {
 // New builds the fabric. The configuration must validate.
 //
 // All router state is carved out of contiguous arenas (vcBuffers, their
-// flit rings, outVCs, the per-node port tables, the switch pointers, and
-// the SoA occupancy/mask arrays) allocated up front: one fabric costs a
-// fixed handful of allocations regardless of size, neighboring buffers
-// share cache lines, and Step never allocates. Arena addresses are
-// stable for the fabric's lifetime, so *vcBuffer and *outVC remain valid
-// identities (packet trails and wormhole bindings hold them across
-// cycles). The windows use full slice expressions so an accidental
-// append can never bleed into the neighboring buffer's storage.
+// flit rings, outVCs, the switch pointers, and the SoA occupancy/mask
+// arrays) allocated up front: one fabric costs a fixed handful of
+// allocations regardless of size, neighboring buffers share cache
+// lines, and Step never allocates. Arena addresses are stable for the
+// fabric's lifetime, so *vcBuffer and *outVC remain valid identities
+// (wormhole bindings and output-VC ownership hold them across cycles).
 func New(cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -358,6 +361,7 @@ func New(cfg Config) (*Fabric, error) {
 		topo:      cfg.Topo,
 		injPort:   cfg.Topo.PhysPorts(),
 		dlvPort:   cfg.Topo.PhysPorts(),
+		depth:     int32(cfg.BufDepth),
 		tokenWait: cfg.TokenWaitTimeout,
 	}
 	if f.tokenWait == 0 {
@@ -372,11 +376,9 @@ func New(cfg Config) (*Fabric, error) {
 	f.lanesIn = phys*cfg.VCs + 1    // physical input VCs + injection channel
 	f.lanesOut = phys*cfg.VCs + dlv // physical output VCs + delivery channels
 	f.bufs = make([]vcBuffer, nodes*f.lanesIn)
-	flitArena := make([]flit, nodes*f.lanesIn*cfg.BufDepth)
+	f.flits = make([]flit, nodes*f.lanesIn*cfg.BufDepth)
 	f.outsA = make([]outVC, nodes*f.lanesOut)
-	inPorts := make([][]vcBuffer, nodes*(phys+1))
-	outPorts := make([][]outVC, nodes*(phys+1))
-	swArena := make([]int, nodes*(phys+1))
+	f.swPtr = make([]uint8, nodes*(phys+1))
 
 	if cfg.CongestMark > 0 {
 		// Set threshold: the mark fraction of one router's countable
@@ -422,65 +424,36 @@ func New(cfg Config) (*Fabric, error) {
 		}
 	}
 
-	nextBuf, nextFlit, nextOut := 0, 0, 0
-	takeBuf := func(n int) []vcBuffer {
-		s := f.bufs[nextBuf : nextBuf+n : nextBuf+n]
-		nextBuf += n
-		return s
-	}
-	takeFlits := func() []flit {
-		s := flitArena[nextFlit : nextFlit+cfg.BufDepth : nextFlit+cfg.BufDepth]
-		nextFlit += cfg.BufDepth
-		return s
-	}
-	takeOut := func(n int) []outVC {
-		s := f.outsA[nextOut : nextOut+n : nextOut+n]
-		nextOut += n
-		return s
-	}
-
 	f.nodes = make([]node, nodes)
 	for id := range f.nodes {
-		nd := &f.nodes[id]
-		nd.id = topology.NodeID(id)
-		nd.inputs = inPorts[id*(phys+1) : (id+1)*(phys+1) : (id+1)*(phys+1)]
-		nd.outs = outPorts[id*(phys+1) : (id+1)*(phys+1) : (id+1)*(phys+1)]
-		nd.swPtr = swArena[id*(phys+1) : (id+1)*(phys+1) : (id+1)*(phys+1)]
-		for p := 0; p < phys; p++ {
-			nd.inputs[p] = takeBuf(cfg.VCs)
-			for v := 0; v < cfg.VCs; v++ {
-				lane := p*cfg.VCs + v
-				nd.inputs[p][v] = vcBuffer{
-					fab: f, node: nd.id, port: p, vc: v,
-					gid: int32(id*f.lanesIn + lane), lane: uint8(lane),
-					buf: takeFlits(), countable: true,
-				}
+		f.nodes[id] = node{id: topology.NodeID(id), src: srcSlot{fab: f, node: topology.NodeID(id)}}
+		for lane := 0; lane < f.lanesIn; lane++ {
+			gid := id*f.lanesIn + lane
+			b := vcBuffer{
+				fab: f, node: int32(id), gid: int32(gid), ring: int32(gid * cfg.BufDepth),
+				port: uint8(f.injPort), lane: uint8(lane),
+			}
+			if lane < phys*cfg.VCs {
+				b.port, b.vc, b.countable = uint8(lane/cfg.VCs), uint8(lane%cfg.VCs), true
+			}
+			f.bufs[gid] = b
+		}
+		for lane := 0; lane < f.lanesOut; lane++ {
+			p := int(f.laneOutPort[lane])
+			f.outsA[id*f.lanesOut+lane].lat = latch{
+				fab: f, node: int32(id), port: uint8(p), vc: uint8(lane - f.outPortBase[p]), lane: uint8(lane),
 			}
 		}
-		nd.inputs[f.injPort] = takeBuf(1)
-		nd.inputs[f.injPort][0] = vcBuffer{
-			fab: f, node: nd.id, port: f.injPort,
-			gid: int32(id*f.lanesIn + f.lanesIn - 1), lane: uint8(f.lanesIn - 1),
-			buf: takeFlits(),
-		}
-
-		for p := 0; p < phys; p++ {
-			nd.outs[p] = takeOut(cfg.VCs)
-			for v := 0; v < cfg.VCs; v++ {
-				nd.outs[p][v] = outVC{lat: latch{
-					fab: f, node: nd.id, port: p, vc: v, lane: uint8(p*cfg.VCs + v),
-				}}
-			}
-		}
-		nd.outs[f.dlvPort] = takeOut(dlv)
-		for v := 0; v < dlv; v++ {
-			nd.outs[f.dlvPort][v] = outVC{lat: latch{
-				fab: f, node: nd.id, port: f.dlvPort, vc: v, lane: uint8(phys*cfg.VCs + v),
-			}}
-		}
-		nd.src = srcSlot{fab: f, node: nd.id}
 	}
 	return f, nil
+}
+
+// outputVC returns node ni's output VC vc on port; delivery channel v
+// is (dlvPort, v).
+//
+//stcc:hotpath
+func (f *Fabric) outputVC(ni, port, vc int) *outVC {
+	return &f.outsA[ni*f.lanesOut+port*f.cfg.VCs+vc]
 }
 
 // MustNew is New for constant configurations.
@@ -543,13 +516,11 @@ func (f *Fabric) CongestMarks() (hi, lo int) {
 // analysis, not the per-cycle hot path (which uses the incremental
 // global counter).
 func (f *Fabric) FullVCBuffersAt(nodeID topology.NodeID) int {
-	nd := &f.nodes[nodeID]
 	full := 0
-	for p := 0; p < f.topo.PhysPorts(); p++ {
-		for v := range nd.inputs[p] {
-			if nd.inputs[p][v].full() {
-				full++
-			}
+	bufs := f.bufs[int(nodeID)*f.lanesIn : int(nodeID+1)*f.lanesIn]
+	for i := range bufs {
+		if bufs[i].countable && bufs[i].full() {
+			full++
 		}
 	}
 	return full
@@ -584,10 +555,9 @@ func (f *Fabric) VCsPerPort() int { return f.cfg.VCs }
 // FreeVCs implements congestion.LocalView: output VCs on the port not
 // currently owned by any packet.
 func (f *Fabric) FreeVCs(nodeID topology.NodeID, port int) int {
-	outs := f.nodes[nodeID].outs[port]
 	free := 0
-	for i := range outs {
-		if outs[i].free() {
+	for v := 0; v < f.outPortWidth[port]; v++ {
+		if f.outputVC(int(nodeID), port, v).free() {
 			free++
 		}
 	}

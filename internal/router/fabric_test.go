@@ -2,10 +2,12 @@ package router
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 func testConfig(k int, mode DeadlockMode) Config {
@@ -423,5 +425,84 @@ func TestConfigAccessor(t *testing.T) {
 	f := MustNew(cfg)
 	if f.Config().VCs != 3 || f.Config().Mode != Avoidance {
 		t.Error("config accessor")
+	}
+}
+
+// The one-cycle routing delay reads a buffer's last push instead of a
+// per-flit arrival stamp. This pins its two corners: a header linked
+// into a buffer in the same cycle the previous worm's tail leaves it
+// (so it is the front and the only flit) still waits one cycle, and a
+// header injected last cycle routes now.
+func TestRoutingDelayCorners(t *testing.T) {
+	cfg := testConfig(8, Recovery)
+	f := MustNew(cfg)
+	rec := trace.NewRecorder(64)
+	f.OnEvent = rec.Record
+	topo := cfg.Topo
+	x, w := topo.ID([]int{2, 0}), topo.ID([]int{1, 0})
+
+	// b is x's input VC fed by w. It holds the tail of worm a, bound to
+	// x's delivery channel; a's header was already delivered.
+	var b *vcBuffer
+	for p := 0; p < topo.PhysPorts() && b == nil; p++ {
+		if topo.Neighbor(x, topology.PortDim(p), topology.PortDir(p)) == w {
+			b = &f.bufs[int(x)*f.lanesIn+p*cfg.VCs]
+		}
+	}
+	a := packet.New(1, w, x, 2, 0)
+	a.SrcRemaining, a.Consumed = 0, 1
+	b.push(flit{pkt: a, idx: 1})
+	b.setBinding(a, f.dlvPort, 0)
+	f.outputVC(int(x), f.dlvPort, 0).acquire(b, a)
+	// The single-flit header of worm h sits in the latch feeding b.
+	h := packet.New(2, w, topo.ID([]int{4, 0}), 1, 0)
+	h.SrcRemaining = 0
+	up := f.feedingLatch(b)
+	up.acquire(&f.bufs[int(w)*f.lanesIn+f.lanesIn-1], h) // w's injection channel
+	up.lat.set(flit{pkt: h, idx: 0})
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+
+	f.Step() // cycle 0: h links into b while a's tail crosses x's crossbar
+	if b.len() != 1 || b.front().pkt != h || b.bound {
+		t.Fatalf("after cycle 0: %d flits, front %v, bound %v; want h alone and unrouted", b.len(), b.front().pkt, b.bound)
+	}
+	f.Step() // cycle 1: h routes
+	if !b.bound || b.boundPkt != h {
+		t.Fatalf("after cycle 1: h not routed at x")
+	}
+
+	// A header injected in cycle 2 routes in cycle 3.
+	c := packet.New(3, topo.ID([]int{5, 5}), topo.ID([]int{6, 5}), 4, 0)
+	f.StartInjection(c)
+	f.Step()
+	f.Step()
+	var injected, routed int64 = -1, -1
+	for _, e := range rec.OfPacket(3) {
+		switch {
+		case e.Kind == trace.Injected:
+			injected = e.Cycle
+		case e.Kind == trace.Routed && routed < 0:
+			routed = e.Cycle
+		}
+	}
+	if injected != 2 || routed != 3 {
+		t.Errorf("c injected at %d, routed at %d; want 2 and 3", injected, routed)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// CheckInvariants verifies the chain deadlock recovery walks: an owned
+// output VC's owner buffer must be bound to the owning packet unless the
+// VC's latch holds that packet's tail (TestRoutingDelayCorners sets up
+// the allowed case).
+func TestCheckInvariantsOwnershipChain(t *testing.T) {
+	f := MustNew(testConfig(8, Recovery))
+	f.outputVC(0, 0, 0).acquire(&f.bufs[f.lanesIn-1], packet.New(1, 0, 3, 4, 0))
+	if err := f.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "its owner") {
+		t.Fatalf("CheckInvariants = %v, want the unbound owner reported", err)
 	}
 }

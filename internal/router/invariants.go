@@ -27,79 +27,84 @@ func (f *Fabric) CheckInvariants() error {
 		nd := &f.nodes[ni]
 		var occMask, boundMask, headMask, latchMask, ownedMask uint64
 		countableFlits := 0
-		for _, port := range nd.inputs {
-			for bi := range port {
-				b := &port[bi]
-				n := int(f.occ[b.gid])
-				if n < 0 || n > len(b.buf) {
-					return fmt.Errorf("%v occupancy %d out of range", b, n)
+		for lane := 0; lane < f.lanesIn; lane++ {
+			b := &f.bufs[ni*f.lanesIn+lane]
+			n := int(f.occ[b.gid])
+			if n < 0 || n > int(f.depth) {
+				return fmt.Errorf("%v occupancy %d out of range", b, n)
+			}
+			if b.countable {
+				countableFlits += n
+			}
+			if int(b.node) != ni || int(b.lane) != lane || int(b.gid) != ni*f.lanesIn+lane ||
+				int(b.ring) != int(b.gid)*int(f.depth) {
+				return fmt.Errorf("%v lane identity mismatch (gid %d, lane %d, ring %d)", b, b.gid, b.lane, b.ring)
+			}
+			if b.countable && b.full() {
+				fullBuffers++
+			}
+			bit := uint64(1) << b.lane
+			if n > 0 {
+				occMask |= bit
+				occupiedIns++
+				if b.front().isHead() {
+					headMask |= bit
 				}
-				if b.countable {
-					countableFlits += n
+				if !b.bound {
+					pendingIns++
 				}
-				if int(b.gid) != int(b.node)*f.lanesIn+int(b.lane) {
-					return fmt.Errorf("%v lane identity mismatch (gid %d, lane %d)", b, b.gid, b.lane)
-				}
-				if b.countable && b.full() {
-					fullBuffers++
-				}
-				bit := uint64(1) << b.lane
-				if n > 0 {
-					occMask |= bit
-					occupiedIns++
-					if b.front().isHead() {
-						headMask |= bit
-					}
-					if !b.bound {
-						pendingIns++
-					}
-				}
-				if b.bound {
-					boundMask |= bit
-				}
-				for i := 0; i < n; i++ {
-					fl := b.buf[(b.head+i)%len(b.buf)]
+			}
+			if b.bound {
+				boundMask |= bit
+			}
+			for i := 0; i < int(f.depth); i++ {
+				fl := b.at(int32(i))
+				if i < n {
 					if fl.pkt == nil {
 						return fmt.Errorf("%v holds a nil flit at %d", b, i)
 					}
 					buffered[fl.pkt]++
+				} else if fl.valid() {
+					// The ring outside [head, head+n) must be vacated: pop
+					// zeroes slots, so a stale flit means corruption.
+					return fmt.Errorf("%v holds a stale flit outside its occupied window", b)
 				}
-				// The ring outside [head, head+n) must be vacated: pop
-				// zeroes slots, so a stale flit means corruption.
-				for i := n; i < len(b.buf); i++ {
-					if b.buf[(b.head+i)%len(b.buf)].valid() {
-						return fmt.Errorf("%v holds a stale flit outside its occupied window", b)
-					}
+			}
+			if b.bound {
+				if b.boundPkt == nil {
+					return fmt.Errorf("%v bound without packet", b)
 				}
-				if b.bound {
-					if b.boundPkt == nil {
-						return fmt.Errorf("%v bound without packet", b)
-					}
-					o := &f.nodes[b.node].outs[b.outPort][b.outVC]
-					if o.ownerPkt != b.boundPkt {
-						return fmt.Errorf("%v bound to %v but output VC owned by %v", b, b.boundPkt, o.ownerPkt)
-					}
+				o := f.outputVC(ni, int(b.outPort), int(b.outVC))
+				if o.ownerPkt != b.boundPkt {
+					return fmt.Errorf("%v bound to %v but output VC owned by %v", b, b.boundPkt, o.ownerPkt)
 				}
 			}
 		}
-		for _, outs := range nd.outs {
-			for oi := range outs {
-				o := &outs[oi]
-				bit := uint64(1) << o.lat.lane
-				if o.lat.full {
-					if o.lat.f.pkt == nil {
-						return fmt.Errorf("%v holds a nil flit", &o.lat)
-					}
-					buffered[o.lat.f.pkt]++
-					latchMask |= bit
-					latched++
+		for lane := 0; lane < f.lanesOut; lane++ {
+			o := &f.outsA[ni*f.lanesOut+lane]
+			bit := uint64(1) << o.lat.lane
+			if o.lat.full {
+				if o.lat.f.pkt == nil {
+					return fmt.Errorf("%v holds a nil flit", &o.lat)
 				}
-				if (o.ownerPkt == nil) != (o.owner == nil) {
-					return fmt.Errorf("output VC at node %d: owner/ownerPkt mismatch", nd.id)
-				}
-				if o.ownerPkt != nil {
-					ownedMask |= bit
-					ownedOuts++
+				buffered[o.lat.f.pkt]++
+				latchMask |= bit
+				latched++
+			}
+			if (o.ownerPkt == nil) != (o.owner == nil) {
+				return fmt.Errorf("output VC at node %d: owner/ownerPkt mismatch", nd.id)
+			}
+			if o.ownerPkt != nil {
+				ownedMask |= bit
+				ownedOuts++
+				// Deadlock recovery walks this chain upstream from a
+				// worm's header: an owned output VC's owner buffer is
+				// bound to the owning packet until the packet's tail
+				// has left it for this VC's latch.
+				tailLatched := o.lat.full && o.lat.f.pkt == o.ownerPkt && o.lat.f.isTail()
+				if !tailLatched && (!o.owner.bound || o.owner.boundPkt != o.ownerPkt) {
+					return fmt.Errorf("%v owned by %v but its owner %v is bound to %v",
+						&o.lat, o.ownerPkt, o.owner, o.owner.boundPkt)
 				}
 			}
 		}

@@ -22,17 +22,17 @@ import (
 // Draining frees the virtual channels and buffers the worm occupied,
 // letting the rest of the deadlocked cycle make progress.
 
-// drainLoc is one location of the frozen worm, with the flits it held at
-// freeze time and the resource cleanup to run once it is vacated. The
-// cleanup target is stored as data, not as a closure, so reconstructing
-// a worm's locations never allocates (recovery fires continuously past
-// saturation; per-recovery closures were the fabric's only steady-state
-// allocation).
+// drainLoc is one location of the frozen worm and the flits it held at
+// freeze time: an input buffer (buf), an output latch (out's), or, with
+// both nil, the not-yet-injected remainder at the source. The location
+// doubles as its cleanup target once vacated: a buffer releases its
+// binding, an output VC its ownership. Locations are plain data, so
+// reconstructing a worm never allocates (recovery fires continuously
+// past saturation).
 type drainLoc struct {
-	loc        packet.Location
-	count      int
-	cleanupBuf *vcBuffer // release this buffer's binding when vacated
-	cleanupOut *outVC    // release this output VC when vacated
+	buf   *vcBuffer
+	out   *outVC
+	count int
 }
 
 // suspect is a frozen packet queued for the recovery token.
@@ -100,7 +100,7 @@ func (f *Fabric) detectNode(ni int) {
 		if fl.pkt.BlockedFor(now) > timeout {
 			fl.pkt.Mode = packet.Suspected
 			f.suspects = append(f.suspects, suspect{buf: b, pkt: fl.pkt, at: now})
-			f.emit(trace.Suspected, fl.pkt, b.node)
+			f.emit(trace.Suspected, fl.pkt, topology.NodeID(b.node))
 		}
 	}
 }
@@ -137,22 +137,29 @@ func (f *Fabric) serviceSuspects() {
 	}
 }
 
-// feedingLatch returns the output latch (and owning output VC) at the
-// upstream router that sends into input buffer b; nil for the injection
-// channel, which is fed directly from the source.
+// feedingLatch returns the output VC (and latch) at the upstream router
+// that sends into input buffer b; nil for the injection channel, which
+// is fed directly from the source.
 //
 //stcc:hotpath
 func (f *Fabric) feedingLatch(b *vcBuffer) *outVC {
-	if b.port == f.injPort {
+	port := int(b.port)
+	if port == f.injPort {
 		return nil
 	}
-	up := f.topo.Neighbor(b.node, topology.PortDim(b.port), topology.PortDir(b.port))
-	return &f.nodes[up].outs[topology.OppositePort(b.port)][b.vc]
+	up := f.topo.Neighbor(topology.NodeID(b.node), topology.PortDim(port), topology.PortDir(port))
+	return f.outputVC(int(up), topology.OppositePort(port), int(b.vc))
 }
 
 // startRecovery freezes the worm whose header sits at the front of head
-// and reconstructs its locations from the packet's trail. The recovery
-// state and its locations array are reused across recoveries.
+// and reconstructs its locations, downstream first, by walking output-VC
+// ownership upstream: take the buffer's flits; while the output VC that
+// feeds the buffer is owned by the packet, take its latch's flit and
+// continue at the buffer that owns the VC; finish with the source. A
+// packet owns every output VC behind its header until its tail crosses
+// the link, so the walk visits every buffer and latch holding its flits
+// (CheckInvariants verifies the ownership chain). The recovery state and
+// its locations array are reused across recoveries.
 //
 //stcc:hotpath
 func (f *Fabric) startRecovery(head *vcBuffer) {
@@ -163,38 +170,38 @@ func (f *Fabric) startRecovery(head *vcBuffer) {
 	*r = recoveryState{
 		pkt:     pkt,
 		locs:    r.locs[:0],
-		dist:    f.topo.MeshDistance(head.node, pkt.Dst),
+		dist:    f.topo.MeshDistance(topology.NodeID(head.node), pkt.Dst),
 		started: f.now,
 	}
 
 	total := 0
-	trail := pkt.Trail
-	for i := len(trail) - 1; i >= 0; i-- {
-		b := trail[i].(*vcBuffer)
-		if c := b.CountOf(pkt); c > 0 {
-			r.locs = append(r.locs, drainLoc{loc: b, count: c, cleanupBuf: b})
+	for b := head; b != nil; {
+		if c := b.countOf(pkt); c > 0 {
+			r.locs = append(r.locs, drainLoc{buf: b, count: c})
 			total += c
+		}
+		o := f.feedingLatch(b)
+		if o == nil || o.ownerPkt != pkt {
+			break
 		}
 		// A mid-worm flit may sit in the latch feeding b (crossbar'd
 		// this cycle, frozen before link traversal).
-		if o := f.feedingLatch(b); o != nil {
-			if c := o.lat.CountOf(pkt); c > 0 {
-				r.locs = append(r.locs, drainLoc{loc: &o.lat, count: c, cleanupOut: o})
-				total += c
-			}
+		if o.lat.holds(pkt) {
+			r.locs = append(r.locs, drainLoc{out: o, count: 1})
+			total++
 		}
+		b = o.owner
 	}
-	src := &f.nodes[pkt.Src].src
-	if c := src.CountOf(pkt); c > 0 {
-		r.locs = append(r.locs, drainLoc{loc: src, count: c})
-		total += c
+	if src := &f.nodes[pkt.Src].src; src.pkt == pkt && pkt.SrcRemaining > 0 {
+		r.locs = append(r.locs, drainLoc{count: pkt.SrcRemaining})
+		total += pkt.SrcRemaining
 	}
 
 	if total != pkt.Length {
 		panic(fmt.Sprintf("router: recovery of %v found %d flits, want %d", pkt, total, pkt.Length))
 	}
 	f.rec = r
-	f.emit(trace.RecoveryStarted, pkt, head.node)
+	f.emit(trace.RecoveryStarted, pkt, topology.NodeID(head.node))
 }
 
 // cleanupBuffer releases the resources an input buffer held for the
@@ -204,7 +211,7 @@ func (f *Fabric) startRecovery(head *vcBuffer) {
 //stcc:hotpath
 func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
 	if b.bound && b.boundPkt == pkt {
-		o := &f.nodes[b.node].outs[b.outPort][b.outVC]
+		o := f.outputVC(int(b.node), int(b.outPort), int(b.outVC))
 		if o.ownerPkt == pkt {
 			o.release()
 		}
@@ -244,14 +251,24 @@ func (f *Fabric) recoveryStep() {
 			panic(fmt.Sprintf("router: recovery of %v ran out of flits after %d", r.pkt, r.popped))
 		}
 		d := &r.locs[r.idx]
-		d.loc.EvictFront(r.pkt)
+		switch {
+		case d.buf != nil:
+			d.buf.evictFront(r.pkt)
+		case d.out != nil:
+			if !d.out.lat.holds(r.pkt) {
+				panic(fmt.Sprintf("router: recovery of %v: %v does not hold its flit", r.pkt, &d.out.lat))
+			}
+			d.out.lat.clear()
+		default:
+			f.nodes[r.pkt.Src].src.evictFront(r.pkt)
+		}
 		d.count--
 		r.popped++
 		if d.count == 0 {
-			if d.cleanupBuf != nil {
-				f.cleanupBuffer(d.cleanupBuf, r.pkt)
-			} else if d.cleanupOut != nil {
-				f.cleanupOutVC(d.cleanupOut, r.pkt)
+			if d.buf != nil {
+				f.cleanupBuffer(d.buf, r.pkt)
+			} else if d.out != nil {
+				f.cleanupOutVC(d.out, r.pkt)
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func TestCheckInvariantsDetectsUseAfterRecycle(t *testing.T) {
 // TestPooledFabricMatchesFreshFabric routes the same traffic through a
 // fabric fed by pool.Get and one fed by packet.New and requires
 // identical per-packet delivery cycles and latencies: the pool's reset
-// must leave no residue (stale trail, mode, timestamps) that could alter
+// must leave no residue (stale mode, timestamps) that could alter
 // routing or timing.
 func TestPooledFabricMatchesFreshFabric(t *testing.T) {
 	type delivery struct {

@@ -51,8 +51,7 @@ func (f *Fabric) linkNode(ni int) {
 		}
 		fl := o.lat.clear()
 		fl.pkt.Progress(now)
-		p := o.lat.port
-		if p == f.dlvPort {
+		if int(o.lat.port) == f.dlvPort {
 			f.countDeliveredFlit()
 			fl.pkt.Consumed++
 			if fl.isTail() {
@@ -65,11 +64,7 @@ func (f *Fabric) linkNode(ni int) {
 		if tb.full() {
 			panic(fmt.Sprintf("router: link overflow into %v at cycle %d", tb, now))
 		}
-		fl.arrived = now
 		tb.push(fl)
-		if fl.isHead() {
-			fl.pkt.PushTrail(tb)
-		}
 		if fl.isTail() {
 			o.release()
 		}
@@ -101,13 +96,12 @@ func (f *Fabric) crossbarStage() {
 //stcc:hotpath
 func (f *Fabric) crossbarNode(ni int) {
 	cm := f.ownedMask[ni] &^ f.latchMask[ni]
-	nd := &f.nodes[ni]
 	for cm != 0 {
 		lane := bits.TrailingZeros64(cm)
 		p := int(f.laneOutPort[lane])
 		base, nvc := f.outPortBase[p], f.outPortWidth[p]
 		cm &^= ((uint64(1) << uint(nvc)) - 1) << uint(base)
-		f.crossbarPort(nd, ni, p, base, nvc)
+		f.crossbarPort(ni, p, base, nvc)
 	}
 }
 
@@ -117,11 +111,12 @@ func (f *Fabric) crossbarNode(ni int) {
 // delivery (consumption) channel drains independently.
 //
 //stcc:hotpath
-func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int) {
+func (f *Fabric) crossbarPort(ni, p, base, nvc int) {
 	now := f.now
 	pm := (f.ownedMask[ni] &^ f.latchMask[ni]) >> uint(base)
 	outs := f.outsA[ni*f.lanesOut+base : ni*f.lanesOut+base+nvc]
-	start := nd.swPtr[p]
+	sw := &f.swPtr[ni*(f.dlvPort+1)+p]
+	start := int(*sw)
 	dlv := p == f.dlvPort
 	for i := 0; i < nvc; i++ {
 		vi := start + i
@@ -155,9 +150,10 @@ func (f *Fabric) crossbarPort(nd *node, ni, p, base, nvc int) {
 		}
 		o.lat.set(fl)
 		if !dlv {
-			if nd.swPtr[p] = vi + 1; nd.swPtr[p] == nvc {
-				nd.swPtr[p] = 0
+			if vi++; vi == nvc {
+				vi = 0
 			}
+			*sw = uint8(vi)
 			return
 		}
 	}
@@ -183,20 +179,12 @@ func (f *Fabric) routingStage() {
 	}
 }
 
-// inputVCAt returns node nd's input VC buffer at flattened lane idx
-// (physical ports * VCs, then the injection channel).
-//
-//stcc:hotpath
-func (f *Fabric) inputVCAt(nd *node, idx int) *vcBuffer {
-	return &f.bufs[int(nd.id)*f.lanesIn+idx]
-}
-
 //stcc:hotpath
 func (f *Fabric) arbitrate(nd *node) {
 	ni := int(nd.id)
 	// Candidate lanes: occupied, unbound, head flit at the front. The
-	// frozen and arrival-cycle checks stay live per candidate, exactly
-	// like the serial scan's continue conditions.
+	// frozen and arrival checks stay live per candidate, exactly like
+	// the serial scan's continue conditions.
 	cm := (f.occMask[ni] &^ f.boundMask[ni]) & f.headMask[ni]
 	if cm == 0 {
 		return // no input VC holds an unrouted header
@@ -224,12 +212,12 @@ func (f *Fabric) arbitrate(nd *node) {
 //
 //stcc:hotpath
 func (f *Fabric) tryArbSlot(nd *node, idx, total int) bool {
-	b := f.inputVCAt(nd, idx)
+	b := &f.bufs[int(nd.id)*f.lanesIn+idx]
 	fl := b.front()
 	if fl.pkt.Mode.Frozen() {
 		return false
 	}
-	if fl.arrived >= f.now {
+	if b.arrivedNow() {
 		// The header arrived this cycle; routing occupies the next
 		// cycle (the paper's one-cycle routing delay).
 		return false
@@ -246,7 +234,7 @@ func (f *Fabric) tryArbSlot(nd *node, idx, total int) bool {
 //
 //stcc:hotpath
 func (f *Fabric) vcAvailable(nd *node, port, vc int, pkt *packet.Packet) bool {
-	if !nd.outs[port][vc].free() {
+	if !f.outputVC(int(nd.id), port, vc).free() {
 		return false
 	}
 	if f.cfg.Switching != CutThrough || port == f.dlvPort {
@@ -263,8 +251,8 @@ func (f *Fabric) vcAvailable(nd *node, port, vc int, pkt *packet.Packet) bool {
 //stcc:hotpath
 func (f *Fabric) routeHeader(nd *node, b *vcBuffer, pkt *packet.Packet) bool {
 	if pkt.Dst == nd.id {
-		for v := range nd.outs[f.dlvPort] {
-			if nd.outs[f.dlvPort][v].free() {
+		for v := 0; v < f.outPortWidth[f.dlvPort]; v++ {
+			if f.outputVC(int(nd.id), f.dlvPort, v).free() {
 				f.allocate(nd, b, pkt, f.dlvPort, v)
 				return true
 			}
@@ -311,7 +299,7 @@ func (f *Fabric) routeAdaptive(nd *node, b *vcBuffer, pkt *packet.Packet, minVC 
 		for i, p := range ports {
 			free := 0
 			for v := minVC; v < f.cfg.VCs; v++ {
-				if nd.outs[p][v].free() {
+				if f.outputVC(int(nd.id), p, v).free() {
 					free++
 				}
 			}
@@ -352,7 +340,7 @@ func (f *Fabric) routeEscape(nd *node, b *vcBuffer, pkt *packet.Packet) bool {
 //
 //stcc:hotpath
 func (f *Fabric) allocate(nd *node, b *vcBuffer, pkt *packet.Packet, port, vc int) {
-	o := &nd.outs[port][vc]
+	o := f.outputVC(int(nd.id), port, vc)
 	if !o.free() {
 		panic(fmt.Sprintf("router: double allocation of node %d port %d vc %d", nd.id, port, vc))
 	}
@@ -395,12 +383,11 @@ func (f *Fabric) injectNode(ni int) {
 		return
 	}
 	idx := pkt.Length - pkt.SrcRemaining
-	b.push(flit{pkt: pkt, idx: idx, arrived: now})
+	b.push(flit{pkt: pkt, idx: idx})
 	pkt.SrcRemaining--
 	pkt.Progress(now)
 	if idx == 0 {
 		pkt.InjectedAt = now
-		pkt.PushTrail(b)
 		f.emit(trace.Injected, pkt, pkt.Src)
 	}
 	if pkt.SrcRemaining == 0 {

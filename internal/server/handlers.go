@@ -106,23 +106,28 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	}{Jobs: s.manager.Jobs()})
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.manager.Lookup(r.PathValue("id"))
+// lookupJob returns the job the request path names, or answers 404
+// (naming the eviction when the job was evicted).
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	id := r.PathValue("id")
+	j, ok := s.manager.Lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
+		writeError(w, http.StatusNotFound, "%s", s.manager.notFound(id))
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	return j, ok
+}
+
+func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.lookupJob(w, r); ok {
+		writeJSON(w, http.StatusOK, j.Status())
+	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.manager.Cancel(id) {
-		writeError(w, http.StatusNotFound, "no job %q", id)
-		return
+	if j, ok := s.lookupJob(w, r); ok {
+		s.manager.Cancel(j)
+		writeJSON(w, http.StatusOK, j.Status())
 	}
-	j, _ := s.manager.Lookup(id)
-	writeJSON(w, http.StatusOK, j.Status())
 }
 
 // registryEntry is one row of GET /v1/registry.

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/experiments"
@@ -21,6 +23,11 @@ var (
 	// ErrClosed rejects submissions after Shutdown has begun.
 	ErrClosed = errors.New("server: shutting down")
 )
+
+// keepFinished is how many finished jobs the manager holds. Past it the
+// oldest finished job is evicted, so a long-lived daemon's memory stays
+// bounded; its points stay in the result cache.
+const keepFinished = 1024
 
 // Job states.
 const (
@@ -97,6 +104,7 @@ type JobStatus struct {
 // guarded by mu; the submission fields are immutable after Submit.
 type Job struct {
 	id     string
+	seq    int
 	sub    *experiments.Submission
 	name   string
 	fp     string
@@ -176,10 +184,11 @@ type Manager struct {
 	baseCtx    context.Context // canceled to abort all running jobs
 	baseCancel context.CancelFunc
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	seq    int
-	closed bool
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string // ids of held finished jobs, oldest first
+	seq      int
+	closed   bool
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -247,6 +256,7 @@ func (m *Manager) Submit(sub *experiments.Submission) (*Job, error) {
 		return nil, ErrClosed
 	}
 	m.seq++
+	j.seq = m.seq
 	j.id = fmt.Sprintf("job-%06d", m.seq)
 	j.mu.Lock()
 	j.appendEventLocked(Event{Type: StateQueued, Points: j.points})
@@ -275,16 +285,48 @@ func (m *Manager) Lookup(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every job's status, oldest first (ids are sequential and
-// zero-padded, so lexicographic order is submission order).
+// notFound explains why Lookup does not hold id. Every id up to the
+// sequence was accepted (a rejected submission gives its number back),
+// so one that is no longer held was evicted.
+func (m *Manager) notFound(id string) string {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	m.mu.Lock()
+	evicted := err == nil && n >= 1 && n <= m.seq && id == fmt.Sprintf("job-%06d", n)
+	m.mu.Unlock()
+	switch {
+	case !evicted:
+		return fmt.Sprintf("no job %q", id)
+	case m.cfg.Cache == nil:
+		return fmt.Sprintf("job %q was evicted: only the newest %d finished jobs are kept", id, keepFinished)
+	default:
+		return fmt.Sprintf("job %q was evicted: only the newest %d finished jobs are kept; "+
+			"the result cache still holds its points, so resubmitting it is a cache hit", id, keepFinished)
+	}
+}
+
+// retire records that a job reached a terminal state and evicts the
+// oldest finished job once more than keepFinished are held. Callers
+// must not hold j.mu (the lock order is m.mu, then j.mu).
+func (m *Manager) retire(j *Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, j.id)
+	if len(m.finished) > keepFinished {
+		delete(m.jobs, m.finished[0])
+		m.finished[0] = ""
+		m.finished = m.finished[1:]
+	}
+}
+
+// Jobs returns every held job's status, oldest first.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs { // sorted below; order restored by id
+	for _, j := range m.jobs { // sorted below; order restored by seq
 		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id < jobs[b].id })
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
@@ -294,15 +336,10 @@ func (m *Manager) Jobs() []JobStatus {
 
 // Cancel cancels a job: a queued job goes terminal immediately, a
 // running one has its context canceled and goes terminal when the
-// runner unwinds. Returns false when the id is unknown; canceling an
-// already-terminal job is a no-op reporting true.
-func (m *Manager) Cancel(id string) bool {
-	j, ok := m.Lookup(id)
-	if !ok {
-		return false
-	}
+// runner unwinds. Canceling an already-terminal job is a no-op.
+func (m *Manager) Cancel(j *Job) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	queued := j.state == StateQueued
 	switch j.state {
 	case StateQueued:
 		j.canceled = true
@@ -315,7 +352,10 @@ func (m *Manager) Cancel(id string) bool {
 		j.cancel() // runJob observes context.Canceled and finishes the job
 		m.logf("job %s cancellation requested", j.id)
 	}
-	return true
+	j.mu.Unlock()
+	if queued {
+		m.retire(j)
+	}
 }
 
 // QueueDepth reports the number of jobs waiting for a worker.
@@ -355,6 +395,7 @@ func (m *Manager) runJob(j *Job) {
 	}
 	m.met.running.Add(-1)
 	m.finish(j, payload, err)
+	m.retire(j)
 }
 
 // finish moves a job to its terminal state and publishes the result.

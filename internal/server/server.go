@@ -33,7 +33,9 @@
 //
 // Submissions past the queue's capacity are rejected with 429 so load
 // sheds at the edge instead of growing an unbounded backlog, and
-// Shutdown drains running jobs before the process exits.
+// Shutdown drains running jobs before the process exits. The manager
+// holds the newest 1024 finished jobs; an evicted job's id answers 404
+// naming the eviction.
 package server
 
 import (

@@ -17,9 +17,8 @@ import (
 // so curl -N renders a readable trace and an EventSource client can
 // dispatch on the event name.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.manager.Lookup(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -60,19 +60,24 @@ type FabricRun struct {
 	id    packet.ID
 }
 
+// Config is the shape's router configuration.
+func (s Fabric) Config() router.Config {
+	return router.Config{
+		Topo: topology.MustNew(s.K, s.N), VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
+	}
+}
+
 // Start builds the shape and steps it through its warm-up.
 func (s Fabric) Start() *FabricRun {
-	topo := topology.MustNew(s.K, s.N)
+	cfg := s.Config()
 	r := &FabricRun{
-		Fab: router.MustNew(router.Config{
-			Topo: topo, VCs: 3, BufDepth: 8, Mode: router.Recovery, DeadlockTimeout: 160,
-		}),
+		Fab:   router.MustNew(cfg),
 		Pool:  packet.NewPool(),
-		nodes: topo.Nodes(),
+		nodes: cfg.Topo.Nodes(),
 		rate:  s.Rate,
 		rng:   rand.New(rand.NewSource(1)),
 	}
-	r.Pool.Prefill(s.Prefill, 8*s.N*s.K) // trail capacity covers worst-case hops
+	r.Pool.Prefill(s.Prefill)
 	r.Fab.OnDelivered = r.Pool.Put
 	for i := 0; i < s.Warmup; i++ {
 		r.Step()
@@ -119,14 +124,19 @@ var Engines = []Engine{
 	{"notify-saturated", 0.06, sim.Scheme{Kind: sim.Notify}},
 }
 
-// Start builds the shape's engine and steps it through Warmup cycles.
-func (s Engine) Start() (*sim.Engine, error) {
+// Config is the shape's engine configuration.
+func (s Engine) Config() sim.Config {
 	cfg := sim.NewConfig()
 	cfg.Rate = s.Rate
 	cfg.Scheme = s.Scheme
 	cfg.WarmupCycles = 1
 	cfg.MeasureCycles = 1 << 40 // the caller paces the cycles with Step
-	e, err := sim.New(cfg)
+	return cfg
+}
+
+// Start builds the shape's engine and steps it through Warmup cycles.
+func (s Engine) Start() (*sim.Engine, error) {
+	e, err := sim.New(s.Config())
 	if err != nil {
 		return nil, err
 	}

@@ -180,8 +180,8 @@ func (e *Engine) onDelivered(p *packet.Packet) {
 	})
 	// The fabric releases every reference to a packet before it reports
 	// delivery (trace sinks receive packet IDs, not pointers), so the
-	// struct and its Trail capacity can go straight back to the free
-	// list for the next injection.
+	// struct can go straight back to the free list for the next
+	// injection.
 	e.pool.Put(p)
 }
 
