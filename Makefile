@@ -23,8 +23,10 @@ test-cpu:
 race:
 	$(GO) test -race ./...
 
+# Time the 256-node fabric and engine shapes CI gates (seconds, not the
+# full trajectory report bench-json writes).
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+	$(GO) run ./cmd/stcc-bench -shapes '^(fabric|engine)/(idle|low|saturated)$$'
 
 # Regenerate the checked-in benchmark-trajectory report. Uses real
 # benchtime (minutes, not a smoke run); see README.md ("Benchmark
@@ -94,14 +96,20 @@ govulncheck:
 	fi
 
 # Native Go fuzzing: each target gets a short deterministic-budget run.
-# Raise FUZZTIME for a real session.
+# Raise FUZZTIME for a longer run. `go test -fuzz` exits 0 when its
+# pattern matches no target, so each target is first looked up with
+# -list and a missing one fails the run.
+define fuzz
+$(GO) test -list '^$(1)$$' $(2) | grep -qx '$(1)' || { echo "fuzz-smoke: no fuzz target $(1) in $(2)" >&2; exit 1; }
+$(GO) test -run '^$$' -fuzz '^$(1)$$' -fuzztime $(FUZZTIME) $(2)
+endef
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDORMeshRoute$$' -fuzztime $(FUZZTIME) ./internal/topology
-	$(GO) test -run '^$$' -fuzz '^FuzzMinimalPorts$$' -fuzztime $(FUZZTIME) ./internal/topology
-	$(GO) test -run '^$$' -fuzz '^FuzzFlitFraming$$' -fuzztime $(FUZZTIME) ./internal/packet
-	$(GO) test -run '^$$' -fuzz '^FuzzLatencyAccounting$$' -fuzztime $(FUZZTIME) ./internal/packet
-	$(GO) test -run '^$$' -fuzz '^FuzzSplitQuoted$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
-	$(GO) test -run '^$$' -fuzz '^FuzzWantComment$$' -fuzztime $(FUZZTIME) ./internal/analyzers/framework
-	$(GO) test -run '^$$' -fuzz '^FuzzConfigJSON$$' -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzScheduleSpec$$' -fuzztime $(FUZZTIME) ./internal/traffic
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache/fsstore
+	$(call fuzz,FuzzDORMeshRoute,./internal/topology)
+	$(call fuzz,FuzzMinimalPorts,./internal/topology)
+	$(call fuzz,FuzzLatencyAccounting,./internal/packet)
+	$(call fuzz,FuzzSplitQuoted,./internal/analyzers/framework)
+	$(call fuzz,FuzzWantComment,./internal/analyzers/framework)
+	$(call fuzz,FuzzConfigJSON,./internal/sim)
+	$(call fuzz,FuzzScheduleSpec,./internal/traffic)
+	$(call fuzz,FuzzCacheEntry,./internal/resultcache/fsstore)

@@ -1,8 +1,9 @@
 // Command stcc-bench measures the simulator's steady-state hot paths and
 // emits a machine-readable JSON report (ns/op, B/op, allocs/op per
-// shape). The checked-in BENCH_PR<n>.json files form the repo's
-// benchmark trajectory: each performance PR records the shapes it
-// changed, so regressions are visible as diffs rather than folklore.
+// shape); it is the one timer of these shapes. The checked-in
+// BENCH_PR<n>.json files form the repo's benchmark trajectory: each
+// performance PR records the shapes it changed, so regressions are
+// visible as diffs rather than folklore.
 //
 //	go run ./cmd/stcc-bench -label PR3 -out BENCH_PR3.json
 //
@@ -20,13 +21,12 @@
 //	go run ./cmd/stcc-bench -baseline BENCH_PR19.json -tolerance 0.5
 //
 // The fabric and engine shapes are the internal/shapes table, which the
-// allocation gate and BenchmarkFabricStep/BenchmarkEngineStep iterate
-// too: the bare router fabric and the full engine on the paper's
-// 256-node network, each idle, at low load and saturated (the engine
-// also saturated under aimd and notify), plus a 4096-node 16-ary 3-cube
-// fabric at the same three rates. The torus names keep the "/w1" suffix
-// of the trajectory's earlier serial-versus-sharded pairs, so old
-// reports still diff against them.
+// allocation gate iterates too: the bare router fabric and the full
+// engine on the paper's 256-node network, each idle, at low load and
+// saturated (the engine also saturated under aimd and notify), plus a
+// 4096-node 16-ary 3-cube fabric at the same three rates. The torus
+// names keep the "/w1" suffix of the trajectory's earlier
+// serial-versus-sharded pairs, so old reports still diff against them.
 // Every fabric and engine is stepped to steady state before the timed
 // region, so the numbers describe the recurring per-cycle cost — the
 // construction and ramp-up transients are excluded by design. The

@@ -19,7 +19,6 @@ import (
 	"strings"
 	"syscall"
 
-	stcc "repro"
 	"repro/internal/analysis"
 	"repro/internal/congestion"
 	"repro/internal/experiments"
@@ -120,25 +119,26 @@ func checkWorkers(workers int) error {
 // netFlags registers the flags shared by all simulation subcommands and
 // returns a builder that assembles the sim.Config.
 func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
-	k := fs.Int("k", 16, "radix (nodes per dimension)")
-	n := fs.Int("n", 2, "dimensions")
-	vcs := fs.Int("vcs", 3, "virtual channels per physical channel")
-	depth := fs.Int("depth", 8, "flits per VC buffer")
-	plen := fs.Int("plen", 16, "packet length in flits")
-	mode := fs.String("mode", router.Recovery.String(), fmt.Sprintf("deadlock handling: %s or %s", router.Recovery, router.Avoidance))
-	timeout := fs.Int64("timeout", 160, "deadlock detection timeout (cycles)")
+	def := sim.NewConfig()
+	k := fs.Int("k", def.K, "radix (nodes per dimension)")
+	n := fs.Int("n", def.N, "dimensions")
+	vcs := fs.Int("vcs", def.VCs, "virtual channels per physical channel")
+	depth := fs.Int("depth", def.BufDepth, "flits per VC buffer")
+	plen := fs.Int("plen", def.PacketLength, "packet length in flits")
+	mode := fs.String("mode", def.Mode.String(), fmt.Sprintf("deadlock handling: %s or %s", router.Recovery, router.Avoidance))
+	timeout := fs.Int64("timeout", def.DeadlockTimeout, "deadlock detection timeout (cycles)")
 	tokenWait := fs.Int64("tokenwait", 0, "recovery token wait before re-arm (0 = 2.4x timeout)")
-	hop := fs.Int("hop", 2, "side-band hop delay (cycles)")
+	hop := fs.Int("hop", def.SidebandHopDelay, "side-band hop delay (cycles)")
 	bits := fs.Int("bits", 0, "side-band width in bits (0 = full precision)")
 	var patterns []string
 	for _, kind := range traffic.PatternKinds() {
 		patterns = append(patterns, string(kind))
 	}
-	pattern := fs.String("pattern", string(traffic.UniformRandom), "communication pattern: "+strings.Join(patterns, ", "))
+	pattern := fs.String("pattern", string(def.Pattern), "communication pattern: "+strings.Join(patterns, ", "))
 	rate := fs.Float64("rate", 0.01, "offered load (packets/node/cycle)")
-	warmup := fs.Int64("warmup", 100_000, "warm-up cycles (ignored in statistics)")
-	measure := fs.Int64("measure", 500_000, "measured cycles")
-	seed := fs.Int64("seed", 1, "random seed")
+	warmup := fs.Int64("warmup", def.WarmupCycles, "warm-up cycles (ignored in statistics)")
+	measure := fs.Int64("measure", def.MeasureCycles, "measured cycles")
+	seed := fs.Int64("seed", def.Seed, "random seed")
 	scheme := fs.String("scheme", string(sim.Base), "congestion control: "+strings.Join(congestion.Names(), ", "))
 	threshold := fs.Float64("threshold", 250, "full-buffer threshold for -scheme static")
 	estimator := fs.String("estimator", "linear", "congestion estimator: linear or last")
@@ -249,7 +249,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		return err
 	}
 	return prof(func() error {
-		r, err := stcc.RunContext(ctx, cfg)
+		r, err := sim.RunContext(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -388,7 +388,7 @@ func cmdBursty(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sched, err := stcc.PaperBurstySchedule(topo.Nodes(), stcc.BurstyOptions{
+	sched, err := traffic.PaperBurstySchedule(topo.Nodes(), traffic.PaperBurstyOptions{
 		LowDuration: *lowDur, HighDuration: *highDur,
 		LowInterval: *lowInt, HighInterval: *highInt,
 	})
@@ -400,7 +400,7 @@ func cmdBursty(ctx context.Context, args []string) error {
 	cfg.MeasureCycles = sched.TotalDuration()
 	cfg.SampleInterval = *sample
 	return prof(func() error {
-		r, err := stcc.RunContext(ctx, cfg)
+		r, err := sim.RunContext(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -430,17 +430,17 @@ func cmdTrace(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	pat, err := stcc.NewPattern(cfg.Pattern, topo.Nodes())
+	pat, err := traffic.NewPattern(cfg.Pattern, topo.Nodes())
 	if err != nil {
 		return err
 	}
-	cfg.Schedule = stcc.Steady(pat, stcc.Periodic{Interval: *regen})
+	cfg.Schedule = traffic.Steady(pat, traffic.Periodic{Interval: *regen})
 	if cfg.Scheme.Kind == sim.Base {
 		cfg.Scheme.Kind = sim.SelfTuned
 	}
 	cfg.Scheme.KeepTrace = true
 	return prof(func() error {
-		r, err := stcc.RunContext(ctx, cfg)
+		r, err := sim.RunContext(ctx, cfg)
 		if err != nil {
 			return err
 		}

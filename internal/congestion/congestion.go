@@ -87,16 +87,10 @@ type LocalView interface {
 
 // GlobalView exposes network-wide aggregates alongside LocalView. The
 // router fabric implements it; factories use it for sizing per-source
-// state and controllers may consult it for instantaneous global
-// estimates (the realistic, delayed path is the side-band).
+// state. Global congestion reaches controllers through the side-band.
 type GlobalView interface {
 	// Nodes returns the network size.
 	Nodes() int
-	// FullVCBuffers returns the network-wide count of full VC buffers.
-	FullVCBuffers() int
-	// CongestedRouters returns how many routers currently have their
-	// congestion bit set (zero unless marking is enabled).
-	CongestedRouters() int
 }
 
 // NotificationUser marks controllers that consume Notification feedback

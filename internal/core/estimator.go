@@ -19,7 +19,6 @@ type Estimator interface {
 	// Estimate returns the predicted full-buffer count at cycle now.
 	// ok is false until enough snapshots have arrived.
 	Estimate(now int64) (value float64, ok bool)
-	Name() string
 }
 
 // LastValue predicts the most recent snapshot's value: "use the state
@@ -43,9 +42,6 @@ func (e *LastValue) Estimate(int64) (float64, bool) {
 	}
 	return float64(e.last.FullBuffers), true
 }
-
-// Name implements Estimator.
-func (e *LastValue) Name() string { return "last-value" }
 
 // LinearExtrapolation predicts with a straight line through the previous
 // two snapshots, the paper's slightly more sophisticated method (worth
@@ -84,6 +80,3 @@ func (e *LinearExtrapolation) Estimate(now int64) (float64, bool) {
 	}
 	return v, true
 }
-
-// Name implements Estimator.
-func (e *LinearExtrapolation) Name() string { return "linear-extrapolation" }

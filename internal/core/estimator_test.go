@@ -24,9 +24,6 @@ func TestLastValue(t *testing.T) {
 	if v, _ := e.Estimate(63); v != 250 {
 		t.Errorf("estimate after second snapshot = %v", v)
 	}
-	if e.Name() != "last-value" {
-		t.Error("name")
-	}
 }
 
 func TestLinearExtrapolationBeforeData(t *testing.T) {
@@ -101,12 +98,5 @@ func TestLinearExtrapolationQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLinearExtrapolationName(t *testing.T) {
-	var e LinearExtrapolation
-	if e.Name() != "linear-extrapolation" {
-		t.Error("name")
 	}
 }

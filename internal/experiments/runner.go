@@ -86,21 +86,15 @@ func (r Runner) workerCount(n int) int {
 // canceled Runner.Ctx stops dispatch the same way and surfaces ctx's
 // error.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
-	return r.forEach(n, nil, fn)
+	return r.forEach(n, func(_ context.Context, i int) error { return fn(i) })
 }
 
 // forEach is ForEach with the derived, cancel-on-error context passed to
 // each job, so jobs (runPoint) can abort in-flight simulations when a
-// sibling fails or the runner's own context is canceled. Exactly one of
-// ctxFn/fn is used: fn when non-nil (the exported ForEach path keeps its
-// context-free signature), ctxFn otherwise.
-func (r Runner) forEach(n int, ctxFn func(ctx context.Context, i int) error, fn func(i int) error) error {
+// sibling fails or the runner's own context is canceled.
+func (r Runner) forEach(n int, call func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
-	}
-	call := ctxFn
-	if fn != nil {
-		call = func(_ context.Context, i int) error { return fn(i) }
 	}
 	workers := r.workerCount(n)
 	base := r.ctx()
@@ -199,7 +193,7 @@ func (r Runner) runGrid(cfgs []sim.Config, label func(i int) string, wrapErr fun
 			r.OnPoint(ev)
 		}
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ func TestForEachCancelsAfterError(t *testing.T) {
 		}
 		<-ctx.Done()
 		return nil
-	}, nil)
+	})
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v", err)
 	}
@@ -101,7 +101,7 @@ func TestForEachCanceledSiblingDoesNotMaskError(t *testing.T) {
 		}
 		<-ctx.Done()
 		return fmt.Errorf("point 0: %w", ctx.Err())
-	}, nil)
+	})
 	if err != invalid {
 		t.Fatalf("err = %v, want %v", err, invalid)
 	}
@@ -118,7 +118,7 @@ func TestForEachReportsCallerCancellation(t *testing.T) {
 		}
 		<-jobCtx.Done()
 		return jobCtx.Err()
-	}, nil)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -2,64 +2,6 @@ package packet
 
 import "testing"
 
-// FuzzFlitFraming checks the implicit flit framing for arbitrary packet
-// lengths: a packet is exactly one Only flit, or a Head, Length-2
-// Bodies, and a Tail — in that order, with no other shape possible.
-func FuzzFlitFraming(f *testing.F) {
-	f.Add(uint16(1))
-	f.Add(uint16(2))
-	f.Add(uint16(3))
-	f.Add(uint16(16))
-	f.Fuzz(func(t *testing.T, lengthRaw uint16) {
-		length := 1 + int(lengthRaw%4096)
-		p := New(1, 0, 1, length, 0)
-
-		heads, bodies, tails, onlies := 0, 0, 0, 0
-		for i := 0; i < length; i++ {
-			ft := p.FlitTypeAt(i)
-			switch ft {
-			case Head:
-				heads++
-			case Body:
-				bodies++
-			case Tail:
-				tails++
-			case Only:
-				onlies++
-			default:
-				t.Fatalf("flit %d/%d has unknown type %v", i, length, ft)
-			}
-			// Position constraints: framing is fully determined by the
-			// index.
-			switch {
-			case length == 1:
-				if ft != Only {
-					t.Fatalf("single-flit packet framed %v", ft)
-				}
-			case i == 0:
-				if ft != Head {
-					t.Fatalf("flit 0 of %d framed %v, want head", length, ft)
-				}
-			case i == length-1:
-				if ft != Tail {
-					t.Fatalf("last flit of %d framed %v, want tail", length, ft)
-				}
-			default:
-				if ft != Body {
-					t.Fatalf("flit %d of %d framed %v, want body", i, length, ft)
-				}
-			}
-		}
-		if length == 1 {
-			if onlies != 1 || heads != 0 || bodies != 0 || tails != 0 {
-				t.Fatalf("length 1 framed as %d/%d/%d/%d head/body/tail/only", heads, bodies, tails, onlies)
-			}
-		} else if heads != 1 || tails != 1 || bodies != length-2 || onlies != 0 {
-			t.Fatalf("length %d framed as %d/%d/%d/%d head/body/tail/only", length, heads, bodies, tails, onlies)
-		}
-	})
-}
-
 // FuzzLatencyAccounting checks the lifecycle timestamps: latencies are
 // -1 until the relevant events happen, then exact cycle differences.
 func FuzzLatencyAccounting(f *testing.F) {

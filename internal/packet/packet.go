@@ -15,35 +15,6 @@ import (
 // ID uniquely identifies a packet within one simulation run.
 type ID int64
 
-// FlitType distinguishes the roles of flits within a packet.
-type FlitType uint8
-
-const (
-	// Head carries the routing information; it allocates channels.
-	Head FlitType = iota
-	// Body follows the path the head reserved.
-	Body
-	// Tail releases channels as it passes.
-	Tail
-	// Only is a single-flit packet's head-and-tail flit.
-	Only
-)
-
-func (t FlitType) String() string {
-	switch t {
-	case Head:
-		return "head"
-	case Body:
-		return "body"
-	case Tail:
-		return "tail"
-	case Only:
-		return "only"
-	default:
-		return fmt.Sprintf("FlitType(%d)", uint8(t))
-	}
-}
-
 // Mode tracks how a packet is currently being routed.
 type Mode uint8
 
@@ -161,22 +132,6 @@ func (p *Packet) reset(id ID, src, dst topology.NodeID, length int, now int64) {
 // list. Network state holding a recycled packet is a use-after-recycle
 // bug.
 func (p *Packet) Recycled() bool { return p.recycled }
-
-// FlitTypeAt returns the type of the i-th flit (0-based).
-//
-//stcc:hotpath
-func (p *Packet) FlitTypeAt(i int) FlitType {
-	switch {
-	case p.Length == 1:
-		return Only
-	case i == 0:
-		return Head
-	case i == p.Length-1:
-		return Tail
-	default:
-		return Body
-	}
-}
 
 // Delivered reports whether the whole packet has left the network.
 func (p *Packet) Delivered() bool { return p.DeliveredAt >= 0 }

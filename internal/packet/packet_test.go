@@ -35,31 +35,6 @@ func TestNewPanicsOnBadLength(t *testing.T) {
 	New(1, 0, 1, 0, 0)
 }
 
-func TestFlitTypeAt(t *testing.T) {
-	p := New(1, 0, 1, 4, 0)
-	want := []FlitType{Head, Body, Body, Tail}
-	for i, w := range want {
-		if got := p.FlitTypeAt(i); got != w {
-			t.Errorf("flit %d type = %v, want %v", i, got, w)
-		}
-	}
-	single := New(2, 0, 1, 1, 0)
-	if single.FlitTypeAt(0) != Only {
-		t.Error("single-flit packet should be Only")
-	}
-}
-
-func TestFlitTypeStrings(t *testing.T) {
-	for ft, s := range map[FlitType]string{Head: "head", Body: "body", Tail: "tail", Only: "only"} {
-		if ft.String() != s {
-			t.Errorf("%v.String() = %q", ft, ft.String())
-		}
-	}
-	if FlitType(99).String() == "" {
-		t.Error("unknown flit type should still format")
-	}
-}
-
 func TestModeStrings(t *testing.T) {
 	for m, s := range map[Mode]string{Adaptive: "adaptive", Escape: "escape", Recovering: "recovering"} {
 		if m.String() != s {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/topology"
 )
 
-// Single-flit packets exercise the Only flit type: head and tail
-// semantics on the same flit.
+// Single-flit packets exercise a flit that is both head and tail
+// (isHead and isTail hold at once).
 func TestSingleFlitPackets(t *testing.T) {
 	for _, mode := range []DeadlockMode{Avoidance, Recovery} {
 		cfg := testConfig(8, mode)

@@ -487,8 +487,8 @@ func (f *Fabric) CongestedAt(node topology.NodeID) bool {
 	return f.congWords[node>>6]&(1<<uint(node&63)) != 0
 }
 
-// CongestedRouters implements congestion.GlobalView: how many routers
-// currently have their congestion bit set. O(nodes/64).
+// CongestedRouters returns how many routers currently have their
+// congestion bit set. O(nodes/64).
 func (f *Fabric) CongestedRouters() int {
 	total := 0
 	for _, w := range f.congWords {

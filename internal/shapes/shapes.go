@@ -1,8 +1,8 @@
 // Package shapes defines the hot-path operating points that the
-// steady-state allocation gate (alloc_regression_test.go), the step
-// benchmarks (bench_test.go) and cmd/stcc-bench all measure: the bare
-// router fabric and the full engine, each built and stepped past its
-// warm-up so that the caller can time or gate single cycles.
+// steady-state allocation gate (alloc_regression_test.go) and
+// cmd/stcc-bench both measure: the bare router fabric and the full
+// engine, each built and stepped past its warm-up so that the caller
+// can time or gate single cycles.
 package shapes
 
 import (

@@ -15,7 +15,6 @@ package sideband
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"repro/internal/enum"
@@ -144,8 +143,6 @@ type Network struct {
 	src   Source
 	sinks []Sink
 	inFly []Snapshot // measured, not yet visible
-	last  [2]Snapshot
-	nlast int
 	rng   *rand.Rand // Piggyback loss process
 	pp    float64
 }
@@ -225,42 +222,8 @@ func (n *Network) Tick(now int64) {
 		// tick cycle never reallocates it.
 		copy(n.inFly, n.inFly[1:])
 		n.inFly = n.inFly[:len(n.inFly)-1]
-		n.last[0] = n.last[1]
-		n.last[1] = s
-		if n.nlast < 2 {
-			n.nlast++
-		}
 		for _, sink := range n.sinks {
 			sink.OnSnapshot(s)
 		}
 	}
-}
-
-// Latest returns the most recent visible snapshot; ok is false before any
-// snapshot has become visible.
-func (n *Network) Latest() (s Snapshot, ok bool) {
-	if n.nlast == 0 {
-		return Snapshot{}, false
-	}
-	return n.last[1], true
-}
-
-// LastTwo returns the two most recent visible snapshots (older first);
-// ok is false until two are available.
-func (n *Network) LastTwo() (older, newer Snapshot, ok bool) {
-	if n.nlast < 2 {
-		return Snapshot{}, Snapshot{}, false
-	}
-	return n.last[0], n.last[1], true
-}
-
-// FieldBits returns how many bits a full-precision side-band needs for
-// each transported field given the totals, mirroring the paper's sizing
-// discussion (12 bits for 3072 buffers; 13 bits for the maximum
-// throughput count g*Nodes*MaxTraffic).
-func FieldBits(maxValue int) int {
-	if maxValue <= 0 {
-		return 1
-	}
-	return bits.Len(uint(maxValue))
 }

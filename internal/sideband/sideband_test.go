@@ -142,40 +142,6 @@ func TestDeliveredFlitsWindowed(t *testing.T) {
 	}
 }
 
-func TestLatestAndLastTwo(t *testing.T) {
-	src := &fakeSource{}
-	nw := New(paperCfg(), src)
-	if _, ok := nw.Latest(); ok {
-		t.Error("Latest before any snapshot")
-	}
-	if _, _, ok := nw.LastTwo(); ok {
-		t.Error("LastTwo before any snapshot")
-	}
-	for now := int64(0); now <= 32; now++ {
-		src.full = 10
-		nw.Tick(now)
-	}
-	if s, ok := nw.Latest(); !ok || s.Taken != 0 {
-		t.Errorf("Latest = %+v ok=%v", s, ok)
-	}
-	if _, _, ok := nw.LastTwo(); ok {
-		t.Error("LastTwo should need two snapshots")
-	}
-	for now := int64(33); now <= 64; now++ {
-		src.full = 20
-		nw.Tick(now)
-	}
-	older, newer, ok := nw.LastTwo()
-	if !ok || older.Taken != 0 || newer.Taken != 32 {
-		t.Fatalf("LastTwo = %+v %+v ok=%v", older, newer, ok)
-	}
-	// The snapshot visible at 64 was *taken* at 32, when full was 10:
-	// the g-cycle delay means nodes act on old data.
-	if newer.FullBuffers != 10 {
-		t.Errorf("newer full = %d, want 10 (value at snapshot time)", newer.FullBuffers)
-	}
-}
-
 func TestNarrowSidebandQuantizes(t *testing.T) {
 	src := &fakeSource{full: 0b1111111111} // 1023 needs 10 bits
 	cfg := paperCfg()
@@ -205,22 +171,5 @@ func TestNarrowSidebandSmallValuesExact(t *testing.T) {
 	}
 	if sink.snaps[0].FullBuffers != 200 || sink.snaps[0].DeliveredFlits != 100 {
 		t.Errorf("small values altered: %+v", sink.snaps[0])
-	}
-}
-
-func TestFieldBitsPaperSizes(t *testing.T) {
-	// Paper: 12 bits count 3072 buffers; 13 bits for max throughput
-	// count 32*256*1 = 8192.
-	if got := FieldBits(3072); got != 12 {
-		t.Errorf("FieldBits(3072) = %d, want 12", got)
-	}
-	if got := FieldBits(8192); got != 14 {
-		// 8192 needs 14 bits to represent exactly; the paper says 13
-		// because 2^13 = 8192 states cover 0..8191 and the maximum is
-		// reached only at perfect saturation. Document the off-by-one.
-		t.Errorf("FieldBits(8192) = %d", got)
-	}
-	if FieldBits(0) != 1 || FieldBits(-5) != 1 {
-		t.Error("degenerate FieldBits")
 	}
 }

@@ -38,28 +38,6 @@ func (a *Accumulator) Mean() float64 {
 	return a.Sum / float64(a.Count)
 }
 
-// Merge folds other into a.
-func (a *Accumulator) Merge(other Accumulator) {
-	if other.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		*a = other
-		return
-	}
-	if other.Min < a.Min {
-		a.Min = other.Min
-	}
-	if other.Max > a.Max {
-		a.Max = other.Max
-	}
-	a.Count += other.Count
-	a.Sum += other.Sum
-}
-
-// Reset clears the accumulator.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
-
 // Series is a time series sampled at a fixed cycle interval: point i
 // covers cycles [Start + i*Interval, Start + (i+1)*Interval).
 type Series struct {
@@ -211,31 +189,6 @@ func (l *LatencyStats) nth(rank int64) float64 {
 
 // floatLess is sort.Float64s' order: NaN first, then ascending.
 func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
-
-// Counter is a monotone event counter with windowed deltas.
-type Counter struct {
-	total int64
-	mark  int64
-}
-
-// Add increments the counter by n (n must be non-negative).
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic("stats: negative Counter.Add")
-	}
-	c.total += n
-}
-
-// Total returns the all-time count.
-func (c *Counter) Total() int64 { return c.total }
-
-// TakeDelta returns the count accumulated since the previous TakeDelta
-// (or since creation) and starts a new window.
-func (c *Counter) TakeDelta() int64 {
-	d := c.total - c.mark
-	c.mark = c.total
-	return d
-}
 
 // Rate converts a flit count over nodes and cycles into the paper's
 // normalized units (flits/node/cycle). Returns 0 for empty windows.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestAccumulatorBasic(t *testing.T) {
@@ -29,59 +28,6 @@ func TestAccumulatorNegativeFirst(t *testing.T) {
 	a.Add(-3)
 	if a.Min != -3 || a.Max != -3 {
 		t.Errorf("first sample min/max: %+v", a)
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	var a, b Accumulator
-	a.Add(1)
-	a.Add(2)
-	b.Add(-5)
-	b.Add(10)
-	a.Merge(b)
-	if a.Count != 4 || a.Min != -5 || a.Max != 10 || a.Sum != 8 {
-		t.Errorf("merged = %+v", a)
-	}
-	var empty Accumulator
-	a.Merge(empty)
-	if a.Count != 4 {
-		t.Error("merging empty changed count")
-	}
-	var c Accumulator
-	c.Merge(a)
-	if c != a {
-		t.Error("merge into empty should copy")
-	}
-}
-
-func TestAccumulatorReset(t *testing.T) {
-	var a Accumulator
-	a.Add(5)
-	a.Reset()
-	if a.Count != 0 || a.Sum != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
-func TestAccumulatorMergeQuick(t *testing.T) {
-	f := func(xs, ys []int32) bool {
-		var a, b, all Accumulator
-		for _, xi := range xs {
-			x := float64(xi)
-			a.Add(x)
-			all.Add(x)
-		}
-		for _, yi := range ys {
-			y := float64(yi)
-			b.Add(y)
-			all.Add(y)
-		}
-		a.Merge(b)
-		return a.Count == all.Count && a.Min == all.Min && a.Max == all.Max &&
-			math.Abs(a.Sum-all.Sum) < 1e-9*(1+math.Abs(all.Sum))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -249,35 +195,6 @@ func TestLatencyStatsMemoryFollowsMaxLatency(t *testing.T) {
 	if got := l.Percentile(50); got != 499 {
 		t.Fatalf("P50 = %v, want 499", got)
 	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(3)
-	if c.Total() != 8 {
-		t.Errorf("Total = %d", c.Total())
-	}
-	if d := c.TakeDelta(); d != 8 {
-		t.Errorf("first delta = %d", d)
-	}
-	c.Add(2)
-	if d := c.TakeDelta(); d != 2 {
-		t.Errorf("second delta = %d", d)
-	}
-	if d := c.TakeDelta(); d != 0 {
-		t.Errorf("empty delta = %d", d)
-	}
-}
-
-func TestCounterPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
 }
 
 func TestRate(t *testing.T) {

@@ -269,22 +269,6 @@ func (t *Torus) DORMeshNextPort(cur, dstNode NodeID) (port int, ok bool) {
 	return 0, false
 }
 
-// DORMeshPath appends to dst the sequence of nodes (excluding src,
-// including dstNode) visited by the mesh dimension-order route and returns
-// the extended slice.
-func (t *Torus) DORMeshPath(src, dstNode NodeID, dst []NodeID) []NodeID {
-	cur := src
-	for cur != dstNode {
-		p, ok := t.DORMeshNextPort(cur, dstNode)
-		if !ok {
-			break
-		}
-		cur = t.Neighbor(cur, PortDim(p), PortDir(p))
-		dst = append(dst, cur)
-	}
-	return dst
-}
-
 // TotalVCBuffers returns the number of virtual-channel edge buffers on
 // physical channels network-wide for a network with vcs virtual channels
 // per physical channel: Nodes * PhysPorts * vcs. This is the denominator

@@ -269,7 +269,17 @@ func TestDORMeshPathReachesAndOrdersDimensions(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		src := NodeID(rng.Intn(tor.Nodes()))
 		dst := NodeID(rng.Intn(tor.Nodes()))
-		path := tor.DORMeshPath(src, dst, nil)
+		// Walk the route one DORMeshNextPort step at a time; the bound
+		// turns a non-terminating route into a length failure.
+		var path []NodeID
+		for cur := src; cur != dst && len(path) <= tor.Nodes(); {
+			p, ok := tor.DORMeshNextPort(cur, dst)
+			if !ok {
+				break
+			}
+			cur = tor.Neighbor(cur, PortDim(p), PortDir(p))
+			path = append(path, cur)
+		}
 		if want := tor.MeshDistance(src, dst); len(path) != want {
 			t.Fatalf("DOR mesh path %d->%d length %d, want %d", src, dst, len(path), want)
 		}

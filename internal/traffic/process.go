@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Process decides, cycle by cycle, whether a node generates a new packet.
 // Each node owns an independent Process instance.
@@ -13,7 +10,6 @@ type Process interface {
 	Generate(now int64, rng *rand.Rand) bool
 	// Rate returns the long-run offered load in packets/node/cycle.
 	Rate() float64
-	Name() string
 }
 
 // Bernoulli generates a packet each cycle independently with probability
@@ -27,9 +23,6 @@ func (b Bernoulli) Generate(_ int64, rng *rand.Rand) bool {
 
 // Rate implements Process.
 func (b Bernoulli) Rate() float64 { return b.P }
-
-// Name implements Process.
-func (b Bernoulli) Name() string { return fmt.Sprintf("bernoulli(%g)", b.P) }
 
 // Periodic generates a packet every Interval cycles, starting at Phase.
 // The paper's self-tuning trace (Figure 4) uses a fixed packet
@@ -55,9 +48,6 @@ func (p Periodic) Rate() float64 {
 	return 1 / float64(p.Interval)
 }
 
-// Name implements Process.
-func (p Periodic) Name() string { return fmt.Sprintf("periodic(%d)", p.Interval) }
-
 // Idle never generates packets.
 type Idle struct{}
 
@@ -66,6 +56,3 @@ func (Idle) Generate(int64, *rand.Rand) bool { return false }
 
 // Rate implements Process.
 func (Idle) Rate() float64 { return 0 }
-
-// Name implements Process.
-func (Idle) Name() string { return "idle" }

@@ -257,9 +257,6 @@ func TestIdle(t *testing.T) {
 	if p.Generate(0, nil) || p.Rate() != 0 {
 		t.Error("Idle should never generate")
 	}
-	if p.Name() != "idle" {
-		t.Error("name")
-	}
 }
 
 func TestScheduleValidation(t *testing.T) {

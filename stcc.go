@@ -19,9 +19,9 @@
 //
 // Every table and figure of the paper's evaluation, plus the extension
 // studies, is a named Experiment: LookupExperiment("fig3") returns its
-// grid builder and formatter, and Experiment.Run executes it. `go test
-// -bench Experiments` regenerates them all, and the cmd/stcc-paper
-// binary writes them as CSV at the paper's full scale.
+// grid builder and formatter, and Experiment.Run executes it. The
+// cmd/stcc-paper binary regenerates them all, at Quick or Paper scale,
+// and writes them as CSV.
 //
 // The package is a thin facade: the implementation lives in
 // internal/{topology,packet,router,traffic,sideband,core,congestion,sim,
@@ -172,8 +172,8 @@ type (
 	FeedbackKind = congestion.FeedbackKind
 	// LocalView exposes router-local channel state to throttlers.
 	LocalView = congestion.LocalView
-	// GlobalView exposes network-wide aggregates (size, full buffers,
-	// congested-router count) alongside LocalView.
+	// GlobalView exposes the network size to controller factories
+	// alongside LocalView.
 	GlobalView = congestion.GlobalView
 	// ViewBinder lets a custom Throttler receive the LocalView.
 	ViewBinder = sim.ViewBinder
