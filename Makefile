@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke spec-roundtrip experiments-doc serve serve-smoke
+.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke experiments-doc serve serve-smoke
 
 all: build lint test
 
@@ -46,14 +46,10 @@ determinism:
 	$(GO) test -race -run 'TestDeterminism|TestShardFieldsAcceptedAndIgnored' .
 
 # lint is the full static gate: formatting, the standard vet suite, the
-# determinism-contract suite, the experiment-spec round trip, and (when
-# the tool is available) govulncheck.
-lint: fmt-check vet stcc-vet spec-roundtrip govulncheck
-
-# Emit every registry experiment's spec at both scales, re-parse it, and
-# require an unchanged content fingerprint (CI runs this too).
-spec-roundtrip:
-	$(GO) run ./cmd/stcc spec-roundtrip
+# determinism-contract suite, and (when the tool is available)
+# govulncheck. The experiment-spec round trip is a tier-1 test
+# (TestRegistrySpecsRoundTrip), so `make test` runs it.
+lint: fmt-check vet stcc-vet govulncheck
 
 # Regenerate the registry-derived catalog section of EXPERIMENTS.md.
 experiments-doc:

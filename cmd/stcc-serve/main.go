@@ -75,7 +75,7 @@ func run(args []string, stderr io.Writer) int {
 	if *cacheDir != "" {
 		cache, err := fsstore.New(*cacheDir)
 		if err != nil {
-			logger.Print(err)
+			logger.Printf("-cache: %v", err)
 			return 1
 		}
 		cfg.Cache = cache

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -28,5 +30,21 @@ func TestNegativeCountsRejected(t *testing.T) {
 		if !strings.Contains(stderr.String(), "no-port") {
 			t.Errorf("-%s 0 stderr %q does not report the listen failure", name, stderr.String())
 		}
+	}
+}
+
+// A -cache URL is refused naming the flag, as stcc and stcc-paper refuse
+// it, instead of being taken for a relative path: fsstore would create
+// an "http:" directory tree in the working directory.
+func TestCacheURLRejected(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-addr", "no-port", "-cache", "http://127.0.0.1:8081"}, &stderr); code == 0 {
+		t.Fatal("a URL -cache exited 0")
+	}
+	if !strings.Contains(stderr.String(), "-cache") {
+		t.Errorf("stderr %q does not name -cache", stderr.String())
+	}
+	if _, err := os.Stat("http:"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a URL -cache left an http: path behind (stat: %v)", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -60,8 +61,6 @@ func Main(args []string) int {
 		err = cmdDescribe(args[1:])
 	case "emit-spec":
 		err = cmdEmitSpec(args[1:])
-	case "spec-roundtrip":
-		err = cmdSpecRoundtrip(args[1:])
 	case "experiments-doc":
 		err = cmdExperimentsDoc(args[1:])
 	case "version":
@@ -98,7 +97,6 @@ experiment registry:
   list             named experiments (tab1, fig1..fig7, ext1..ext14)
   describe <name>  one experiment's purpose and grid
   emit-spec <name> write an experiment's serialized spec (JSON) to stdout
-  spec-roundtrip   verify every registry spec survives JSON round-tripping
   experiments-doc  regenerate the catalog section of EXPERIMENTS.md
 
   version          print build provenance (module, commit, Go version)
@@ -107,17 +105,39 @@ serving: the stcc-serve binary exposes the registry and spec execution
 over HTTP; see README.md ("Running as a service").`)
 }
 
-// checkWorkers rejects negative worker counts up front, before any flag
-// reaches experiments.Runner (where <= 0 silently means "all CPUs").
-func checkWorkers(workers int) error {
+// newRunner returns the Runner every simulation subcommand and
+// stcc-paper run their points on. It rejects a negative -workers up
+// front (experiments.Runner would read it as "all CPUs") and attaches
+// the result store a -cache flag names.
+func newRunner(ctx context.Context, workers int, cacheDir string) (experiments.Runner, error) {
 	if workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", workers)
+		return experiments.Runner{}, fmt.Errorf("-workers must be >= 0, got %d", workers)
 	}
-	return nil
+	cache, err := openCache(cacheDir)
+	if err != nil {
+		return experiments.Runner{}, err
+	}
+	return experiments.Runner{Workers: workers, Cache: cache, Ctx: ctx}, nil
+}
+
+// runConfig runs one flag-built configuration as a one-point spec named
+// after its subcommand, so it is cached and canceled like any grid
+// point.
+func runConfig(runner experiments.Runner, name string, cfg sim.Config) (sim.Result, error) {
+	spec := experiments.NewSpec(name, "")
+	spec.AddGroup("", experiments.Point{Label: string(cfg.Scheme.Kind), Config: cfg})
+	grouped, err := runner.RunSpec(spec)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return grouped[0][0], nil
 }
 
 // netFlags registers the flags shared by all simulation subcommands and
-// returns a builder that assembles the sim.Config.
+// returns a builder that assembles the sim.Config. Scheme fields are set
+// only where they differ from the registry's, so a flag-built config
+// has the wire form, fingerprint and cache entry of the registry point
+// with the same settings.
 func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 	def := sim.NewConfig()
 	k := fs.Int("k", def.K, "radix (nodes per dimension)")
@@ -160,11 +180,12 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		cfg.Rate = *rate
 		cfg.WarmupCycles, cfg.MeasureCycles = *warmup, *measure
 		cfg.Seed = *seed
-		cfg.Scheme = sim.Scheme{
-			Kind:            sim.SchemeKind(*scheme),
-			StaticThreshold: *threshold,
-			Estimator:       sim.EstimatorKind(*estimator),
-			TuningPeriod:    *period,
+		cfg.Scheme = sim.Scheme{Kind: sim.SchemeKind(*scheme), TuningPeriod: *period}
+		if cfg.Scheme.Kind == sim.StaticGlobal {
+			cfg.Scheme.StaticThreshold = *threshold
+		}
+		if *estimator != string(sim.LinearEstimator) {
+			cfg.Scheme.Estimator = sim.EstimatorKind(*estimator)
 		}
 		return cfg, nil
 	}
@@ -208,21 +229,16 @@ func profileFlags(fs *flag.FlagSet) func(run func() error) error {
 	}
 }
 
-// openCache opens the on-disk result store named by a -cache flag. A
-// URL is refused rather than taken for a relative path, which would
-// silently create a directory tree named after it. An unset flag
-// returns an explicitly nil Store (never a typed-nil concrete pointer,
-// which would read as an attached cache to the runner).
+// openCache opens the on-disk result store named by a -cache flag. An
+// unset flag returns an explicitly nil Store (never a typed-nil concrete
+// pointer, which would read as an attached cache to the runner).
 func openCache(dir string) (resultcache.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	if strings.Contains(dir, "://") {
-		return nil, fmt.Errorf("-cache %q: takes a directory, not a URL", dir)
-	}
 	s, err := fsstore.New(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-cache: %w", err)
 	}
 	return s, nil
 }
@@ -238,36 +254,41 @@ func cmdRun(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkWorkers(*workers); err != nil {
+	runner, err := newRunner(ctx, *workers, *cacheDir)
+	if err != nil {
 		return err
 	}
 	if *specPath != "" {
-		return prof(func() error { return runSpecFile(ctx, *specPath, *workers, *cacheDir, *asJSON) })
+		return prof(func() error { return runSpecFile(runner, *specPath, *asJSON) })
 	}
 	cfg, err := build()
 	if err != nil {
 		return err
 	}
 	return prof(func() error {
-		r, err := sim.RunContext(ctx, cfg)
+		r, err := runConfig(runner, "run", cfg)
 		if err != nil {
 			return err
 		}
 		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(r)
+			return printJSON(r)
 		}
 		printResult(r)
 		return nil
 	})
 }
 
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 // runSpecFile executes a serialized submission — an experiment spec, a
 // bare config, or a registry reference like {"name":"fig3"} — and
 // prints one row per point (or, with -json, the grouped results
 // verbatim). The same parser backs the stcc-serve POST /v1/jobs body.
-func runSpecFile(ctx context.Context, path string, workers int, cacheDir string, asJSON bool) error {
+func runSpecFile(runner experiments.Runner, path string, asJSON bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -276,11 +297,6 @@ func runSpecFile(ctx context.Context, path string, workers int, cacheDir string,
 	if err != nil {
 		return err
 	}
-	cache, err := openCache(cacheDir)
-	if err != nil {
-		return err
-	}
-	runner := experiments.Runner{Workers: workers, Cache: cache, Ctx: ctx}
 	// -json replaces a grid's text report with its grouped results; a
 	// registry entry prints its report either way.
 	if !asJSON || sub.Name != "" {
@@ -291,10 +307,12 @@ func runSpecFile(ctx context.Context, path string, workers int, cacheDir string,
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(grouped)
+	return printJSON(grouped)
 }
+
+// thresholdSchemes throttle against a global full-buffer threshold: the
+// schemes with a threshold to print and to trace.
+var thresholdSchemes = []sim.SchemeKind{sim.StaticGlobal, sim.SelfTuned, sim.HillClimbOnly}
 
 func printResult(r sim.Result) {
 	fmt.Printf("scheme            %s\n", r.Scheme)
@@ -310,7 +328,7 @@ func printResult(r sim.Result) {
 		r.PacketsCreated, r.PacketsInjected, r.PacketsDelivered)
 	fmt.Printf("deadlocks         %d recoveries\n", r.Recoveries)
 	fmt.Printf("full buffers      avg %.1f\n", r.AvgFullBuffers)
-	if r.Scheme == sim.StaticGlobal || r.Scheme == sim.SelfTuned || r.Scheme == sim.HillClimbOnly {
+	if slices.Contains(thresholdSchemes, r.Scheme) {
 		fmt.Printf("final threshold   %.1f buffers\n", r.FinalThreshold)
 		fmt.Printf("throttled cycles  %d (%d denials)\n", r.ThrottledCycles, r.ThrottleDenials)
 	}
@@ -319,15 +337,19 @@ func printResult(r sim.Result) {
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	build := netFlags(fs)
-	rates := fs.String("rates", "0.005,0.01,0.015,0.02,0.025,0.03,0.04,0.06",
-		"comma-separated injection rates")
+	var defRates []string
+	for _, rate := range experiments.DefaultRates {
+		defRates = append(defRates, strconv.FormatFloat(rate, 'g', -1, 64))
+	}
+	rates := fs.String("rates", strings.Join(defRates, ","), "comma-separated injection rates")
 	workers := fs.Int("workers", 0, "parallel simulations (0 = all CPUs)")
 	cacheDir := fs.String("cache", "", "result cache `dir` (optional)")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkWorkers(*workers); err != nil {
+	runner, err := newRunner(ctx, *workers, *cacheDir)
+	if err != nil {
 		return err
 	}
 	cfg, err := build()
@@ -342,10 +364,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 		}
 		parsed = append(parsed, rate)
 	}
-	cache, err := openCache(*cacheDir)
-	if err != nil {
-		return err
-	}
 	return prof(func() error {
 		// The sweep is a one-group spec, so it shares the generic
 		// runner and result cache with the registry experiments.
@@ -358,7 +376,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 			g.Points = append(g.Points, experiments.Point{Label: fmt.Sprintf("rate %g", rate), Config: c})
 		}
 		spec.Groups = append(spec.Groups, g)
-		runner := experiments.Runner{Workers: *workers, Cache: cache, Ctx: ctx}
 		grouped, err := runner.RunSpec(spec)
 		if err != nil {
 			return err
@@ -371,10 +388,11 @@ func cmdSweep(ctx context.Context, args []string) error {
 func cmdBursty(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bursty", flag.ExitOnError)
 	build := netFlags(fs)
-	lowDur := fs.Int64("lowdur", 50_000, "low-load phase duration (cycles)")
-	highDur := fs.Int64("highdur", 75_000, "high-load burst duration (cycles)")
-	lowInt := fs.Int64("lowint", 1500, "low-load regeneration interval")
-	highInt := fs.Int64("highint", 15, "high-load regeneration interval")
+	def := traffic.PaperBurstyOptions{}.WithDefaults()
+	lowDur := fs.Int64("lowdur", def.LowDuration, "low-load phase duration (cycles)")
+	highDur := fs.Int64("highdur", def.HighDuration, "high-load burst duration (cycles)")
+	lowInt := fs.Int64("lowint", def.LowInterval, "low-load regeneration interval")
+	highInt := fs.Int64("highint", def.HighInterval, "high-load regeneration interval")
 	sample := fs.Int64("sample", 1024, "throughput sample interval (cycles)")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -384,23 +402,15 @@ func cmdBursty(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := cfg.Topology()
-	if err != nil {
-		return err
-	}
-	sched, err := traffic.PaperBurstySchedule(topo.Nodes(), traffic.PaperBurstyOptions{
+	cfg.ScheduleSpec = traffic.PaperBurstySpec(traffic.PaperBurstyOptions{
 		LowDuration: *lowDur, HighDuration: *highDur,
 		LowInterval: *lowInt, HighInterval: *highInt,
 	})
-	if err != nil {
-		return err
-	}
-	cfg.Schedule = sched
 	cfg.WarmupCycles = 0
-	cfg.MeasureCycles = sched.TotalDuration()
+	cfg.MeasureCycles = cfg.ScheduleSpec.TotalDuration()
 	cfg.SampleInterval = *sample
 	return prof(func() error {
-		r, err := sim.RunContext(ctx, cfg)
+		r, err := runConfig(experiments.Runner{Ctx: ctx}, "bursty", cfg)
 		if err != nil {
 			return err
 		}
@@ -417,7 +427,6 @@ func cmdBursty(ctx context.Context, args []string) error {
 func cmdTrace(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	build := netFlags(fs)
-	regen := fs.Int64("regen", 100, "packet regeneration interval (cycles)")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -426,21 +435,12 @@ func cmdTrace(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	topo, err := cfg.Topology()
-	if err != nil {
-		return err
-	}
-	pat, err := traffic.NewPattern(cfg.Pattern, topo.Nodes())
-	if err != nil {
-		return err
-	}
-	cfg.Schedule = traffic.Steady(pat, traffic.Periodic{Interval: *regen})
-	if cfg.Scheme.Kind == sim.Base {
-		cfg.Scheme.Kind = sim.SelfTuned
+	if !slices.Contains(thresholdSchemes, cfg.Scheme.Kind) {
+		return fmt.Errorf("-scheme %s has no threshold to trace (want one of %v)", cfg.Scheme.Kind, thresholdSchemes)
 	}
 	cfg.Scheme.KeepTrace = true
 	return prof(func() error {
-		r, err := sim.RunContext(ctx, cfg)
+		r, err := runConfig(experiments.Runner{Ctx: ctx}, "trace", cfg)
 		if err != nil {
 			return err
 		}
@@ -461,7 +461,8 @@ func cmdCompare(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkWorkers(*workers); err != nil {
+	runner, err := newRunner(ctx, *workers, "")
+	if err != nil {
 		return err
 	}
 	cfg, err := build()
@@ -476,14 +477,17 @@ func cmdCompare(ctx context.Context, args []string) error {
 		}
 		seeds = append(seeds, seed)
 	}
+	// netFlags puts -threshold only into a static config; compare's
+	// static row reads it from the flag.
+	threshold := fs.Lookup("threshold").Value.(flag.Getter).Get().(float64)
 	return prof(func() error {
 		schemes := []sim.Scheme{
 			{Kind: sim.Base},
 			{Kind: sim.ALO},
-			{Kind: sim.StaticGlobal, StaticThreshold: cfg.Scheme.StaticThreshold},
+			{Kind: sim.StaticGlobal, StaticThreshold: threshold},
 			{Kind: sim.SelfTuned},
 		}
-		rows, err := analysis.Compare(experiments.Runner{Workers: *workers, Ctx: ctx}, cfg, schemes, seeds)
+		rows, err := analysis.Compare(runner, cfg, schemes, seeds)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/congestion"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // small returns flags for a tiny, fast run.
@@ -118,8 +120,131 @@ func TestCmdBursty(t *testing.T) {
 }
 
 func TestCmdTrace(t *testing.T) {
-	if err := cmdTrace(context.Background(), small("-regen", "120")); err != nil {
+	if err := cmdTrace(context.Background(), small("-scheme", "tune")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stdout runs fn with os.Stdout sent to a file and returns what it
+// printed.
+func stdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// trace simulates the configuration run simulates: it follows -rate,
+// and its last traced threshold is run's final threshold.
+func TestCmdTraceTracesRun(t *testing.T) {
+	ctx := context.Background()
+	flags := func(rate string) []string {
+		return []string{"-k", "4", "-warmup", "200", "-measure", "1500", "-scheme", "tune", "-rate", rate}
+	}
+	low := stdout(t, func() error { return cmdTrace(ctx, flags("0.005")) })
+	high := stdout(t, func() error { return cmdTrace(ctx, flags("0.05")) })
+	if low == high {
+		t.Error("trace output at -rate 0.005 equals the output at -rate 0.05")
+	}
+	lines := strings.Split(strings.TrimSpace(high), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("trace printed no periods:\n%s", high)
+	}
+	last := strings.Fields(lines[len(lines)-1])
+	var r sim.Result
+	if err := json.Unmarshal([]byte(stdout(t, func() error { return cmdRun(ctx, append(flags("0.05"), "-json")) })), &r); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%.1f", r.FinalThreshold); last[1] != want {
+		t.Errorf("last traced threshold %s, run's final threshold %s", last[1], want)
+	}
+}
+
+// A scheme without a threshold is refused, naming the schemes that
+// have one, instead of being traced as another scheme.
+func TestCmdTraceRejectsThresholdlessScheme(t *testing.T) {
+	err := cmdTrace(context.Background(), small("-scheme", "base"))
+	if err == nil {
+		t.Fatal("trace -scheme base succeeded")
+	}
+	for _, name := range []string{"static", "tune", "tune-hillclimb"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+}
+
+// A flag-built run files its result in the cache, and a rerun is served
+// from it: the store holds exactly one entry after both.
+func TestCmdRunWithCache(t *testing.T) {
+	dir := t.TempDir()
+	for i := 1; i <= 2; i++ {
+		if err := cmdRun(context.Background(), small("-cache", dir)); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("after run %d the cache holds %d entries, want 1", i, len(entries))
+		}
+	}
+}
+
+// A flag-built config has the fingerprint of the registry point with
+// the same settings, so stcc and stcc-paper share cache entries.
+func TestNetFlagsMatchRegistryPoints(t *testing.T) {
+	quick := []string{"-warmup", "8000", "-measure", "24000"}
+	for _, c := range []struct {
+		entry, label string
+		flags        []string
+	}{
+		{"fig3", "tune/recovery rate 0.03", []string{"-scheme", "tune", "-rate", "0.03"}},
+		{"fig5", "butterfly/static500 rate 0.02", []string{"-pattern", "butterfly", "-scheme", "static", "-threshold", "500", "-rate", "0.02"}},
+		{"ext1", "last", []string{"-scheme", "tune", "-estimator", "last", "-rate", "0.03"}},
+	} {
+		fs := flag.NewFlagSet(c.entry, flag.ContinueOnError)
+		build := netFlags(fs)
+		if err := fs.Parse(append(c.flags, quick...)); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cfg.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := experiments.Lookup(c.entry)
+		var want string
+		for _, p := range e.Spec(experiments.Quick).Points() {
+			if p.Label == c.label {
+				if want, err = p.Config.Fingerprint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if want == "" {
+			t.Errorf("%s has no point %q", c.entry, c.label)
+		} else if got != want {
+			t.Errorf("flags %v fingerprint %.16s, %s point %q has %.16s", c.flags, got, c.entry, c.label, want)
+		}
 	}
 }
 
@@ -155,8 +280,9 @@ func TestSimCommandsHonorCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func() error{
+		"run":     func() error { return cmdRun(ctx, small()) },
 		"bursty":  func() error { return cmdBursty(ctx, small()) },
-		"trace":   func() error { return cmdTrace(ctx, small()) },
+		"trace":   func() error { return cmdTrace(ctx, small("-scheme", "tune")) },
 		"compare": func() error { return cmdCompare(ctx, small("-seeds", "1,2")) },
 	} {
 		if err := run(); !errors.Is(err, context.Canceled) {
@@ -241,12 +367,6 @@ func TestCmdEmitSpec(t *testing.T) {
 	}
 	if err := cmdEmitSpec([]string{"-scale", "nope", "fig1"}); err == nil {
 		t.Error("emit-spec accepted unknown scale")
-	}
-}
-
-func TestCmdSpecRoundtrip(t *testing.T) {
-	if err := cmdSpecRoundtrip(nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +29,8 @@ func PaperMain(args []string) int {
 		fmt.Fprintf(os.Stderr, "stcc-paper: unknown -scale %q\n", *scaleName)
 		return 2
 	}
-	if err := checkWorkers(*workers); err != nil {
+	runner, err := newRunner(context.Background(), *workers, *cacheDir)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "stcc-paper: %v\n", err)
 		return 2
 	}
@@ -37,11 +39,6 @@ func PaperMain(args []string) int {
 			fmt.Fprintf(os.Stderr, "stcc-paper: %v\n", err)
 			return 1
 		}
-	}
-	cache, err := openCache(*cacheDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stcc-paper: %v\n", err)
-		return 1
 	}
 
 	var names []string
@@ -59,7 +56,7 @@ func PaperMain(args []string) int {
 	}
 
 	ctx := experiments.RunContext{
-		Runner: experiments.Runner{Workers: *workers, Cache: cache},
+		Runner: runner,
 		Scale:  scale,
 		Out:    os.Stdout,
 		CSVDir: *out,

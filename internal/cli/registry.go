@@ -92,51 +92,6 @@ func cmdEmitSpec(args []string) error {
 	return enc.Encode(spec)
 }
 
-// cmdSpecRoundtrip asserts, for every registry entry at both scales,
-// that the spec validates and that serialize -> parse preserves the
-// content fingerprint. CI runs this so a Config JSON change that breaks
-// the round trip fails the build.
-func cmdSpecRoundtrip(args []string) error {
-	fs := flag.NewFlagSet("spec-roundtrip", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	for _, name := range experiments.Names() {
-		e, _ := experiments.Lookup(name)
-		for _, scale := range []struct {
-			name string
-			s    experiments.Scale
-		}{{"quick", experiments.Quick}, {"paper", experiments.Paper}} {
-			spec := e.Spec(scale.s)
-			if err := spec.Validate(); err != nil {
-				return fmt.Errorf("%s (%s): %w", name, scale.name, err)
-			}
-			want, err := spec.Fingerprint()
-			if err != nil {
-				return fmt.Errorf("%s (%s): %w", name, scale.name, err)
-			}
-			data, err := json.Marshal(spec)
-			if err != nil {
-				return fmt.Errorf("%s (%s): %w", name, scale.name, err)
-			}
-			parsed, err := experiments.ParseSpec(data)
-			if err != nil {
-				return fmt.Errorf("%s (%s): %w", name, scale.name, err)
-			}
-			got, err := parsed.Fingerprint()
-			if err != nil {
-				return fmt.Errorf("%s (%s): %w", name, scale.name, err)
-			}
-			if got != want {
-				return fmt.Errorf("%s (%s): fingerprint changed across JSON round trip: %s != %s",
-					name, scale.name, got, want)
-			}
-			fmt.Printf("ok %-6s %-5s %d points %s\n", name, scale.name, spec.NumPoints(), want[:16])
-		}
-	}
-	return nil
-}
-
 // Markers bracketing the generated catalog section of EXPERIMENTS.md.
 const (
 	catalogBegin = "<!-- BEGIN GENERATED EXPERIMENT CATALOG -->"

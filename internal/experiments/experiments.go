@@ -54,10 +54,10 @@ func ParseScale(name string) (Scale, error) {
 	}
 }
 
-// defaultRates is the packet-injection-rate sweep of the rate-axis
-// figures (packets/node/cycle). The knee of the paper's 16-ary 2-cube
-// sits near 0.02-0.025.
-var defaultRates = []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.04, 0.06}
+// DefaultRates is the packet-injection-rate sweep of the rate-axis
+// figures (packets/node/cycle), and the default of "stcc sweep -rates".
+// The knee of the paper's 16-ary 2-cube sits near 0.02-0.025.
+var DefaultRates = []float64{0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.04, 0.06}
 
 // deadlockModes is the order in which fig3 and fig7 build and report
 // their per-mode tables.
@@ -111,10 +111,10 @@ func GroupCurve(g Group, results []sim.Result) Curve {
 }
 
 // rateGroup builds one curve's worth of spec points: cfg at every rate
-// of defaultRates, labeled "<label prefix>rate <rate>".
+// of DefaultRates, labeled "<label prefix>rate <rate>".
 func rateGroup(name, labelPrefix string, cfg sim.Config) Group {
 	g := Group{Name: name}
-	for _, rate := range defaultRates {
+	for _, rate := range DefaultRates {
 		cfg.Rate = rate
 		g.Points = append(g.Points, Point{Label: fmt.Sprintf("%srate %g", labelPrefix, rate), Config: cfg})
 	}

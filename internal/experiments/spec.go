@@ -101,8 +101,9 @@ func (s *Spec) NumPoints() int {
 
 // Fingerprint is the content address of the whole grid: the hex
 // SHA-256 of the spec's canonical JSON. It is preserved by the
-// JSON round trip (sim.Config's encoder is canonical), which is what
-// "stcc spec-roundtrip" asserts for every registry entry.
+// JSON round trip (sim.Config's encoder is canonical), which
+// TestRegistrySpecsRoundTrip asserts for every registry entry at both
+// scales.
 func (s *Spec) Fingerprint() (string, error) {
 	data, err := json.Marshal(s)
 	if err != nil {

@@ -25,20 +25,6 @@ func tinySpec() *Spec {
 	return spec
 }
 
-// allSpecs builds every registry spec at Quick scale.
-func allSpecs(t *testing.T) map[string]*Spec {
-	t.Helper()
-	out := make(map[string]*Spec)
-	for _, name := range Names() {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("Lookup(%q) failed for registered name", name)
-		}
-		out[name] = e.Spec(Quick)
-	}
-	return out
-}
-
 func TestRegistryCoversPaperOrder(t *testing.T) {
 	names := Names()
 	if len(names) != len(PaperOrder) {
@@ -60,38 +46,48 @@ func TestRegistryCoversPaperOrder(t *testing.T) {
 }
 
 // Every registry spec must validate and round-trip through JSON with an
-// unchanged fingerprint — the property CI's spec-roundtrip step pins.
+// unchanged fingerprint, at both scales. This is the one check that a
+// sim.Config wire-form change keeps every registry spec parseable.
 func TestRegistrySpecsRoundTrip(t *testing.T) {
-	for name, spec := range allSpecs(t) {
-		if err := spec.Validate(); err != nil {
-			t.Errorf("%s: spec invalid: %v", name, err)
-			continue
-		}
-		want, err := spec.Fingerprint()
+	for _, scaleName := range []string{"quick", "paper"} {
+		scale, err := ParseScale(scaleName)
 		if err != nil {
-			t.Errorf("%s: fingerprint: %v", name, err)
-			continue
+			t.Fatal(err)
 		}
-		data, err := json.Marshal(spec)
-		if err != nil {
-			t.Errorf("%s: marshal: %v", name, err)
-			continue
-		}
-		parsed, err := ParseSpec(data)
-		if err != nil {
-			t.Errorf("%s: parse: %v", name, err)
-			continue
-		}
-		got, err := parsed.Fingerprint()
-		if err != nil {
-			t.Errorf("%s: reparsed fingerprint: %v", name, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("%s: fingerprint changed across round trip: %s != %s", name, got, want)
-		}
-		if !reflect.DeepEqual(parsed, spec) {
-			t.Errorf("%s: round-tripped spec differs", name)
+		for _, name := range Names() {
+			e, _ := Lookup(name)
+			spec := e.Spec(scale)
+			where := name + " (" + scaleName + ")"
+			if err := spec.Validate(); err != nil {
+				t.Errorf("%s: spec invalid: %v", where, err)
+				continue
+			}
+			want, err := spec.Fingerprint()
+			if err != nil {
+				t.Errorf("%s: fingerprint: %v", where, err)
+				continue
+			}
+			data, err := json.Marshal(spec)
+			if err != nil {
+				t.Errorf("%s: marshal: %v", where, err)
+				continue
+			}
+			parsed, err := ParseSpec(data)
+			if err != nil {
+				t.Errorf("%s: parse: %v", where, err)
+				continue
+			}
+			got, err := parsed.Fingerprint()
+			if err != nil {
+				t.Errorf("%s: reparsed fingerprint: %v", where, err)
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: fingerprint changed across round trip: %s != %s", where, got, want)
+			}
+			if !reflect.DeepEqual(parsed, spec) {
+				t.Errorf("%s: round-tripped spec differs", where)
+			}
 		}
 	}
 }
@@ -210,7 +206,7 @@ func TestRunSpecErrorContext(t *testing.T) {
 
 // The merged fig3/fig7 specs must still carry every per-mode point.
 func TestMergedModeSpecs(t *testing.T) {
-	for name, wantPer := range map[string]int{"fig3": 3 * len(defaultRates), "fig7": 3} {
+	for name, wantPer := range map[string]int{"fig3": 3 * len(DefaultRates), "fig7": 3} {
 		e, _ := Lookup(name)
 		spec := e.Spec(Quick)
 		if got := spec.NumPoints(); got != 2*wantPer {

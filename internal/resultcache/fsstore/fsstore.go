@@ -27,6 +27,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/resultcache"
 	"repro/internal/sim"
@@ -41,10 +42,15 @@ type Store struct {
 // Compile-time check: *Store satisfies the pluggable contract.
 var _ resultcache.Store = (*Store)(nil)
 
-// New opens (creating if needed) a store rooted at dir.
+// New opens (creating if needed) a store rooted at dir. A URL is
+// refused rather than taken for a relative path, which would silently
+// create a directory tree named after it.
 func New(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("fsstore: empty directory")
+	}
+	if strings.Contains(dir, "://") {
+		return nil, fmt.Errorf("fsstore: %q is a URL, not a directory", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fsstore: %w", err)

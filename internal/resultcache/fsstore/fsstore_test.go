@@ -2,6 +2,7 @@ package fsstore_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -100,5 +101,17 @@ func TestOnDiskLayoutUnchanged(t *testing.T) {
 func TestNewRejectsEmptyDir(t *testing.T) {
 	if _, err := fsstore.New(""); err == nil {
 		t.Fatal("New(\"\") succeeded")
+	}
+}
+
+// A URL is refused before anything is created: taken for a relative
+// path it would make an "http:" directory tree here.
+func TestNewRejectsURL(t *testing.T) {
+	url := "http://127.0.0.1:8081"
+	if _, err := fsstore.New(url); err == nil {
+		t.Errorf("New accepted %q", url)
+	}
+	if _, err := os.Stat("http:"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a URL left an http: path behind (stat: %v)", err)
 	}
 }

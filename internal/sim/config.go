@@ -181,7 +181,7 @@ type Config struct {
 	// Deadlock handling.
 	Mode             router.DeadlockMode `json:"mode"`
 	DeadlockTimeout  int64               `json:"deadlock_timeout,omitempty"`
-	TokenWaitTimeout int64               `json:"token_wait_timeout,omitempty"` // 0 = 3x DeadlockTimeout
+	TokenWaitTimeout int64               `json:"token_wait_timeout,omitempty"` // 0 = 2.4x DeadlockTimeout
 
 	// Side-band parameters.
 	SidebandHopDelay  int                `json:"sideband_hop_delay"`

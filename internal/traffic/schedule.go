@@ -120,8 +120,9 @@ type PaperBurstyOptions struct {
 	Bursts []BurstSpec
 }
 
-// withDefaults fills zero option values with the paper's parameters.
-func (opt PaperBurstyOptions) withDefaults() PaperBurstyOptions {
+// WithDefaults fills zero option values with the paper's parameters
+// (the defaults of the "stcc bursty" flags).
+func (opt PaperBurstyOptions) WithDefaults() PaperBurstyOptions {
 	if opt.LowInterval == 0 {
 		opt.LowInterval = 1500
 	}

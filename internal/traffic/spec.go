@@ -167,7 +167,7 @@ func (s *ScheduleSpec) Build(nodes int) (*Schedule, error) {
 // alternating low/high-load workload of the paper's Figure 6, as pure
 // data. Zero option values select the paper's parameters.
 func PaperBurstySpec(opt PaperBurstyOptions) *ScheduleSpec {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	low := PhaseSpec{
 		Duration: opt.LowDuration,
 		Pattern:  UniformRandom,
