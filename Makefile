@@ -38,8 +38,9 @@ bench-json:
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json
 
 # The determinism gate CI runs as its own job: the golden fingerprints
-# (direct, across Runner worker counts, through the result cache and the
-# service) and the accepted-and-ignored shard fields, all under the race
+# (direct, across Runner worker counts, through engines built in the
+# storage of the point before, through the result cache and the service)
+# and the accepted-and-ignored shard fields, all under the race
 # detector so a data race between concurrently running points fails the
 # gate, not just a changed result.
 determinism:

@@ -10,15 +10,18 @@
 // The engine shapes also bound bytes/op per shape; the fabric shapes
 // require exactly zero. The shapes and their warm-ups are defined once
 // in internal/shapes, shared with the step benchmarks and stcc-bench.
-// Construction is gated too: router.New's bytes per input lane.
+// Construction is gated too: router.New's bytes per input lane, and
+// what a grid point costs a Runner worker that reuses engine storage.
 package stcc
 
 import (
 	"runtime"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/router"
 	"repro/internal/shapes"
+	"repro/internal/sim"
 )
 
 // fabricMaxBytesPerLane bounds what router.New allocates per input lane
@@ -52,6 +55,50 @@ func TestFabricNewBytesPerLane(t *testing.T) {
 			t.Errorf("%d-ary %d-cube: router.New allocates %.1f B per input lane, want <= %d",
 				s.K, s.N, perLane, fabricMaxBytesPerLane)
 		}
+	}
+}
+
+// reusedPointMaxShare bounds what a grid point costs on a Runner worker
+// that has run a point before, as a share of one fresh sim.New of the
+// point. A worker builds each engine in the last one's arenas, queue
+// slabs and packets, so what remains is the run's own growth, the
+// controllers and the result series: 0.041 measured on fig3's grid at
+// Scale{100,400}, against 1.18 when every point builds from nothing.
+const reusedPointMaxShare = 0.25
+
+// TestRunnerReusesEngineStorage runs fig3's grid on one Runner worker
+// and gates its average allocation per point against one sim.New of the
+// grid's first point, measured here. The grid is 48 points of one
+// network shape, so every point after the first can reuse.
+func TestRunnerReusesEngineStorage(t *testing.T) {
+	entry, ok := experiments.Lookup("fig3")
+	if !ok {
+		t.Fatal("registry has no fig3")
+	}
+	spec := entry.Spec(experiments.Scale{Warmup: 100, Measure: 400})
+	points := spec.Points()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := sim.New(points[0].Config)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(e)
+	fresh := float64(after.TotalAlloc - before.TotalAlloc)
+
+	runtime.ReadMemStats(&before)
+	if _, err := (experiments.Runner{Workers: 1}).RunSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(points))
+	share := perPoint / fresh
+	t.Logf("%d points: %.0f B per point, one sim.New %.0f B: %.3fx", len(points), perPoint, fresh, share)
+	if share > reusedPointMaxShare {
+		t.Errorf("a grid point allocates %.3fx one sim.New, want <= %.2fx: Runner workers are not reusing engine storage",
+			share, reusedPointMaxShare)
 	}
 }
 

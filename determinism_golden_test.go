@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,6 +163,32 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		}
 		if serial[i] != gc.want {
 			t.Errorf("%s: runner fingerprint %s, want golden %s", gc.name, serial[i], gc.want)
+		}
+	}
+}
+
+// TestDeterminismThroughReusedEngines runs the golden grid as one spec
+// on a single Runner worker, forward and reversed, so every point but
+// the first is built in the storage of the engine before it — a
+// different scheme, deadlock mode or marking setting each time — and
+// requires every golden fingerprint.
+func TestDeterminismThroughReusedEngines(t *testing.T) {
+	reversed := goldenCases()
+	slices.Reverse(reversed)
+	for _, cases := range [][]goldenCase{goldenCases(), reversed} {
+		spec := experiments.NewSpec("goldens", "determinism golden grid")
+		for _, gc := range cases {
+			spec.AddGroup(gc.name, experiments.Point{Label: gc.name, Config: goldenConfig(gc)})
+		}
+		grouped, err := experiments.Runner{Workers: 1}.RunSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, gc := range cases {
+			if got := resultFingerprint(grouped[i][0]); got != gc.want {
+				t.Errorf("%s (run %d of %d on one worker): fingerprint %s, want golden %s",
+					gc.name, i+1, len(cases), got, gc.want)
+			}
 		}
 	}
 }

@@ -12,10 +12,13 @@ import (
 
 // Runner executes the independent points of an experiment grid — rate x
 // scheme x deadlock-mode x seed — across a pool of worker goroutines.
-// Each point is a self-contained sim.Engine run (own RNG, own fabric), so
-// points are embarrassingly parallel; the runner only schedules them and
-// reassembles results in deterministic input order. The zero Runner uses
-// every available CPU.
+// Each point is a sim.Engine run whose result depends on its config
+// alone, so points are embarrassingly parallel; the runner only
+// schedules them and reassembles results in deterministic input order.
+// A worker builds its points' engines in one sim.Slot for the length of
+// a grid call, so each point after its first reuses the storage of the
+// last; no result depends on which worker ran it or after which point.
+// The zero Runner uses every available CPU.
 type Runner struct {
 	// Workers caps the number of concurrently running simulations.
 	// Zero or negative selects runtime.GOMAXPROCS(0); 1 runs the whole
@@ -86,24 +89,27 @@ func (r Runner) workerCount(n int) int {
 // canceled Runner.Ctx stops dispatch the same way and surfaces ctx's
 // error.
 func (r Runner) ForEach(n int, fn func(i int) error) error {
-	return r.forEach(n, func(_ context.Context, i int) error { return fn(i) })
+	return r.forEach(n, func(_ context.Context, _ *sim.Slot, i int) error { return fn(i) })
 }
 
 // forEach is ForEach with the derived, cancel-on-error context passed to
 // each job, so jobs (runPoint) can abort in-flight simulations when a
-// sibling fails or the runner's own context is canceled.
-func (r Runner) forEach(n int, call func(ctx context.Context, i int) error) error {
+// sibling fails or the runner's own context is canceled, and with the
+// running worker's sim.Slot, so each point a worker simulates is built
+// in the storage of the last one. The slots live only for this call.
+func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	workers := r.workerCount(n)
 	base := r.ctx()
 	if workers == 1 {
+		var slot sim.Slot
 		for i := 0; i < n; i++ {
 			if err := base.Err(); err != nil {
 				return err
 			}
-			if err := call(base, i); err != nil {
+			if err := call(base, &slot, i); err != nil {
 				return err
 			}
 		}
@@ -136,8 +142,9 @@ func (r Runner) forEach(n int, call func(ctx context.Context, i int) error) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var slot sim.Slot
 			for i := range indices {
-				if err := call(ctx, i); err != nil {
+				if err := call(ctx, &slot, i); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -179,8 +186,8 @@ func (r Runner) forEach(n int, call func(ctx context.Context, i int) error) erro
 // for the aggregated error.
 func (r Runner) runGrid(cfgs []sim.Config, label func(i int) string, wrapErr func(i int, err error) error) ([]sim.Result, error) {
 	out := make([]sim.Result, len(cfgs))
-	err := r.forEach(len(cfgs), func(ctx context.Context, i int) error {
-		res, ev, err := r.runPoint(ctx, cfgs[i])
+	err := r.forEach(len(cfgs), func(ctx context.Context, slot *sim.Slot, i int) error {
+		res, ev, err := r.runPoint(ctx, slot, cfgs[i])
 		if err != nil {
 			return wrapErr(i, err)
 		}
@@ -201,25 +208,25 @@ func (r Runner) runGrid(cfgs []sim.Config, label func(i int) string, wrapErr fun
 }
 
 // runPoint runs one configuration through the result cache when one is
-// attached, and otherwise simulates it in this process. Unserializable
+// attached, and otherwise simulates it on slot. Unserializable
 // configurations (no fingerprint) bypass the cache; a cache read or
 // write failure is a real error so full disks surface instead of
 // silently degrading (corrupt entries are quarantined by the cache
 // itself and re-run as misses).
-func (r Runner) runPoint(ctx context.Context, cfg sim.Config) (sim.Result, PointEvent, error) {
+func (r Runner) runPoint(ctx context.Context, slot *sim.Slot, cfg sim.Config) (sim.Result, PointEvent, error) {
 	var fp string
 	var err error
 	if r.Cache != nil {
 		fp, err = cfg.Fingerprint()
 	}
 	if r.Cache == nil || err != nil {
-		res, err := sim.RunContext(ctx, cfg)
+		res, err := slot.Run(ctx, cfg)
 		return res, PointEvent{}, err
 	}
 	if res, hit, err := r.Cache.Get(fp); err != nil || hit {
 		return res, PointEvent{CacheHit: hit}, err
 	}
-	res, err := sim.RunContext(ctx, cfg)
+	res, err := slot.Run(ctx, cfg)
 	if err != nil {
 		return sim.Result{}, PointEvent{}, err
 	}

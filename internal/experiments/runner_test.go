@@ -70,7 +70,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 // a job before the cancellation landed.)
 func TestForEachCancelsAfterError(t *testing.T) {
 	var started int32
-	err := Runner{Workers: 2}.forEach(1000, func(ctx context.Context, i int) error {
+	err := Runner{Workers: 2}.forEach(1000, func(ctx context.Context, _ *sim.Slot, i int) error {
 		atomic.AddInt32(&started, 1)
 		if i == 0 {
 			return errors.New("boom")
@@ -95,7 +95,7 @@ func TestForEachCancelsAfterError(t *testing.T) {
 // cannot finish before the cancellation.
 func TestForEachCanceledSiblingDoesNotMaskError(t *testing.T) {
 	invalid := errors.New("point 1: invalid config")
-	err := Runner{Workers: 2}.forEach(2, func(ctx context.Context, i int) error {
+	err := Runner{Workers: 2}.forEach(2, func(ctx context.Context, _ *sim.Slot, i int) error {
 		if i == 1 {
 			return invalid
 		}
@@ -111,7 +111,7 @@ func TestForEachCanceledSiblingDoesNotMaskError(t *testing.T) {
 // also failed for another reason on the way down.
 func TestForEachReportsCallerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := Runner{Workers: 2, Ctx: ctx}.forEach(2, func(jobCtx context.Context, i int) error {
+	err := Runner{Workers: 2, Ctx: ctx}.forEach(2, func(jobCtx context.Context, _ *sim.Slot, i int) error {
 		if i == 1 {
 			cancel()
 			return errors.New("write failed during shutdown")

@@ -34,27 +34,28 @@ type netCounters struct {
 	srcActive   int // nodes with a packet streaming into injection
 }
 
-// initSoA allocates the structure-of-arrays hot state for a fabric of
-// the given size. Called once from New; it lives in this file so that
-// every write to the guarded arrays — including their construction —
-// stays behind the accessor boundary.
-func (f *Fabric) initSoA(nodes int) {
-	f.occ = make([]int32, nodes*f.lanesIn)
-	f.occMask = make([]uint64, nodes)
-	f.boundMask = make([]uint64, nodes)
-	f.headMask = make([]uint64, nodes)
-	f.latchMask = make([]uint64, nodes)
-	f.ownedMask = make([]uint64, nodes)
-	f.actOccupied.init(nodes)
-	f.actPending.init(nodes)
-	f.actLatched.init(nodes)
-	f.actOwned.init(nodes)
-	f.actSrc.init(nodes)
+// initSoA builds the structure-of-arrays hot state for a fabric of the
+// given size, zeroed, in old's arrays where they are large enough.
+// Called once from NewReusing; it lives in this file so that every write
+// to the guarded arrays — including their construction — stays behind
+// the accessor boundary.
+func (f *Fabric) initSoA(nodes int, old *Fabric) {
+	f.occ = reuse(old.occ, nodes*f.lanesIn)
+	f.occMask = reuse(old.occMask, nodes)
+	f.boundMask = reuse(old.boundMask, nodes)
+	f.headMask = reuse(old.headMask, nodes)
+	f.latchMask = reuse(old.latchMask, nodes)
+	f.ownedMask = reuse(old.ownedMask, nodes)
+	f.actOccupied.init(nodes, old.actOccupied)
+	f.actPending.init(nodes, old.actPending)
+	f.actLatched.init(nodes, old.actLatched)
+	f.actOwned.init(nodes, old.actOwned)
+	f.actSrc.init(nodes, old.actSrc)
 	if f.markHi > 0 {
 		words := (nodes + 63) >> 6
-		f.nodeOcc = make([]int32, nodes)
-		f.congWords = make([]uint64, words)
-		f.congStable = make([]uint64, words)
+		f.nodeOcc = reuse(old.nodeOcc, nodes)
+		f.congWords = reuse(old.congWords, words)
+		f.congStable = reuse(old.congStable, words)
 	}
 }
 
@@ -76,8 +77,8 @@ type activeWords struct {
 	actWords []uint64
 }
 
-func (a *activeWords) init(nodes int) {
-	a.actWords = make([]uint64, (nodes+63)>>6)
+func (a *activeWords) init(nodes int, old activeWords) {
+	a.actWords = reuse(old.actWords, (nodes+63)>>6)
 }
 
 //stcc:hotpath

@@ -347,14 +347,25 @@ type Fabric struct {
 //
 // All router state is carved out of contiguous arenas (vcBuffers, their
 // flit rings, outVCs, the switch pointers, and the SoA occupancy/mask
-// arrays) allocated up front: one fabric costs a fixed handful of
-// allocations regardless of size, neighboring buffers share cache
-// lines, and Step never allocates. Arena addresses are stable for the
-// fabric's lifetime, so *vcBuffer and *outVC remain valid identities
-// (wormhole bindings and output-VC ownership hold them across cycles).
-func New(cfg Config) (*Fabric, error) {
+// arrays), sized when the fabric is built: one fabric costs a fixed
+// handful of allocations regardless of size (none when NewReusing finds
+// them in its donor), neighboring buffers share cache lines, and Step
+// never allocates. Arena addresses are stable for the fabric's
+// lifetime, so *vcBuffer and *outVC remain valid identities (wormhole
+// bindings and output-VC ownership hold them across cycles).
+func New(cfg Config) (*Fabric, error) { return NewReusing(cfg, nil) }
+
+// NewReusing is New built in the arenas of donor, a fabric its caller
+// is done with (nil builds fresh). Each arena whose capacity holds the
+// new size is resliced and zeroed; the others are allocated fresh. The
+// donor is left empty and must not be used again.
+func NewReusing(cfg Config, donor *Fabric) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	var old Fabric
+	if donor != nil {
+		old, *donor = *donor, Fabric{}
 	}
 	f := &Fabric{
 		cfg:       cfg,
@@ -375,10 +386,10 @@ func New(cfg Config) (*Fabric, error) {
 	nodes := cfg.Topo.Nodes()
 	f.lanesIn = phys*cfg.VCs + 1    // physical input VCs + injection channel
 	f.lanesOut = phys*cfg.VCs + dlv // physical output VCs + delivery channels
-	f.bufs = make([]vcBuffer, nodes*f.lanesIn)
-	f.flits = make([]flit, nodes*f.lanesIn*cfg.BufDepth)
-	f.outsA = make([]outVC, nodes*f.lanesOut)
-	f.swPtr = make([]uint8, nodes*(phys+1))
+	f.bufs = reuse(old.bufs, nodes*f.lanesIn)
+	f.flits = reuse(old.flits, nodes*f.lanesIn*cfg.BufDepth)
+	f.outsA = reuse(old.outsA, nodes*f.lanesOut)
+	f.swPtr = reuse(old.swPtr, nodes*(phys+1))
 
 	if cfg.CongestMark > 0 {
 		// Set threshold: the mark fraction of one router's countable
@@ -391,11 +402,11 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		f.markLo = f.markHi / 2
 	}
-	f.initSoA(nodes)
+	f.initSoA(nodes, &old)
 
-	f.laneOutPort = make([]uint8, f.lanesOut)
-	f.outPortBase = make([]int, phys+1)
-	f.outPortWidth = make([]int, phys+1)
+	f.laneOutPort = reuse(old.laneOutPort, f.lanesOut)
+	f.outPortBase = reuse(old.outPortBase, phys+1)
+	f.outPortWidth = reuse(old.outPortWidth, phys+1)
 	for p := 0; p < phys; p++ {
 		f.outPortBase[p] = p * cfg.VCs
 		f.outPortWidth[p] = cfg.VCs
@@ -409,7 +420,7 @@ func New(cfg Config) (*Fabric, error) {
 		f.laneOutPort[phys*cfg.VCs+v] = uint8(phys)
 	}
 
-	f.dstGid = make([]int32, nodes*f.lanesOut)
+	f.dstGid = reuse(old.dstGid, nodes*f.lanesOut)
 	for ni := 0; ni < nodes; ni++ {
 		base := ni * f.lanesOut
 		for p := 0; p < phys; p++ {
@@ -424,7 +435,7 @@ func New(cfg Config) (*Fabric, error) {
 		}
 	}
 
-	f.nodes = make([]node, nodes)
+	f.nodes = reuse(old.nodes, nodes)
 	for id := range f.nodes {
 		f.nodes[id] = node{id: topology.NodeID(id), src: srcSlot{fab: f, node: topology.NodeID(id)}}
 		for lane := 0; lane < f.lanesIn; lane++ {
@@ -446,6 +457,19 @@ func New(cfg Config) (*Fabric, error) {
 		}
 	}
 	return f, nil
+}
+
+// reuse returns s resliced to n elements when its capacity holds n, and
+// a fresh slice otherwise. The whole backing array is zeroed, so a
+// reused arena reads like a new one and keeps no packet of the fabric
+// it came from alive.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:cap(s)]
+	clear(s)
+	return s[:n]
 }
 
 // outputVC returns node ni's output VC vc on port; delivery channel v
@@ -538,6 +562,32 @@ func (f *Fabric) DeliveredFlits() int64 { return f.deliveredFlits }
 
 // InFlight returns the number of packets injected but not yet delivered.
 func (f *Fabric) InFlight() int { return f.inFlight }
+
+// EachPacket calls fn for every packet the fabric holds: streaming in
+// from a source, buffered, latched or draining through the recovery
+// lane. A packet is passed once per flit held in a buffer or latch, and
+// once more for a source slot or the recovery drain.
+func (f *Fabric) EachPacket(fn func(*packet.Packet)) {
+	for i := range f.nodes {
+		if p := f.nodes[i].src.pkt; p != nil {
+			fn(p)
+		}
+	}
+	for i := range f.bufs {
+		b := &f.bufs[i]
+		for j, n := int32(0), f.occ[b.gid]; j < n; j++ {
+			fn(b.at(j).pkt)
+		}
+	}
+	for i := range f.outsA {
+		if l := &f.outsA[i].lat; l.full {
+			fn(l.f.pkt)
+		}
+	}
+	if f.rec != nil {
+		fn(f.rec.pkt)
+	}
+}
 
 // Recoveries returns how many deadlock recoveries have completed.
 func (f *Fabric) Recoveries() int64 { return f.recoveries }

@@ -30,14 +30,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetricsProm)
 }
 
-// writeJSON renders one response body. Encoding a value we constructed
-// cannot fail in practice; an error here means the connection died.
+// writeJSON renders one response body as compact JSON: a finished
+// job's pre-encoded result is copied through as it is, not re-indented.
+// Encoding a value we constructed cannot fail in practice; an error here
+// means the connection died.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // apiError is the uniform error body.

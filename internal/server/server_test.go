@@ -138,7 +138,7 @@ func TestEndpointsTable(t *testing.T) {
 		wantStatus int
 		wantSubstr string
 	}{
-		{"healthz", "GET", "/healthz", "", http.StatusOK, `"status": "ok"`},
+		{"healthz", "GET", "/healthz", "", http.StatusOK, `{"status":"ok"}`},
 		{"version", "GET", "/v1/version", "", http.StatusOK, `"go_version"`},
 		{"metrics prom", "GET", "/metrics", "", http.StatusOK, "stcc_queue_depth"},
 		{"metrics prom help", "GET", "/metrics", "", http.StatusOK, "# TYPE stcc_jobs_submitted_total counter"},
@@ -148,7 +148,7 @@ func TestEndpointsTable(t *testing.T) {
 		{"cache put without store", "PUT", "/v1/cache/" + strings.Repeat("ab", 32), "{}", http.StatusNotFound, "not found"},
 		{"registry", "GET", "/v1/registry", "", http.StatusOK, `"fig4"`},
 		{"registry has analytic entries", "GET", "/v1/registry", "", http.StatusOK, `"tab1"`},
-		{"jobs list empty", "GET", "/v1/jobs", "", http.StatusOK, `"jobs": []`},
+		{"jobs list empty", "GET", "/v1/jobs", "", http.StatusOK, `{"jobs":[]}`},
 		{"status of unknown job", "GET", "/v1/jobs/job-999999", "", http.StatusNotFound, "no job"},
 		{"cancel of unknown job", "DELETE", "/v1/jobs/job-999999", "", http.StatusNotFound, "no job"},
 		{"events of unknown job", "GET", "/v1/jobs/job-999999/events", "", http.StatusNotFound, "no job"},

@@ -64,7 +64,16 @@ type Engine struct {
 }
 
 // New builds an engine. The configuration must validate.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (*Engine, error) { return build(cfg, nil) }
+
+// build is New in the storage of donor, an engine its caller is done
+// with (nil builds fresh): the router's arenas, the source-queue slabs,
+// the packet free list, which also takes back the packets still in the
+// donor's network, and the RNG, reseeded. Everything else — controllers,
+// side-band, statistics, and the series a Result holds — is built
+// fresh, so the engine runs exactly as a fresh one would. The donor must
+// not be used again.
+func build(cfg Config, donor *Engine) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,7 +81,21 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	fab, err := router.New(cfg.routerConfig(topo))
+	var old Engine // the storage to build in: the donor's, or none
+	if donor != nil {
+		old = *donor
+		// The packets still in the donor's network join its free list:
+		// nothing references them once its fabric is rebuilt.
+		old.fab.EachPacket(func(p *packet.Packet) {
+			if !p.Recycled() {
+				old.pool.Put(p)
+			}
+		})
+		old.rng.Seed(cfg.Seed) // restarts the stream a fresh source of this seed draws
+	} else {
+		old.pool, old.rng = packet.NewPool(), rand.New(rand.NewSource(cfg.Seed))
+	}
+	fab, err := router.NewReusing(cfg.routerConfig(topo), old.fab)
 	if err != nil {
 		return nil, err
 	}
@@ -88,10 +111,10 @@ func New(cfg Config) (*Engine, error) {
 		fab:     fab,
 		side:    side,
 		sched:   sched,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		queues:  newSourceQueues(topo.Nodes()),
-		qActive: make([]uint64, (topo.Nodes()+63)>>6),
-		pool:    packet.NewPool(),
+		rng:     old.rng,
+		queues:  newSourceQueues(topo.Nodes(), old.queues),
+		qActive: reuse(old.qActive, (topo.Nodes()+63)>>6),
+		pool:    old.pool,
 		warmup:  cfg.WarmupCycles,
 		total:   cfg.TotalCycles(),
 	}

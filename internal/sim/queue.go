@@ -45,8 +45,24 @@ type sourceQueues struct {
 	free  int32              // id of the first free page, 0 when none
 }
 
-func newSourceQueues(nodes int) sourceQueues {
-	return sourceQueues{q: make([]nodeQueue, nodes)}
+// newSourceQueues returns empty queues for nodes nodes in old's
+// storage: its queue table when large enough, and every slab it
+// allocated, whose pages go back into service from id 1. A page's slots
+// and link are written before they are read, so old pages need no
+// clearing.
+func newSourceQueues(nodes int, old sourceQueues) sourceQueues {
+	return sourceQueues{q: reuse(old.q, nodes), slabs: old.slabs}
+}
+
+// reuse returns s resliced to n elements when its capacity holds n, and
+// a fresh slice otherwise. The whole backing array is zeroed.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:cap(s)]
+	clear(s)
+	return s[:n]
 }
 
 // pageAt returns the page with the given id.

@@ -39,7 +39,7 @@ func TestPageFillsSizeClass(t *testing.T) {
 // boundaries with interleaved pushes and pops, checking strict FIFO
 // order and destinations, then drains one to empty and refills it.
 func TestSourceQueuesFIFO(t *testing.T) {
-	s := newSourceQueues(2)
+	s := newSourceQueues(2, sourceQueues{})
 	next := [2]int64{}
 	want := [2]int64{}
 	push := func(n, k int) {
@@ -99,7 +99,7 @@ func TestSourceQueuesFIFO(t *testing.T) {
 // backlog takes no new page however long it runs, and that a backlog
 // moving between nodes costs its peak total, not each node's peak.
 func TestSourceQueuesShareFreePages(t *testing.T) {
-	s := newSourceQueues(4)
+	s := newSourceQueues(4, sourceQueues{})
 	for i := 0; i < 3*pageLen; i++ {
 		s.push(0, int64(i), 1)
 	}

@@ -94,22 +94,38 @@ func (e *Engine) result() Result {
 }
 
 // Run is the package-level convenience: build an engine and run it.
-func Run(cfg Config) (Result, error) {
-	e, err := New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Run()
-}
+func Run(cfg Config) (Result, error) { return RunContext(context.Background(), cfg) }
 
 // RunContext is Run under a context: a canceled ctx stops the
 // simulation between cycles and returns ctx's error.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	e, err := New(cfg)
+	var s Slot
+	return s.Run(ctx, cfg)
+}
+
+// Slot runs configurations one after another, building each engine in
+// the storage the last one left behind: the router's arenas, resliced
+// and zeroed where they are large enough, the source-queue slabs, the
+// packet free list and the RNG. Everything a Result holds is built
+// fresh, so a run on a Slot returns what a fresh RunContext of its
+// config returns, and earlier Results stay valid. The zero Slot is
+// empty; a failed build leaves it empty. A Slot is not safe for
+// concurrent use: each goroutine needs its own.
+type Slot struct {
+	last *Engine // the previous run's engine; nil when empty
+}
+
+// Run builds an engine for cfg in the slot's storage and runs it under
+// ctx, as RunContext does.
+func (s *Slot) Run(ctx context.Context, cfg Config) (Result, error) {
+	e, err := build(cfg, s.last)
+	s.last = nil
 	if err != nil {
 		return Result{}, err
 	}
-	return e.RunContext(ctx, 0, nil)
+	res, err := e.RunContext(ctx, 0, nil)
+	s.last = e
+	return res, err
 }
 
 func (r Result) String() string {

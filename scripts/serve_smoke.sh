@@ -40,13 +40,13 @@ echo "registry: ok"
 # One tiny simulation (a 4-ary 2-cube, 500 cycles) as a bare config —
 # the same wire form "stcc run -spec" reads.
 CONFIG='{"version":1,"k":4,"n":2,"vcs":3,"buf_depth":8,"packet_length":16,"mode":"recovery","deadlock_timeout":160,"sideband_hop_delay":2,"sideband_mechanism":"sideband","selection":"rotate","switching":"wormhole","pattern":"random","rate":0.005,"scheme":{"kind":"base"},"warmup_cycles":100,"measure_cycles":400,"seed":1}'
-JOB=$(curl -fsS -d "$CONFIG" "$BASE/v1/jobs" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
+JOB=$(curl -fsS -d "$CONFIG" "$BASE/v1/jobs" | sed -n 's/^{"id":"\([^"]*\)".*/\1/p')
 if [ -z "$JOB" ]; then echo "job submission returned no id"; exit 1; fi
 echo "submitted: $JOB"
 
 STATE=""
 for i in $(seq 1 150); do
-    STATE=$(curl -fsS "$BASE/v1/jobs/$JOB" | sed -n 's/.*"state": "\([^"]*\)".*/\1/p')
+    STATE=$(curl -fsS "$BASE/v1/jobs/$JOB" | sed -n 's/^{"id":"[^"]*","state":"\([^"]*\)".*/\1/p')
     case "$STATE" in done) break ;; failed|canceled) break ;; esac
     sleep 0.2
 done
@@ -74,7 +74,7 @@ echo "metrics (prometheus): ok"
 # The daemon's result store is reachable over /v1/cache (one entry: the
 # job's single point).
 curl -fsS "$BASE/v1/cache" >"$WORKDIR/body"
-grep -q '"entries": 1' "$WORKDIR/body"
+grep -qx '{"entries":1}' "$WORKDIR/body"
 echo "cache endpoint: ok"
 
 # The store cannot be written over HTTP: a PUT by fingerprint is refused
@@ -83,7 +83,7 @@ FP=$(printf '%064d' 0)
 CODE=$(curl -sS -o /dev/null -w '%{http_code}' -X PUT -d '{"AcceptedFlits":1}' "$BASE/v1/cache/$FP")
 case "$CODE" in 2??) echo "PUT /v1/cache/$FP returned $CODE, want it refused"; exit 1 ;; esac
 curl -fsS "$BASE/v1/cache" >"$WORKDIR/body"
-grep -q '"entries": 1' "$WORKDIR/body"
+grep -qx '{"entries":1}' "$WORKDIR/body"
 echo "cache put refused: ok ($CODE)"
 
 kill -TERM "$SERVE_PID"
