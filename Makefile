@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke experiments-doc serve serve-smoke
+.PHONY: all build test test-cpu race benchmark-test bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke experiments-doc serve serve-smoke
 
 all: build lint test
 
@@ -23,18 +23,28 @@ test-cpu:
 race:
 	$(GO) test -race ./...
 
+# The benchmark is a module of its own (benchmark/go.mod replaces repro
+# with this checkout), so the root's build, vet and test never compile
+# it. This vets and tests it against the checkout's sources; TestSmoke
+# runs every workload at tiny sizes, traced and untraced.
+benchmark-test:
+	GOWORK=off $(GO) -C benchmark vet ./...
+	GOWORK=off $(GO) -C benchmark test ./...
+
 # Time the 256-node fabric and engine shapes CI gates (seconds, not the
 # full trajectory report bench-json writes).
 bench:
 	$(GO) run ./cmd/stcc-bench -shapes '^(fabric|engine)/(idle|low|saturated)$$'
 
-# Regenerate the checked-in benchmark-trajectory report. Uses real
-# benchtime (minutes, not a smoke run); see README.md ("Benchmark
-# trajectory") for how to read BENCH_*.json. The previous trajectory
-# point is the baseline the report embeds and diffs against.
-BENCH_LABEL ?= PR19
-BENCH_BASELINE ?= BENCH_PR14.json
+# Record a new benchmark-trajectory report, BENCH_$(BENCH_LABEL).json.
+# Uses real benchtime (minutes, not a smoke run); see README.md
+# ("Benchmark trajectory") for how to read BENCH_*.json. BENCH_LABEL has
+# no default, so a bare run cannot overwrite a checked-in report. The
+# newest checked-in report is the baseline the new one embeds and diffs
+# against.
+BENCH_BASELINE ?= BENCH_PR19.json
 bench-json:
+	$(if $(BENCH_LABEL),,$(error bench-json: set BENCH_LABEL to name the new report, e.g. make bench-json BENCH_LABEL=PR<n>))
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json
 
 # The determinism gate CI runs as its own job: the golden fingerprints

@@ -102,9 +102,8 @@ func main() {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "steady-state per-cycle cost; warmup excluded (new/* shapes " +
-			"measure one sim.New per op instead, and store/* shapes one Put+Get " +
-			"of a real result: mem is the marshal floor, fs adds file I/O plus " +
-			"an atomic rename).",
+			"measure one sim.New per op instead, and store/fs one Put+Get " +
+			"of a real result through file I/O and an atomic rename).",
 	}
 	var base *Report
 	if *baselineFile != "" {
@@ -118,6 +117,12 @@ func main() {
 		report.Note += " Baseline is " + *baselineFile + "."
 	}
 
+	// A point is one shape to measure: run builds it, warms it up and
+	// times it.
+	type point struct {
+		name string
+		run  func() Shape
+	}
 	var points []point
 	for _, s := range shapes.Fabrics {
 		name := reportName("fabric", s.Name)
@@ -137,7 +142,7 @@ func main() {
 		name := reportName("new", s.Name)
 		points = append(points, point{name, func() Shape { return measureNew(name, s.Config()) }})
 	}
-	points = append(points, storePoints()...)
+	points = append(points, point{"store/fs", func() Shape { return measureStore("store/fs") }})
 	merged := map[string]*Shape{}
 	var order []string
 	for round := 0; round < repeats; round++ {

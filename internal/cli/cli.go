@@ -91,7 +91,7 @@ simulation:
   sweep   an injection-rate sweep for one scheme
   bursty  the paper's bursty workload
   trace   the self-tuner's threshold trajectory
-  compare all congestion control schemes on one workload, multi-seed
+  compare base, alo, static and tune on one workload, multi-seed
 
 experiment registry:
   list             named experiments (tab1, fig1..fig7, ext1..ext14)
@@ -461,6 +461,11 @@ func cmdCompare(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	schemeSet := false
+	fs.Visit(func(f *flag.Flag) { schemeSet = schemeSet || f.Name == "scheme" })
+	if schemeSet {
+		return errors.New("compare runs base, alo, static and tune; it takes no -scheme")
+	}
 	runner, err := newRunner(ctx, *workers, "")
 	if err != nil {
 		return err
@@ -468,6 +473,20 @@ func cmdCompare(ctx context.Context, args []string) error {
 	cfg, err := build()
 	if err != nil {
 		return err
+	}
+	// The static and tune rows are the configs run builds for the same
+	// flags, so -threshold, -estimator and -period reach them; the base
+	// and alo rows take none of the three.
+	schemes := []sim.Scheme{{Kind: sim.Base}, {Kind: sim.ALO}}
+	for _, kind := range []sim.SchemeKind{sim.StaticGlobal, sim.SelfTuned} {
+		if err := fs.Set("scheme", string(kind)); err != nil {
+			return err
+		}
+		c, err := build()
+		if err != nil {
+			return err
+		}
+		schemes = append(schemes, c.Scheme)
 	}
 	var seeds []int64
 	for _, part := range strings.Split(*seedsFlag, ",") {
@@ -477,16 +496,7 @@ func cmdCompare(ctx context.Context, args []string) error {
 		}
 		seeds = append(seeds, seed)
 	}
-	// netFlags puts -threshold only into a static config; compare's
-	// static row reads it from the flag.
-	threshold := fs.Lookup("threshold").Value.(flag.Getter).Get().(float64)
 	return prof(func() error {
-		schemes := []sim.Scheme{
-			{Kind: sim.Base},
-			{Kind: sim.ALO},
-			{Kind: sim.StaticGlobal, StaticThreshold: threshold},
-			{Kind: sim.SelfTuned},
-		}
 		rows, err := analysis.Compare(runner, cfg, schemes, seeds)
 		if err != nil {
 			return err

@@ -272,6 +272,44 @@ func TestCmdCompare(t *testing.T) {
 	}
 }
 
+// compare's tune row is the config run builds for the same flags:
+// -estimator and -period reach it.
+func TestCmdCompareTuneRowMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	net := []string{"-k", "8", "-rate", "0.03", "-warmup", "500", "-measure", "2000"}
+	tuned := append(net[:len(net):len(net)], "-estimator", "last", "-period", "96")
+	run := func(flags []string) string {
+		var r sim.Result
+		out := stdout(t, func() error { return cmdRun(ctx, append(flags, "-scheme", "tune", "-json")) })
+		if err := json.Unmarshal([]byte(out), &r); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%.4f %.1f %d", r.AcceptedFlits, r.AvgNetworkLatency, r.Recoveries)
+	}
+	want := run(tuned)
+	if def := run(net); def == want {
+		t.Fatalf("-estimator last -period 96 does not change run's tune result (%s): pick flags that do", def)
+	}
+	out := stdout(t, func() error { return cmdCompare(ctx, append(tuned, "-seeds", "1", "-workers", "1")) })
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 10 && f[0] == "tune" {
+			if got := f[1] + " " + f[4] + " " + f[7]; got != want {
+				t.Errorf("compare's tune row reads %s (accepted, latency, recoveries), run reads %s", got, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("compare printed no tune row:\n%s", out)
+}
+
+// compare always runs base, alo, static and tune, so it refuses a
+// -scheme it could not honour.
+func TestCmdCompareRejectsScheme(t *testing.T) {
+	if err := cmdCompare(context.Background(), small("-scheme", "tune")); err == nil {
+		t.Fatal("compare accepted -scheme")
+	}
+}
+
 // TestSimCommandsHonorCancel pins the Ctrl-C path: Main traps SIGINT
 // into a context, so a subcommand that ignored it could not be
 // interrupted at all. An already-canceled context must stop each one

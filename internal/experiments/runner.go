@@ -28,10 +28,10 @@ type Runner struct {
 	// configuration fingerprint is already stored and files every fresh
 	// result. The engine is deterministic, so a hit is bit-identical to
 	// re-running; configurations with no fingerprint (live schedules,
-	// custom throttlers) always run. Any resultcache.Store backend works:
-	// the on-disk fsstore or the in-process memstore. Runners that miss
-	// on one fingerprint at the same time each simulate it; they Put
-	// identical bytes, so the store keeps one entry.
+	// custom throttlers) always run. Every -cache flag and stcc-serve
+	// attach the on-disk fsstore. Runners that miss on one fingerprint
+	// at the same time each simulate it; they Put identical bytes, so
+	// the store keeps one entry.
 	Cache resultcache.Store
 	// Ctx, when non-nil, cancels grid execution: no new points are
 	// dispatched after cancellation and in-flight simulations stop

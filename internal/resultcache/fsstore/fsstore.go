@@ -61,11 +61,17 @@ func New(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path maps a fingerprint to its file, refusing malformed keys through
-// the shared resultcache gate so they cannot escape the directory.
+// path maps a fingerprint to its file. Any key that is not a
+// 64-character lowercase hex string (the SHA-256 fingerprint alphabet)
+// is refused, so a malformed key cannot escape the directory as a
+// relative path.
 func (s *Store) path(fingerprint string) (string, error) {
-	if err := resultcache.CheckFingerprint(fingerprint); err != nil {
-		return "", err
+	ok := len(fingerprint) == 64
+	for _, ch := range fingerprint {
+		ok = ok && ('0' <= ch && ch <= '9' || 'a' <= ch && ch <= 'f')
+	}
+	if !ok {
+		return "", fmt.Errorf("fsstore: fingerprint %q is not hex sha-256", fingerprint)
 	}
 	return filepath.Join(s.dir, fingerprint+".json"), nil
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/resultcache/memstore"
+	"repro/internal/resultcache/fsstore"
 	"repro/internal/sim"
 )
 
@@ -53,7 +53,11 @@ func TestRecordPointCacheHitShared(t *testing.T) {
 // what is held.
 func TestFinishedJobsEvictOldest(t *testing.T) {
 	const extra = 3
-	s := New(Config{Cache: memstore.New(), QueueDepth: keepFinished + extra, JobWorkers: 1})
+	cache, err := fsstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Cache: cache, QueueDepth: keepFinished + extra, JobWorkers: 1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

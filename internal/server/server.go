@@ -50,8 +50,7 @@ import (
 type Config struct {
 	// Cache, when non-nil, is the content-addressed result store shared
 	// by all jobs (and with any CLI runs pointed at the same directory).
-	// Any resultcache.Store backend works; GET /v1/cache reports its
-	// entry count.
+	// GET /v1/cache reports its entry count.
 	Cache resultcache.Store
 	// QueueDepth bounds the number of submitted-but-not-started jobs;
 	// beyond it, POST /v1/jobs returns 429. Zero means 16.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
 	"repro/internal/resultcache/fsstore"
-	"repro/internal/resultcache/memstore"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -619,7 +618,11 @@ func cacheEntries(t *testing.T, ts *httptest.Server) int {
 // simulates it and returns exactly what sim.Run does; GET /v1/cache
 // then counts the job's own point.
 func TestCacheEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Cache: memstore.New()})
+	cache, err := fsstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, server.Config{Cache: cache})
 
 	cfg := tinyConfig(5)
 	fp, err := cfg.Fingerprint()
