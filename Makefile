@@ -20,8 +20,12 @@ test:
 test-cpu:
 	$(GO) test -cpu 1,4 ./internal/experiments ./internal/server
 
+# internal/experiments is the slowest package under -race; run alone, it
+# does not share a small runner's CPUs with the next slowest (the root
+# package) and stays well inside go test's default timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race ./internal/experiments
+	$(GO) test -race $$($(GO) list ./... | grep -vx 'repro/internal/experiments')
 
 # The benchmark is a module of its own (benchmark/go.mod replaces repro
 # with this checkout), so the root's build, vet and test never compile
@@ -118,5 +122,6 @@ fuzz-smoke:
 	$(call fuzz,FuzzSplitQuoted,./internal/analyzers/framework)
 	$(call fuzz,FuzzWantComment,./internal/analyzers/framework)
 	$(call fuzz,FuzzConfigJSON,./internal/sim)
+	$(call fuzz,FuzzParseSubmission,./internal/experiments)
 	$(call fuzz,FuzzScheduleSpec,./internal/traffic)
 	$(call fuzz,FuzzCacheEntry,./internal/resultcache/fsstore)

@@ -14,6 +14,7 @@ import (
 var DeterministicPackages = []string{
 	"repro/internal/router",
 	"repro/internal/sim",
+	"repro/internal/congestion",
 	"repro/internal/core",
 	"repro/internal/traffic",
 	"repro/internal/sideband",

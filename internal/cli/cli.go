@@ -161,8 +161,8 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 	seed := fs.Int64("seed", def.Seed, "random seed")
 	scheme := fs.String("scheme", string(sim.Base), "congestion control: "+strings.Join(congestion.Names(), ", "))
 	threshold := fs.Float64("threshold", 250, "full-buffer threshold for -scheme static")
-	estimator := fs.String("estimator", "linear", "congestion estimator: linear or last")
-	period := fs.Int64("period", 0, "tuning period in cycles (0 = 3 gather durations)")
+	estimator := fs.String("estimator", "linear", "congestion estimator for static, tune and tune-hillclimb: linear or last")
+	period := fs.Int64("period", 0, "tuning period in cycles for static, tune and tune-hillclimb (0 = 3 gather durations)")
 
 	return func() (sim.Config, error) {
 		cfg := sim.NewConfig()
@@ -180,12 +180,18 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		cfg.Rate = *rate
 		cfg.WarmupCycles, cfg.MeasureCycles = *warmup, *measure
 		cfg.Seed = *seed
-		cfg.Scheme = sim.Scheme{Kind: sim.SchemeKind(*scheme), TuningPeriod: *period}
+		cfg.Scheme = sim.Scheme{Kind: sim.SchemeKind(*scheme)}
 		if cfg.Scheme.Kind == sim.StaticGlobal {
 			cfg.Scheme.StaticThreshold = *threshold
 		}
-		if *estimator != string(sim.LinearEstimator) {
-			cfg.Scheme.Estimator = sim.EstimatorKind(*estimator)
+		// Only the threshold schemes read a tuning period or an
+		// estimator; the others would file identical runs under
+		// different fingerprints.
+		if slices.Contains(thresholdSchemes, cfg.Scheme.Kind) {
+			cfg.Scheme.TuningPeriod = *period
+			if *estimator != string(sim.LinearEstimator) {
+				cfg.Scheme.Estimator = sim.EstimatorKind(*estimator)
+			}
 		}
 		return cfg, nil
 	}

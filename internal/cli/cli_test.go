@@ -206,6 +206,23 @@ func TestCmdRunWithCache(t *testing.T) {
 	}
 }
 
+// -period and -estimator configure only the threshold schemes: a base
+// run with either flag is the run without it and shares its cache entry.
+func TestNetFlagsUnusedKnobsShareCache(t *testing.T) {
+	dir := t.TempDir()
+	for _, extra := range [][]string{nil, {"-period", "96"}, {"-estimator", "last"}} {
+		args := append([]string{"-k", "4", "-warmup", "100", "-measure", "400", "-scheme", "base", "-cache", dir}, extra...)
+		stdout(t, func() error { return cmdRun(context.Background(), args) })
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("after a base run with %v the cache holds %d entries, want 1", extra, len(entries))
+		}
+	}
+}
+
 // A flag-built config has the fingerprint of the registry point with
 // the same settings, so stcc and stcc-paper share cache entries.
 func TestNetFlagsMatchRegistryPoints(t *testing.T) {

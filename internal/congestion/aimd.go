@@ -84,7 +84,7 @@ func NewAIMD(nodes, wmin, wmax int) *AIMD {
 	return a
 }
 
-// AllowInjection implements Throttler: a source may inject while its
+// AllowInjection implements Controller: a source may inject while its
 // in-flight packet count is below its window.
 //
 //stcc:hotpath
@@ -129,11 +129,8 @@ func (a *AIMD) Observe(ev FeedbackEvent) {
 	}
 }
 
-// Tick implements Throttler.
+// Tick implements Controller.
 func (a *AIMD) Tick(int64) {}
-
-// Name implements Throttler.
-func (a *AIMD) Name() string { return "aimd" }
 
 // Window returns source node's current window in packets (tests and
 // traces).

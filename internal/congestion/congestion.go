@@ -12,21 +12,8 @@ import (
 	"repro/internal/topology"
 )
 
-// Throttler decides whether a node may begin injecting a new packet.
-// Throttling applies only to packet starts: once a packet's head flit has
-// entered the injection channel, the rest of the worm always follows.
-type Throttler interface {
-	// AllowInjection reports whether node may start injecting a packet
-	// destined for dst at cycle now.
-	AllowInjection(now int64, node, dst topology.NodeID) bool
-	// Tick is called once per cycle, after network state has been
-	// updated and side-band snapshots delivered, before injection.
-	Tick(now int64)
-	Name() string
-}
-
-// FeedbackKind discriminates the feedback events the engine delivers to
-// a Controller.
+// FeedbackKind discriminates the packet events the engine delivers to a
+// Controller.
 type FeedbackKind uint8
 
 // Feedback event kinds.
@@ -38,16 +25,11 @@ const (
 	// Marked echoes whether any router buffered one of its flits while
 	// congestion-marked (DECbit-style end-to-end feedback).
 	PacketDelivered
-	// Notification fires when a side-band congestion notification from
-	// a marked router arrives at a source, after the hop-delay-scaled
-	// propagation latency.
-	Notification
 )
 
 // FeedbackEvent is one observation delivered to a Controller. Events are
-// delivered deterministically at cycle boundaries: injection events in
-// the engine's node-visit order, delivery events in the fabric's
-// delivery order, and notifications in side-band arrival order.
+// delivered deterministically: injection events in the engine's
+// node-visit order, delivery events in the fabric's delivery order.
 // Controllers may therefore keep per-source state without any
 // synchronization.
 type FeedbackEvent struct {
@@ -56,21 +38,28 @@ type FeedbackEvent struct {
 	Cycle int64
 	// Source is the injecting node the event concerns.
 	Source topology.NodeID
-	// Router is the remote node involved: the delivering destination
-	// (PacketDelivered) or the marked router that sent a notification.
+	// Router is the delivering destination (PacketDelivered).
 	Router topology.NodeID
 	// Marked carries the DECbit congestion mark.
 	Marked bool
 }
 
-// Controller is the full decision-layer contract: a Throttler that also
-// consumes feedback. Schemes with per-source state (aimd's windows,
-// notify's staleness clocks) live entirely behind Observe; stateless
-// gates implement it as a no-op.
+// Controller is the one decision-layer contract: the engine asks it
+// whether a node may begin injecting a new packet, ticks it once per
+// cycle, and feeds it packet events. Throttling applies only to packet
+// starts: once a packet's head flit has entered the injection channel,
+// the rest of the worm always follows. Stateless gates implement Tick
+// and Observe as no-ops. None of the three may allocate in steady
+// state: the engine calls them from its cycle loop.
 type Controller interface {
-	Throttler
-	// Observe delivers one feedback event. Called from the engine's
-	// cycle loop; must not allocate in steady state.
+	// AllowInjection reports whether node may start injecting a packet
+	// destined for dst at cycle now.
+	AllowInjection(now int64, node, dst topology.NodeID) bool
+	// Tick is called once per cycle, after the side-band has delivered
+	// the cycle's snapshots and before any injection decision, so a
+	// cycle's decisions all see the same controller state.
+	Tick(now int64)
+	// Observe delivers one packet event.
 	Observe(ev FeedbackEvent)
 }
 
@@ -85,37 +74,24 @@ type LocalView interface {
 	VCsPerPort() int
 }
 
-// GlobalView exposes network-wide aggregates alongside LocalView. The
-// router fabric implements it; factories use it for sizing per-source
-// state. Global congestion reaches controllers through the side-band.
+// GlobalView exposes network-wide state alongside LocalView. The router
+// fabric implements it. Aggregate congestion reaches the global schemes
+// through the side-band; notify reads the routers' congestion bits.
 type GlobalView interface {
 	// Nodes returns the network size.
 	Nodes() int
+	// CongestionBits returns the routers' DECbit congestion bits, one
+	// per node (bit n%64 of word n/64), as the last network cycle left
+	// them; nil when marking is disabled. Read-only.
+	CongestionBits() []uint64
 }
 
-// NotificationUser marks controllers that consume Notification feedback
-// events. The engine builds the side-band notification path (and the
-// per-cycle congestion-bit edge scan feeding it) only when the
-// configured controller asks for it.
+// NotificationUser marks the notify controller. The simulator never
+// reads it; the benchmark's traced engine (benchmark/traced.go) checks
+// it to refuse notify.
 type NotificationUser interface {
 	UsesNotifications()
 }
-
-// AsController adapts a plain Throttler (for example a user-supplied
-// custom scheme) to the Controller contract with a no-op feedback hook.
-// A value that already implements Controller is returned unwrapped.
-func AsController(t Throttler) Controller {
-	if c, ok := t.(Controller); ok {
-		return c
-	}
-	return noFeedback{t}
-}
-
-// noFeedback is AsController's adapter.
-type noFeedback struct{ Throttler }
-
-// Observe implements Controller.
-func (noFeedback) Observe(FeedbackEvent) {}
 
 // The local schemes self-register; the global ones register from
 // package core, next to their implementation.
@@ -136,14 +112,11 @@ func init() {
 // None is the Base configuration: never throttle.
 type None struct{}
 
-// AllowInjection implements Throttler.
+// AllowInjection implements Controller.
 func (None) AllowInjection(int64, topology.NodeID, topology.NodeID) bool { return true }
 
-// Tick implements Throttler.
+// Tick implements Controller.
 func (None) Tick(int64) {}
-
-// Name implements Throttler.
-func (None) Name() string { return "base" }
 
 // Observe implements Controller.
 func (None) Observe(FeedbackEvent) {}
@@ -164,12 +137,12 @@ type ALO struct {
 	buf  []int
 }
 
-// NewALO returns an ALO throttler over the given topology and local view.
+// NewALO returns an ALO controller over the given topology and local view.
 func NewALO(topo *topology.Torus, view LocalView) *ALO {
 	return &ALO{topo: topo, view: view}
 }
 
-// AllowInjection implements Throttler.
+// AllowInjection implements Controller.
 func (a *ALO) AllowInjection(_ int64, node, dst topology.NodeID) bool {
 	a.buf = a.topo.MinimalPorts(node, dst, a.buf[:0])
 	if len(a.buf) == 0 {
@@ -190,11 +163,8 @@ func (a *ALO) AllowInjection(_ int64, node, dst topology.NodeID) bool {
 	return everyHasOne || someAllFree
 }
 
-// Tick implements Throttler.
+// Tick implements Controller.
 func (a *ALO) Tick(int64) {}
-
-// Name implements Throttler.
-func (a *ALO) Name() string { return "alo" }
 
 // Observe implements Controller.
 func (a *ALO) Observe(FeedbackEvent) {}
@@ -210,13 +180,13 @@ type BusyVC struct {
 	limit int
 }
 
-// NewBusyVC returns a BusyVC throttler that allows injection while fewer
+// NewBusyVC returns a BusyVC controller that allows injection while fewer
 // than limit output VCs (over all physical ports) are busy.
 func NewBusyVC(topo *topology.Torus, view LocalView, limit int) *BusyVC {
 	return &BusyVC{topo: topo, view: view, limit: limit}
 }
 
-// AllowInjection implements Throttler.
+// AllowInjection implements Controller.
 func (l *BusyVC) AllowInjection(_ int64, node, _ topology.NodeID) bool {
 	busy := 0
 	vcs := l.view.VCsPerPort()
@@ -226,11 +196,8 @@ func (l *BusyVC) AllowInjection(_ int64, node, _ topology.NodeID) bool {
 	return busy < l.limit
 }
 
-// Tick implements Throttler.
+// Tick implements Controller.
 func (l *BusyVC) Tick(int64) {}
-
-// Name implements Throttler.
-func (l *BusyVC) Name() string { return "busyvc" }
 
 // Observe implements Controller.
 func (l *BusyVC) Observe(FeedbackEvent) {}

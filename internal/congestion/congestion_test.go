@@ -22,8 +22,9 @@ func TestNone(t *testing.T) {
 		t.Error("None throttled")
 	}
 	n.Tick(0)
-	if n.Name() != "base" {
-		t.Error("name")
+	n.Observe(FeedbackEvent{Kind: PacketDelivered, Marked: true})
+	if !n.AllowInjection(1, 1, 2) {
+		t.Error("None throttled after feedback")
 	}
 }
 
@@ -89,10 +90,8 @@ func TestALOUsesMinimalDirections(t *testing.T) {
 
 func TestALOName(t *testing.T) {
 	a := NewALO(topology.MustNew(4, 2), &fakeView{vcs: 1})
-	if a.Name() != "alo" {
-		t.Error("name")
-	}
 	a.Tick(5) // must not panic
+	a.Observe(FeedbackEvent{Kind: PacketInjected, Source: 0})
 }
 
 func TestBusyVCThrottlesOnBusyChannels(t *testing.T) {
@@ -107,9 +106,6 @@ func TestBusyVCThrottlesOnBusyChannels(t *testing.T) {
 	}
 	if l.AllowInjection(0, 1, 5) {
 		t.Error("busy node not throttled (10 busy >= limit 6)")
-	}
-	if l.Name() != "busyvc" {
-		t.Error("name")
 	}
 	l.Tick(0)
 }

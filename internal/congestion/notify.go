@@ -2,7 +2,9 @@ package congestion
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/sideband"
 	"repro/internal/topology"
 )
 
@@ -19,7 +21,7 @@ func init() {
 		if staleness < 1 {
 			return nil, fmt.Errorf("congestion: notify staleness %d must be >= 1", staleness)
 		}
-		return NewNotify(env.Global.Nodes(), staleness), nil
+		return NewNotify(env.Topo, env.Global, env.Side.HopDelay(), staleness), nil
 	})
 }
 
@@ -30,23 +32,34 @@ func init() {
 // until the notification goes stale. Staleness decay is the only
 // release path — there are no "clear" messages — so a transient hotspot
 // gates sources for exactly one staleness window past its last rising
-// edge, and a persistent one keeps refreshing the gate.
+// edge, and a persistent one keeps refreshing the gate. Packet events
+// play no part.
 type Notify struct {
+	view      GlobalView
+	notifier  *sideband.Notifier
+	prevCong  []uint64 // the congestion bits the last edge scan saw
 	staleness int64
 	until     []int64 // per-source: injection gated while now < until
 }
 
-// NewNotify returns a Notify controller for nodes sources with the
-// given staleness window in cycles.
-func NewNotify(nodes int, staleness int64) *Notify {
-	return &Notify{staleness: staleness, until: make([]int64, nodes)}
+// NewNotify returns a Notify controller over topo that reads the
+// routers' congestion bits from view, sends notices over a side-band
+// with the given per-hop delay, and gates a notified source for
+// staleness cycles.
+func NewNotify(topo *topology.Torus, view GlobalView, hopDelay int, staleness int64) *Notify {
+	return &Notify{
+		view:      view,
+		notifier:  sideband.NewNotifier(topo, hopDelay),
+		prevCong:  make([]uint64, (topo.Nodes()+63)>>6),
+		staleness: staleness,
+		until:     make([]int64, topo.Nodes()),
+	}
 }
 
-// UsesNotifications implements NotificationUser: the engine builds the
-// side-band notification path for this controller.
+// UsesNotifications implements NotificationUser.
 func (t *Notify) UsesNotifications() {}
 
-// AllowInjection implements Throttler: a source injects freely unless a
+// AllowInjection implements Controller: a source injects freely unless a
 // congestion notification younger than the staleness window gates it.
 //
 //stcc:hotpath
@@ -54,26 +67,27 @@ func (t *Notify) AllowInjection(now int64, node, _ topology.NodeID) bool {
 	return now >= t.until[node]
 }
 
-// Observe implements Controller: each arriving notification extends the
-// source's gate to the notification's arrival plus the staleness
-// window. Later-arriving but older news never shortens the gate.
+// Tick implements Controller. It first broadcasts a notification for
+// every router whose congestion bit rose in the network cycle that just
+// ran (now-1): only rising edges broadcast, so a persistently marked
+// router costs one broadcast, not one per cycle. It then gates every
+// source a notice reaches at now until now+staleness; a refresh extends
+// the gate and nothing shortens it. Every notice takes at least one
+// cycle, so an edge is never acted on in the cycle it rose.
 //
 //stcc:hotpath
-func (t *Notify) Observe(ev FeedbackEvent) {
-	if ev.Kind != Notification || !ev.Marked {
-		return
+func (t *Notify) Tick(now int64) {
+	for wi, cur := range t.view.CongestionBits() {
+		rise := cur &^ t.prevCong[wi]
+		t.prevCong[wi] = cur
+		for base := wi << 6; rise != 0; rise &= rise - 1 {
+			t.notifier.Broadcast(now-1, topology.NodeID(base+bits.TrailingZeros64(rise)))
+		}
 	}
-	if until := ev.Cycle + t.staleness; until > t.until[ev.Source] {
-		t.until[ev.Source] = until
+	for _, src := range t.notifier.Deliver(now) {
+		t.until[src] = now + t.staleness
 	}
 }
 
-// Tick implements Throttler.
-func (t *Notify) Tick(int64) {}
-
-// Name implements Throttler.
-func (t *Notify) Name() string { return "notify" }
-
-// GatedUntil returns the cycle before which source node may not inject
-// (tests and traces).
-func (t *Notify) GatedUntil(node topology.NodeID) int64 { return t.until[node] }
+// Observe implements Controller.
+func (t *Notify) Observe(FeedbackEvent) {}

@@ -54,7 +54,9 @@ type Env struct {
 	Params Params
 }
 
-// Factory constructs a controller for one registered scheme name.
+// Factory constructs the controller of one run: a registered scheme's,
+// or a custom scheme's (sim.Scheme.Custom). It is called once per run,
+// so a controller never carries state from one run into the next.
 type Factory func(env Env) (Controller, error)
 
 // factories is the name-keyed scheme registry. Registration happens in

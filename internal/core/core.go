@@ -47,7 +47,7 @@ func (c GlobalConfig) Validate() error {
 // threshold. The threshold comes from a ThresholdPolicy — a Tuner for the
 // self-tuned scheme or a StaticThreshold for the Figure 5 baseline.
 //
-// It implements congestion.Throttler and sideband.Sink.
+// It implements congestion.Controller and sideband.Sink.
 type GlobalThrottler struct {
 	cfg    GlobalConfig
 	est    Estimator
@@ -87,7 +87,7 @@ func (g *GlobalThrottler) OnSnapshot(s sideband.Snapshot) {
 	g.periodSnaps++
 }
 
-// Tick implements congestion.Throttler. Call once per cycle after the
+// Tick implements congestion.Controller. Call once per cycle after the
 // side-band tick.
 func (g *GlobalThrottler) Tick(now int64) {
 	if now > 0 && now%g.cfg.TuningPeriod == 0 {
@@ -130,7 +130,7 @@ func decisionOf(p ThresholdPolicy) Decision {
 	return NoChange
 }
 
-// AllowInjection implements congestion.Throttler. The decision is global:
+// AllowInjection implements congestion.Controller. The decision is global:
 // identical at every node.
 func (g *GlobalThrottler) AllowInjection(_ int64, _, _ topology.NodeID) bool {
 	return !g.throttled
@@ -144,6 +144,3 @@ func (g *GlobalThrottler) Threshold() float64 { return g.policy.Threshold() }
 
 // Trace returns the per-period trace (empty unless KeepTrace).
 func (g *GlobalThrottler) Trace() []TracePoint { return g.trace }
-
-// Name implements congestion.Throttler.
-func (g *GlobalThrottler) Name() string { return g.policy.Name() }

@@ -132,15 +132,6 @@ func TestGlobalThrottlerTraceDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestGlobalThrottlerName(t *testing.T) {
-	if newGT(t, StaticThreshold(250), false).Name() != "static(250)" {
-		t.Error("static name")
-	}
-	if newGT(t, MustNewTuner(DefaultTunerConfig(3072)), false).Name() != "tune" {
-		t.Error("tune name")
-	}
-}
-
 func TestGlobalThrottlerThresholdAccessor(t *testing.T) {
 	gt := newGT(t, StaticThreshold(123), false)
 	if gt.Threshold() != 123 {

@@ -15,7 +15,6 @@ type ThresholdPolicy interface {
 	// current full-buffer count, and whether injection was throttled at
 	// any point during the period.
 	OnPeriod(throughput, fullBuffers float64, throttling bool)
-	Name() string
 }
 
 // StaticThreshold never adapts; it is the paper's Figure 5 comparison
@@ -28,9 +27,6 @@ func (s StaticThreshold) Threshold() float64 { return float64(s) }
 
 // OnPeriod implements ThresholdPolicy.
 func (s StaticThreshold) OnPeriod(float64, float64, bool) {}
-
-// Name implements ThresholdPolicy.
-func (s StaticThreshold) Name() string { return fmt.Sprintf("static(%g)", float64(s)) }
 
 // TunerConfig parameterizes the self-tuning mechanism. The zero value is
 // not valid; use DefaultTunerConfig. The json tags are its wire names
@@ -255,12 +251,4 @@ func (t *Tuner) OnPeriod(throughput, fullBuffers float64, throttling bool) {
 
 	t.prevTput = throughput
 	t.havePrev = true
-}
-
-// Name implements ThresholdPolicy.
-func (t *Tuner) Name() string {
-	if t.cfg.AvoidLocalMaxima {
-		return "tune"
-	}
-	return "tune(hill-climb-only)"
 }

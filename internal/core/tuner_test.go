@@ -270,9 +270,6 @@ func TestStaticThreshold(t *testing.T) {
 	if s.Threshold() != 250 {
 		t.Error("static threshold moved")
 	}
-	if s.Name() != "static(250)" {
-		t.Errorf("name = %q", s.Name())
-	}
 }
 
 func TestDecisionStrings(t *testing.T) {
@@ -283,15 +280,6 @@ func TestDecisionStrings(t *testing.T) {
 	}
 	if Decision(9).String() == "" {
 		t.Error("unknown decision should format")
-	}
-}
-
-func TestTunerNames(t *testing.T) {
-	if paperTuner(t, true).Name() != "tune" {
-		t.Error("tune name")
-	}
-	if paperTuner(t, false).Name() != "tune(hill-climb-only)" {
-		t.Error("hill-climb-only name")
 	}
 }
 

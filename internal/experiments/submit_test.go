@@ -84,6 +84,10 @@ func TestParseSubmissionErrors(t *testing.T) {
 		{"bad spec version", `{"version":99,"name":"x","groups":[]}`, "version"},
 		{"invalid config", `{"version":1,"k":0}`, "k"},
 		{"unknown config field", `{"version":1,"k":4,"bogus":true}`, "unknown"},
+		// Each of these once panicked: the first while Validate built
+		// the topology, the second when New sized the sample series.
+		{"network past any slice", configWith(`"n":4611686018427387904`), "k^n"},
+		{"hop delay overflows gather", configWith(`"sideband_hop_delay":2305843009213693952`), "sideband_hop_delay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,4 +100,17 @@ func TestParseSubmissionErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// configWith is a valid 4-ary 2-cube config body with field overriding
+// the field of the same name (`"n":2`, say).
+func configWith(field string) string {
+	base := `{"version":1,"k":4,"n":2,"vcs":3,"buf_depth":8,"packet_length":16,"mode":"recovery",` +
+		`"deadlock_timeout":160,"sideband_hop_delay":2,"sideband_mechanism":"sideband","selection":"rotate",` +
+		`"switching":"wormhole","pattern":"random","rate":0.005,"scheme":{"kind":"base"},` +
+		`"warmup_cycles":100,"measure_cycles":400,"seed":1}`
+	name := field[:strings.Index(field, ":")+1]
+	i := strings.Index(base, name)
+	j := i + strings.IndexAny(base[i:], ",}")
+	return base[:i] + field + base[j:]
 }

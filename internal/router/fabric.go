@@ -523,8 +523,8 @@ func (f *Fabric) CongestedRouters() int {
 
 // CongestionBits returns the live congestion bitset, one bit per node,
 // or nil when marking is disabled. The words are valid between Steps
-// and must be treated as read-only; the engine's notification path
-// edge-scans them after each cycle.
+// and must be treated as read-only; the notify controller edge-scans
+// them at each tick (congestion.GlobalView).
 //
 //stcc:hotpath
 func (f *Fabric) CongestionBits() []uint64 { return f.congWords }

@@ -181,6 +181,40 @@ func TestEndpointsTable(t *testing.T) {
 	}
 }
 
+// TestCrashInputsRefused POSTs two configs that once took the daemon
+// down — one panicked while the handler validated it, the other passed
+// validation and panicked on a job worker — to a server with a worker,
+// and checks each gets a 400 naming its field and the server stays up.
+func TestCrashInputsRefused(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	const prefix = `{"version":1,"k":4,`
+	const suffix = `"vcs":3,"buf_depth":8,"packet_length":16,"mode":"recovery","deadlock_timeout":160,` +
+		`"sideband_mechanism":"sideband","selection":"rotate","switching":"wormhole","pattern":"random",` +
+		`"rate":0.005,"scheme":{"kind":"base"},"warmup_cycles":100,"measure_cycles":400,"seed":1}`
+	for _, tc := range []struct{ body, wantSubstr string }{
+		{prefix + `"n":4611686018427387904,"sideband_hop_delay":2,` + suffix, "k^n"},
+		{prefix + `"n":2,"sideband_hop_delay":2305843009213693952,` + suffix, "sideband_hop_delay"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.wantSubstr) {
+			t.Errorf("POST /v1/jobs = %d %s, want 400 naming %q", resp.StatusCode, raw, tc.wantSubstr)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the crash inputs = %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestQueueBackpressure fills the bounded queue and checks the 429 +
 // Retry-After rejection, then frees a slot by canceling.
 func TestQueueBackpressure(t *testing.T) {

@@ -4,28 +4,19 @@ import (
 	"repro/internal/topology"
 )
 
-// notification is one queued congestion notice: origin router, mark
-// polarity and nothing else — the delivery cycle is encoded by which
-// wheel slot holds it.
-type notification struct {
-	to     topology.NodeID
-	from   topology.NodeID
-	marked bool
-}
-
 // Notifier models point-to-point congestion notifications on the
 // side-band: when a router's congestion bit rises, a notice travels to
 // every source over the same dedicated wiring the snapshot gather uses,
 // arriving after HopDelay cycles per minimal-route hop. Delivery is a
-// timing wheel keyed by arrival cycle: the maximum in-flight delay is
-// HopDelay times the torus diameter, so a wheel one slot longer can
-// never wrap onto pending notices. Slots keep their backing arrays
-// between revolutions, so steady-state broadcast and delivery do not
-// allocate.
+// timing wheel keyed by arrival cycle: each slot holds the sources a
+// notice reaches in that cycle. The maximum in-flight delay is HopDelay
+// times the torus diameter, so a wheel one slot longer can never wrap
+// onto pending notices. Slots keep their backing arrays between
+// revolutions, so steady-state broadcast and delivery do not allocate.
 type Notifier struct {
 	topo  *topology.Torus
 	delay int64 // cycles per hop
-	wheel [][]notification
+	wheel [][]topology.NodeID
 }
 
 // NewNotifier returns a notifier over topo with the given per-hop
@@ -38,18 +29,18 @@ func NewNotifier(topo *topology.Torus, hopDelay int) *Notifier {
 	return &Notifier{
 		topo:  topo,
 		delay: int64(hopDelay),
-		wheel: make([][]notification, int64(diameter)*int64(hopDelay)+2),
+		wheel: make([][]topology.NodeID, int64(diameter)*int64(hopDelay)+2),
 	}
 }
 
-// Broadcast queues a notification from router from to every source,
-// each arriving delay*distance cycles after now (minimum one cycle, so
-// the origin's own source still learns at a cycle boundary). Call after
-// the network step at cycle now; Deliver at the start of each later
-// cycle drains what has arrived.
+// Broadcast queues a notice from router from to every source, each
+// arriving delay*distance cycles after now (minimum one cycle, so the
+// origin's own source still learns at a cycle boundary). now is the
+// cycle whose network step raised the bit; Deliver at each later cycle
+// drains what has arrived.
 //
 //stcc:hotpath
-func (n *Notifier) Broadcast(now int64, from topology.NodeID, marked bool) {
+func (n *Notifier) Broadcast(now int64, from topology.NodeID) {
 	nodes := n.topo.Nodes()
 	for to := 0; to < nodes; to++ {
 		d := n.delay * int64(n.topo.Distance(from, topology.NodeID(to)))
@@ -58,35 +49,19 @@ func (n *Notifier) Broadcast(now int64, from topology.NodeID, marked bool) {
 		}
 		slot := int((now + d) % int64(len(n.wheel)))
 		//stcc:hotalloc amortized slot growth; each slot retains its high-water backing array across wheel revolutions
-		n.wheel[slot] = append(n.wheel[slot], notification{
-			to: topology.NodeID(to), from: from, marked: marked,
-		})
+		n.wheel[slot] = append(n.wheel[slot], topology.NodeID(to))
 	}
 }
 
-// Deliver drains every notification arriving at cycle now, invoking fn
-// per notice in queue order (broadcast order, sources ascending within
-// one broadcast — deterministic because Broadcast is only called from
-// the serial coordinator). The slot's backing array is retained.
+// Deliver drains the notices arriving at cycle now and returns the
+// sources they reach, in queue order (broadcast order, sources
+// ascending within one broadcast). The slice is the slot's retained
+// backing array: read it before the next Broadcast.
 //
 //stcc:hotpath
-func (n *Notifier) Deliver(now int64, fn func(to, from topology.NodeID, marked bool)) {
+func (n *Notifier) Deliver(now int64) []topology.NodeID {
 	slot := int(now % int64(len(n.wheel)))
 	due := n.wheel[slot]
-	if len(due) == 0 {
-		return
-	}
 	n.wheel[slot] = due[:0]
-	for _, ev := range due {
-		fn(ev.to, ev.from, ev.marked)
-	}
-}
-
-// Pending returns how many notifications are queued (tests).
-func (n *Notifier) Pending() int {
-	total := 0
-	for _, slot := range n.wheel {
-		total += len(slot)
-	}
-	return total
+	return due
 }

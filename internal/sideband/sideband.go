@@ -167,6 +167,9 @@ func New(cfg Config, src Source) *Network {
 // GatherDuration returns the configured g in cycles.
 func (n *Network) GatherDuration() int64 { return n.g }
 
+// HopDelay returns the neighbor-to-neighbor side-band latency in cycles.
+func (n *Network) HopDelay() int { return n.cfg.HopDelay }
+
 // Subscribe registers a sink for visible snapshots.
 func (n *Network) Subscribe(s Sink) { n.sinks = append(n.sinks, s) }
 

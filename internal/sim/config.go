@@ -48,9 +48,10 @@ const (
 	// bit rises broadcast side-band notifications that gate source
 	// injection until they go stale.
 	Notify SchemeKind = "notify"
-	// Custom runs a user-supplied congestion.Throttler (Scheme.Custom).
-	// In-process only: a custom scheme has no wire form, so spec-driven
-	// runs must use a registered scheme.
+	// Custom runs a controller built by a user-supplied
+	// congestion.Factory (Scheme.Custom). In-process only: a custom
+	// scheme has no wire form, so spec-driven runs must use a
+	// registered scheme.
 	Custom SchemeKind = "custom"
 )
 
@@ -116,11 +117,11 @@ type Scheme struct {
 	// gating injection (Notify), in cycles; zero selects two gather
 	// durations.
 	Staleness int64 `json:"staleness,omitempty"`
-	// Custom is the throttler to run when Kind is Custom. If it
-	// implements sideband.Sink it is subscribed to global snapshots; if
-	// it implements ViewBinder it receives the router-local view. It
-	// has no wire form (see Config.Serializable).
-	Custom congestion.Throttler `json:"-"`
+	// Custom builds the controller when Kind is Custom. It is called
+	// once per run with the Env the registered factories receive, so
+	// it wires the controller to env.Local or env.Side itself. It has
+	// no wire form (see Config.Serializable).
+	Custom congestion.Factory `json:"-"`
 }
 
 // params maps the Scheme to the congestion registry's parameter struct.
@@ -155,12 +156,6 @@ func (s Scheme) markFraction() float64 {
 		return DefaultMarkThreshold
 	}
 	return 0
-}
-
-// ViewBinder is implemented by custom throttlers that want the
-// router-local channel state (what ALO uses).
-type ViewBinder interface {
-	BindView(view congestion.LocalView)
 }
 
 // Config describes one simulation run. NewConfig supplies the paper's
@@ -284,6 +279,12 @@ func (c Config) Validate() error {
 	if err := c.sidebandConfig(topo).Validate(); err != nil {
 		return err
 	}
+	// The gather duration g = (k/2)*h*n, the default tuning period 3g
+	// and the notify wheel's g+2 slots must all fit in an int64.
+	if per := 3 * int64(c.K/2) * int64(c.N); int64(c.SidebandHopDelay) > math.MaxInt64/per {
+		return fmt.Errorf("sim: sideband_hop_delay %d overflows the gather duration (k/2)*h*n of a %d-ary %d-cube",
+			c.SidebandHopDelay, c.K, c.N)
+	}
 	if c.PacketLength < 1 {
 		return fmt.Errorf("sim: packet length must be >= 1, got %d", c.PacketLength)
 	}
@@ -323,7 +324,7 @@ func (c Config) Validate() error {
 	switch c.Scheme.Kind {
 	case Custom:
 		if c.Scheme.Custom == nil {
-			return fmt.Errorf("sim: custom scheme needs a live throttler; spec-driven runs cannot carry one and must use a registered scheme (%s)",
+			return fmt.Errorf("sim: custom scheme needs a factory (Scheme.Custom) to build its throttler; spec-driven runs cannot carry one and must use a registered scheme (%s)",
 				strings.Join(congestion.Names(), ", "))
 		}
 	default:

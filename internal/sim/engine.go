@@ -28,15 +28,6 @@ type Engine struct {
 	sched *traffic.Schedule
 	rng   *rand.Rand
 
-	// Notification feedback path, built only when the controller asks
-	// for it (congestion.NotificationUser): the side-band notifier, the
-	// previous cycle's congestion bits for the rising-edge scan, and the
-	// delivery closure (bound once so the per-cycle Deliver call passes
-	// a live func value without allocating).
-	notifier *sideband.Notifier
-	prevCong []uint64
-	notifyFn func(to, from topology.NodeID, marked bool)
-
 	queues   sourceQueues
 	qActive  []uint64     // bitset of nodes with a non-empty source queue
 	pool     *packet.Pool // free list; delivered packets are recycled here
@@ -128,46 +119,26 @@ func build(cfg Config, donor *Engine) (*Engine, error) {
 	if e.thr, e.glob, err = e.buildThrottler(); err != nil {
 		return nil, err
 	}
-	if _, ok := e.thr.(congestion.NotificationUser); ok {
-		e.notifier = sideband.NewNotifier(topo, cfg.SidebandHopDelay)
-		e.prevCong = make([]uint64, (topo.Nodes()+63)>>6)
-		thr := e.thr
-		e.notifyFn = func(to, from topology.NodeID, marked bool) {
-			thr.Observe(congestion.FeedbackEvent{
-				Kind:   congestion.Notification,
-				Cycle:  fab.Now(),
-				Source: to,
-				Router: from,
-				Marked: marked,
-			})
-		}
-	}
 	fab.OnDelivered = e.onDelivered
 	return e, nil
 }
 
-// buildThrottler constructs the configured congestion controller: a
-// registry lookup plus generic environment wiring, with no per-scheme
-// construction logic — every registered scheme (the paper's six and the
-// controller-zoo additions) assembles itself from the Env its factory
-// receives. The one exception is Custom, which carries an already-built
-// instance and only needs its optional bindings. The returned
-// *core.GlobalThrottler is non-nil when the controller is the global
-// scheme family (the threshold trace in Result reads it).
+// buildThrottler constructs the configured congestion controller by
+// calling one factory — the registry's for the scheme kind, or
+// Scheme.Custom — with the generic environment, and contains no
+// per-scheme construction logic: every scheme (the paper's six, the
+// controller-zoo additions and custom ones) assembles itself from the
+// Env its factory receives. The returned *core.GlobalThrottler is
+// non-nil when the controller is the global scheme family (the
+// threshold trace in Result reads it).
 func (e *Engine) buildThrottler() (congestion.Controller, *core.GlobalThrottler, error) {
 	s := e.cfg.Scheme
-	if s.Kind == Custom {
-		if sink, ok := s.Custom.(sideband.Sink); ok {
-			e.side.Subscribe(sink)
+	factory := s.Custom
+	if s.Kind != Custom {
+		var ok bool
+		if factory, ok = congestion.Lookup(string(s.Kind)); !ok {
+			return nil, nil, fmt.Errorf("sim: no registered controller for scheme %q", s.Kind)
 		}
-		if vb, ok := s.Custom.(ViewBinder); ok {
-			vb.BindView(e.fab)
-		}
-		return congestion.AsController(s.Custom), nil, nil
-	}
-	factory, ok := congestion.Lookup(string(s.Kind))
-	if !ok {
-		return nil, nil, fmt.Errorf("sim: no registered controller for scheme %q", s.Kind)
 	}
 	ctrl, err := factory(congestion.Env{
 		Kind:   string(s.Kind),
@@ -282,14 +253,10 @@ func (e *Engine) CheckInvariants() error {
 
 //stcc:hotpath
 func (e *Engine) step(now int64) {
-	// 1. Global information gather, notification delivery and controller
-	// tick. Feedback events land at the cycle boundary, before any
+	// 1. Global information gather and controller tick, before any
 	// injection decision, so a cycle's decisions all see the same
 	// controller state.
 	e.side.Tick(now)
-	if e.notifier != nil {
-		e.notifier.Deliver(now, e.notifyFn)
-	}
 	e.thr.Tick(now)
 
 	// 2. Packet generation into source queues. This loop stays O(nodes):
@@ -322,13 +289,8 @@ func (e *Engine) step(now int64) {
 		e.throttledCycles++
 	}
 
-	// 4. Network cycle, then the congestion-bit edge scan: routers whose
-	// bit rose this cycle broadcast a side-band notification. Reading
-	// the bits here, after the step, sees the end-of-cycle state.
+	// 4. Network cycle.
 	e.fab.Step()
-	if e.notifier != nil {
-		e.scanCongestionEdges(now)
-	}
 
 	// 5. Sampling.
 	e.fullAccum += float64(e.fab.FullVCBuffers())
@@ -393,23 +355,6 @@ func (e *Engine) injectNode(now int64, n int, throttled *bool) {
 		Cycle:  now,
 		Source: topology.NodeID(n),
 	})
-}
-
-// scanCongestionEdges broadcasts a notification for every router whose
-// congestion bit rose during the cycle that just ran. Only rising edges
-// broadcast — release is by staleness decay at the sources — so a
-// persistently marked router costs one broadcast, not one per cycle.
-//
-//stcc:hotpath
-func (e *Engine) scanCongestionEdges(now int64) {
-	words := e.fab.CongestionBits()
-	for wi, cur := range words {
-		rise := cur &^ e.prevCong[wi]
-		e.prevCong[wi] = cur
-		for base := wi << 6; rise != 0; rise &= rise - 1 {
-			e.notifier.Broadcast(now, topology.NodeID(base+bits.TrailingZeros64(rise)), true)
-		}
-	}
 }
 
 // Fabric exposes the underlying fabric (tests and experiment drivers).

@@ -29,7 +29,7 @@ type wireConfig struct {
 
 // Serializable reports whether the Config has a wire form. Two values
 // are in-process only — a live *traffic.Schedule and a Scheme.Custom
-// throttler (the custom scheme kind exists only to carry one) — and a
+// factory (the custom scheme kind exists only to carry one) — and a
 // Config holding either cannot be marshalled, fingerprinted, cached,
 // or placed in an experiment Spec.
 func (c Config) Serializable() error {
@@ -37,7 +37,7 @@ func (c Config) Serializable() error {
 		return fmt.Errorf("sim: a live *traffic.Schedule is not serializable; use Config.ScheduleSpec")
 	}
 	if c.Scheme.Custom != nil {
-		return fmt.Errorf("sim: a custom throttler is not serializable")
+		return fmt.Errorf("sim: a custom controller factory is not serializable")
 	}
 	if c.Scheme.Kind == Custom {
 		return fmt.Errorf("sim: scheme %q is not serializable", Custom)
@@ -47,7 +47,7 @@ func (c Config) Serializable() error {
 
 // MarshalJSON implements json.Marshaler with the versioned wire form.
 // Configs carrying in-process-only values (a live Schedule or a custom
-// throttler) have no serializable representation and return an error.
+// controller factory) have no serializable representation and return an error.
 func (c Config) MarshalJSON() ([]byte, error) {
 	if err := c.Serializable(); err != nil {
 		return nil, err

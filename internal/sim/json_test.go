@@ -165,9 +165,11 @@ func TestConfigJSONRefusesInProcessValues(t *testing.T) {
 	}
 
 	withCustom := NewConfig()
-	withCustom.Scheme = Scheme{Kind: Custom, Custom: congestion.None{}}
+	withCustom.Scheme = Scheme{Kind: Custom, Custom: func(congestion.Env) (congestion.Controller, error) {
+		return congestion.None{}, nil
+	}}
 	if _, err := json.Marshal(withCustom); err == nil {
-		t.Error("custom throttler marshaled")
+		t.Error("custom controller factory marshaled")
 	}
 }
 

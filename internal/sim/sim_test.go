@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/congestion"
 	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/sideband"
@@ -439,8 +442,49 @@ func (b *budgetThrottler) AllowInjection(int64, topology.NodeID, topology.NodeID
 	b.used++
 	return true
 }
-func (b *budgetThrottler) Tick(int64)   { b.used = 0 }
-func (b *budgetThrottler) Name() string { return "budget" }
+func (b *budgetThrottler) Tick(int64)                       { b.used = 0 }
+func (b *budgetThrottler) Observe(congestion.FeedbackEvent) {}
+
+// coinThrottler admits a packet start on a coin flip from its own RNG:
+// its decisions depend on every draw made before them.
+type coinThrottler struct{ rng *rand.Rand }
+
+func (c *coinThrottler) AllowInjection(int64, topology.NodeID, topology.NodeID) bool {
+	return c.rng.Intn(2) == 0
+}
+func (c *coinThrottler) Tick(int64)                       {}
+func (c *coinThrottler) Observe(congestion.FeedbackEvent) {}
+
+// TestCustomFactoryFreshPerRun runs one Config with a stateful custom
+// scheme twice: the factory builds a fresh controller for each run, so
+// the second run must not inherit the first run's RNG position and both
+// results must marshal to the same bytes.
+func TestCustomFactoryFreshPerRun(t *testing.T) {
+	calls := 0
+	cfg := fastConfig()
+	cfg.Rate = 0.05
+	cfg.Scheme = Scheme{Kind: Custom, Custom: func(congestion.Env) (congestion.Controller, error) {
+		calls++
+		return &coinThrottler{rng: rand.New(rand.NewSource(7))}, nil
+	}}
+	var runs [2][]byte
+	for i := range runs {
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ThrottleDenials == 0 {
+			t.Fatal("the coin never denied an injection; the test exercises nothing")
+		}
+		runs[i] = marshalResult(t, r)
+	}
+	if calls != 2 {
+		t.Errorf("factory called %d times for two runs, want 2", calls)
+	}
+	if !bytes.Equal(runs[0], runs[1]) {
+		t.Errorf("second run of one config differs:\n%s\n%s", runs[0], runs[1])
+	}
+}
 
 // TestInjectionFairnessUnderContention verifies the rotating injection
 // scan: when a throttler rations injection slots, every node must win a
@@ -452,7 +496,9 @@ func TestInjectionFairnessUnderContention(t *testing.T) {
 	cfg.Rate = 0.2 // every source queue stays backlogged
 	cfg.WarmupCycles = 0
 	cfg.MeasureCycles = 4000
-	cfg.Scheme = Scheme{Kind: Custom, Custom: &budgetThrottler{perCycle: 4}}
+	cfg.Scheme = Scheme{Kind: Custom, Custom: func(congestion.Env) (congestion.Controller, error) {
+		return &budgetThrottler{perCycle: 4}, nil
+	}}
 
 	e, err := New(cfg)
 	if err != nil {

@@ -23,6 +23,9 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"radix-too-small", func(c *Config) { c.K = 1 }, "topology"},
 		{"dimensions-zero", func(c *Config) { c.N = 0 }, "topology"},
+		{"dimensions-past-any-slice", func(c *Config) { c.N = 1 << 62 }, "too large"},
+		{"hop-delay-overflows-gather", func(c *Config) { c.K, c.N, c.SidebandHopDelay = 4, 2, 1<<61 }, "sideband_hop_delay"},
+		{"hop-delay-overflows-tuning-period", func(c *Config) { c.SidebandHopDelay = math.MaxInt64 / 16 }, "sideband_hop_delay"},
 		{"vcs-zero", func(c *Config) { c.VCs = 0 }, "virtual channel"},
 		{"avoidance-needs-two-vcs", func(c *Config) { c.Mode = router.Avoidance; c.VCs = 1 }, "avoidance"},
 		{"buf-depth-zero", func(c *Config) { c.BufDepth = 0 }, "buffer depth"},
@@ -190,6 +193,8 @@ func TestValidateAccepts(t *testing.T) {
 		"aimd-bounded": func(c *Config) { c.Scheme = Scheme{Kind: AIMD, WindowMin: 2, WindowMax: 32, MarkThreshold: 0.5} },
 		"notify":       func(c *Config) { c.Scheme = Scheme{Kind: Notify} },
 		"notify-tuned": func(c *Config) { c.Scheme = Scheme{Kind: Notify, Staleness: 128, MarkThreshold: 0.9} },
+		// The largest hop delay whose default tuning period 3g fits.
+		"largest-hop-delay": func(c *Config) { c.SidebandHopDelay = math.MaxInt64 / (3 * 8 * 2) },
 		"schedule-spec": func(c *Config) {
 			c.ScheduleSpec = traffic.SteadySpec(traffic.UniformRandom,
 				traffic.ProcessSpec{Kind: traffic.PeriodicProcess, Interval: 50})

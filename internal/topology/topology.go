@@ -46,14 +46,20 @@ func New(k, n int) (*Torus, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology: dimension count n must be >= 1, got %d", n)
 	}
+	// Size the network before allocating anything per dimension: k >= 2
+	// doubles nodes every dimension, so the check stops the loop within
+	// 27 dimensions whatever n is.
 	nodes := 1
-	strides := make([]int, n)
 	for d := 0; d < n; d++ {
-		strides[d] = nodes
 		if nodes > 1<<26/k {
-			return nil, fmt.Errorf("topology: %d-ary %d-cube is too large", k, n)
+			return nil, fmt.Errorf("topology: %d-ary %d-cube is too large: k^n exceeds 2^26 nodes", k, n)
 		}
 		nodes *= k
+	}
+	strides := make([]int, n)
+	strides[0] = 1
+	for d := 1; d < n; d++ {
+		strides[d] = strides[d-1] * k
 	}
 	return &Torus{k: k, n: n, nodes: nodes, strides: strides}, nil
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,11 @@ func TestNewValidation(t *testing.T) {
 func TestNewRejectsHuge(t *testing.T) {
 	if _, err := New(1<<20, 4); err == nil {
 		t.Fatal("expected size overflow error")
+	}
+	// A dimension count no slice can hold is refused by the size check,
+	// before anything is allocated per dimension.
+	if _, err := New(2, 1<<62); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Fatalf("New(2, 1<<62): err = %v, want a too-large error", err)
 	}
 }
 

@@ -84,7 +84,8 @@ const (
 	// Notify gates sources on side-band congestion notifications from
 	// marked routers, with a staleness horizon.
 	Notify = sim.Notify
-	// CustomScheme runs a user-supplied Throttler (Scheme.Custom).
+	// CustomScheme runs the Controller a user-supplied Factory builds
+	// (Scheme.Custom).
 	CustomScheme = sim.Custom
 )
 
@@ -96,9 +97,6 @@ const (
 	// PacketDelivered fires when a packet reaches its destination;
 	// Marked echoes the DECbit congestion mark.
 	PacketDelivered = congestion.PacketDelivered
-	// Notification fires when a side-band congestion notification
-	// arrives at a source.
-	Notification = congestion.Notification
 )
 
 // Congestion estimators.
@@ -158,27 +156,31 @@ const (
 
 // Extension points for custom controllers and analysis.
 type (
-	// Throttler is the congestion-control interface consulted before
-	// each packet injection.
-	Throttler = congestion.Throttler
-	// Controller is a Throttler that also consumes feedback events;
-	// all registered schemes implement it.
+	// Controller is the congestion-control contract: consulted before
+	// each packet injection, ticked once per cycle, and fed packet
+	// events. Every scheme implements it.
 	Controller = congestion.Controller
-	// FeedbackEvent is one observation delivered to a Controller at a
-	// cycle boundary (injection, delivery with DECbit mark, or a
-	// side-band congestion notification).
+	// Factory builds a Controller for one run from its Env; set one as
+	// Scheme.Custom to run a custom scheme.
+	Factory = congestion.Factory
+	// Env is what a Factory may wire a controller to: the topology,
+	// the router-local and global views, the side-band (Subscribe a
+	// value with OnSnapshot(Snapshot) to receive global snapshots) and
+	// the scheme parameters.
+	Env = congestion.Env
+	// FeedbackEvent is one packet observation delivered to a
+	// Controller (injection, or delivery with its DECbit mark).
 	FeedbackEvent = congestion.FeedbackEvent
 	// FeedbackKind discriminates feedback events.
 	FeedbackKind = congestion.FeedbackKind
-	// LocalView exposes router-local channel state to throttlers.
+	// LocalView exposes router-local channel state to controllers.
 	LocalView = congestion.LocalView
-	// GlobalView exposes the network size to controller factories
-	// alongside LocalView.
+	// GlobalView exposes the network size and the routers' congestion
+	// bits to controller factories alongside LocalView.
 	GlobalView = congestion.GlobalView
-	// ViewBinder lets a custom Throttler receive the LocalView.
-	ViewBinder = sim.ViewBinder
-	// Snapshot is one globally gathered side-band aggregate; custom
-	// Throttlers implementing OnSnapshot(Snapshot) receive them.
+	// Snapshot is one globally gathered side-band aggregate; a value
+	// with OnSnapshot(Snapshot) that a Factory subscribes through
+	// Env.Side receives them.
 	Snapshot = sideband.Snapshot
 	// TunerConfig parameterizes the self-tuning mechanism.
 	TunerConfig = core.TunerConfig

@@ -109,21 +109,24 @@ func TestPublicTunerConfig(t *testing.T) {
 	}
 }
 
-// localGreedy is a trivial custom throttler for the extension-point test:
-// it blocks injection whenever fewer than half the local output VCs on
-// port 0 are free.
+// localGreedy is a trivial custom controller for the extension-point
+// test: it blocks injection whenever fewer than half the local output
+// VCs on port 0 are free.
 type localGreedy struct{ view LocalView }
 
-func (l *localGreedy) BindView(v LocalView) { l.view = v }
 func (l *localGreedy) AllowInjection(_ int64, node, _ NodeID) bool {
 	return l.view.FreeVCs(node, 0)*2 >= l.view.VCsPerPort()
 }
-func (l *localGreedy) Tick(int64)   {}
-func (l *localGreedy) Name() string { return "local-greedy" }
+func (l *localGreedy) Tick(int64)            {}
+func (l *localGreedy) Observe(FeedbackEvent) {}
+
+// newLocalGreedy is localGreedy's Factory: it wires the controller to
+// the run's router-local view.
+func newLocalGreedy(env Env) (Controller, error) { return &localGreedy{view: env.Local}, nil }
 
 func TestPublicCustomThrottler(t *testing.T) {
 	cfg := quick()
-	cfg.Scheme = Scheme{Kind: CustomScheme, Custom: &localGreedy{}}
+	cfg.Scheme = Scheme{Kind: CustomScheme, Custom: newLocalGreedy}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
