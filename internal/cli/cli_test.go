@@ -57,6 +57,16 @@ func TestCmdRunRejectsBadScheme(t *testing.T) {
 	}
 }
 
+// TestCmdRunRejectsWindowWithoutSample runs a config whose default
+// sample interval, g = 1024 cycles, is longer than its measured window.
+// It once printed "accepted 0.0000" beside 2,408 delivered packets.
+func TestCmdRunRejectsWindowWithoutSample(t *testing.T) {
+	err := cmdRun(context.Background(), []string{"-k", "16", "-hop", "64", "-warmup", "0", "-measure", "1000", "-rate", "0.01"})
+	if err == nil || !strings.Contains(err.Error(), "sideband_hop_delay") {
+		t.Fatalf("run = %v, want an error naming sideband_hop_delay", err)
+	}
+}
+
 func TestCmdSweep(t *testing.T) {
 	if err := cmdSweep(context.Background(), small("-rates", "0.002,0.005")); err != nil {
 		t.Fatal(err)

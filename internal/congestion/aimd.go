@@ -2,6 +2,7 @@ package congestion
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/topology"
 )
@@ -29,8 +30,9 @@ func init() {
 
 // AIMDWindow resolves a configured AIMD window, in packets: a zero
 // bound selects DefaultWindowMin or DefaultWindowMax. The resolved
-// window must satisfy 1 <= min <= max. The aimd factory and the
-// simulator's config validation both resolve windows through here.
+// window must satisfy 1 <= min <= max <= math.MaxInt32. The aimd
+// factory and the simulator's config validation both resolve windows
+// through here.
 func AIMDWindow(wmin, wmax int) (int, int, error) {
 	if wmin == 0 {
 		wmin = DefaultWindowMin
@@ -44,6 +46,10 @@ func AIMDWindow(wmin, wmax int) (int, int, error) {
 	if wmax < wmin {
 		return 0, 0, fmt.Errorf("congestion: aimd window max %d below min %d (unset bounds are %d and %d)",
 			wmax, wmin, DefaultWindowMin, DefaultWindowMax)
+	}
+	// AllowInjection compares the in-flight count with int32(window).
+	if wmax > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("congestion: aimd window max %d above %d", wmax, math.MaxInt32)
 	}
 	return wmin, wmax, nil
 }

@@ -113,8 +113,8 @@ func (s *Spec) Fingerprint() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// ParseSpec parses a spec strictly: unknown fields anywhere (including
-// inside each point's config) and unsupported versions are errors.
+// ParseSpec parses a spec strictly — unknown fields anywhere (including
+// inside each point's config) are errors — and validates it.
 func ParseSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -122,12 +122,8 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("experiments: parsing spec: %w", err)
 	}
-	if s.Version != SpecVersion {
-		return nil, fmt.Errorf("experiments: unsupported spec version %d (this build reads version %d)",
-			s.Version, SpecVersion)
-	}
-	if s.Name == "" {
-		return nil, fmt.Errorf("experiments: spec needs a name")
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

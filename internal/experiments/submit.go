@@ -55,9 +55,6 @@ func ParseSubmission(data []byte) (*Submission, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
 		return &Submission{Spec: spec}, nil
 
 	case hasKey(keys, "k"):

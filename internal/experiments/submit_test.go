@@ -88,6 +88,9 @@ func TestParseSubmissionErrors(t *testing.T) {
 		// the topology, the second when New sized the sample series.
 		{"network past any slice", configWith(`"n":4611686018427387904`), "k^n"},
 		{"hop delay overflows gather", configWith(`"sideband_hop_delay":2305843009213693952`), "sideband_hop_delay"},
+		// Once ran, and reported 0 accepted traffic: no whole sample
+		// interval fits the measured window [100, 500).
+		{"sample interval longer than its window", configWith(`"measure_cycles":400,"sample_interval":1000`), "sample_interval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -181,19 +181,25 @@ func TestEndpointsTable(t *testing.T) {
 	}
 }
 
-// TestCrashInputsRefused POSTs two configs that once took the daemon
-// down — one panicked while the handler validated it, the other passed
-// validation and panicked on a job worker — to a server with a worker,
-// and checks each gets a 400 naming its field and the server stays up.
+// TestCrashInputsRefused POSTs configs that once took the daemon down
+// or stalled it — one panicked while the handler validated it, one
+// passed validation and panicked on a job worker, one hung a job worker
+// past cancellation in the side-band's quantizer, and one ran the
+// process out of memory sizing the notification wheel — to a server
+// with a worker, and checks each gets a 400 naming its field and the
+// server stays up.
 func TestCrashInputsRefused(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	const prefix = `{"version":1,"k":4,`
 	const suffix = `"vcs":3,"buf_depth":8,"packet_length":16,"mode":"recovery","deadlock_timeout":160,` +
 		`"sideband_mechanism":"sideband","selection":"rotate","switching":"wormhole","pattern":"random",` +
 		`"rate":0.005,"scheme":{"kind":"base"},"warmup_cycles":100,"measure_cycles":400,"seed":1}`
+	notify := strings.Replace(suffix, `"kind":"base"`, `"kind":"notify"`, 1)
 	for _, tc := range []struct{ body, wantSubstr string }{
 		{prefix + `"n":4611686018427387904,"sideband_hop_delay":2,` + suffix, "k^n"},
 		{prefix + `"n":2,"sideband_hop_delay":2305843009213693952,` + suffix, "sideband_hop_delay"},
+		{prefix + `"n":2,"sideband_hop_delay":2,"sideband_bits":64,` + suffix, "width"},
+		{prefix + `"n":2,"sideband_hop_delay":17179869184,` + notify, "sideband_hop_delay"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

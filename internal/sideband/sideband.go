@@ -120,8 +120,9 @@ func (c Config) Validate() error {
 	if c.HopDelay < 1 {
 		return fmt.Errorf("sideband: hop delay must be >= 1, got %d", c.HopDelay)
 	}
-	if c.Bits < 0 {
-		return fmt.Errorf("sideband: negative width %d", c.Bits)
+	// quantize's limit 1<<Bits - 1 turns negative past 63 bits.
+	if c.Bits < 0 || c.Bits > 63 {
+		return fmt.Errorf("sideband: width %d out of [0, 63] bits", c.Bits)
 	}
 	if err := mechanisms.Check(c.Mechanism); err != nil {
 		return err

@@ -265,25 +265,62 @@ func (c Config) GatherDuration() int64 {
 	return sideband.Config{K: c.K, N: c.N, HopDelay: c.SidebandHopDelay}.GatherDuration()
 }
 
-// Validate checks the configuration. It applies the rules New applies
-// when it builds the controller and compiles the workload, so a config
-// that validates also builds.
+// maxGather caps the gather duration g = (k/2)*h*n, in cycles: 2^20 is
+// the longest gather that still delivers a snapshot inside a
+// paper-length run (600k cycles), rounded up to a power of two. It
+// bounds the notify wheel's g+2 slots to about 25 MB and keeps the
+// default tuning period 3g and staleness 2g far from overflow.
+const maxGather = 1 << 20
+
+// plan is a Config resolved into what New builds an engine from.
+type plan struct {
+	topo    *topology.Torus
+	router  router.Config
+	side    sideband.Config
+	sched   *traffic.Schedule // the live or compiled schedule; nil for the steady load
+	pattern traffic.Pattern   // the steady Pattern+Rate load's pattern
+	factory congestion.Factory
+	// interval is the sample interval: SampleInterval, or g when unset.
+	interval int64
+}
+
+// Validate checks the configuration. It is New's resolution pass
+// without the allocation, so a config that validates also builds.
 func (c Config) Validate() error {
+	var p plan
+	return c.plan(&p)
+}
+
+// plan resolves c into p, applying every rule a config must pass. It is
+// the only code that reads a Config's network, side-band, workload and
+// scheme: Validate returns its error, and New builds from p.
+func (c Config) plan(p *plan) error {
 	topo, err := c.Topology()
 	if err != nil {
 		return err
 	}
-	if err := c.routerConfig(topo).Validate(); err != nil {
+	p.topo = topo
+	p.router = router.Config{
+		Topo: topo, VCs: c.VCs, BufDepth: c.BufDepth,
+		Mode: c.Mode, DeadlockTimeout: c.DeadlockTimeout, TokenWaitTimeout: c.TokenWaitTimeout,
+		DeliveryChannels: c.DeliveryChannels, Selection: c.Selection, Switching: c.Switching,
+		Workers: c.ShardWorkers, Dispatch: c.ShardDispatch,
+		CongestMark: c.Scheme.markFraction(),
+	}
+	if err := p.router.Validate(); err != nil {
 		return err
 	}
-	if err := c.sidebandConfig(topo).Validate(); err != nil {
+	p.side = sideband.Config{
+		K: c.K, N: c.N, HopDelay: c.SidebandHopDelay, Bits: c.SidebandBits,
+		Mechanism: c.SidebandMechanism, TotalBuffers: topo.TotalVCBuffers(c.VCs),
+		PiggybackP: c.PiggybackP, Seed: c.Seed,
+	}
+	if err := p.side.Validate(); err != nil {
 		return err
 	}
-	// The gather duration g = (k/2)*h*n, the default tuning period 3g
-	// and the notify wheel's g+2 slots must all fit in an int64.
-	if per := 3 * int64(c.K/2) * int64(c.N); int64(c.SidebandHopDelay) > math.MaxInt64/per {
-		return fmt.Errorf("sim: sideband_hop_delay %d overflows the gather duration (k/2)*h*n of a %d-ary %d-cube",
-			c.SidebandHopDelay, c.K, c.N)
+	if int64(c.SidebandHopDelay) > maxGather/(int64(c.K/2)*int64(c.N)) {
+		return fmt.Errorf("sim: sideband_hop_delay %d makes the gather duration (k/2)*h*n of a %d-ary %d-cube exceed %d cycles",
+			c.SidebandHopDelay, c.K, c.N, maxGather)
 	}
 	if c.PacketLength < 1 {
 		return fmt.Errorf("sim: packet length must be >= 1, got %d", c.PacketLength)
@@ -292,16 +329,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: cut-through needs BufDepth >= PacketLength (%d < %d)",
 			c.BufDepth, c.PacketLength)
 	}
+	// The workload, by precedence: a live Schedule, a ScheduleSpec
+	// compiled for this network (a pattern may reject its node count),
+	// or the steady Pattern+Rate load, whose schedule New builds.
 	switch {
 	case c.Schedule != nil:
+		p.sched = c.Schedule
 	case c.ScheduleSpec != nil:
-		// Compiled, not only checked by name: a pattern may reject
-		// this network's node count.
-		if _, err := c.ScheduleSpec.Build(topo.Nodes()); err != nil {
+		if p.sched, err = c.ScheduleSpec.Build(topo.Nodes()); err != nil {
 			return err
 		}
 	default:
-		if _, err := traffic.NewPattern(c.Pattern, topo.Nodes()); err != nil {
+		if p.pattern, err = traffic.NewPattern(c.Pattern, topo.Nodes()); err != nil {
 			return err
 		}
 		if c.Rate < 0 || c.Rate > 1 {
@@ -317,21 +356,35 @@ func (c Config) Validate() error {
 	if c.SampleInterval < 0 {
 		return fmt.Errorf("sim: negative sample interval")
 	}
-	// Scheme-kind validity derives from the congestion registry: a kind
-	// is runnable exactly when a factory self-registered under its name.
-	// Custom is the one non-registry kind — an in-process escape hatch
-	// with no wire form.
-	switch c.Scheme.Kind {
-	case Custom:
-		if c.Scheme.Custom == nil {
+	// Accepted traffic and full buffers average the whole sample
+	// intervals that start in the measured window, so the window must
+	// hold one: the first interval starting at or after warm-up ends by
+	// the last cycle.
+	if p.interval = c.SampleInterval; p.interval == 0 {
+		p.interval = p.side.GatherDuration()
+	}
+	first := c.WarmupCycles / p.interval
+	if c.WarmupCycles%p.interval != 0 {
+		first++
+	}
+	if first >= c.TotalCycles()/p.interval {
+		what := fmt.Sprintf("sample_interval %d", p.interval)
+		if c.SampleInterval == 0 {
+			what = fmt.Sprintf("sideband_hop_delay %d (the sample interval defaults to g = %d)", c.SidebandHopDelay, p.interval)
+		}
+		return fmt.Errorf("sim: %s leaves no whole sample interval in the measured window [%d, %d), so accepted traffic would read 0",
+			what, c.WarmupCycles, c.TotalCycles())
+	}
+	// The factory is the congestion registry's for the scheme kind, or
+	// Scheme.Custom: the in-process escape hatch with no wire form.
+	if c.Scheme.Kind == Custom {
+		if p.factory = c.Scheme.Custom; p.factory == nil {
 			return fmt.Errorf("sim: custom scheme needs a factory (Scheme.Custom) to build its throttler; spec-driven runs cannot carry one and must use a registered scheme (%s)",
 				strings.Join(congestion.Names(), ", "))
 		}
-	default:
-		if !congestion.Registered(string(c.Scheme.Kind)) {
-			return fmt.Errorf("sim: unknown scheme %q (registered: %s)",
-				c.Scheme.Kind, strings.Join(congestion.Names(), ", "))
-		}
+	} else if p.factory, _ = congestion.Lookup(string(c.Scheme.Kind)); p.factory == nil {
+		return fmt.Errorf("sim: unknown scheme %q (registered: %s)",
+			c.Scheme.Kind, strings.Join(congestion.Names(), ", "))
 	}
 	// Per-kind parameter rules.
 	switch c.Scheme.Kind {
@@ -350,16 +403,21 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.Scheme.Staleness < 0 {
-		return fmt.Errorf("sim: negative notification staleness %d", c.Scheme.Staleness)
+	// A notified source is gated until now + staleness, which must fit
+	// an int64 at every cycle of the run.
+	if s := c.Scheme.Staleness; s < 0 {
+		return fmt.Errorf("sim: negative notification staleness %d", s)
+	} else if s > math.MaxInt64-c.TotalCycles() {
+		return fmt.Errorf("sim: staleness %d overflows the gating deadline of a %d-cycle run (at most %d)",
+			s, c.TotalCycles(), math.MaxInt64-c.TotalCycles())
 	}
 	if err := c.Scheme.Estimator.check(); err != nil {
 		return err
 	}
-	if tp := c.Scheme.TuningPeriod; tp < 0 {
+	if tp, g := c.Scheme.TuningPeriod, p.side.GatherDuration(); tp < 0 {
 		return fmt.Errorf("sim: negative tuning period %d", tp)
-	} else if tp != 0 && tp%c.GatherDuration() != 0 {
-		return fmt.Errorf("sim: tuning period %d not a multiple of gather duration %d", tp, c.GatherDuration())
+	} else if tp != 0 && tp%g != 0 {
+		return fmt.Errorf("sim: tuning period %d not a multiple of gather duration %d", tp, g)
 	}
 	if c.Scheme.StaticThreshold < 0 {
 		return fmt.Errorf("sim: negative static threshold %g", c.Scheme.StaticThreshold)
@@ -374,40 +432,3 @@ func (c Config) Validate() error {
 
 // TotalCycles returns the full run length.
 func (c Config) TotalCycles() int64 { return c.WarmupCycles + c.MeasureCycles }
-
-// routerConfig assembles the router fabric configuration.
-func (c Config) routerConfig(topo *topology.Torus) router.Config {
-	return router.Config{
-		Topo: topo, VCs: c.VCs, BufDepth: c.BufDepth,
-		Mode: c.Mode, DeadlockTimeout: c.DeadlockTimeout, TokenWaitTimeout: c.TokenWaitTimeout,
-		DeliveryChannels: c.DeliveryChannels, Selection: c.Selection, Switching: c.Switching,
-		Workers: c.ShardWorkers, Dispatch: c.ShardDispatch,
-		CongestMark: c.Scheme.markFraction(),
-	}
-}
-
-// sidebandConfig assembles the side-band configuration.
-func (c Config) sidebandConfig(topo *topology.Torus) sideband.Config {
-	return sideband.Config{
-		K: c.K, N: c.N, HopDelay: c.SidebandHopDelay, Bits: c.SidebandBits,
-		Mechanism: c.SidebandMechanism, TotalBuffers: topo.TotalVCBuffers(c.VCs),
-		PiggybackP: c.PiggybackP, Seed: c.Seed,
-	}
-}
-
-// schedule resolves the workload schedule: a live Schedule wins, then a
-// declarative ScheduleSpec compiled for this topology, then the steady
-// Pattern+Rate load.
-func (c Config) schedule(topo *topology.Torus) (*traffic.Schedule, error) {
-	if c.Schedule != nil {
-		return c.Schedule, nil
-	}
-	if c.ScheduleSpec != nil {
-		return c.ScheduleSpec.Build(topo.Nodes())
-	}
-	pat, err := traffic.NewPattern(c.Pattern, topo.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	return traffic.Steady(pat, traffic.Bernoulli{P: c.Rate}), nil
-}

@@ -65,11 +65,8 @@ func New(cfg Config) (*Engine, error) { return build(cfg, nil) }
 // fresh, so the engine runs exactly as a fresh one would. The donor must
 // not be used again.
 func build(cfg Config, donor *Engine) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := cfg.Topology()
-	if err != nil {
+	var p plan
+	if err := cfg.plan(&p); err != nil {
 		return nil, err
 	}
 	var old Engine // the storage to build in: the donor's, or none
@@ -86,73 +83,47 @@ func build(cfg Config, donor *Engine) (*Engine, error) {
 	} else {
 		old.pool, old.rng = packet.NewPool(), rand.New(rand.NewSource(cfg.Seed))
 	}
-	fab, err := router.NewReusing(cfg.routerConfig(topo), old.fab)
+	fab, err := router.NewReusing(p.router, old.fab)
 	if err != nil {
 		return nil, err
 	}
-	side := sideband.New(cfg.sidebandConfig(topo), fab)
-	sched, err := cfg.schedule(topo)
-	if err != nil {
-		return nil, err
+	side := sideband.New(p.side, fab)
+	sched := p.sched
+	if sched == nil {
+		sched = traffic.Steady(p.pattern, traffic.Bernoulli{P: cfg.Rate})
 	}
-
+	nodes := p.topo.Nodes()
 	e := &Engine{
-		cfg:     cfg,
-		topo:    topo,
-		fab:     fab,
-		side:    side,
-		sched:   sched,
-		rng:     old.rng,
-		queues:  newSourceQueues(topo.Nodes(), old.queues),
-		qActive: reuse(old.qActive, (topo.Nodes()+63)>>6),
-		pool:    old.pool,
-		warmup:  cfg.WarmupCycles,
-		total:   cfg.TotalCycles(),
+		cfg:        cfg,
+		topo:       p.topo,
+		fab:        fab,
+		side:       side,
+		sched:      sched,
+		rng:        old.rng,
+		queues:     newSourceQueues(nodes, old.queues),
+		qActive:    reuse(old.qActive, (nodes+63)>>6),
+		pool:       old.pool,
+		warmup:     cfg.WarmupCycles,
+		total:      cfg.TotalCycles(),
+		tputSeries: stats.NewSeries(0, p.interval),
+		fullSeries: stats.NewSeries(0, p.interval),
 	}
-	interval := cfg.SampleInterval
-	if interval == 0 {
-		interval = cfg.GatherDuration()
-	}
-	e.tputSeries = stats.NewSeries(0, interval)
-	e.fullSeries = stats.NewSeries(0, interval)
-
-	if e.thr, e.glob, err = e.buildThrottler(); err != nil {
+	// Every scheme — the registered ones and custom ones — assembles
+	// itself from the Env its factory receives. A *core.GlobalThrottler
+	// is the global scheme family, whose threshold trace Result reads.
+	if e.thr, err = p.factory(congestion.Env{
+		Kind:   string(cfg.Scheme.Kind),
+		Topo:   p.topo,
+		Local:  fab,
+		Global: fab,
+		Side:   side,
+		Params: cfg.Scheme.params(),
+	}); err != nil {
 		return nil, err
 	}
+	e.glob, _ = e.thr.(*core.GlobalThrottler)
 	fab.OnDelivered = e.onDelivered
 	return e, nil
-}
-
-// buildThrottler constructs the configured congestion controller by
-// calling one factory — the registry's for the scheme kind, or
-// Scheme.Custom — with the generic environment, and contains no
-// per-scheme construction logic: every scheme (the paper's six, the
-// controller-zoo additions and custom ones) assembles itself from the
-// Env its factory receives. The returned *core.GlobalThrottler is
-// non-nil when the controller is the global scheme family (the
-// threshold trace in Result reads it).
-func (e *Engine) buildThrottler() (congestion.Controller, *core.GlobalThrottler, error) {
-	s := e.cfg.Scheme
-	factory := s.Custom
-	if s.Kind != Custom {
-		var ok bool
-		if factory, ok = congestion.Lookup(string(s.Kind)); !ok {
-			return nil, nil, fmt.Errorf("sim: no registered controller for scheme %q", s.Kind)
-		}
-	}
-	ctrl, err := factory(congestion.Env{
-		Kind:   string(s.Kind),
-		Topo:   e.topo,
-		Local:  e.fab,
-		Global: e.fab,
-		Side:   e.side,
-		Params: s.params(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	glob, _ := ctrl.(*core.GlobalThrottler)
-	return ctrl, glob, nil
 }
 
 //stcc:hotpath

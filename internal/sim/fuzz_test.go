@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -21,8 +22,9 @@ const (
 // FuzzConfigJSON feeds arbitrary bytes to the Config wire form. Any
 // input that parses and validates must run a positive number of
 // cycles, marshal, re-parse and keep its fingerprint, and, within the
-// harness bounds, sim.New must build it: Validate rejects everything
-// New would.
+// harness bounds, sim.New must build it (Validate rejects everything
+// New would) and the engine must step through cycle 0 — the first
+// gather, controller tick and fabric step — and cycle 1.
 func FuzzConfigJSON(f *testing.F) {
 	cube := NewConfig()
 	cube.K, cube.N = 8, 3
@@ -43,7 +45,27 @@ func FuzzConfigJSON(f *testing.F) {
 	bursty := NewConfig()
 	bursty.K = 4
 	bursty.ScheduleSpec = traffic.PaperBurstySpec(traffic.PaperBurstyOptions{})
-	for _, c := range []Config{NewConfig(), cube, sharded, aimd, tuned, bursty} {
+	seeds := []Config{NewConfig(), cube, sharded, aimd, tuned, bursty}
+	// Seeds on both sides of each bound that keeps a validated config
+	// from hanging, exhausting memory or misreporting: the side-band
+	// width, the gather cap, a whole sample interval in the measured
+	// window, the AIMD window and the notify staleness.
+	small := func(mut func(*Config)) {
+		c := NewConfig()
+		c.K, c.WarmupCycles, c.MeasureCycles = 4, 100, 400
+		mut(&c)
+		seeds = append(seeds, c)
+	}
+	for _, d := range []int{0, 1} {
+		small(func(c *Config) { c.SidebandBits = 63 + d })
+		small(func(c *Config) { c.SidebandHopDelay, c.SampleInterval = 1<<18+d, 100 })
+		small(func(c *Config) { c.SampleInterval = 250 + int64(d) }) // [250, 500) fits [100, 500)
+		small(func(c *Config) { c.Scheme = Scheme{Kind: AIMD, WindowMax: math.MaxInt32 + d} })
+		small(func(c *Config) {
+			c.Scheme = Scheme{Kind: Notify, Staleness: math.MaxInt64 - c.TotalCycles() + int64(d)}
+		})
+	}
+	for _, c := range seeds {
 		data, err := json.Marshal(c)
 		if err != nil {
 			f.Fatal(err)
@@ -83,6 +105,8 @@ func FuzzConfigJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("New rejected a validated config: %v\n%s", err, out)
 		}
+		e.Step()
+		e.Step()
 		e.Close()
 	})
 }

@@ -26,6 +26,8 @@ func TestValidateRejections(t *testing.T) {
 		{"dimensions-past-any-slice", func(c *Config) { c.N = 1 << 62 }, "too large"},
 		{"hop-delay-overflows-gather", func(c *Config) { c.K, c.N, c.SidebandHopDelay = 4, 2, 1<<61 }, "sideband_hop_delay"},
 		{"hop-delay-overflows-tuning-period", func(c *Config) { c.SidebandHopDelay = math.MaxInt64 / 16 }, "sideband_hop_delay"},
+		// g = (16/2)*h*2 passes the 2^20-cycle gather cap by 16 cycles.
+		{"hop-delay-past-gather-cap", func(c *Config) { c.SidebandHopDelay, c.SampleInterval = 1<<16+1, 1000 }, "sideband_hop_delay"},
 		{"vcs-zero", func(c *Config) { c.VCs = 0 }, "virtual channel"},
 		{"avoidance-needs-two-vcs", func(c *Config) { c.Mode = router.Avoidance; c.VCs = 1 }, "avoidance"},
 		{"buf-depth-zero", func(c *Config) { c.BufDepth = 0 }, "buffer depth"},
@@ -39,6 +41,8 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown-shard-dispatch", func(c *Config) { c.ShardDispatch = router.DispatchPolicy(99) }, "dispatch policy"},
 		{"hop-delay-zero", func(c *Config) { c.SidebandHopDelay = 0 }, "hop delay"},
 		{"negative-sideband-bits", func(c *Config) { c.SidebandBits = -1 }, "width"},
+		{"sideband-bits-64", func(c *Config) { c.SidebandBits = 64 }, "width"},
+		{"sideband-bits-far-past-63", func(c *Config) { c.SidebandBits = 1 << 40 }, "width"},
 		{"unknown-mechanism", func(c *Config) { c.SidebandMechanism = sideband.Mechanism(99) }, "mechanism"},
 		{"piggyback-p-above-one", func(c *Config) { c.PiggybackP = 1.5 }, "PiggybackP"},
 		{"piggyback-p-negative", func(c *Config) { c.PiggybackP = -0.1 }, "PiggybackP"},
@@ -60,6 +64,15 @@ func TestValidateRejections(t *testing.T) {
 		{"cycle-count-overflow", func(c *Config) { c.WarmupCycles, c.MeasureCycles = math.MaxInt64, 1 }, "warmup_cycles"},
 		{"cycle-count-overflow-names-measure", func(c *Config) { c.WarmupCycles, c.MeasureCycles = 1, math.MaxInt64 }, "measure_cycles"},
 		{"negative-sample-interval", func(c *Config) { c.SampleInterval = -1 }, "sample interval"},
+		// The whole intervals of 1000 cycles start at 0 and 1000; the
+		// one inside [100, 1999) would end at 2000.
+		{"no-whole-sample-interval", func(c *Config) {
+			c.WarmupCycles, c.MeasureCycles, c.SampleInterval = 100, 1899, 1000
+		}, "sample_interval"},
+		// The default interval g = (16/2)*64*2 = 1024 is longer than the run.
+		{"no-whole-default-sample-interval", func(c *Config) {
+			c.SidebandHopDelay, c.WarmupCycles, c.MeasureCycles = 64, 0, 1023
+		}, "sideband_hop_delay"},
 		{"unknown-scheme", func(c *Config) { c.Scheme.Kind = "magic" }, "scheme"},
 		{"busyvc-negative-limit", func(c *Config) { c.Scheme = Scheme{Kind: BusyVC, BusyLimit: -1} }, "busy-VC"},
 		{"static-needs-threshold", func(c *Config) { c.Scheme = Scheme{Kind: StaticGlobal} }, "threshold"},
@@ -74,6 +87,9 @@ func TestValidateRejections(t *testing.T) {
 		{"aimd-window-max-below-min", func(c *Config) {
 			c.Scheme = Scheme{Kind: AIMD, WindowMin: 8, WindowMax: 4}
 		}, "window max"},
+		{"aimd-window-max-past-int32", func(c *Config) {
+			c.Scheme = Scheme{Kind: AIMD, WindowMax: math.MaxInt32 + 1}
+		}, "window max"},
 		{"mark-threshold-above-one", func(c *Config) {
 			c.Scheme = Scheme{Kind: AIMD, MarkThreshold: 1.5}
 		}, "mark"},
@@ -82,6 +98,9 @@ func TestValidateRejections(t *testing.T) {
 		}, "mark"},
 		{"notify-negative-staleness", func(c *Config) {
 			c.Scheme = Scheme{Kind: Notify, Staleness: -1}
+		}, "staleness"},
+		{"notify-staleness-past-run-deadline", func(c *Config) {
+			c.Scheme = Scheme{Kind: Notify, Staleness: math.MaxInt64 - c.TotalCycles() + 1}
 		}, "staleness"},
 		{"unknown-estimator", func(c *Config) { c.Scheme.Estimator = "psychic" }, "estimator"},
 		{"negative-tuning-period", func(c *Config) { c.Scheme.TuningPeriod = -96 }, "tuning period"},
@@ -191,10 +210,27 @@ func TestValidateAccepts(t *testing.T) {
 		},
 		"aimd":         func(c *Config) { c.Scheme = Scheme{Kind: AIMD} },
 		"aimd-bounded": func(c *Config) { c.Scheme = Scheme{Kind: AIMD, WindowMin: 2, WindowMax: 32, MarkThreshold: 0.5} },
+		"aimd-largest-window": func(c *Config) {
+			c.Scheme = Scheme{Kind: AIMD, WindowMin: math.MaxInt32, WindowMax: math.MaxInt32}
+		},
 		"notify":       func(c *Config) { c.Scheme = Scheme{Kind: Notify} },
 		"notify-tuned": func(c *Config) { c.Scheme = Scheme{Kind: Notify, Staleness: 128, MarkThreshold: 0.9} },
-		// The largest hop delay whose default tuning period 3g fits.
-		"largest-hop-delay": func(c *Config) { c.SidebandHopDelay = math.MaxInt64 / (3 * 8 * 2) },
+		"notify-largest-staleness": func(c *Config) {
+			c.Scheme = Scheme{Kind: Notify, Staleness: math.MaxInt64 - c.TotalCycles()}
+		},
+		"sideband-bits-63": func(c *Config) { c.SidebandBits = 63 },
+		// The largest hop delay whose gather g = (16/2)*h*2 fits the
+		// 2^20-cycle cap; g is longer than the run, so the series
+		// samples at an explicit interval.
+		"largest-hop-delay": func(c *Config) { c.SidebandHopDelay, c.SampleInterval = 1<<16, 1000 },
+		// One whole interval fits each window: [1000, 2000) in
+		// [100, 2000), and [0, 1024) in [0, 1024).
+		"one-whole-sample-interval": func(c *Config) {
+			c.WarmupCycles, c.MeasureCycles, c.SampleInterval = 100, 1900, 1000
+		},
+		"one-whole-default-sample-interval": func(c *Config) {
+			c.SidebandHopDelay, c.WarmupCycles, c.MeasureCycles = 64, 0, 1024
+		},
 		"schedule-spec": func(c *Config) {
 			c.ScheduleSpec = traffic.SteadySpec(traffic.UniformRandom,
 				traffic.ProcessSpec{Kind: traffic.PeriodicProcess, Interval: 50})

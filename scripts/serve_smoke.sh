@@ -86,6 +86,17 @@ curl -fsS "$BASE/v1/cache" >"$WORKDIR/body"
 grep -qx '{"entries":1}' "$WORKDIR/body"
 echo "cache put refused: ok ($CODE)"
 
+# A sideband_bits of 64 once validated and then hung its job worker past
+# cancellation: it is refused with a 400, and the daemon still answers.
+WIDE=$(printf '%s' "$CONFIG" | sed 's/"sideband_hop_delay":2,/&"sideband_bits":64,/')
+CODE=$(curl -sS -o "$WORKDIR/body" -w '%{http_code}' -d "$WIDE" "$BASE/v1/jobs")
+if [ "$CODE" != 400 ] || ! grep -q 'width' "$WORKDIR/body"; then
+    echo "POST with sideband_bits 64 returned $CODE $(cat "$WORKDIR/body"), want a 400 naming the width"; exit 1
+fi
+curl -fsS "$BASE/healthz" >"$WORKDIR/body"
+grep -q '"ok"' "$WORKDIR/body"
+echo "sideband_bits 64 refused, healthz: ok"
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "drained: ok"
