@@ -122,6 +122,7 @@ fuzz-smoke:
 	$(call fuzz,FuzzSplitQuoted,./internal/analyzers/framework)
 	$(call fuzz,FuzzWantComment,./internal/analyzers/framework)
 	$(call fuzz,FuzzConfigJSON,./internal/sim)
+	$(call fuzz,FuzzSourceQueues,./internal/sim)
 	$(call fuzz,FuzzParseSubmission,./internal/experiments)
 	$(call fuzz,FuzzScheduleSpec,./internal/traffic)
 	$(call fuzz,FuzzCacheEntry,./internal/resultcache/fsstore)

@@ -106,18 +106,20 @@ func TestRunnerReusesEngineStorage(t *testing.T) {
 // and low load only the sample series and rare new peaks (largest
 // latency, packets in flight, one node's backlog) still grow: 1 and 10
 // B/op measured. Past saturation the open-loop source queues gain about
-// ten entries a cycle (offered minus accepted load) at 12 B each,
-// allocated in 8 KB slabs of pages, which the model requires: 125-132
-// B/op measured, and up to 175 under the race detector, whose shorter
-// timing window sees each slab as a larger share. A revived
+// ten entries a cycle (offered minus accepted load) at about 2.7 B each
+// (two uvarints), allocated in 8 KB slabs of pages, which the model
+// requires: 26-29 B/op measured, and 14-35 under the race detector,
+// whose shorter timing window sees each slab as a larger share. Fixed
+// 12-byte entries measured 115-124 B/op, and up to 175 under the race
+// detector, so each saturated ceiling fails them; a revived
 // per-delivery sample slice measured 289 B/op at low load and 347-423
-// B/op saturated, so each ceiling fails it.
+// B/op saturated.
 var engineMaxBytes = map[string]int64{
 	"idle":             64,
 	"low":              64,
-	"saturated":        256,
-	"aimd-saturated":   256,
-	"notify-saturated": 256,
+	"saturated":        80,
+	"aimd-saturated":   80,
+	"notify-saturated": 80,
 }
 
 // TestEngineStepZeroSteadyStateAllocs asserts that a full engine cycle

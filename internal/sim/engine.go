@@ -213,13 +213,27 @@ func (e *Engine) Close() {}
 
 // CheckInvariants verifies the engine's structural invariants: the
 // fabric's (buffer occupancy, counters, flit conservation, no
-// use-after-recycle) plus the packet pool's recycling discipline (no
-// double recycle). O(network size); for tests and debugging.
+// use-after-recycle), the packet pool's recycling discipline (no
+// double recycle), and the source queues' (every entry decodes, in
+// creation order, every page is in one chain, and a node's active bit
+// is set iff its queue is non-empty). O(network size plus backlog);
+// for tests and debugging.
 func (e *Engine) CheckInvariants() error {
 	if err := e.fab.CheckInvariants(); err != nil {
 		return err
 	}
-	return e.pool.CheckInvariants()
+	if err := e.pool.CheckInvariants(); err != nil {
+		return err
+	}
+	if err := e.queues.check(e.fab.Now(), e.topo.Nodes()); err != nil {
+		return err
+	}
+	for n := range e.queues.q {
+		if active := e.qActive[n>>6]&(1<<uint(n&63)) != 0; active != (e.queues.len(n) > 0) {
+			return fmt.Errorf("source queue %d: %d entries, active bit %t", n, e.queues.len(n), active)
+		}
+	}
+	return nil
 }
 
 //stcc:hotpath
