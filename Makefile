@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race benchmark-test bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke experiments-doc serve serve-smoke
+.PHONY: all build test test-cpu race benchmark-test examples bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke experiments-doc serve serve-smoke
 
 all: build lint test
 
@@ -35,6 +35,13 @@ benchmark-test:
 	GOWORK=off $(GO) -C benchmark vet ./...
 	GOWORK=off $(GO) -C benchmark test ./...
 
+# Run every example program to completion (about 75 s on two CPUs) and
+# fail on the first nonzero exit. go build ./... compiles them, but only
+# a run shows a config that a validation rule refuses; they are also
+# the facade's only non-test callers.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # Time the 256-node fabric and engine shapes CI gates (seconds, not the
 # full trajectory report bench-json writes).
 bench:
@@ -46,7 +53,7 @@ bench:
 # no default, so a bare run cannot overwrite a checked-in report. The
 # newest checked-in report is the baseline the new one embeds and diffs
 # against.
-BENCH_BASELINE ?= BENCH_PR19.json
+BENCH_BASELINE ?= BENCH_PR26.json
 bench-json:
 	$(if $(BENCH_LABEL),,$(error bench-json: set BENCH_LABEL to name the new report, e.g. make bench-json BENCH_LABEL=PR<n>))
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json

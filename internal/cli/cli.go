@@ -199,12 +199,15 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 
 // profileFlags registers -cpuprofile and -memprofile on fs and returns a
 // wrapper that runs a subcommand body under the requested profilers. The
-// CPU profile covers the body; the heap profile is written after a final
-// GC, so it shows live steady-state memory (the router arenas and packet
-// free lists), not transient garbage.
+// CPU profile covers the body. The heap profile is written after the
+// body returns, when the run's engine is already unreachable, so its
+// in-use view holds none of the run: it is the run's allocation profile,
+// read with pprof's -sample_index=alloc_space. The GC before writing it
+// is needed because a heap profile reports allocations as of the last
+// completed collection.
 func profileFlags(fs *flag.FlagSet) func(run func() error) error {
 	cpu := fs.String("cpuprofile", "", "write a CPU profile of the run to `file`")
-	mem := fs.String("memprofile", "", "write a post-run heap profile to `file`")
+	mem := fs.String("memprofile", "", "write the run's allocation profile to `file` (read it with pprof -sample_index=alloc_space)")
 	return func(run func() error) error {
 		if *cpu != "" {
 			f, err := os.Create(*cpu)

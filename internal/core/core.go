@@ -136,9 +136,6 @@ func (g *GlobalThrottler) AllowInjection(_ int64, _, _ topology.NodeID) bool {
 	return !g.throttled
 }
 
-// Throttled reports the current cycle's decision.
-func (g *GlobalThrottler) Throttled() bool { return g.throttled }
-
 // Threshold returns the policy's current threshold.
 func (g *GlobalThrottler) Threshold() float64 { return g.policy.Threshold() }
 

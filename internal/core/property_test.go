@@ -28,10 +28,10 @@ func TestTunerBoundsQuick(t *testing.T) {
 			if th := tu.Threshold(); th < 0 || th > 3072 {
 				return false
 			}
-			if m, _, _ := tu.BestObserved(); m > best {
+			if tu.maxTput > best {
 				return false
 			}
-			if m, _, _ := tu.BestObserved(); m == 0 {
+			if tu.maxTput == 0 {
 				best = 0 // staleness reset: the window restarts
 			}
 		}
@@ -98,7 +98,7 @@ func TestGlobalThrottlerDecisionConsistencyQuick(t *testing.T) {
 			if v, ok := check.Estimate(now); ok {
 				want = v > gt.Threshold()
 			}
-			if gt.Throttled() != want {
+			if gt.throttled != want {
 				return false
 			}
 		}

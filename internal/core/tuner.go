@@ -154,7 +154,6 @@ type Tuner struct {
 	resetStreak int
 
 	lastDecision Decision
-	periods      int64
 }
 
 // NewTuner returns a tuner with the paper's algorithm. The config must
@@ -184,19 +183,8 @@ func (t *Tuner) Threshold() float64 { return t.threshold }
 // LastDecision returns the action taken in the most recent period.
 func (t *Tuner) LastDecision() Decision { return t.lastDecision }
 
-// Periods returns how many tuning periods have been processed.
-func (t *Tuner) Periods() int64 { return t.periods }
-
-// BestObserved returns the remembered maximum throughput and the full
-// buffers / threshold at which it occurred.
-func (t *Tuner) BestObserved() (maxTput, nMax, tMax float64) {
-	return t.maxTput, t.nMax, t.tMax
-}
-
 // OnPeriod implements ThresholdPolicy: one hill-climbing step.
 func (t *Tuner) OnPeriod(throughput, fullBuffers float64, throttling bool) {
-	t.periods++
-
 	// Remember the best operating point before deciding, so a
 	// record-setting period can never immediately trigger a reset.
 	if throughput > t.maxTput {

@@ -171,9 +171,8 @@ func TestTunerRemembersBestPoint(t *testing.T) {
 	tu.OnPeriod(500, 100, true)
 	tu.OnPeriod(900, 200, true)
 	tu.OnPeriod(800, 300, true)
-	maxT, nMax, _ := tu.BestObserved()
-	if maxT != 900 || nMax != 200 {
-		t.Errorf("best = %v @ %v", maxT, nMax)
+	if tu.maxTput != 900 || tu.nMax != 200 {
+		t.Errorf("best = %v @ %v", tu.maxTput, tu.nMax)
 	}
 }
 
@@ -222,18 +221,18 @@ func TestTunerStaleMaxRecomputedAfterR(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tu.OnPeriod(100, 400, false) // far below max: reset each time
 		if i < 4 {
-			if m, _, _ := tu.BestObserved(); m != 1000 {
+			if tu.maxTput != 1000 {
 				t.Fatalf("max forgotten after %d resets", i+1)
 			}
 		}
 	}
-	if m, _, _ := tu.BestObserved(); m != 0 {
-		t.Errorf("max not recomputed after r=5 resets: %v", m)
+	if tu.maxTput != 0 {
+		t.Errorf("max not recomputed after r=5 resets: %v", tu.maxTput)
 	}
 	// The next good period becomes the new max.
 	tu.OnPeriod(500, 50, false)
-	if m, _, _ := tu.BestObserved(); m != 500 {
-		t.Errorf("new max = %v, want 500", m)
+	if tu.maxTput != 500 {
+		t.Errorf("new max = %v, want 500", tu.maxTput)
 	}
 }
 
@@ -246,8 +245,8 @@ func TestTunerResetStreakBrokenByGoodPeriod(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tu.OnPeriod(100, 400, false) // resets 1..4 again
 	}
-	if m, _, _ := tu.BestObserved(); m != 1000 {
-		t.Errorf("max lost after only 4 consecutive resets: %v", m)
+	if tu.maxTput != 1000 {
+		t.Errorf("max lost after only 4 consecutive resets: %v", tu.maxTput)
 	}
 }
 
@@ -280,15 +279,5 @@ func TestDecisionStrings(t *testing.T) {
 	}
 	if Decision(9).String() == "" {
 		t.Error("unknown decision should format")
-	}
-}
-
-func TestTunerPeriodsCount(t *testing.T) {
-	tu := paperTuner(t, true)
-	for i := 0; i < 7; i++ {
-		tu.OnPeriod(100, 10, false)
-	}
-	if tu.Periods() != 7 {
-		t.Errorf("Periods = %d", tu.Periods())
 	}
 }

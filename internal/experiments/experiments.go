@@ -357,6 +357,8 @@ func init() {
 
 // reportFig4 prints one summary line per self-tuning trace; the CSV has
 // every tuning period, with throughput normalized to flits/node/cycle.
+// The throttler writes a trace point at the end of each tuning period,
+// so the first point's cycle is the period the run used.
 func reportFig4(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
 	rows := [][]string{{"scheme", "cycle", "threshold_buffers", "throughput_flits_per_node_cycle"}}
 	for i, p := range spec.Groups[0].Points {
@@ -365,11 +367,8 @@ func reportFig4(ctx RunContext, spec *Spec, grouped [][]sim.Result) error {
 			return err
 		}
 		nodes := float64(topo.Nodes())
-		period := float64(p.Config.Scheme.TuningPeriod)
-		if period == 0 {
-			period = float64(3 * p.Config.GatherDuration())
-		}
 		trace := grouped[0][i].ThresholdTrace
+		period := float64(trace[0].Cycle)
 		fmt.Fprintf(ctx.Out, "fig4 trace %s: %d periods, final threshold %.1f\n",
 			p.Label, len(trace), trace[len(trace)-1].Threshold)
 		for _, tp := range trace {

@@ -52,8 +52,7 @@ type PointEvent struct {
 	// arrive in completion order, not index order.
 	Index int `json:"index"`
 	Total int `json:"total"`
-	// Label is the point's spec label ("random rate 0.02"); empty for
-	// grids run through ForEach directly.
+	// Label is the point's spec label ("random rate 0.02").
 	Label string `json:"label,omitempty"`
 	// CacheHit reports that the result came from the result cache.
 	CacheHit bool `json:"cacheHit"`
@@ -178,33 +177,6 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 	// Every dispatched job succeeded; if dispatch stopped early it was
 	// the base context, not a job error.
 	return base.Err()
-}
-
-// runGrid executes one simulation per configuration and returns results
-// in input order. label names point i for progress events (may be nil);
-// wrapErr contextualizes a point's failure ("fig3 tune rate 0.02: ...")
-// for the aggregated error.
-func (r Runner) runGrid(cfgs []sim.Config, label func(i int) string, wrapErr func(i int, err error) error) ([]sim.Result, error) {
-	out := make([]sim.Result, len(cfgs))
-	err := r.forEach(len(cfgs), func(ctx context.Context, slot *sim.Slot, i int) error {
-		res, ev, err := r.runPoint(ctx, slot, cfgs[i])
-		if err != nil {
-			return wrapErr(i, err)
-		}
-		out[i] = res
-		if r.OnPoint != nil {
-			ev.Index, ev.Total = i, len(cfgs)
-			if label != nil {
-				ev.Label = label(i)
-			}
-			r.OnPoint(ev)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // runPoint runs one configuration through the result cache when one is

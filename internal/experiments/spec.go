@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -133,7 +134,20 @@ func ParseSpec(data []byte) (*Spec, error) {
 // results grouped like the spec. A failing point is reported as
 // "<spec name> <point label>: <cause>".
 func (r Runner) RunSpec(spec *Spec) ([][]sim.Result, error) {
-	flat, err := r.runSpecFlat(spec)
+	points := spec.Points()
+	flat := make([]sim.Result, len(points))
+	err := r.forEach(len(points), func(ctx context.Context, slot *sim.Slot, i int) error {
+		res, ev, err := r.runPoint(ctx, slot, points[i].Config)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", spec.Name, points[i].Label, err)
+		}
+		flat[i] = res
+		if r.OnPoint != nil {
+			ev.Index, ev.Total, ev.Label = i, len(points), points[i].Label
+			r.OnPoint(ev)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -144,18 +158,4 @@ func (r Runner) RunSpec(spec *Spec) ([][]sim.Result, error) {
 		at += len(g.Points)
 	}
 	return out, nil
-}
-
-// runSpecFlat runs the flattened grid, keeping spec order.
-func (r Runner) runSpecFlat(spec *Spec) ([]sim.Result, error) {
-	points := spec.Points()
-	cfgs := make([]sim.Config, len(points))
-	for i, p := range points {
-		cfgs[i] = p.Config
-	}
-	return r.runGrid(cfgs,
-		func(i int) string { return points[i].Label },
-		func(i int, err error) error {
-			return fmt.Errorf("%s %s: %w", spec.Name, points[i].Label, err)
-		})
 }

@@ -84,18 +84,11 @@ func (pl *Pool) Put(p *Packet) {
 	pl.free = append(pl.free, p)
 }
 
-// Free returns the current free-list depth.
-func (pl *Pool) Free() int { return len(pl.free) }
-
 // Gets returns how many packets Get has handed out.
 func (pl *Pool) Gets() int64 { return pl.gets }
 
 // Reuses returns how many Gets were served from the free list.
 func (pl *Pool) Reuses() int64 { return pl.reuses }
-
-// DoubleRecycles returns how many Puts found the packet already
-// recycled.
-func (pl *Pool) DoubleRecycles() int64 { return pl.doubleRecycles }
 
 // CheckInvariants reports recycling-discipline violations observed so
 // far: any double Put. It is O(1); the complementary use-after-recycle

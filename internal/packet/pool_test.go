@@ -11,8 +11,8 @@ func TestPoolReusesInLIFOOrder(t *testing.T) {
 	}
 	pl.Put(a)
 	pl.Put(b)
-	if pl.Free() != 2 {
-		t.Fatalf("free list depth %d, want 2", pl.Free())
+	if len(pl.free) != 2 {
+		t.Fatalf("free list depth %d, want 2", len(pl.free))
 	}
 	// LIFO: the most recently recycled packet comes back first, always
 	// in the same order for the same call sequence.
@@ -68,11 +68,11 @@ func TestPoolDoubleRecycleDetected(t *testing.T) {
 		t.Fatalf("clean pool reported %v", err)
 	}
 	pl.Put(p)
-	if pl.Free() != 1 {
-		t.Fatalf("double Put changed the free list: depth %d, want 1", pl.Free())
+	if len(pl.free) != 1 {
+		t.Fatalf("double Put changed the free list: depth %d, want 1", len(pl.free))
 	}
-	if pl.DoubleRecycles() != 1 {
-		t.Fatalf("double recycles %d, want 1", pl.DoubleRecycles())
+	if pl.doubleRecycles != 1 {
+		t.Fatalf("double recycles %d, want 1", pl.doubleRecycles)
 	}
 	if err := pl.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants missed the double recycle")

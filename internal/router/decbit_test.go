@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/packet"
@@ -53,9 +54,18 @@ func (h *decbitHarness) pop() {
 	h.t.Fatal("nothing buffered to pop")
 }
 
+// congested counts the routers whose congestion bit is set.
+func (h *decbitHarness) congested() int {
+	n := 0
+	for _, w := range h.f.congWords {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 func (h *decbitHarness) check(want bool) {
 	h.t.Helper()
-	if got := h.f.CongestedAt(0); got != want {
+	if got := h.f.congWords[0]&1 != 0; got != want {
 		h.t.Fatalf("occupancy %d: congestion bit %v, want %v", h.occ, got, want)
 	}
 }
@@ -67,7 +77,7 @@ func (h *decbitHarness) check(want bool) {
 // mark threshold again.
 func TestCongestionBitHysteresis(t *testing.T) {
 	h := newDecbitHarness(t, 0.5)
-	hi, lo := h.f.CongestMarks()
+	hi, lo := int(h.f.markHi), int(h.f.markLo)
 	if hi <= lo || lo < 0 {
 		t.Fatalf("mark thresholds hi %d, lo %d malformed", hi, lo)
 	}
@@ -78,8 +88,8 @@ func TestCongestionBitHysteresis(t *testing.T) {
 		h.push()
 	}
 	h.check(true)
-	if got := h.f.CongestedRouters(); got != 1 {
-		t.Fatalf("CongestedRouters %d, want 1", got)
+	if got := h.congested(); got != 1 {
+		t.Fatalf("%d routers congested, want 1", got)
 	}
 	h.push()
 	h.check(true) // above hi it stays set
@@ -90,8 +100,8 @@ func TestCongestionBitHysteresis(t *testing.T) {
 		h.pop()
 	}
 	h.check(false)
-	if got := h.f.CongestedRouters(); got != 0 {
-		t.Fatalf("CongestedRouters %d after clear, want 0", got)
+	if got := h.congested(); got != 0 {
+		t.Fatalf("%d routers congested after clear, want 0", got)
 	}
 
 	// Rising again: the same band is now clear until hi is re-crossed.
@@ -109,7 +119,7 @@ func TestCongestionBitHysteresis(t *testing.T) {
 // marked carriers.
 func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 	h := newDecbitHarness(t, 0.5)
-	hi, lo := h.f.CongestMarks()
+	hi, lo := int(h.f.markHi), int(h.f.markLo)
 	for h.occ < hi {
 		h.push()
 	}

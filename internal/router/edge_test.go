@@ -179,13 +179,13 @@ func TestSuspectQueueDrains(t *testing.T) {
 		}
 		f.Step()
 	}
-	for (f.InFlight() > 0 || f.SuspectedPackets() > 0) && f.Now() < 300_000 {
+	for (f.InFlight() > 0 || len(f.suspects) > 0) && f.Now() < 300_000 {
 		f.Step()
 	}
-	if f.InFlight() != 0 || f.SuspectedPackets() != 0 {
-		t.Fatalf("leftovers: %d in flight, %d suspects", f.InFlight(), f.SuspectedPackets())
+	if f.InFlight() != 0 || len(f.suspects) != 0 {
+		t.Fatalf("leftovers: %d in flight, %d suspects", f.InFlight(), len(f.suspects))
 	}
-	if f.RecoveryActive() {
+	if f.rec != nil {
 		t.Error("token still held")
 	}
 }

@@ -165,12 +165,11 @@ func TestMostFreeVCsPrefersIdlePort(t *testing.T) {
 func TestEventSinkLifecycle(t *testing.T) {
 	cfg := testConfig(8, Avoidance)
 	f := MustNew(cfg)
-	rec := trace.NewRecorder(64)
-	f.OnEvent = rec.Record
+	var evs []trace.Event
+	f.OnEvent = func(e trace.Event) { evs = append(evs, e) }
 	p := packet.New(42, 0, cfg.Topo.ID([]int{2, 0}), 4, 0)
 	f.StartInjection(p)
 	runUntilDelivered(t, f, 1, 1_000)
-	evs := rec.OfPacket(42)
 	if len(evs) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -202,16 +201,12 @@ func TestEventSinkRecovery(t *testing.T) {
 	cfg := testConfig(8, Recovery)
 	cfg.DeadlockTimeout = 8
 	f := MustNew(cfg)
-	rec := trace.NewRecorder(256)
-	f.OnEvent = rec.Record
+	kinds := map[trace.Kind]int{}
+	f.OnEvent = func(e trace.Event) { kinds[e.Kind]++ }
 	dst := cfg.Topo.ID([]int{2, 0})
 	f.StartInjection(packet.New(1, cfg.Topo.ID([]int{0, 0}), dst, 64, 0))
 	f.StartInjection(packet.New(2, cfg.Topo.ID([]int{4, 0}), dst, 64, 0))
 	runUntilDelivered(t, f, 2, 20_000)
-	kinds := map[trace.Kind]int{}
-	for _, e := range rec.Events() {
-		kinds[e.Kind]++
-	}
 	if kinds[trace.Suspected] == 0 || kinds[trace.RecoveryStarted] == 0 || kinds[trace.RecoveryCompleted] == 0 {
 		t.Errorf("missing recovery events: %v", kinds)
 	}

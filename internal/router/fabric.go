@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/enum"
 	"repro/internal/packet"
@@ -318,9 +317,8 @@ type Fabric struct {
 	dstGid []int32
 
 	// Delivery accounting.
-	deliveredFlits  int64 // all-time
-	deliveredWindow int64 // since last TakeDeliveredFlits
-	inFlight        int   // packets injected but not delivered
+	deliveredFlits int64 // all-time, delivery channels and recovery lane
+	inFlight       int   // packets injected but not delivered
 
 	// Disha recovery: the active drain, the token wait queue of frozen
 	// suspects, and the completion count. recStore is the reused backing
@@ -502,25 +500,6 @@ func (f *Fabric) FullVCBuffers() int { return f.net.fullBuffers }
 // Nodes implements congestion.GlobalView: the network size.
 func (f *Fabric) Nodes() int { return len(f.nodes) }
 
-// CongestedAt reports whether node's DECbit congestion bit is currently
-// set. Always false when marking is disabled (Config.CongestMark zero).
-func (f *Fabric) CongestedAt(node topology.NodeID) bool {
-	if f.markHi == 0 {
-		return false
-	}
-	return f.congWords[node>>6]&(1<<uint(node&63)) != 0
-}
-
-// CongestedRouters returns how many routers currently have their
-// congestion bit set. O(nodes/64).
-func (f *Fabric) CongestedRouters() int {
-	total := 0
-	for _, w := range f.congWords {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 // CongestionBits returns the live congestion bitset, one bit per node,
 // or nil when marking is disabled. The words are valid between Steps
 // and must be treated as read-only; the notify controller edge-scans
@@ -528,12 +507,6 @@ func (f *Fabric) CongestedRouters() int {
 //
 //stcc:hotpath
 func (f *Fabric) CongestionBits() []uint64 { return f.congWords }
-
-// CongestMarks returns the marking thresholds in buffered flits: the
-// bit sets at hi and clears at lo. Both zero when marking is disabled.
-func (f *Fabric) CongestMarks() (hi, lo int) {
-	return int(f.markHi), int(f.markLo)
-}
 
 // FullVCBuffersAt returns the number of completely full physical-channel
 // VC buffers at one node. O(ports x VCs); intended for visualization and
@@ -550,14 +523,8 @@ func (f *Fabric) FullVCBuffersAt(nodeID topology.NodeID) int {
 	return full
 }
 
-// TakeDeliveredFlits implements the side-band's throughput source.
-func (f *Fabric) TakeDeliveredFlits() int {
-	d := f.deliveredWindow
-	f.deliveredWindow = 0
-	return int(d)
-}
-
-// DeliveredFlits returns the all-time delivered flit count.
+// DeliveredFlits implements the side-band's throughput source: the
+// all-time delivered flit count.
 func (f *Fabric) DeliveredFlits() int64 { return f.deliveredFlits }
 
 // InFlight returns the number of packets injected but not yet delivered.
@@ -591,13 +558,6 @@ func (f *Fabric) EachPacket(fn func(*packet.Packet)) {
 
 // Recoveries returns how many deadlock recoveries have completed.
 func (f *Fabric) Recoveries() int64 { return f.recoveries }
-
-// RecoveryActive reports whether the recovery token is currently held.
-func (f *Fabric) RecoveryActive() bool { return f.rec != nil }
-
-// SuspectedPackets returns how many frozen packets are waiting for the
-// recovery token.
-func (f *Fabric) SuspectedPackets() int { return len(f.suspects) }
 
 // VCsPerPort implements congestion.LocalView.
 func (f *Fabric) VCsPerPort() int { return f.cfg.VCs }
@@ -691,15 +651,6 @@ func (f *Fabric) emit(kind trace.Kind, p *packet.Packet, node topology.NodeID) {
 		Cycle: f.now, Kind: kind, Packet: p.ID,
 		Src: p.Src, Dst: p.Dst, Node: node,
 	})
-}
-
-// countDeliveredFlit accounts one flit leaving through a delivery channel
-// (or the recovery lane).
-//
-//stcc:hotpath
-func (f *Fabric) countDeliveredFlit() {
-	f.deliveredFlits++
-	f.deliveredWindow++
 }
 
 // Close is a no-op: a fabric holds no goroutines or other resources that

@@ -276,7 +276,7 @@ func (f *Fabric) recoveryStep() {
 	// Flit j is popped at cycle started+1+j and arrives at the
 	// destination dist+1 cycles later.
 	if j := now - r.started - int64(r.dist) - 2; j >= 0 && j < int64(r.pkt.Length) {
-		f.countDeliveredFlit()
+		f.deliveredFlits++
 		r.pkt.Consumed++
 		r.arrived++
 		if r.arrived == r.pkt.Length {

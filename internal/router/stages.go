@@ -52,7 +52,7 @@ func (f *Fabric) linkNode(ni int) {
 		fl := o.lat.clear()
 		fl.pkt.Progress(now)
 		if int(o.lat.port) == f.dlvPort {
-			f.countDeliveredFlit()
+			f.deliveredFlits++
 			fl.pkt.Consumed++
 			if fl.isTail() {
 				o.release()

@@ -36,14 +36,14 @@ type Snapshot struct {
 }
 
 // Source supplies the instantaneous global quantities the side-band
-// aggregates. The simulation engine implements this.
+// aggregates. The router fabric implements this.
 type Source interface {
 	// FullVCBuffers returns the current number of full virtual-channel
 	// edge buffers on physical channels, network wide.
 	FullVCBuffers() int
-	// TakeDeliveredFlits returns the number of flits delivered since the
-	// previous call and resets the window counter.
-	TakeDeliveredFlits() int
+	// DeliveredFlits returns the number of flits delivered since the
+	// source was built.
+	DeliveredFlits() int64
 }
 
 // Sink receives snapshots when they become visible to the nodes.
@@ -139,13 +139,14 @@ func (c Config) Validate() error {
 // Network is the side-band state machine. Call Tick exactly once per
 // simulated cycle.
 type Network struct {
-	cfg   Config
-	g     int64
-	src   Source
-	sinks []Sink
-	inFly []Snapshot // measured, not yet visible
-	rng   *rand.Rand // Piggyback loss process
-	pp    float64
+	cfg      Config
+	g        int64
+	src      Source
+	sinks    []Sink
+	gathered int64      // src's delivered-flit count at the last gather
+	inFly    []Snapshot // measured, not yet visible
+	rng      *rand.Rand // Piggyback loss process
+	pp       float64
 }
 
 // New constructs a side-band over src. Panics on invalid config (configs
@@ -194,12 +195,14 @@ func (n *Network) quantize(v int) int {
 // cycles later; it publishes any snapshot whose visibility time arrives.
 func (n *Network) Tick(now int64) {
 	if now%n.g == 0 {
+		delivered := n.src.DeliveredFlits()
 		s := Snapshot{
 			Taken:          now,
 			Visible:        now + n.g,
 			FullBuffers:    n.quantize(n.src.FullVCBuffers()),
-			DeliveredFlits: n.quantize(n.src.TakeDeliveredFlits()),
+			DeliveredFlits: n.quantize(int(delivered - n.gathered)),
 		}
+		n.gathered = delivered
 		switch n.cfg.Mechanism {
 		case MetaPacket:
 			// Meta-packets contend with the traffic they report on:

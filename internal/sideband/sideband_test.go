@@ -4,17 +4,15 @@ import (
 	"testing"
 )
 
+// fakeSource reports counts the test sets; delivered is an all-time
+// count, as the router fabric's is.
 type fakeSource struct {
 	full      int
-	delivered int
+	delivered int64
 }
 
-func (f *fakeSource) FullVCBuffers() int { return f.full }
-func (f *fakeSource) TakeDeliveredFlits() int {
-	d := f.delivered
-	f.delivered = 0
-	return d
-}
+func (f *fakeSource) FullVCBuffers() int    { return f.full }
+func (f *fakeSource) DeliveredFlits() int64 { return f.delivered }
 
 type captureSink struct{ snaps []Snapshot }
 

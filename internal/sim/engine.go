@@ -13,7 +13,6 @@ import (
 	"repro/internal/sideband"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -31,7 +30,6 @@ type Engine struct {
 	queues   sourceQueues
 	qActive  []uint64     // bitset of nodes with a non-empty source queue
 	pool     *packet.Pool // free list; delivered packets are recycled here
-	nextID   packet.ID
 	created  int64
 	injStart int // rotating start node of the injection scan
 
@@ -43,7 +41,7 @@ type Engine struct {
 	hops            stats.Accumulator
 	delivered       int64 // all packets
 	deliveredMeas   int64 // packets created after warm-up
-	injected        int64
+	injected        int64 // also the next packet's ID
 	throttleDenials int64
 	throttledCycles int64
 
@@ -330,11 +328,10 @@ func (e *Engine) injectNode(now int64, n int, throttled *bool) {
 	if e.queues.len(n) == 0 {
 		e.qActive[n>>6] &^= 1 << uint(n&63)
 	}
-	p := e.pool.Get(e.nextID, topology.NodeID(n), dst, e.cfg.PacketLength, created)
-	e.nextID++
+	p := e.pool.Get(packet.ID(e.injected), topology.NodeID(n), dst, e.cfg.PacketLength, created)
+	e.injected++
 	p.Progress(now)
 	e.fab.StartInjection(p)
-	e.injected++
 	e.thr.Observe(congestion.FeedbackEvent{
 		Kind:   congestion.PacketInjected,
 		Cycle:  now,
@@ -344,7 +341,3 @@ func (e *Engine) injectNode(now int64, n int, throttled *bool) {
 
 // Fabric exposes the underlying fabric (tests and experiment drivers).
 func (e *Engine) Fabric() *router.Fabric { return e.fab }
-
-// SetEventSink attaches a packet lifecycle event receiver (for example a
-// trace.Recorder) to the fabric. Call before Run.
-func (e *Engine) SetEventSink(fn func(trace.Event)) { e.fab.OnEvent = fn }

@@ -34,10 +34,19 @@ func TestRecycleDuringRecoveryDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	draining := false // between a drain's RecoveryStarted and RecoveryCompleted
+	e.fab.OnEvent = func(ev trace.Event) {
+		switch ev.Kind {
+		case trace.RecoveryStarted:
+			draining = true
+		case trace.RecoveryCompleted:
+			draining = false
+		}
+	}
 	drainChecks := 0
 	for i := 0; i < 6000; i++ {
 		e.Step()
-		if e.fab.RecoveryActive() && i%7 == 0 {
+		if draining && i%7 == 0 {
 			// An active drain with pooled packets in flight is exactly
 			// the state where a premature recycle would corrupt the
 			// fabric; the invariant walk covers every buffer, latch, and
@@ -73,7 +82,7 @@ func TestTraceEventIDsUniquePerPacket(t *testing.T) {
 	}
 	injected := map[packet.ID]bool{}
 	delivered := map[packet.ID]bool{}
-	e.SetEventSink(func(ev trace.Event) {
+	e.fab.OnEvent = func(ev trace.Event) {
 		switch ev.Kind {
 		case trace.Injected:
 			if injected[ev.Packet] {
@@ -89,7 +98,7 @@ func TestTraceEventIDsUniquePerPacket(t *testing.T) {
 			}
 			delivered[ev.Packet] = true
 		}
-	})
+	}
 	for i := 0; i < 4000; i++ {
 		e.Step()
 	}
@@ -115,12 +124,9 @@ func TestEngineCheckInvariantsDetectsDoubleRecycle(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("healthy engine failed invariants: %v", err)
 	}
-	if e.pool.Free() == 0 {
-		t.Fatal("free list empty; cannot stage a double recycle")
-	}
 	// Reach into the pool the way a buggy caller would: re-Put a packet
 	// that is already on the free list.
-	p := e.pool.Get(e.nextID, 0, 1, e.cfg.PacketLength, 0)
+	p := e.pool.Get(packet.ID(e.injected), 0, 1, e.cfg.PacketLength, 0)
 	e.pool.Put(p)
 	e.pool.Put(p)
 	if err := e.CheckInvariants(); err == nil {

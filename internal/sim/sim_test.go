@@ -506,11 +506,11 @@ func TestInjectionFairnessUnderContention(t *testing.T) {
 	}
 	nodes := e.topo.Nodes()
 	perNode := make([]int, nodes)
-	e.SetEventSink(func(ev trace.Event) {
+	e.fab.OnEvent = func(ev trace.Event) {
 		if ev.Kind == trace.Injected {
 			perNode[ev.Src]++
 		}
-	})
+	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

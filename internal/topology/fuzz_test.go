@@ -94,9 +94,8 @@ func FuzzMinimalPorts(f *testing.F) {
 			}
 		}
 		// Coordinate round-trip on the same fuzzed inputs.
-		coords := topo.Coords(src, nil)
-		if got := topo.ID(coords); got != src {
-			t.Fatalf("ID(Coords(%d)) = %d", src, got)
+		if got := topo.ID(coordsOf(topo, src)); got != src {
+			t.Fatalf("ID(coords of %d) = %d", src, got)
 		}
 	})
 }

@@ -93,21 +93,6 @@ func (t *Torus) Coord(id NodeID, d int) int {
 	return (int(id) / t.strides[d]) % t.k
 }
 
-// Coords fills dst with node id's coordinates and returns it. If dst is nil
-// or too short a new slice is allocated.
-func (t *Torus) Coords(id NodeID, dst []int) []int {
-	if cap(dst) < t.n {
-		dst = make([]int, t.n)
-	}
-	dst = dst[:t.n]
-	v := int(id)
-	for d := 0; d < t.n; d++ {
-		dst[d] = v % t.k
-		v /= t.k
-	}
-	return dst
-}
-
 // ID returns the node with the given coordinates. Coordinates are taken
 // modulo k, so callers may pass unnormalized values.
 func (t *Torus) ID(coords []int) NodeID {

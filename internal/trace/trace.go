@@ -1,13 +1,11 @@
-// Package trace records packet lifecycle events emitted by the router
-// fabric: injections, routing decisions, deliveries, deadlock suspicion
-// and recovery. A Recorder keeps a bounded ring of events with optional
-// filtering; it is designed for debugging and for tests that assert on
-// event sequences, not for always-on production use.
+// Package trace is the vocabulary of the router fabric's OnEvent hook:
+// the packet lifecycle events it emits (injections, routing decisions,
+// deliveries, deadlock suspicion and recovery). The hook is nil unless
+// a caller, such as a test asserting on an event sequence, sets it.
 package trace
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/packet"
 	"repro/internal/topology"
@@ -70,74 +68,4 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("%8d %-14s pkt %d %d->%d @ node %d",
 		e.Cycle, e.Kind, e.Packet, e.Src, e.Dst, e.Node)
-}
-
-// Recorder collects events into a bounded ring buffer.
-type Recorder struct {
-	events []Event
-	head   int
-	n      int
-	filter func(Event) bool
-	total  int64
-}
-
-// NewRecorder returns a recorder holding the most recent capacity events.
-func NewRecorder(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{events: make([]Event, capacity)}
-}
-
-// SetFilter drops events for which f returns false. A nil filter keeps
-// everything.
-func (r *Recorder) SetFilter(f func(Event) bool) { r.filter = f }
-
-// Record implements the fabric's event sink.
-func (r *Recorder) Record(e Event) {
-	if r.filter != nil && !r.filter(e) {
-		return
-	}
-	r.total++
-	if r.n < len(r.events) {
-		r.events[(r.head+r.n)%len(r.events)] = e
-		r.n++
-		return
-	}
-	r.events[r.head] = e
-	r.head = (r.head + 1) % len(r.events)
-}
-
-// Len returns how many events are currently retained.
-func (r *Recorder) Len() int { return r.n }
-
-// Total returns how many events were recorded overall (including those
-// that have rotated out of the ring).
-func (r *Recorder) Total() int64 { return r.total }
-
-// Events returns the retained events, oldest first.
-func (r *Recorder) Events() []Event {
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.events[(r.head+i)%len(r.events)]
-	}
-	return out
-}
-
-// OfPacket returns the retained events of one packet, oldest first.
-func (r *Recorder) OfPacket(id packet.ID) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Packet == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump writes the retained events to w, one per line.
-func (r *Recorder) Dump(w io.Writer) {
-	for _, e := range r.Events() {
-		fmt.Fprintln(w, e)
-	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -25,66 +24,6 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should format")
-	}
-}
-
-func TestRecorderRing(t *testing.T) {
-	r := NewRecorder(3)
-	for i := int64(0); i < 5; i++ {
-		r.Record(ev(i, Injected, i))
-	}
-	if r.Len() != 3 || r.Total() != 5 {
-		t.Fatalf("len %d total %d", r.Len(), r.Total())
-	}
-	evs := r.Events()
-	if evs[0].Cycle != 2 || evs[2].Cycle != 4 {
-		t.Errorf("ring kept wrong window: %v", evs)
-	}
-}
-
-func TestRecorderFilter(t *testing.T) {
-	r := NewRecorder(10)
-	r.SetFilter(func(e Event) bool { return e.Kind == Delivered })
-	r.Record(ev(1, Injected, 1))
-	r.Record(ev(2, Delivered, 1))
-	r.Record(ev(3, Routed, 1))
-	if r.Len() != 1 || r.Events()[0].Kind != Delivered {
-		t.Errorf("filter failed: %v", r.Events())
-	}
-}
-
-func TestRecorderOfPacket(t *testing.T) {
-	r := NewRecorder(10)
-	r.Record(ev(1, Injected, 7))
-	r.Record(ev(2, Injected, 8))
-	r.Record(ev(3, Delivered, 7))
-	got := r.OfPacket(7)
-	if len(got) != 2 || got[0].Kind != Injected || got[1].Kind != Delivered {
-		t.Errorf("OfPacket = %v", got)
-	}
-}
-
-func TestRecorderDump(t *testing.T) {
-	r := NewRecorder(4)
-	r.Record(ev(10, Injected, 1))
-	r.Record(ev(20, Delivered, 1))
-	var buf bytes.Buffer
-	r.Dump(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "injected") || !strings.Contains(out, "delivered") {
-		t.Errorf("dump = %q", out)
-	}
-	if lines := strings.Count(out, "\n"); lines != 2 {
-		t.Errorf("dump lines = %d", lines)
-	}
-}
-
-func TestRecorderMinimumCapacity(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(ev(1, Injected, 1))
-	r.Record(ev(2, Routed, 1))
-	if r.Len() != 1 || r.Events()[0].Cycle != 2 {
-		t.Error("capacity floor broken")
 	}
 }
 

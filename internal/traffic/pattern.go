@@ -67,16 +67,6 @@ func NewPattern(kind PatternKind, nodes int) (Pattern, error) {
 	}
 }
 
-// MustPattern is NewPattern but panics on error; for tests and constant
-// configurations.
-func MustPattern(kind PatternKind, nodes int) Pattern {
-	p, err := NewPattern(kind, nodes)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // uniformRandom picks any node other than the source, uniformly.
 type uniformRandom struct{ nodes int }
 

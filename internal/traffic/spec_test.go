@@ -207,7 +207,7 @@ func TestSteadySpecMatchesSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat := MustPattern(UniformRandom, 64)
+	pat := mustPattern(UniformRandom, 64)
 	direct := Steady(pat, Periodic{Interval: 50})
 	if built.TotalDuration() != direct.TotalDuration() {
 		t.Fatalf("durations differ: %d vs %d", built.TotalDuration(), direct.TotalDuration())

@@ -27,17 +27,17 @@ func TestNewPatternValidation(t *testing.T) {
 	}
 }
 
-func TestMustPatternPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustPattern(Butterfly, 100)
+// mustPattern is NewPattern for the tests' valid arguments.
+func mustPattern(kind PatternKind, nodes int) Pattern {
+	p, err := NewPattern(kind, nodes)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 func TestUniformRandomNeverSelf(t *testing.T) {
-	p := MustPattern(UniformRandom, 8)
+	p := mustPattern(UniformRandom, 8)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		src := topology.NodeID(i % 8)
@@ -52,7 +52,7 @@ func TestUniformRandomNeverSelf(t *testing.T) {
 }
 
 func TestUniformRandomCoversAll(t *testing.T) {
-	p := MustPattern(UniformRandom, 16)
+	p := mustPattern(UniformRandom, 16)
 	rng := rand.New(rand.NewSource(2))
 	seen := map[topology.NodeID]int{}
 	for i := 0; i < 16*400; i++ {
@@ -70,7 +70,7 @@ func TestUniformRandomCoversAll(t *testing.T) {
 
 // Paper definitions on bit coordinates (a_{n-1}, ..., a_1, a_0).
 func TestButterflySwapsMSBAndLSB(t *testing.T) {
-	p := MustPattern(Butterfly, 256) // 8 bits
+	p := mustPattern(Butterfly, 256) // 8 bits
 	cases := map[topology.NodeID]topology.NodeID{
 		0b00000000: 0b00000000,
 		0b10000000: 0b00000001,
@@ -86,7 +86,7 @@ func TestButterflySwapsMSBAndLSB(t *testing.T) {
 }
 
 func TestBitReversal(t *testing.T) {
-	p := MustPattern(BitReversal, 256)
+	p := mustPattern(BitReversal, 256)
 	cases := map[topology.NodeID]topology.NodeID{
 		0b00000001: 0b10000000,
 		0b11010010: 0b01001011,
@@ -100,7 +100,7 @@ func TestBitReversal(t *testing.T) {
 }
 
 func TestPerfectShuffleRotatesLeft(t *testing.T) {
-	p := MustPattern(PerfectShuffle, 256)
+	p := mustPattern(PerfectShuffle, 256)
 	cases := map[topology.NodeID]topology.NodeID{
 		0b10000000: 0b00000001,
 		0b00000001: 0b00000010,
@@ -114,11 +114,11 @@ func TestPerfectShuffleRotatesLeft(t *testing.T) {
 }
 
 func TestTransposeAndComplement(t *testing.T) {
-	tr := MustPattern(Transpose, 256)
+	tr := mustPattern(Transpose, 256)
 	if got := tr.Dest(0b10100101, nil); got != 0b01011010 {
 		t.Errorf("transpose = %08b", got)
 	}
-	cp := MustPattern(BitComplement, 256)
+	cp := mustPattern(BitComplement, 256)
 	if got := cp.Dest(0b10100101, nil); got != 0b01011010 {
 		t.Errorf("complement = %08b", got)
 	}
@@ -130,7 +130,7 @@ func TestTransposeAndComplement(t *testing.T) {
 // Property: every bit-permutation pattern is a bijection on the node set.
 func TestBitPatternsAreBijections(t *testing.T) {
 	for _, kind := range []PatternKind{BitReversal, PerfectShuffle, Butterfly, Transpose, BitComplement} {
-		p := MustPattern(kind, 256)
+		p := mustPattern(kind, 256)
 		seen := make([]bool, 256)
 		for src := topology.NodeID(0); src < 256; src++ {
 			d := p.Dest(src, nil)
@@ -149,7 +149,7 @@ func TestBitPatternsAreBijections(t *testing.T) {
 // complement, transpose, butterfly are self-inverse).
 func TestSelfInversePatterns(t *testing.T) {
 	for _, kind := range []PatternKind{BitReversal, BitComplement, Transpose, Butterfly} {
-		p := MustPattern(kind, 1024)
+		p := mustPattern(kind, 1024)
 		f := func(raw uint16) bool {
 			src := topology.NodeID(int(raw) % 1024)
 			return p.Dest(p.Dest(src, nil), nil) == src
@@ -263,7 +263,7 @@ func TestScheduleValidation(t *testing.T) {
 	if _, err := NewSchedule(nil, false); err == nil {
 		t.Error("empty schedule accepted")
 	}
-	pat := MustPattern(UniformRandom, 4)
+	pat := mustPattern(UniformRandom, 4)
 	if _, err := NewSchedule([]Phase{{Duration: 0, Pattern: pat, Process: Idle{}}}, false); err == nil {
 		t.Error("zero duration accepted")
 	}
@@ -284,7 +284,7 @@ func TestScheduleValidation(t *testing.T) {
 }
 
 func TestScheduleAt(t *testing.T) {
-	pat := MustPattern(UniformRandom, 4)
+	pat := mustPattern(UniformRandom, 4)
 	s, err := NewSchedule([]Phase{
 		{Duration: 100, Pattern: pat, Process: Bernoulli{P: 0.1}},
 		{Duration: 50, Pattern: pat, Process: Bernoulli{P: 0.5}},
@@ -313,7 +313,7 @@ func TestScheduleAt(t *testing.T) {
 }
 
 func TestScheduleLoop(t *testing.T) {
-	pat := MustPattern(UniformRandom, 4)
+	pat := mustPattern(UniformRandom, 4)
 	s, _ := NewSchedule([]Phase{
 		{Duration: 10, Pattern: pat, Process: Bernoulli{P: 0.1}},
 		{Duration: 10, Pattern: pat, Process: Bernoulli{P: 0.9}},
@@ -324,7 +324,7 @@ func TestScheduleLoop(t *testing.T) {
 }
 
 func TestSteadyNeverEnds(t *testing.T) {
-	s := Steady(MustPattern(UniformRandom, 4), Bernoulli{P: 0.1})
+	s := Steady(mustPattern(UniformRandom, 4), Bernoulli{P: 0.1})
 	if s.At(1<<40) == nil {
 		t.Error("steady schedule ended")
 	}
@@ -332,7 +332,7 @@ func TestSteadyNeverEnds(t *testing.T) {
 
 func TestScheduleGenerateSkipsFixedPoints(t *testing.T) {
 	// Butterfly fixes nodes whose MSB == LSB; those nodes must not emit.
-	pat := MustPattern(Butterfly, 16)
+	pat := mustPattern(Butterfly, 16)
 	s := Steady(pat, Periodic{Interval: 1})
 	rng := rand.New(rand.NewSource(6))
 	fixed := topology.NodeID(0b1001) // MSB==LSB==1 -> maps to itself
@@ -385,7 +385,7 @@ func TestPaperBurstyScheduleRejectsBadPattern(t *testing.T) {
 
 func TestPatternNames(t *testing.T) {
 	for _, k := range []PatternKind{UniformRandom, BitReversal, PerfectShuffle, Butterfly, Transpose, BitComplement} {
-		if MustPattern(k, 64).Name() != string(k) {
+		if mustPattern(k, 64).Name() != string(k) {
 			t.Errorf("name mismatch for %s", k)
 		}
 	}

@@ -191,13 +191,11 @@ type (
 	// Series is a fixed-interval time series of measurements.
 	Series = stats.Series
 	// Event is one packet lifecycle event (injection, routing,
-	// delivery, deadlock suspicion/recovery).
+	// delivery, deadlock suspicion/recovery). To receive them, set
+	// Engine.Fabric().OnEvent before the run.
 	Event = trace.Event
 	// EventKind classifies lifecycle events.
 	EventKind = trace.Kind
-	// Recorder collects lifecycle events into a bounded ring; attach
-	// one with Engine.SetEventSink.
-	Recorder = trace.Recorder
 	// Torus is a k-ary n-cube topology.
 	Torus = topology.Torus
 	// NodeID identifies a network node.
@@ -219,10 +217,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) { return sim.Ru
 
 // New builds an Engine for callers that need access to the fabric.
 func New(cfg Config) (*Engine, error) { return sim.New(cfg) }
-
-// NewRecorder returns a lifecycle event recorder holding the most recent
-// capacity events.
-func NewRecorder(capacity int) *Recorder { return trace.NewRecorder(capacity) }
 
 // NewTorus constructs a k-ary n-cube topology.
 func NewTorus(k, n int) (*Torus, error) { return topology.New(k, n) }
