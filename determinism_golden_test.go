@@ -286,22 +286,28 @@ func TestDeterminismThroughResultCache(t *testing.T) {
 // over HTTP and requires the results that come back through the job
 // manager, the JSON result payload, and a second, cache-served
 // submission to reproduce the seed-engine fingerprints bit for bit:
-// the service path must be indistinguishable from a local run.
+// the service path must be indistinguishable from a local run. Then
+// each golden case goes to a server with one job worker and no cache as
+// its own job, so every job after the first builds its engine in the
+// storage the job before it left, and each must reproduce its golden.
 func TestDeterminismThroughServer(t *testing.T) {
 	cache, err := fsstore.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Cache: cache})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
+	start := func(cfg server.Config) *httptest.Server {
+		srv := server.New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
+		return ts
+	}
 
 	cases := goldenCases()
 	spec := experiments.NewSpec("goldens", "determinism golden grid")
@@ -313,7 +319,7 @@ func TestDeterminismThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runJob := func() server.JobStatus {
+	runJob := func(ts *httptest.Server, body []byte) server.JobStatus {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -349,8 +355,9 @@ func TestDeterminismThroughServer(t *testing.T) {
 		}
 	}
 
-	fresh := runJob()
-	cached := runJob()
+	ts := start(server.Config{Cache: cache})
+	fresh := runJob(ts, body)
+	cached := runJob(ts, body)
 	if !cached.CacheHit {
 		t.Errorf("second submission cacheHit = false, want fully cache-served")
 	}
@@ -369,6 +376,22 @@ func TestDeterminismThroughServer(t *testing.T) {
 			if got := resultFingerprint(res.Groups[i][0]); got != gc.want {
 				t.Errorf("pass %d: %s fingerprint %s, want golden %s", pass, gc.name, got, gc.want)
 			}
+		}
+	}
+
+	serial := start(server.Config{JobWorkers: 1})
+	for i, gc := range cases {
+		cfg, err := json.Marshal(goldenConfig(gc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res server.JobResult
+		if err := json.Unmarshal(runJob(serial, cfg).Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		if got := resultFingerprint(res.Groups[0][0]); got != gc.want {
+			t.Errorf("%s (job %d of %d on one job worker): fingerprint %s, want golden %s",
+				gc.name, i+1, len(cases), got, gc.want)
 		}
 	}
 }

@@ -17,8 +17,10 @@ import (
 // schedules them and reassembles results in deterministic input order.
 // A worker builds its points' engines in one sim.Slot for the length of
 // a grid call, so each point after its first reuses the storage of the
-// last; no result depends on which worker ran it or after which point.
-// The zero Runner uses every available CPU.
+// last; with Slots set, the slot outlives the call and the next call's
+// first point reuses it too. No result depends on which worker ran it
+// or after which point. The zero Runner uses every available CPU and
+// keeps no slot between calls.
 type Runner struct {
 	// Workers caps the number of concurrently running simulations.
 	// Zero or negative selects runtime.GOMAXPROCS(0); 1 runs the whole
@@ -43,6 +45,14 @@ type Runner struct {
 	// implementations must be safe for concurrent use. Points of a
 	// failed grid may be observed before the grid's error is returned.
 	OnPoint func(PointEvent)
+	// Slots, when non-nil, is a free list of engine storage shared by
+	// the calls that use this Runner (a leaky buffer): each worker
+	// starts from a slot waiting in it, or from an empty one, and offers
+	// its slot back when the call ends, dropping it when the channel is
+	// full. So the channel's capacity bounds how many engines' storage
+	// is kept between calls. stcc-serve shares one across its jobs; nil
+	// keeps a worker's slot for one call only.
+	Slots chan *sim.Slot
 }
 
 // PointEvent describes one completed grid point for progress reporting
@@ -95,7 +105,9 @@ func (r Runner) ForEach(n int, fn func(i int) error) error {
 // each job, so jobs (runPoint) can abort in-flight simulations when a
 // sibling fails or the runner's own context is canceled, and with the
 // running worker's sim.Slot, so each point a worker simulates is built
-// in the storage of the last one. The slots live only for this call.
+// in the storage of the last one. A worker takes its slot from r.Slots
+// and offers it back when the call ends; with nil Slots the slots live
+// only for this call.
 func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -103,12 +115,13 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 	workers := r.workerCount(n)
 	base := r.ctx()
 	if workers == 1 {
-		var slot sim.Slot
+		slot := r.takeSlot()
+		defer r.putSlot(slot)
 		for i := 0; i < n; i++ {
 			if err := base.Err(); err != nil {
 				return err
 			}
-			if err := call(base, &slot, i); err != nil {
+			if err := call(base, slot, i); err != nil {
 				return err
 			}
 		}
@@ -141,9 +154,10 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var slot sim.Slot
+			slot := r.takeSlot()
+			defer r.putSlot(slot)
 			for i := range indices {
-				if err := call(ctx, &slot, i); err != nil {
+				if err := call(ctx, slot, i); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -177,6 +191,26 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 	// Every dispatched job succeeded; if dispatch stopped early it was
 	// the base context, not a job error.
 	return base.Err()
+}
+
+// takeSlot returns a slot waiting in r.Slots, or an empty one. A nil
+// channel is never ready, so nil Slots always gives an empty slot.
+func (r Runner) takeSlot() *sim.Slot {
+	select {
+	case slot := <-r.Slots:
+		return slot
+	default:
+		return new(sim.Slot)
+	}
+}
+
+// putSlot offers slot back to r.Slots without blocking; it is dropped
+// when the channel is full or nil.
+func (r Runner) putSlot(slot *sim.Slot) {
+	select {
+	case r.Slots <- slot:
+	default:
+	}
 }
 
 // runPoint runs one configuration through the result cache when one is

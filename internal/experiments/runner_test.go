@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,5 +242,79 @@ func TestRunnerOnPointEvents(t *testing.T) {
 		if ev.Index != i || ev.Total != 2 || ev.CacheHit {
 			t.Errorf("event %q = %+v, want index %d of 2, fresh run", label, ev, i)
 		}
+	}
+}
+
+// TestRunnerSlotsCarryOver runs one-point specs on a Runner whose Slots
+// keep one slot between calls: k = 8, then 4 in the 8-ary storage, then
+// 8 again in what the 4-ary run left, then a two-point spec on two
+// workers, and an 8-ary call after a canceled one, which leaves its
+// engine mid-run. Every result must be what a fresh sim.Run returns,
+// and the second 8-ary call, built in kept storage, must allocate under
+// a quarter of the first. A Runner with nil Slots keeps nothing, so its
+// second 8-ary call builds fresh.
+func TestRunnerSlotsCarryOver(t *testing.T) {
+	onePoint := func(cfg sim.Config) *Spec {
+		spec := NewSpec("slots", "")
+		spec.AddGroup("", Point{Label: "p", Config: cfg})
+		return spec
+	}
+	eight := fastConfig(1)
+	eight.K = 8
+	four := fastConfig(2)
+	pair := NewSpec("slots-pair", "")
+	pair.AddGroup("", Point{Label: "a", Config: fastConfig(3)}, Point{Label: "b", Config: eight})
+
+	// run runs spec on r and returns the bytes the call allocated; every
+	// result must marshal to what a fresh run of its config does.
+	run := func(r Runner, spec *Spec) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		grouped, err := r.RunSpec(spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range spec.Points() {
+			want, err := sim.Run(p.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(grouped[0][i])
+			if wantJSON, _ := json.Marshal(want); string(got) != string(wantJSON) {
+				t.Errorf("%s point %d differs from a fresh run:\n got %s\nwant %s", spec.Name, i, got, wantJSON)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	kept := Runner{Workers: 2, Slots: make(chan *sim.Slot, 1)}
+	first := run(kept, onePoint(eight))
+	run(kept, onePoint(four))
+	second := run(kept, onePoint(eight))
+	t.Logf("k=8 on kept slots: first call %d B, second %d B (%.3fx)", first, second, float64(second)/float64(first))
+	if second*4 >= first {
+		t.Errorf("second k=8 call allocated %d B, want under a quarter of the first's %d B: the slot was not kept", second, first)
+	}
+	run(kept, pair)
+	if n := len(kept.Slots); n != 1 {
+		t.Errorf("after a two-worker call Slots holds %d slots, want its capacity 1", n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	canceled := kept
+	canceled.Ctx = ctx
+	if _, err := canceled.RunSpec(onePoint(slowConfig())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled call: err = %v, want context.Canceled", err)
+	}
+	run(kept, onePoint(eight))
+
+	fresh := Runner{Workers: 1}
+	run(fresh, onePoint(eight))
+	again := run(fresh, onePoint(eight))
+	t.Logf("k=8 on nil Slots: second call %d B (%.3fx the kept first)", again, float64(again)/float64(first))
+	if again*2 < first {
+		t.Errorf("second k=8 call on nil Slots allocated %d B, want at least half of a fresh build's %d B", again, first)
 	}
 }

@@ -101,19 +101,21 @@ type JobStatus struct {
 }
 
 // Job is one submission moving through the queue. All mutable state is
-// guarded by mu; the submission fields are immutable after Submit.
+// guarded by mu; the fields above it are immutable after Submit. A job
+// that has ended keeps only what Status and its event stream read.
 type Job struct {
 	id     string
 	seq    int
-	sub    *experiments.Submission
 	name   string
+	scale  string
 	fp     string
 	points int
 
 	mu        sync.Mutex
 	state     string
-	canceled  bool               // cancel requested
-	cancel    context.CancelFunc // set while running
+	sub       *experiments.Submission // set until the job ends
+	canceled  bool                    // cancel requested
+	cancel    context.CancelFunc      // set while running
 	done      int
 	cacheHits int
 	err       error
@@ -162,7 +164,7 @@ func (j *Job) Status() JobStatus {
 		ID:          j.id,
 		State:       j.state,
 		Name:        j.name,
-		Scale:       j.sub.ScaleName,
+		Scale:       j.scale,
 		Fingerprint: j.fp,
 		Points:      j.points,
 		PointsDone:  j.done,
@@ -186,12 +188,21 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	finished []string // ids of held finished jobs, oldest first
+	finished []*Job                 // held finished jobs, oldest first
+	results  map[string]*heldResult // shared payloads by spec fingerprint
 	seq      int
 	closed   bool
 
 	queue chan *Job
+	slots chan *sim.Slot // engine storage a job leaves for the next
 	wg    sync.WaitGroup
+}
+
+// heldResult is the one copy of a payload that the held finished jobs
+// of a spec fingerprint share: each holder's result is raw itself.
+type heldResult struct {
+	raw     json.RawMessage
+	holders int
 }
 
 func newManager(cfg Config) *Manager {
@@ -209,7 +220,11 @@ func newManager(cfg Config) *Manager {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
+		results:    make(map[string]*heldResult),
 		queue:      make(chan *Job, cfg.QueueDepth),
+		// One slot per job worker: an idle daemon keeps the engine
+		// storage of at most that many jobs.
+		slots: make(chan *sim.Slot, max(workers, 0)),
 	}
 	for w := 0; w < workers; w++ {
 		m.wg.Add(1)
@@ -242,6 +257,7 @@ func (m *Manager) Submit(sub *experiments.Submission) (*Job, error) {
 	j := &Job{
 		sub:    sub,
 		name:   name,
+		scale:  sub.ScaleName,
 		state:  StateQueued,
 		points: sub.Spec.NumPoints(),
 		notify: make(chan struct{}),
@@ -305,17 +321,57 @@ func (m *Manager) notFound(id string) string {
 }
 
 // retire records that a job reached a terminal state and evicts the
-// oldest finished job once more than keepFinished are held. Callers
-// must not hold j.mu (the lock order is m.mu, then j.mu).
+// oldest finished job once more than keepFinished are held, dropping
+// its hold on its payload. Callers must not hold j.mu (the lock order
+// is m.mu, then j.mu).
 func (m *Manager) retire(j *Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.finished = append(m.finished, j.id)
+	m.finished = append(m.finished, j)
 	if len(m.finished) > keepFinished {
-		delete(m.jobs, m.finished[0])
-		m.finished[0] = ""
+		old := m.finished[0]
+		delete(m.jobs, old.id)
+		m.releaseLocked(old)
+		m.finished[0] = nil
 		m.finished = m.finished[1:]
 	}
+}
+
+// holdLocked returns the bytes a finished job of spec fingerprint fp
+// keeps for its payload raw: the fingerprint's held copy when raw is
+// byte-identical to it, and raw itself otherwise, which becomes the held
+// copy when the fingerprint has none. An empty fingerprint never
+// shares. Callers hold m.mu.
+func (m *Manager) holdLocked(fp string, raw json.RawMessage) json.RawMessage {
+	h, ok := m.results[fp]
+	switch {
+	case ok && bytes.Equal(h.raw, raw):
+		h.holders++
+		return h.raw
+	case !ok && fp != "":
+		m.results[fp] = &heldResult{raw: raw, holders: 1}
+	}
+	m.met.resultBytes.Add(int64(len(raw)))
+	return raw
+}
+
+// releaseLocked drops an evicted job's hold on its payload: a holder of
+// its fingerprint's shared copy points at that copy's bytes, which go
+// when their last holder does. Callers hold m.mu.
+func (m *Manager) releaseLocked(j *Job) {
+	j.mu.Lock()
+	raw := j.result
+	j.mu.Unlock()
+	if len(raw) == 0 {
+		return
+	}
+	if h, ok := m.results[j.fp]; ok && &h.raw[0] == &raw[0] {
+		if h.holders--; h.holders > 0 {
+			return
+		}
+		delete(m.results, j.fp)
+	}
+	m.met.resultBytes.Add(-int64(len(raw)))
 }
 
 // Jobs returns every held job's status, oldest first.
@@ -344,6 +400,7 @@ func (m *Manager) Cancel(j *Job) {
 	case StateQueued:
 		j.canceled = true
 		j.state = StateCanceled
+		j.sub = nil
 		j.appendEventLocked(Event{Type: StateCanceled})
 		m.met.canceled.Add(1)
 		m.logf("job %s canceled while queued", j.id)
@@ -372,6 +429,7 @@ func (m *Manager) runJob(j *Job) {
 	defer cancel()
 	j.state = StateRunning
 	j.cancel = cancel
+	sub := j.sub
 	j.appendEventLocked(Event{Type: "started", Points: j.points})
 	j.mu.Unlock()
 	m.met.running.Add(1)
@@ -385,13 +443,14 @@ func (m *Manager) runJob(j *Job) {
 			j.recordPoint(ev)
 			m.met.pointDone(ev)
 		},
+		Slots: m.slots,
 	}
 
 	var buf bytes.Buffer
-	grouped, err := j.sub.Run(runner, &buf)
-	payload := JobResult{Experiment: j.sub.Name, Report: buf.String(), Groups: grouped}
-	if j.sub.Name == "" {
-		payload.Spec = j.sub.Spec.Name
+	grouped, err := sub.Run(runner, &buf)
+	payload := JobResult{Experiment: sub.Name, Report: buf.String(), Groups: grouped}
+	if sub.Name == "" {
+		payload.Spec = sub.Spec.Name
 	}
 	m.met.running.Add(-1)
 	m.finish(j, payload, err)
@@ -399,21 +458,27 @@ func (m *Manager) runJob(j *Job) {
 }
 
 // finish moves a job to its terminal state and publishes the result.
+// Every payload is marshalled; when its bytes equal the payload a held
+// job of the same spec fingerprint published, the job holds that copy
+// (holdLocked).
 func (m *Manager) finish(j *Job, payload JobResult, err error) {
+	var raw json.RawMessage
+	var merr error
+	if err == nil {
+		raw, merr = json.Marshal(payload)
+	}
+	m.mu.Lock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.sub, j.cancel = nil, nil
 	switch {
+	case err == nil && merr != nil:
+		j.state = StateFailed
+		j.err = merr
+		j.appendEventLocked(Event{Type: StateFailed, Error: merr.Error()})
+		m.met.failed.Add(1)
 	case err == nil:
-		raw, merr := json.Marshal(payload)
-		if merr != nil {
-			j.state = StateFailed
-			j.err = merr
-			j.appendEventLocked(Event{Type: StateFailed, Error: merr.Error()})
-			m.met.failed.Add(1)
-			break
-		}
 		j.state = StateDone
-		j.result = raw
+		j.result = m.holdLocked(j.fp, raw)
 		j.appendEventLocked(Event{
 			Type:       StateDone,
 			PointsDone: j.done,
@@ -431,7 +496,10 @@ func (m *Manager) finish(j *Job, payload JobResult, err error) {
 		j.appendEventLocked(Event{Type: StateFailed, Error: err.Error()})
 		m.met.failed.Add(1)
 	}
-	m.logf("job %s %s", j.id, j.state)
+	state := j.state
+	j.mu.Unlock()
+	m.mu.Unlock()
+	m.logf("job %s %s", j.id, state)
 }
 
 // Shutdown drains the manager: no new submissions are accepted, queued

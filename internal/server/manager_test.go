@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -141,5 +143,127 @@ func TestFinishedJobsEvictOldest(t *testing.T) {
 	}
 	if len(list.Jobs) != keepFinished || list.Jobs[0].ID != ids[extra] {
 		t.Errorf("listed %d jobs from %s, want %d from %s", len(list.Jobs), list.Jobs[0].ID, keepFinished, ids[extra])
+	}
+}
+
+// waitRetired waits until m has retired n jobs.
+func waitRetired(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		m.mu.Lock()
+		retired := len(m.finished)
+		m.mu.Unlock()
+		if retired == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs retired, want %d", retired, n)
+		}
+	}
+}
+
+// Finished jobs of one config whose payloads are byte-identical hold one
+// copy of it, and that copy is what the job run alone returns; a
+// different config keeps its own, and so does a job whose spec
+// fingerprint matches but whose bytes do not. Once keepFinished newer
+// jobs evict them, their copies leave the table, and the held-bytes
+// gauge counts only the jobs still held.
+func TestFinishedJobsShareResult(t *testing.T) {
+	cache, err := fsstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(v any) []byte {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cfg := sim.NewConfig()
+	cfg.K, cfg.WarmupCycles, cfg.MeasureCycles, cfg.Rate = 4, 100, 400, 0.005
+	a := encode(cfg)
+	cfg.Seed = 2
+	b := encode(cfg)
+	// A registry reference and the spec it names share a spec
+	// fingerprint, but their payloads name the experiment and the spec
+	// differently.
+	ref := []byte(`{"name":"tab1"}`)
+	refSub, err := experiments.ParseSubmission(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := encode(refSub.Spec)
+
+	// run submits the bodies in order to m's one job worker and returns
+	// each job's final status.
+	run := func(m *Manager, bodies ...[]byte) []JobStatus {
+		t.Helper()
+		t.Cleanup(func() {
+			if err := m.Shutdown(context.Background()); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
+		jobs := make([]*Job, len(bodies))
+		for i, body := range bodies {
+			sub, err := experiments.ParseSubmission(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jobs[i], err = m.Submit(sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitRetired(t, m, len(jobs))
+		out := make([]JobStatus, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.Status()
+			if out[i].State != StateDone || len(out[i].Result) == 0 {
+				t.Fatalf("job %d ended %s (%s) with %d result bytes", i, out[i].State, out[i].Error, len(out[i].Result))
+			}
+		}
+		return out
+	}
+
+	m := newManager(Config{Cache: cache, JobWorkers: 1})
+	held := run(m, a, a, b, ref, spec)
+	if &held[0].Result[0] != &held[1].Result[0] {
+		t.Error("two identical jobs hold two copies of their result")
+	}
+	if &held[2].Result[0] == &held[0].Result[0] {
+		t.Error("a different config shares the first config's result")
+	}
+	if held[3].Fingerprint != held[4].Fingerprint || bytes.Equal(held[3].Result, held[4].Result) {
+		t.Fatalf("registry reference and spec: fingerprints %s and %s, results equal %v; want one fingerprint, two payloads",
+			held[3].Fingerprint, held[4].Fingerprint, bytes.Equal(held[3].Result, held[4].Result))
+	}
+	alone := run(newManager(Config{JobWorkers: 1}), a, b)
+	if !bytes.Equal(held[0].Result, alone[0].Result) || !bytes.Equal(held[2].Result, alone[1].Result) {
+		t.Errorf("held results differ from unshared runs:\n%s\n%s\nwant\n%s\n%s",
+			held[0].Result, held[2].Result, alone[0].Result, alone[1].Result)
+	}
+	m.mu.Lock()
+	entries := len(m.results)
+	m.mu.Unlock()
+	want := int64(len(held[0].Result) + len(held[2].Result) + len(held[3].Result) + len(held[4].Result))
+	if got := m.met.resultBytes.Load(); entries != 3 || got != want {
+		t.Errorf("table holds %d payloads and the gauge %d B, want 3 and %d B", entries, got, want)
+	}
+
+	// Newer jobs whose spec has no fingerprint never share, so once they
+	// evict the first five, the table is empty.
+	filler := JobResult{Report: "filler"}
+	for i := 0; i < keepFinished; i++ {
+		j := &Job{id: fmt.Sprintf("filler-%d", i), state: StateRunning, notify: make(chan struct{})}
+		m.finish(j, filler, nil)
+		m.retire(j)
+	}
+	m.mu.Lock()
+	entries = len(m.results)
+	m.mu.Unlock()
+	want = int64(keepFinished * len(encode(filler)))
+	if got := m.met.resultBytes.Load(); entries != 0 || got != want {
+		t.Errorf("after eviction the table holds %d payloads and the gauge %d B, want none and %d B", entries, got, want)
 	}
 }

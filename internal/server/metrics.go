@@ -25,6 +25,10 @@ type metrics struct {
 	points    atomic.Int64 // grid points completed (any source)
 	cacheHits atomic.Int64 // points served by the result cache
 	simulated atomic.Int64 // points that ran a fresh local simulation
+
+	// resultBytes is the bytes of finished-job payloads the manager
+	// holds, each shared copy once; it changes under the manager's mu.
+	resultBytes atomic.Int64
 }
 
 func newMetrics() *metrics { return &metrics{} }
@@ -64,6 +68,7 @@ func (s *Server) promSamples() []promSample {
 		{"stcc_points_total", "Grid points completed from any source.", "counter", float64(m.points.Load())},
 		{"stcc_points_cache_hits_total", "Points served by the result cache.", "counter", float64(m.cacheHits.Load())},
 		{"stcc_points_simulated_total", "Points that ran a fresh local simulation.", "counter", float64(m.simulated.Load())},
+		{"stcc_results_held_bytes", "Bytes of finished-job result payloads held, each shared payload once.", "gauge", float64(m.resultBytes.Load())},
 	}
 }
 

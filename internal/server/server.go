@@ -34,8 +34,9 @@
 // Submissions past the queue's capacity are rejected with 429 so load
 // sheds at the edge instead of growing an unbounded backlog, and
 // Shutdown drains running jobs before the process exits. The manager
-// holds the newest 1024 finished jobs; an evicted job's id answers 404
-// naming the eviction.
+// holds the newest 1024 finished jobs, with one copy of each result
+// that several of them repeat byte for byte; an evicted job's id
+// answers 404 naming the eviction.
 package server
 
 import (
@@ -57,7 +58,9 @@ type Config struct {
 	QueueDepth int
 	// JobWorkers is the number of jobs executing concurrently. Zero
 	// means 2; negative means none are started (tests use this to pin
-	// jobs in the queued state).
+	// jobs in the queued state). A job builds its engines in the storage
+	// an earlier job left, so an idle daemon keeps the engine storage of
+	// at most this many jobs.
 	JobWorkers int
 	// PointWorkers caps concurrent simulations within one job, like the
 	// CLI -workers flag. Zero means all CPUs.

@@ -572,7 +572,8 @@ func TestJobsListOrdered(t *testing.T) {
 }
 
 // TestMetricsCounters checks the counter roll-up on the /metrics page
-// after a mixed workload.
+// after a mixed workload: two identical jobs, the second served from
+// the cache, which hold one copy of their result payload.
 func TestMetricsCounters(t *testing.T) {
 	cache, err := fsstore.New(t.TempDir())
 	if err != nil {
@@ -580,8 +581,11 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	_, ts := newTestServer(t, server.Config{Cache: cache})
 	body := tinySpecJSON(t)
-	waitTerminal(t, ts, submit(t, ts, body))
-	waitTerminal(t, ts, submit(t, ts, body))
+	first := waitTerminal(t, ts, submit(t, ts, body))
+	second := waitTerminal(t, ts, submit(t, ts, body))
+	if !bytes.Equal(first.Result, second.Result) {
+		t.Fatalf("identical jobs returned different results:\n%s\n%s", first.Result, second.Result)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -614,6 +618,7 @@ func TestMetricsCounters(t *testing.T) {
 		"stcc_points_total":            4,
 		"stcc_points_simulated_total":  2,
 		"stcc_points_cache_hits_total": 2,
+		"stcc_results_held_bytes":      float64(len(first.Result)),
 	} {
 		if got, ok := samples[name]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
