@@ -53,7 +53,7 @@ bench:
 # no default, so a bare run cannot overwrite a checked-in report. The
 # newest checked-in report is the baseline the new one embeds and diffs
 # against.
-BENCH_BASELINE ?= BENCH_PR26.json
+BENCH_BASELINE ?= BENCH_PR29.json
 bench-json:
 	$(if $(BENCH_LABEL),,$(error bench-json: set BENCH_LABEL to name the new report, e.g. make bench-json BENCH_LABEL=PR<n>))
 	$(GO) run ./cmd/stcc-bench -label $(BENCH_LABEL) -repeat 3 -baseline $(BENCH_BASELINE) -out BENCH_$(BENCH_LABEL).json

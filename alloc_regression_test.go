@@ -25,13 +25,15 @@ import (
 )
 
 // fabricMaxBytesPerLane bounds what router.New allocates per input lane
-// (a router has 2n*VCs+1). Each lane carries a 48-byte vcBuffer, eight
-// 16-byte flit slots, a 48-byte output VC and a share of the node and
-// mask arrays: 242.5 B measured on the 16-ary 2-cube and 237.1 on the
-// 16-ary 3-cube. A revived 24-byte flit adds 64 B per lane and a ring
-// kept as a slice header 24 B, so either fails the gate; the layout
-// before both changes measured 430.7 and 421.2.
-const fabricMaxBytesPerLane = 256
+// (a router has 2n*VCs+1). Each lane carries a 40-byte vcBuffer, eight
+// 8-byte flit slots, a 32-byte output VC and a share of the node and
+// mask arrays: 153.8 B measured on the 16-ary 2-cube and 149.1 on the
+// 16-ary 3-cube. A flit that carries a packet pointer again adds 64 B
+// per lane, and a pointer back to the fabric in every buffer and latch
+// 16 B, so either fails the gate (router's TestLaneLayout catches a
+// pointer in a flit or buffer of any size). 16-byte flits measured
+// 242.5 and 237.1, and the layout before them 430.7 and 421.2.
+const fabricMaxBytesPerLane = 168
 
 // TestFabricNewBytesPerLane gates router.New's allocation for the
 // network of every fabric shape.

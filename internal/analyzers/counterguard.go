@@ -16,8 +16,8 @@ import (
 // output-VC state that lives elsewhere, so it is consistent only if
 // every transition updates it exactly once — the discipline lives in
 // the accessor layer in buffer.go (push/pop, setBinding/clearBinding,
-// latch.set/clear, srcSlot.setPacket/clearPacket, outVC.acquire/
-// release, and the arena construction). Any direct mutation elsewhere —
+// latch.set/clear, node.startSource/endSource, outVC.acquire/release,
+// and the arena construction). Any direct mutation elsewhere —
 // a field write, a slice-element write, or taking an element's
 // address — is flagged. Reads are free: the stages and the invariant
 // checker iterate the arrays constantly. CheckInvariants recounts into
@@ -29,8 +29,8 @@ var CounterGuard = &framework.Analyzer{
 
 The incremental netCounters sums (fullBuffers, latched, ownedOuts,
 occupiedIns, pendingIns, srcActive), the per-lane occupancy array (occ),
-the per-node lane masks (occMask, boundMask, headMask, latchMask,
-ownedMask), the active bitsets (actWords) and the DECbit
+the per-node lane masks (occMask, boundMask, headMask, frozenMask,
+latchMask, ownedMask), the active bitsets (actWords) and the DECbit
 congestion-marking state (nodeOcc, congWords, congStable) are
 denormalized views of router state. They stay consistent only if every
 state transition updates them exactly once; that discipline lives in
@@ -49,13 +49,14 @@ var guardedCounters = map[string]bool{
 	"srcActive":   true,
 	// Structure-of-arrays hot state: per-lane occupancy, per-node lane
 	// masks, node-level active bitsets.
-	"occ":       true,
-	"occMask":   true,
-	"boundMask": true,
-	"headMask":  true,
-	"latchMask": true,
-	"ownedMask": true,
-	"actWords":  true,
+	"occ":        true,
+	"occMask":    true,
+	"boundMask":  true,
+	"headMask":   true,
+	"frozenMask": true,
+	"latchMask":  true,
+	"ownedMask":  true,
+	"actWords":   true,
 	// DECbit congestion marking: the per-node buffered-flit fold, the
 	// live congestion bitset it drives (hysteresis state), and the
 	// cycle-stable snapshot header pushes mark packets against. A

@@ -55,7 +55,8 @@ func (m Mode) String() string {
 }
 
 // Packet is one message: Length flits that snake through the network.
-// Flits are represented implicitly as (packet, index) pairs.
+// Flits are represented implicitly: the router names one by its
+// packet's slot in the fabric's packet table and its index.
 type Packet struct {
 	ID     ID
 	Src    topology.NodeID

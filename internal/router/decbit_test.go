@@ -14,14 +14,15 @@ type decbitHarness struct {
 	t    *testing.T
 	f    *Fabric
 	bufs []*vcBuffer
-	pkt  *packet.Packet // filler body flits; never routed
+	slot int32 // the table slot of the packet of the filler body flits; never routed
 	occ  int
 }
 
 func newDecbitHarness(t *testing.T, mark float64) *decbitHarness {
 	cfg := testConfig(4, Recovery)
 	cfg.CongestMark = mark
-	h := &decbitHarness{t: t, f: MustNew(cfg), pkt: packet.New(1, 0, 1, 1, 0)}
+	h := &decbitHarness{t: t, f: MustNew(cfg)}
+	h.slot = h.f.slots.take(packet.New(1, 0, 1, 1, 0))
 	for lane := 0; lane < h.f.lanesIn; lane++ {
 		if b := &h.f.bufs[lane]; b.countable {
 			h.bufs = append(h.bufs, b)
@@ -33,8 +34,8 @@ func newDecbitHarness(t *testing.T, mark float64) *decbitHarness {
 // push adds one body flit to the first countable buffer with space.
 func (h *decbitHarness) push() {
 	for _, b := range h.bufs {
-		if !b.full() {
-			b.push(flit{pkt: h.pkt, idx: 1})
+		if !b.full(h.f) {
+			b.push(h.f, flit{slot: h.slot, idx: 1})
 			h.occ++
 			return
 		}
@@ -45,13 +46,18 @@ func (h *decbitHarness) push() {
 // pop removes one flit from the first non-empty countable buffer.
 func (h *decbitHarness) pop() {
 	for _, b := range h.bufs {
-		if b.len() > 0 {
-			b.pop()
+		if b.len(h.f) > 0 {
+			b.pop(h.f)
 			h.occ--
 			return
 		}
 	}
 	h.t.Fatal("nothing buffered to pop")
+}
+
+// pushHeader pushes p's header flit into the harness's b-th buffer.
+func (h *decbitHarness) pushHeader(b int, p *packet.Packet, idx int32) {
+	h.bufs[b].push(h.f, flit{slot: h.f.slots.take(p), idx: idx})
 }
 
 // congested counts the routers whose congestion bit is set.
@@ -127,19 +133,19 @@ func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 
 	// Live bit set, snapshot still from the empty network: no mark.
 	early := packet.New(2, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: early, idx: 0})
+	h.pushHeader(len(h.bufs)-1, early, 0)
 	if early.Marked {
 		t.Fatal("header marked against the live bit before any snapshot")
 	}
 
 	h.f.snapshotCongestion()
 	late := packet.New(3, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: late, idx: 0})
+	h.pushHeader(len(h.bufs)-1, late, 0)
 	if !late.Marked {
 		t.Fatal("header pushed at a congested router after the snapshot not marked")
 	}
 	body := packet.New(4, 0, 1, 4, 0)
-	h.bufs[len(h.bufs)-1].push(flit{pkt: body, idx: 1})
+	h.pushHeader(len(h.bufs)-1, body, 1)
 	if body.Marked {
 		t.Fatal("body flit marked its packet")
 	}
@@ -152,7 +158,7 @@ func TestHeaderMarkingUsesSnapshot(t *testing.T) {
 	h.check(false)
 	h.f.snapshotCongestion()
 	after := packet.New(5, 0, 1, 4, 0)
-	h.bufs[0].push(flit{pkt: after, idx: 0})
+	h.pushHeader(0, after, 0)
 	if after.Marked {
 		t.Fatal("header marked after the router drained and the snapshot refreshed")
 	}

@@ -255,7 +255,7 @@ func TestCutThroughBlockedPacketFitsOneBuffer(t *testing.T) {
 			}
 			if p.BlockedFor(f.Now()) > 4 {
 				for i := range f.bufs {
-					if f.bufs[i].countOf(p) == p.Length {
+					if f.bufs[i].countOf(f, slotOf(f, p)) == p.Length {
 						sawCompact = true
 					}
 				}

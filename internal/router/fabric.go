@@ -197,8 +197,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: %d output lanes per node exceed the 64-lane mask width", out)
 	}
 	// Buffers address their flit rings by int32 offset into one arena.
-	if lanes := c.Topo.Nodes() * (c.Topo.PhysPorts()*c.VCs + 1); c.BufDepth > math.MaxInt32/lanes {
+	nodes := int64(c.Topo.Nodes())
+	lanes := nodes * int64(c.Topo.PhysPorts()*c.VCs+1)
+	if int64(c.BufDepth) > math.MaxInt32/lanes {
 		return fmt.Errorf("router: %d input lanes of %d flits exceed the flit arena's int32 offsets", lanes, c.BufDepth)
+	}
+	// Flits name their packets by int32 slot, and the packet table hands
+	// out the lowest free slot. Every packet in flight holds a buffered
+	// flit, a latch, its node's injection stream or the recovery drain,
+	// so their count bounds the largest slot.
+	if slots := lanes*int64(c.BufDepth) + nodes*int64(c.Topo.PhysPorts()*c.VCs+dlv+1) + 1; slots > math.MaxInt32 {
+		return fmt.Errorf("router: up to %d packets in flight exceed the packet table's int32 slots", slots)
 	}
 	return nil
 }
@@ -259,6 +268,10 @@ type Fabric struct {
 	flits []flit
 	depth int32 // flits per buffer (Config.BufDepth)
 
+	// slots holds the packets in the network; a flit names its packet
+	// by slot, and the packet count is the fabric's in-flight count.
+	slots packetTable
+
 	// swPtr holds each output port's round-robin switch-allocation
 	// pointer, node-major: swPtr[node*(dlvPort+1)+port].
 	swPtr []uint8
@@ -268,12 +281,18 @@ type Fabric struct {
 	// reads and credit checks go through.
 	occ []int32
 
-	// Per-node lane masks, one word per node, bit = node-local lane.
+	// Per-node lane masks, one word per node, bit = node-local lane,
+	// all six in the one backing array masks.
+	masks     []uint64
 	occMask   []uint64 // input lanes holding at least one flit
 	boundMask []uint64 // input lanes with a wormhole binding
 	headMask  []uint64 // input lanes whose front flit is a head flit
-	latchMask []uint64 // output lanes whose latch holds a flit
-	ownedMask []uint64 // output lanes owned by a packet
+	// frozenMask holds the input lanes whose front flit is a frozen
+	// packet's header: set when detection suspects it, cleared when it
+	// thaws or the recovery drain takes it.
+	frozenMask []uint64
+	latchMask  []uint64 // output lanes whose latch holds a flit
+	ownedMask  []uint64 // output lanes owned by a packet
 
 	// Node-level active bitsets (bit = node), the stages' outer loops.
 	actOccupied activeWords
@@ -318,7 +337,6 @@ type Fabric struct {
 
 	// Delivery accounting.
 	deliveredFlits int64 // all-time, delivery channels and recovery lane
-	inFlight       int   // packets injected but not delivered
 
 	// Disha recovery: the active drain, the token wait queue of frozen
 	// suspects, and the completion count. recStore is the reused backing
@@ -348,9 +366,10 @@ type Fabric struct {
 // arrays), sized when the fabric is built: one fabric costs a fixed
 // handful of allocations regardless of size (none when NewReusing finds
 // them in its donor), neighboring buffers share cache lines, and Step
-// never allocates. Arena addresses are stable for the fabric's
-// lifetime, so *vcBuffer and *outVC remain valid identities (wormhole
-// bindings and output-VC ownership hold them across cycles).
+// never allocates (StartInjection does, only when the packets in flight
+// outgrow the packet table's chunks). Identity is an arena index, not an
+// address: output-VC ownership names its input VC by gid, and a flit or
+// wormhole binding names its packet by table slot.
 func New(cfg Config) (*Fabric, error) { return NewReusing(cfg, nil) }
 
 // NewReusing is New built in the arenas of donor, a fabric its caller
@@ -433,13 +452,14 @@ func NewReusing(cfg Config, donor *Fabric) (*Fabric, error) {
 		}
 	}
 
+	f.slots.reset(old.slots)
 	f.nodes = reuse(old.nodes, nodes)
 	for id := range f.nodes {
-		f.nodes[id] = node{id: topology.NodeID(id), src: srcSlot{fab: f, node: topology.NodeID(id)}}
+		f.nodes[id] = node{id: topology.NodeID(id)}
 		for lane := 0; lane < f.lanesIn; lane++ {
 			gid := id*f.lanesIn + lane
 			b := vcBuffer{
-				fab: f, node: int32(id), gid: int32(gid), ring: int32(gid * cfg.BufDepth),
+				node: int32(id), gid: int32(gid), ring: int32(gid * cfg.BufDepth),
 				port: uint8(f.injPort), lane: uint8(lane),
 			}
 			if lane < phys*cfg.VCs {
@@ -450,7 +470,7 @@ func NewReusing(cfg Config, donor *Fabric) (*Fabric, error) {
 		for lane := 0; lane < f.lanesOut; lane++ {
 			p := int(f.laneOutPort[lane])
 			f.outsA[id*f.lanesOut+lane].lat = latch{
-				fab: f, node: int32(id), port: uint8(p), vc: uint8(lane - f.outPortBase[p]), lane: uint8(lane),
+				node: int32(id), port: uint8(p), vc: uint8(lane - f.outPortBase[p]), lane: uint8(lane),
 			}
 		}
 	}
@@ -516,7 +536,7 @@ func (f *Fabric) FullVCBuffersAt(nodeID topology.NodeID) int {
 	full := 0
 	bufs := f.bufs[int(nodeID)*f.lanesIn : int(nodeID+1)*f.lanesIn]
 	for i := range bufs {
-		if bufs[i].countable && bufs[i].full() {
+		if bufs[i].countable && bufs[i].full(f) {
 			full++
 		}
 	}
@@ -528,33 +548,12 @@ func (f *Fabric) FullVCBuffersAt(nodeID topology.NodeID) int {
 func (f *Fabric) DeliveredFlits() int64 { return f.deliveredFlits }
 
 // InFlight returns the number of packets injected but not yet delivered.
-func (f *Fabric) InFlight() int { return f.inFlight }
+func (f *Fabric) InFlight() int { return f.slots.live }
 
-// EachPacket calls fn for every packet the fabric holds: streaming in
-// from a source, buffered, latched or draining through the recovery
-// lane. A packet is passed once per flit held in a buffer or latch, and
-// once more for a source slot or the recovery drain.
-func (f *Fabric) EachPacket(fn func(*packet.Packet)) {
-	for i := range f.nodes {
-		if p := f.nodes[i].src.pkt; p != nil {
-			fn(p)
-		}
-	}
-	for i := range f.bufs {
-		b := &f.bufs[i]
-		for j, n := int32(0), f.occ[b.gid]; j < n; j++ {
-			fn(b.at(j).pkt)
-		}
-	}
-	for i := range f.outsA {
-		if l := &f.outsA[i].lat; l.full {
-			fn(l.f.pkt)
-		}
-	}
-	if f.rec != nil {
-		fn(f.rec.pkt)
-	}
-}
+// EachPacket calls fn once for every packet the fabric holds: streaming
+// in from a source, buffered, latched or draining through the recovery
+// lane.
+func (f *Fabric) EachPacket(fn func(*packet.Packet)) { f.slots.each(fn) }
 
 // Recoveries returns how many deadlock recoveries have completed.
 func (f *Fabric) Recoveries() int64 { return f.recoveries }
@@ -597,8 +596,10 @@ func (f *Fabric) StartInjection(pkt *packet.Packet) {
 	if pkt.SrcRemaining != pkt.Length {
 		panic(fmt.Sprintf("router: packet %d already partially injected", pkt.ID))
 	}
-	nd.src.setPacket(pkt)
-	f.inFlight++
+	if pkt.Length > math.MaxInt32 {
+		panic(fmt.Sprintf("router: packet %d of %d flits exceeds the flit's int32 index", pkt.ID, pkt.Length))
+	}
+	nd.startSource(f, pkt, f.slots.take(pkt))
 }
 
 // Step advances the network one cycle: deadlock-recovery drain, link
@@ -627,13 +628,13 @@ func (f *Fabric) Step() {
 	f.now++
 }
 
-// deliver finalizes a packet: stamps delivery, updates counters, invokes
-// the callbacks.
+// deliver finalizes the packet at table slot slot: stamps delivery,
+// frees the slot, invokes the callbacks.
 //
 //stcc:hotpath
-func (f *Fabric) deliver(p *packet.Packet, now int64) {
+func (f *Fabric) deliver(p *packet.Packet, slot int32, now int64) {
 	p.DeliveredAt = now
-	f.inFlight--
+	f.slots.release(slot)
 	f.emit(trace.Delivered, p, p.Dst)
 	if f.OnDelivered != nil {
 		f.OnDelivered(p)

@@ -449,25 +449,27 @@ func TestRoutingDelayCorners(t *testing.T) {
 	}
 	a := packet.New(1, w, x, 2, 0)
 	a.SrcRemaining, a.Consumed = 0, 1
-	b.push(flit{pkt: a, idx: 1})
-	b.setBinding(a, f.dlvPort, 0)
-	f.outputVC(int(x), f.dlvPort, 0).acquire(b, a)
+	as := f.slots.take(a)
+	b.push(f, flit{slot: as, idx: 1})
+	b.setBinding(f, as, f.dlvPort, 0)
+	f.outputVC(int(x), f.dlvPort, 0).acquire(f, b, as, a)
 	// The single-flit header of worm h sits in the latch feeding b.
 	h := packet.New(2, w, topo.ID([]int{4, 0}), 1, 0)
 	h.SrcRemaining = 0
+	hs := f.slots.take(h)
 	up := f.feedingLatch(b)
-	up.acquire(&f.bufs[int(w)*f.lanesIn+f.lanesIn-1], h) // w's injection channel
-	up.lat.set(flit{pkt: h, idx: 0})
+	up.acquire(f, &f.bufs[int(w)*f.lanesIn+f.lanesIn-1], hs, h) // w's injection channel
+	up.lat.set(f, flit{slot: hs, idx: 0})
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 
 	f.Step() // cycle 0: h links into b while a's tail crosses x's crossbar
-	if b.len() != 1 || b.front().pkt != h || b.bound {
-		t.Fatalf("after cycle 0: %d flits, front %v, bound %v; want h alone and unrouted", b.len(), b.front().pkt, b.bound)
+	if b.len(f) != 1 || b.front(f).slot != hs || b.bound() {
+		t.Fatalf("after cycle 0: %d flits, front slot %d, bound %v; want h alone and unrouted", b.len(f), b.front(f).slot, b.bound())
 	}
 	f.Step() // cycle 1: h routes
-	if !b.bound || b.boundPkt != h {
+	if b.boundSlot != hs {
 		t.Fatalf("after cycle 1: h not routed at x")
 	}
 
@@ -499,8 +501,19 @@ func TestRoutingDelayCorners(t *testing.T) {
 // the allowed case).
 func TestCheckInvariantsOwnershipChain(t *testing.T) {
 	f := MustNew(testConfig(8, Recovery))
-	f.outputVC(0, 0, 0).acquire(&f.bufs[f.lanesIn-1], packet.New(1, 0, 3, 4, 0))
+	p := packet.New(1, 0, 3, 4, 0)
+	f.outputVC(0, 0, 0).acquire(f, &f.bufs[f.lanesIn-1], f.slots.take(p), p)
 	if err := f.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "its owner") {
 		t.Fatalf("CheckInvariants = %v, want the unbound owner reported", err)
 	}
+}
+
+// slotOf returns p's slot in f's packet table, or 0 when p is not in it.
+func slotOf(f *Fabric, p *packet.Packet) int32 {
+	for s := int32(1); int(s) < f.slots.used<<slotChunkBits; s++ {
+		if f.slots.get(s) == p {
+			return s
+		}
+	}
+	return 0
 }

@@ -47,6 +47,7 @@ type suspect struct {
 // the locs backing array — across recoveries.
 type recoveryState struct {
 	pkt     *packet.Packet
+	slot    int32      // pkt's table slot
 	locs    []drainLoc // downstream-first: locs[0] drains first
 	idx     int
 	dist    int // mesh DOR hops from the header's router to the destination
@@ -81,26 +82,24 @@ func (f *Fabric) detectDeadlock() {
 	f.serviceSuspects()
 }
 
-// detectNode scans node ni's input lanes whose front flit is a header,
-// in lane order, and freezes each packet blocked past the timeout,
-// queueing it for the recovery token.
+// detectNode scans node ni's input lanes whose front flit is an
+// unfrozen header, in lane order, and freezes each packet blocked past
+// the timeout, queueing it for the recovery token.
 //
 //stcc:hotpath
 func (f *Fabric) detectNode(ni int) {
 	now := f.now
 	timeout := f.cfg.DeadlockTimeout
 	base := ni * f.lanesIn
-	for dm := f.occMask[ni] & f.headMask[ni]; dm != 0; dm &= dm - 1 {
+	for dm := f.occMask[ni] & f.headMask[ni] &^ f.frozenMask[ni]; dm != 0; dm &= dm - 1 {
 		lane := bits.TrailingZeros64(dm)
 		b := &f.bufs[base+lane]
-		fl := b.front()
-		if fl.pkt.Mode.Frozen() {
-			continue
-		}
-		if fl.pkt.BlockedFor(now) > timeout {
-			fl.pkt.Mode = packet.Suspected
-			f.suspects = append(f.suspects, suspect{buf: b, pkt: fl.pkt, at: now})
-			f.emit(trace.Suspected, fl.pkt, topology.NodeID(b.node))
+		pkt := f.slots.get(b.front(f).slot)
+		if pkt.BlockedFor(now) > timeout {
+			pkt.Mode = packet.Suspected
+			b.freezeHead(f)
+			f.suspects = append(f.suspects, suspect{buf: b, pkt: pkt, at: now})
+			f.emit(trace.Suspected, pkt, topology.NodeID(b.node))
 		}
 	}
 }
@@ -119,6 +118,7 @@ func (f *Fabric) serviceSuspects() {
 		if now-s.at > f.tokenWait {
 			s.pkt.Mode = packet.Adaptive
 			s.pkt.Progress(now)
+			s.buf.thawHead(f)
 			continue
 		}
 		kept = append(kept, s)
@@ -163,12 +163,14 @@ func (f *Fabric) feedingLatch(b *vcBuffer) *outVC {
 //
 //stcc:hotpath
 func (f *Fabric) startRecovery(head *vcBuffer) {
-	pkt := head.front().pkt
+	slot := head.front(f).slot
+	pkt := f.slots.get(slot)
 	pkt.Mode = packet.Recovering
 
 	r := &f.recStore
 	*r = recoveryState{
 		pkt:     pkt,
+		slot:    slot,
 		locs:    r.locs[:0],
 		dist:    f.topo.MeshDistance(topology.NodeID(head.node), pkt.Dst),
 		started: f.now,
@@ -176,23 +178,23 @@ func (f *Fabric) startRecovery(head *vcBuffer) {
 
 	total := 0
 	for b := head; b != nil; {
-		if c := b.countOf(pkt); c > 0 {
+		if c := b.countOf(f, slot); c > 0 {
 			r.locs = append(r.locs, drainLoc{buf: b, count: c})
 			total += c
 		}
 		o := f.feedingLatch(b)
-		if o == nil || o.ownerPkt != pkt {
+		if o == nil || o.ownerSlot != slot {
 			break
 		}
 		// A mid-worm flit may sit in the latch feeding b (crossbar'd
 		// this cycle, frozen before link traversal).
-		if o.lat.holds(pkt) {
+		if o.lat.holds(slot) {
 			r.locs = append(r.locs, drainLoc{out: o, count: 1})
 			total++
 		}
-		b = o.owner
+		b = &f.bufs[o.owner]
 	}
-	if src := &f.nodes[pkt.Src].src; src.pkt == pkt && pkt.SrcRemaining > 0 {
+	if src := &f.nodes[pkt.Src].src; src.slot == slot && pkt.SrcRemaining > 0 {
 		r.locs = append(r.locs, drainLoc{count: pkt.SrcRemaining})
 		total += pkt.SrcRemaining
 	}
@@ -205,17 +207,18 @@ func (f *Fabric) startRecovery(head *vcBuffer) {
 }
 
 // cleanupBuffer releases the resources an input buffer held for the
-// recovered packet: its wormhole binding and the output VC its header
-// allocated at this router (whose downstream flits have already drained).
+// recovered packet at slot: its wormhole binding and the output VC its
+// header allocated at this router (whose downstream flits have already
+// drained).
 //
 //stcc:hotpath
-func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
-	if b.bound && b.boundPkt == pkt {
+func (f *Fabric) cleanupBuffer(b *vcBuffer, slot int32) {
+	if b.boundSlot == slot {
 		o := f.outputVC(int(b.node), int(b.outPort), int(b.outVC))
-		if o.ownerPkt == pkt {
-			o.release()
+		if o.ownerSlot == slot {
+			o.release(f)
 		}
-		b.clearBinding()
+		b.clearBinding(f)
 	}
 }
 
@@ -224,9 +227,9 @@ func (f *Fabric) cleanupBuffer(b *vcBuffer, pkt *packet.Packet) {
 // case).
 //
 //stcc:hotpath
-func (f *Fabric) cleanupOutVC(o *outVC, pkt *packet.Packet) {
-	if o.ownerPkt == pkt {
-		o.release()
+func (f *Fabric) cleanupOutVC(o *outVC, slot int32) {
+	if o.ownerSlot == slot {
+		o.release(f)
 	}
 }
 
@@ -253,22 +256,22 @@ func (f *Fabric) recoveryStep() {
 		d := &r.locs[r.idx]
 		switch {
 		case d.buf != nil:
-			d.buf.evictFront(r.pkt)
+			d.buf.evictFront(f, r.slot)
 		case d.out != nil:
-			if !d.out.lat.holds(r.pkt) {
+			if !d.out.lat.holds(r.slot) {
 				panic(fmt.Sprintf("router: recovery of %v: %v does not hold its flit", r.pkt, &d.out.lat))
 			}
-			d.out.lat.clear()
+			d.out.lat.clear(f)
 		default:
-			f.nodes[r.pkt.Src].src.evictFront(r.pkt)
+			f.nodes[r.pkt.Src].evictSource(f, r.slot)
 		}
 		d.count--
 		r.popped++
 		if d.count == 0 {
 			if d.buf != nil {
-				f.cleanupBuffer(d.buf, r.pkt)
+				f.cleanupBuffer(d.buf, r.slot)
 			} else if d.out != nil {
-				f.cleanupOutVC(d.out, r.pkt)
+				f.cleanupOutVC(d.out, r.slot)
 			}
 		}
 	}
@@ -281,7 +284,7 @@ func (f *Fabric) recoveryStep() {
 		r.arrived++
 		if r.arrived == r.pkt.Length {
 			f.emit(trace.RecoveryCompleted, r.pkt, r.pkt.Dst)
-			f.deliver(r.pkt, now)
+			f.deliver(r.pkt, r.slot, now)
 			f.recoveries++
 			f.rec = nil
 		}

@@ -37,7 +37,9 @@ func (f *Fabric) linkStage() {
 }
 
 // linkNode drains node ni's latches: delivery lanes consume at this
-// node, physical lanes hand off to the downstream neighbor.
+// node, physical lanes hand off to the downstream neighbor. A latched
+// flit belongs to the packet that owns its output VC, so the packet is
+// read there, not in the packet table.
 //
 //stcc:hotpath
 func (f *Fabric) linkNode(ni int) {
@@ -46,27 +48,28 @@ func (f *Fabric) linkNode(ni int) {
 	for lm := f.latchMask[ni]; lm != 0; lm &= lm - 1 {
 		lane := bits.TrailingZeros64(lm)
 		o := &f.outsA[base+lane]
-		if o.lat.f.pkt.Mode.Frozen() {
+		pkt := o.ownerPkt
+		if pkt.Mode.Frozen() {
 			continue
 		}
-		fl := o.lat.clear()
-		fl.pkt.Progress(now)
+		fl := o.lat.clear(f)
+		pkt.Progress(now)
 		if int(o.lat.port) == f.dlvPort {
 			f.deliveredFlits++
-			fl.pkt.Consumed++
-			if fl.isTail() {
-				o.release()
-				f.deliver(fl.pkt, now)
+			pkt.Consumed++
+			if fl.isTailOf(pkt) {
+				o.release(f)
+				f.deliver(pkt, fl.slot, now)
 			}
 			continue
 		}
 		tb := &f.bufs[f.dstGid[base+lane]]
-		if tb.full() {
+		if tb.full(f) {
 			panic(fmt.Sprintf("router: link overflow into %v at cycle %d", tb, now))
 		}
-		tb.push(fl)
-		if fl.isTail() {
-			o.release()
+		tb.push(f, fl)
+		if fl.isTailOf(pkt) {
+			o.release(f)
 		}
 	}
 }
@@ -127,11 +130,11 @@ func (f *Fabric) crossbarPort(ni, p, base, nvc int) {
 			continue
 		}
 		o := &outs[vi]
-		if o.ownerPkt.Mode.Frozen() {
+		pkt := o.ownerPkt
+		if pkt.Mode.Frozen() {
 			continue
 		}
-		b := o.owner
-		if f.occ[b.gid] == 0 {
+		if f.occ[o.owner] == 0 {
 			continue // worm stretched thin: no flit buffered here yet
 		}
 		if !dlv {
@@ -140,15 +143,16 @@ func (f *Fabric) crossbarPort(ni, p, base, nvc int) {
 				continue // no downstream credit
 			}
 		}
-		fl := b.pop()
-		if fl.pkt != o.ownerPkt {
-			panic(fmt.Sprintf("router: %v front flit of %v, owner %v", b, fl.pkt, o.ownerPkt))
+		b := &f.bufs[o.owner]
+		fl := b.pop(f)
+		if fl.slot != o.ownerSlot {
+			panic(fmt.Sprintf("router: %v front flit of slot %d, owner %v at slot %d", b, fl.slot, pkt, o.ownerSlot))
 		}
-		fl.pkt.Progress(now)
-		if fl.isTail() {
-			b.clearBinding()
+		pkt.Progress(now)
+		if fl.isTailOf(pkt) {
+			b.clearBinding(f)
 		}
-		o.lat.set(fl)
+		o.lat.set(f, fl)
 		if !dlv {
 			if vi++; vi == nvc {
 				vi = 0
@@ -182,10 +186,10 @@ func (f *Fabric) routingStage() {
 //stcc:hotpath
 func (f *Fabric) arbitrate(nd *node) {
 	ni := int(nd.id)
-	// Candidate lanes: occupied, unbound, head flit at the front. The
-	// frozen and arrival checks stay live per candidate, exactly like
-	// the serial scan's continue conditions.
-	cm := (f.occMask[ni] &^ f.boundMask[ni]) & f.headMask[ni]
+	// Candidate lanes: occupied, unbound, an unfrozen header at the
+	// front. The arrival check stays live per candidate, exactly like the
+	// serial scan's continue condition.
+	cm := (f.occMask[ni] &^ f.boundMask[ni]) & f.headMask[ni] &^ f.frozenMask[ni]
 	if cm == 0 {
 		return // no input VC holds an unrouted header
 	}
@@ -213,17 +217,13 @@ func (f *Fabric) arbitrate(nd *node) {
 //stcc:hotpath
 func (f *Fabric) tryArbSlot(nd *node, idx, total int) bool {
 	b := &f.bufs[int(nd.id)*f.lanesIn+idx]
-	fl := b.front()
-	if fl.pkt.Mode.Frozen() {
-		return false
-	}
-	if b.arrivedNow() {
+	if b.arrivedNow(f) {
 		// The header arrived this cycle; routing occupies the next
 		// cycle (the paper's one-cycle routing delay).
 		return false
 	}
 	nd.arbPtr = (idx + 1) % total
-	f.routeHeader(nd, b, fl.pkt)
+	f.routeHeader(nd, b, f.slots.get(b.front(f).slot))
 	return true
 }
 
@@ -336,7 +336,8 @@ func (f *Fabric) routeEscape(nd *node, b *vcBuffer, pkt *packet.Packet) bool {
 	return false
 }
 
-// allocate binds input VC b to output VC (port, vc) for the packet.
+// allocate binds input VC b to output VC (port, vc) for pkt, whose
+// header is b's front flit.
 //
 //stcc:hotpath
 func (f *Fabric) allocate(nd *node, b *vcBuffer, pkt *packet.Packet, port, vc int) {
@@ -344,8 +345,9 @@ func (f *Fabric) allocate(nd *node, b *vcBuffer, pkt *packet.Packet, port, vc in
 	if !o.free() {
 		panic(fmt.Sprintf("router: double allocation of node %d port %d vc %d", nd.id, port, vc))
 	}
-	b.setBinding(pkt, port, vc)
-	o.acquire(b, pkt)
+	slot := b.front(f).slot
+	b.setBinding(f, slot, port, vc)
+	o.acquire(f, b, slot, pkt)
 	pkt.Hops++
 	pkt.Progress(f.now)
 	f.emit(trace.Routed, pkt, nd.id)
@@ -379,11 +381,11 @@ func (f *Fabric) injectNode(ni int) {
 	}
 	now := f.now
 	b := &f.bufs[ni*f.lanesIn+f.lanesIn-1]
-	if b.full() {
+	if b.full(f) {
 		return
 	}
 	idx := pkt.Length - pkt.SrcRemaining
-	b.push(flit{pkt: pkt, idx: idx})
+	b.push(f, flit{slot: nd.src.slot, idx: int32(idx)})
 	pkt.SrcRemaining--
 	pkt.Progress(now)
 	if idx == 0 {
@@ -391,6 +393,6 @@ func (f *Fabric) injectNode(ni int) {
 		f.emit(trace.Injected, pkt, pkt.Src)
 	}
 	if pkt.SrcRemaining == 0 {
-		nd.src.clearPacket()
+		nd.endSource(f)
 	}
 }

@@ -170,7 +170,7 @@ type Config struct {
 	VCs      int `json:"vcs"`
 	BufDepth int `json:"buf_depth"`
 
-	// PacketLength in flits.
+	// PacketLength in flits, at most math.MaxInt32.
 	PacketLength int `json:"packet_length"`
 
 	// Deadlock handling.
@@ -324,6 +324,9 @@ func (c Config) plan(p *plan) error {
 	}
 	if c.PacketLength < 1 {
 		return fmt.Errorf("sim: packet length must be >= 1, got %d", c.PacketLength)
+	}
+	if c.PacketLength > math.MaxInt32 {
+		return fmt.Errorf("sim: packet_length %d exceeds %d, the most flits a flit's int32 index can number", c.PacketLength, math.MaxInt32)
 	}
 	if c.Switching == router.CutThrough && c.BufDepth < c.PacketLength {
 		return fmt.Errorf("sim: cut-through needs BufDepth >= PacketLength (%d < %d)",

@@ -58,10 +58,11 @@ func New(cfg Config) (*Engine, error) { return build(cfg, nil) }
 // build is New in the storage of donor, an engine its caller is done
 // with (nil builds fresh): the router's arenas, the source-queue slabs,
 // the packet free list, which also takes back the packets still in the
-// donor's network, and the RNG, reseeded. Everything else — controllers,
-// side-band, statistics, and the series a Result holds — is built
-// fresh, so the engine runs exactly as a fresh one would. The donor must
-// not be used again.
+// donor's network, the latency histogram, emptied, and the RNG,
+// reseeded. Everything else — controllers, side-band, the other
+// statistics, and the series a Result holds — is built fresh, so the
+// engine runs exactly as a fresh one would. The donor must not be used
+// again.
 func build(cfg Config, donor *Engine) (*Engine, error) {
 	var p plan
 	if err := cfg.plan(&p); err != nil {
@@ -72,11 +73,8 @@ func build(cfg Config, donor *Engine) (*Engine, error) {
 		old = *donor
 		// The packets still in the donor's network join its free list:
 		// nothing references them once its fabric is rebuilt.
-		old.fab.EachPacket(func(p *packet.Packet) {
-			if !p.Recycled() {
-				old.pool.Put(p)
-			}
-		})
+		old.fab.EachPacket(old.pool.Put)
+		old.netLatency.Reset()
 		old.rng.Seed(cfg.Seed) // restarts the stream a fresh source of this seed draws
 	} else {
 		old.pool, old.rng = packet.NewPool(), rand.New(rand.NewSource(cfg.Seed))
@@ -103,6 +101,7 @@ func build(cfg Config, donor *Engine) (*Engine, error) {
 		pool:       old.pool,
 		warmup:     cfg.WarmupCycles,
 		total:      cfg.TotalCycles(),
+		netLatency: old.netLatency,
 		tputSeries: stats.NewSeries(0, p.interval),
 		fullSeries: stats.NewSeries(0, p.interval),
 	}

@@ -49,7 +49,8 @@ func FuzzConfigJSON(f *testing.F) {
 	// Seeds on both sides of each bound that keeps a validated config
 	// from hanging, exhausting memory or misreporting: the side-band
 	// width, the gather cap, a whole sample interval in the measured
-	// window, the AIMD window and the notify staleness.
+	// window, the AIMD window, the notify staleness and the packet
+	// length a flit's int32 index can number.
 	small := func(mut func(*Config)) {
 		c := NewConfig()
 		c.K, c.WarmupCycles, c.MeasureCycles = 4, 100, 400
@@ -64,6 +65,7 @@ func FuzzConfigJSON(f *testing.F) {
 		small(func(c *Config) {
 			c.Scheme = Scheme{Kind: Notify, Staleness: math.MaxInt64 - c.TotalCycles() + int64(d)}
 		})
+		small(func(c *Config) { c.PacketLength = math.MaxInt32 + d })
 	}
 	for _, c := range seeds {
 		data, err := json.Marshal(c)

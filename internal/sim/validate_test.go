@@ -47,6 +47,8 @@ func TestValidateRejections(t *testing.T) {
 		{"piggyback-p-above-one", func(c *Config) { c.PiggybackP = 1.5 }, "PiggybackP"},
 		{"piggyback-p-negative", func(c *Config) { c.PiggybackP = -0.1 }, "PiggybackP"},
 		{"packet-length-zero", func(c *Config) { c.PacketLength = 0 }, "packet length"},
+		// A flit numbers its packet's flits with an int32 index.
+		{"packet-length-past-int32", func(c *Config) { c.PacketLength = math.MaxInt32 + 1 }, "packet_length"},
 		{"cut-through-shallow-buffers", func(c *Config) {
 			c.Switching = router.CutThrough
 			c.BufDepth, c.PacketLength = 8, 16
@@ -219,6 +221,7 @@ func TestValidateAccepts(t *testing.T) {
 			c.Scheme = Scheme{Kind: Notify, Staleness: math.MaxInt64 - c.TotalCycles()}
 		},
 		"sideband-bits-63": func(c *Config) { c.SidebandBits = 63 },
+		"largest-packet":   func(c *Config) { c.PacketLength = math.MaxInt32 },
 		// The largest hop delay whose gather g = (16/2)*h*2 fits the
 		// 2^20-cycle cap; g is longer than the run, so the series
 		// samples at an explicit interval.

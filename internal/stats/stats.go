@@ -130,6 +130,13 @@ func (l *LatencyStats) Add(v float64) {
 	l.sorted = false
 }
 
+// Reset empties l and keeps its storage, so the next run's samples
+// fill the histogram and overflow list the last run grew.
+func (l *LatencyStats) Reset() {
+	clear(l.counts)
+	*l = LatencyStats{counts: l.counts[:0], overflow: l.overflow[:0]}
+}
+
 // Count returns the number of samples.
 func (l *LatencyStats) Count() int64 { return l.acc.Count }
 

@@ -197,6 +197,42 @@ func TestLatencyStatsMemoryFollowsMaxLatency(t *testing.T) {
 	}
 }
 
+// TestLatencyStatsResetMatchesFresh fills a LatencyStats with a wide
+// spread of samples, overflow included, resets it and records a
+// narrower set: every query must equal a fresh LatencyStats' on the same
+// samples, and the histogram and overflow list must stay in the storage
+// the first fill grew.
+func TestLatencyStatsResetMatchesFresh(t *testing.T) {
+	var l LatencyStats
+	for i := 0; i < 5000; i++ {
+		l.Add(float64(i))
+	}
+	l.Add(latencyCap + 1)
+	l.Add(0.5)
+	l.Percentile(50) // sorts the overflow list
+	counts, overflow := &l.counts[0], &l.overflow[0]
+
+	samples := []float64{3, 9, 9, 1.5, 40, latencyCap + 7, 12}
+	l.Reset()
+	var fresh LatencyStats
+	for _, v := range samples {
+		l.Add(v)
+		fresh.Add(v)
+	}
+	if l.Count() != fresh.Count() || l.Mean() != fresh.Mean() || l.Max() != fresh.Max() {
+		t.Fatalf("after Reset: Count/Mean/Max = %d/%v/%v, fresh %d/%v/%v",
+			l.Count(), l.Mean(), l.Max(), fresh.Count(), fresh.Mean(), fresh.Max())
+	}
+	for _, q := range []float64{0, 10, 50, 90, 95, 100} {
+		if got, want := l.Percentile(q), fresh.Percentile(q); got != want {
+			t.Errorf("after Reset: P%g = %v, fresh %v", q, got, want)
+		}
+	}
+	if &l.counts[0] != counts || &l.overflow[0] != overflow {
+		t.Error("Reset dropped the storage the first fill grew")
+	}
+}
+
 func TestRate(t *testing.T) {
 	if got := Rate(256*1000, 256, 1000); got != 1.0 {
 		t.Errorf("Rate = %v, want 1.0 (saturated delivery)", got)
