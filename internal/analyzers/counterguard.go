@@ -17,12 +17,12 @@ import (
 // every transition updates it exactly once — the discipline lives in
 // the accessor layer in buffer.go (push/pop, setBinding/clearBinding,
 // latch.set/clear, node.startSource/endSource, outVC.acquire/release,
-// and the arena construction). Any direct mutation elsewhere —
-// a field write, a slice-element write, or taking an element's
-// address — is flagged. Reads are free: the stages and the invariant
-// checker iterate the arrays constantly. CheckInvariants recounts into
-// plain locals and compares whole structs, which never touches a
-// guarded selector.
+// and the arena construction). Any direct mutation elsewhere — a field
+// write, a slice-element write, taking an element's address, or a copy
+// or clear into the field — is flagged. Reads are free: the stages and
+// the invariant checker iterate the arrays constantly. CheckInvariants
+// recounts into plain locals and compares whole structs, which never
+// touches a guarded selector.
 var CounterGuard = &framework.Analyzer{
 	Name: "counterguard",
 	Doc: `restrict active-set counter and SoA hot-state mutation to the buffer.go accessors
@@ -30,11 +30,13 @@ var CounterGuard = &framework.Analyzer{
 The incremental netCounters sums (fullBuffers, latched, ownedOuts,
 occupiedIns, pendingIns, srcActive), the per-lane occupancy array (occ),
 the per-node lane masks (occMask, boundMask, headMask, frozenMask,
-latchMask, ownedMask), the active bitsets (actWords) and the DECbit
-congestion-marking state (nodeOcc, congWords, congStable) are
-denormalized views of router state. They stay consistent only if every
-state transition updates them exactly once; that discipline lives in
-buffer.go, and this analyzer rejects writes from any other file.`,
+latchMask, ownedMask) and the one allocation they are windows of
+(masks), the active bitsets (actWords) and the DECbit congestion-marking
+state (nodeOcc, congWords, congStable) are denormalized views of router
+state. They stay consistent only if every state transition updates them
+exactly once; that discipline lives in buffer.go, and this analyzer
+rejects writes from any other file, including the builtins copy and
+clear.`,
 	Run: runCounterGuard,
 }
 
@@ -48,8 +50,9 @@ var guardedCounters = map[string]bool{
 	"pendingIns":  true,
 	"srcActive":   true,
 	// Structure-of-arrays hot state: per-lane occupancy, per-node lane
-	// masks, node-level active bitsets.
+	// masks and their backing array, node-level active bitsets.
 	"occ":        true,
+	"masks":      true,
 	"occMask":    true,
 	"boundMask":  true,
 	"headMask":   true,
@@ -94,6 +97,18 @@ func runCounterGuard(pass *framework.Pass) error {
 						"direct write to active-set counter %s outside %s; use the accessor methods so the counter stays in lockstep with the state it summarizes",
 						field, counterAccessorFile)
 				}
+			case *ast.CallExpr:
+				// The builtins copy and clear write through their first
+				// argument.
+				if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok {
+					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && (b.Name() == "copy" || b.Name() == "clear") {
+						if field, ok := guardedField(pass, s.Args[0]); ok {
+							pass.Reportf(s.Args[0].Pos(),
+								"%s into active-set counter %s outside %s; use the accessor methods so the counter stays in lockstep with the state it summarizes",
+								b.Name(), field, counterAccessorFile)
+						}
+					}
+				}
 			case *ast.UnaryExpr:
 				if s.Op == token.AND {
 					if field, ok := guardedField(pass, s.X); ok {
@@ -111,16 +126,19 @@ func runCounterGuard(pass *framework.Pass) error {
 
 // guardedField reports whether expr selects one of the guarded counter
 // fields on a struct defined in the package under analysis, directly or
-// through indexing (f.occ[gid] = ... mutates the guarded array just as
-// much as f.net.latched++ mutates the counter).
+// through indexing or slicing (f.occ[gid] = ... and copy(f.occ[lo:], ...)
+// mutate the guarded array just as much as f.net.latched++ mutates the
+// counter).
 func guardedField(pass *framework.Pass, expr ast.Expr) (string, bool) {
 	e := ast.Unparen(expr)
 	for {
-		ix, ok := e.(*ast.IndexExpr)
-		if !ok {
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ast.Unparen(ix.X)
+		} else if sl, ok := e.(*ast.SliceExpr); ok {
+			e = ast.Unparen(sl.X)
+		} else {
 			break
 		}
-		e = ast.Unparen(ix.X)
 	}
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok || !guardedCounters[sel.Sel.Name] {

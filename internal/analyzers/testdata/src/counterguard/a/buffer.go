@@ -28,11 +28,13 @@ func (a *activeWords) clearBit(i int32) { a.actWords[i>>6] &^= 1 << uint(i&63) }
 func orWord(p *uint64, v uint64) { *p |= v }
 
 // Fabric mirrors the router fabric's counter-bearing struct: the SoA
-// occupancy array, the per-node lane masks, a bitset, the sums, and
-// the DECbit congestion-marking state (per-node occupancy fold, live
-// congestion bitset, cycle-stable snapshot).
+// occupancy array, the per-node lane masks and the allocation they are
+// windows of, a bitset, the sums, and the DECbit congestion-marking
+// state (per-node occupancy fold, live congestion bitset, cycle-stable
+// snapshot).
 type Fabric struct {
 	occ        []int32
+	masks      []uint64
 	occMask    []uint64
 	boundMask  []uint64
 	headMask   []uint64
@@ -56,7 +58,8 @@ type vcBuffer struct {
 // initSoA constructs the guarded arrays: legal here.
 func (f *Fabric) initSoA(nodes, lanes int) {
 	f.occ = make([]int32, nodes*lanes)
-	f.occMask = make([]uint64, nodes)
+	f.masks = make([]uint64, 2*nodes)
+	f.occMask = f.masks[:nodes:nodes]
 	f.boundMask = make([]uint64, nodes)
 	f.headMask = make([]uint64, nodes)
 	f.latchMask = make([]uint64, nodes)
@@ -66,6 +69,9 @@ func (f *Fabric) initSoA(nodes, lanes int) {
 	f.congWords = make([]uint64, (nodes+63)>>6)
 	f.congStable = make([]uint64, (nodes+63)>>6)
 }
+
+// resetMasks zeroes the lane masks of a reused fabric: legal here.
+func (f *Fabric) resetMasks() { clear(f.masks) }
 
 // snapshotCongestion copies the live congestion bits into the
 // cycle-stable snapshot: legal here.

@@ -80,6 +80,29 @@ func (f *Fabric) badCongestionWrites(ni int32) {
 	f.congStable = nil                       // want `direct write to active-set counter congStable outside buffer\.go`
 }
 
+// The lane masks' backing array is as guarded as the masks themselves,
+// and the builtins copy and clear write through their first argument,
+// whole or sliced.
+func (f *Fabric) badBulkWrites(ni int, src []int32) {
+	f.masks[ni] |= 1                         // want `direct write to active-set counter masks outside buffer\.go`
+	clear(f.occMask)                         // want `clear into active-set counter occMask outside buffer\.go`
+	clear(f.masks[ni:])                      // want `clear into active-set counter masks outside buffer\.go`
+	copy(f.occ, src)                         // want `copy into active-set counter occ outside buffer\.go`
+	copy((f.congStable)[1:], f.congWords)    // want `copy into active-set counter congStable outside buffer\.go`
+	_ = copy(f.actOcc.actWords, f.congWords) // want `copy into active-set counter actWords outside buffer\.go`
+}
+
+// Copying out of a guarded field, or clearing a local, is a read of the
+// field: fine.
+func (f *Fabric) snapshotOcc(dst []int32) {
+	copy(dst, f.occ)
+	local := f.occMask
+	_ = local
+	scratch := make([]uint64, len(f.masks))
+	copy(scratch, f.masks)
+	clear(scratch)
+}
+
 // Reading the congestion state is fine: the engine's edge scan and the
 // invariant checker do it constantly.
 func (f *Fabric) congestedRouters() int {

@@ -189,8 +189,8 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		// different fingerprints.
 		if slices.Contains(thresholdSchemes, cfg.Scheme.Kind) {
 			cfg.Scheme.TuningPeriod = *period
-			if *estimator != string(sim.LinearEstimator) {
-				cfg.Scheme.Estimator = sim.EstimatorKind(*estimator)
+			if *estimator != sim.LinearEstimator {
+				cfg.Scheme.Estimator = *estimator
 			}
 		}
 		return cfg, nil

@@ -1,11 +1,14 @@
 // Package congestion defines the source-throttling contract the
 // simulator consults before letting a node inject a new packet, the
-// name-keyed factory registry every scheme constructs through, and the
-// local controllers: no control (base), the At-Least-One
-// local-estimation scheme (alo, Baydal, López & Duato), the busy-VC
-// limit (busyvc), the AIMD injection window (aimd) and
-// notification-based throttling (notify). The paper's global self-tuned
-// controller lives in package core and registers itself there.
+// name-keyed factory registry every scheme constructs through, Params,
+// the one definition of a scheme (its wire form, which sim.Scheme
+// aliases, handed to a factory as Env.Params; a factory reads the
+// scheme's name from Env.Kind), and the local controllers: no control
+// (base), the At-Least-One local-estimation scheme (alo, Baydal, López
+// & Duato), the busy-VC limit (busyvc), the AIMD injection window
+// (aimd) and notification-based throttling (notify). The paper's global
+// self-tuned controller lives in package core and registers itself
+// there.
 package congestion
 
 import (

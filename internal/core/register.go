@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/congestion"
-)
+import "repro/internal/congestion"
 
 // Observe implements congestion.Controller. The global throttler's
 // feedback arrives through the side-band snapshot path (OnSnapshot),
@@ -44,12 +40,10 @@ func newGlobalController(env congestion.Env) (congestion.Controller, error) {
 	default: // tune, tune-hillclimb
 		tc := DefaultTunerConfig(env.Topo.TotalVCBuffers(env.Local.VCsPerPort()))
 		if p.Tuner != nil {
-			over, ok := p.Tuner.(*TunerConfig)
-			if !ok {
-				return nil, fmt.Errorf("core: tuner override has type %T, want *core.TunerConfig", p.Tuner)
-			}
-			tc = *over
+			tc = *p.Tuner
 		}
+		// The kind decides local-maximum avoidance; sim's config
+		// validation refuses an override that disagrees.
 		tc.AvoidLocalMaxima = env.Kind != "tune-hillclimb"
 		tuner, err := NewTuner(tc)
 		if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"repro/internal/congestion"
 )
 
 // ThresholdPolicy supplies the full-buffer threshold against which the
@@ -28,38 +30,9 @@ func (s StaticThreshold) Threshold() float64 { return float64(s) }
 // OnPeriod implements ThresholdPolicy.
 func (s StaticThreshold) OnPeriod(float64, float64, bool) {}
 
-// TunerConfig parameterizes the self-tuning mechanism. The zero value is
-// not valid; use DefaultTunerConfig. The json tags are its wire names
-// inside sim.Config's scheme.tuner.
-type TunerConfig struct {
-	// TotalBuffers is the network-wide virtual-channel buffer count
-	// (3072 for the paper's 16-ary 2-cube with 3 VCs); thresholds are
-	// clamped to [0, TotalBuffers].
-	TotalBuffers int `json:"total_buffers"`
-	// InitialFraction sets the starting threshold as a fraction of
-	// TotalBuffers (paper: "an initial value based on network
-	// parameters, e.g. 10% of all buffers").
-	InitialFraction float64 `json:"initial_fraction"`
-	// IncrementFraction and DecrementFraction are the constant additive
-	// tuning steps (paper: 1% and 4% of all buffers; 30 and 122 for the
-	// 16-ary 2-cube — marginally better when the decrement is larger).
-	IncrementFraction float64 `json:"increment_fraction"`
-	DecrementFraction float64 `json:"decrement_fraction"`
-	// DropFraction defines a "drop in bandwidth": throughput below
-	// DropFraction * previous period's throughput (paper: 75%).
-	DropFraction float64 `json:"drop_fraction"`
-	// RecoverFraction triggers local-maximum avoidance: throughput below
-	// RecoverFraction * best observed period resets the threshold to
-	// min(T_max, N_max).
-	RecoverFraction float64 `json:"recover_fraction"`
-	// ResetPeriods is r: after this many consecutive corrective resets
-	// the remembered maximum is recomputed from scratch, letting the
-	// scheme adapt to a changed communication pattern (paper: r = 5).
-	ResetPeriods int `json:"reset_periods"`
-	// AvoidLocalMaxima enables the Section 4.2 mechanism. Disabling it
-	// yields the "hill climbing only" configuration of Figure 4.
-	AvoidLocalMaxima bool `json:"avoid_local_maxima"`
-}
+// TunerConfig parameterizes the self-tuning mechanism; it is declared
+// beside the scheme it belongs to, congestion.Params.
+type TunerConfig = congestion.TunerConfig
 
 // DefaultTunerConfig returns the paper's tuning parameters for a network
 // with the given total buffer count.
@@ -74,35 +47,6 @@ func DefaultTunerConfig(totalBuffers int) TunerConfig {
 		ResetPeriods:      5,
 		AvoidLocalMaxima:  true,
 	}
-}
-
-// Validate checks the configuration.
-func (c TunerConfig) Validate() error {
-	if c.TotalBuffers <= 0 {
-		return fmt.Errorf("core: TotalBuffers must be positive, got %d", c.TotalBuffers)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"InitialFraction", c.InitialFraction},
-		{"IncrementFraction", c.IncrementFraction},
-		{"DecrementFraction", c.DecrementFraction},
-	} {
-		if f.v <= 0 || f.v > 1 {
-			return fmt.Errorf("core: %s must be in (0,1], got %g", f.name, f.v)
-		}
-	}
-	if c.DropFraction <= 0 || c.DropFraction >= 1 {
-		return fmt.Errorf("core: DropFraction must be in (0,1), got %g", c.DropFraction)
-	}
-	if c.RecoverFraction <= 0 || c.RecoverFraction >= 1 {
-		return fmt.Errorf("core: RecoverFraction must be in (0,1), got %g", c.RecoverFraction)
-	}
-	if c.ResetPeriods < 1 {
-		return fmt.Errorf("core: ResetPeriods must be >= 1, got %d", c.ResetPeriods)
-	}
-	return nil
 }
 
 // Decision is the hill-climbing action taken for a tuning period,

@@ -49,7 +49,7 @@ func init() {
 			return variants(s, 0.03, []sim.EstimatorKind{sim.LinearEstimator, sim.LastValueEstimator},
 				func(cfg *sim.Config, est sim.EstimatorKind) string {
 					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: est}
-					return string(est)
+					return est
 				})
 		})
 	// The paper found 32-192 cycles performs within a few percent.

@@ -24,7 +24,7 @@ import (
 type Runner struct {
 	// Workers caps the number of concurrently running simulations.
 	// Zero or negative selects runtime.GOMAXPROCS(0); 1 runs the whole
-	// grid serially on the calling goroutine.
+	// grid serially.
 	Workers int
 	// Cache, when non-nil, short-circuits grid points whose
 	// configuration fingerprint is already stored and files every fresh
@@ -114,20 +114,6 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 	}
 	workers := r.workerCount(n)
 	base := r.ctx()
-	if workers == 1 {
-		slot := r.takeSlot()
-		defer r.putSlot(slot)
-		for i := 0; i < n; i++ {
-			if err := base.Err(); err != nil {
-				return err
-			}
-			if err := call(base, slot, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 	indices := make(chan int)

@@ -3,7 +3,10 @@
 // controller and a synthetic workload, runs the cycle loop, and collects
 // the statistics the paper's evaluation reports (accepted traffic in
 // flits/node/cycle, packet latency, full-buffer and throughput time
-// series, and the self-tuner's threshold trace).
+// series, and the self-tuner's threshold trace). A Config's Scheme is
+// congestion.Params, the scheme's wire form, which the engine hands to
+// the scheme's factory unchanged; the factory reads the scheme's name
+// from its Env.Kind.
 package sim
 
 import (
@@ -12,7 +15,6 @@ import (
 	"strings"
 
 	"repro/internal/congestion"
-	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/sideband"
 	"repro/internal/topology"
@@ -20,7 +22,7 @@ import (
 )
 
 // SchemeKind selects the congestion control scheme.
-type SchemeKind string
+type SchemeKind = congestion.SchemeKind
 
 // Congestion control schemes evaluated in the paper.
 const (
@@ -62,9 +64,10 @@ const (
 // back-pressure makes the marks redundant.
 const DefaultMarkThreshold = 0.75
 
-// EstimatorKind selects how global congestion is predicted between
-// side-band snapshots.
-type EstimatorKind string
+// EstimatorKind names how global congestion is predicted between
+// side-band snapshots. It is a plain string, the type of
+// Scheme.Estimator.
+type EstimatorKind = string
 
 // Estimator kinds.
 const (
@@ -75,8 +78,9 @@ const (
 	LastValueEstimator EstimatorKind = "last"
 )
 
-// check rejects an estimator name other than the two kinds ("" is linear).
-func (k EstimatorKind) check() error {
+// checkEstimator rejects an estimator name other than the two kinds
+// ("" is linear).
+func checkEstimator(k EstimatorKind) error {
 	switch k {
 	case "", LinearEstimator, LastValueEstimator:
 		return nil
@@ -84,71 +88,17 @@ func (k EstimatorKind) check() error {
 	return fmt.Errorf("sim: unknown estimator %q", k)
 }
 
-// Scheme configures the congestion controller. Its json tags, like
-// Config's, are the wire names; the optional knobs are omitempty, so
-// configs that predate a knob keep their encoding and fingerprint.
-type Scheme struct {
-	Kind SchemeKind `json:"kind"`
-	// StaticThreshold is the full-buffer threshold for StaticGlobal.
-	StaticThreshold float64 `json:"static_threshold,omitempty"`
-	// BusyLimit is the busy-VC injection limit for BusyVC; zero selects
-	// half the node's output VCs.
-	BusyLimit int `json:"busy_limit,omitempty"`
-	// Estimator applies to the global schemes; empty means linear.
-	Estimator EstimatorKind `json:"estimator,omitempty"`
-	// TuningPeriod in cycles for the global schemes; 0 means three
-	// gather periods (the paper's 96 cycles for the 16-ary 2-cube).
-	TuningPeriod int64 `json:"tuning_period,omitempty"`
-	// Tuner overrides the tuning parameters; nil means the paper
-	// defaults for the configured network.
-	Tuner *core.TunerConfig `json:"tuner,omitempty"`
-	// KeepTrace retains the per-tuning-period threshold trace.
-	KeepTrace bool `json:"keep_trace,omitempty"`
-	// WindowMin and WindowMax bound the AIMD per-source injection
-	// window, in packets; zero selects the scheme defaults (1 and 64).
-	WindowMin int `json:"window_min,omitempty"`
-	WindowMax int `json:"window_max,omitempty"`
-	// MarkThreshold is the router occupancy fraction at which the
-	// DECbit congestion bit sets, for the mark-based schemes (AIMD,
-	// Notify); zero selects DefaultMarkThreshold. The bit clears at
-	// half the mark (hysteresis).
-	MarkThreshold float64 `json:"mark_threshold,omitempty"`
-	// Staleness is how long a delivered congestion notification keeps
-	// gating injection (Notify), in cycles; zero selects two gather
-	// durations.
-	Staleness int64 `json:"staleness,omitempty"`
-	// Custom builds the controller when Kind is Custom. It is called
-	// once per run with the Env the registered factories receive, so
-	// it wires the controller to env.Local or env.Side itself. It has
-	// no wire form (see Config.Serializable).
-	Custom congestion.Factory `json:"-"`
-}
-
-// params maps the Scheme to the congestion registry's parameter struct.
-func (s Scheme) params() congestion.Params {
-	p := congestion.Params{
-		BusyLimit:       s.BusyLimit,
-		StaticThreshold: s.StaticThreshold,
-		Estimator:       string(s.Estimator),
-		TuningPeriod:    s.TuningPeriod,
-		KeepTrace:       s.KeepTrace,
-		WindowMin:       s.WindowMin,
-		WindowMax:       s.WindowMax,
-		Staleness:       s.Staleness,
-	}
-	// Params.Tuner is an untyped any: assign only a live override, so a
-	// nil *core.TunerConfig never becomes a non-nil interface.
-	if s.Tuner != nil {
-		p.Tuner = s.Tuner
-	}
-	return p
-}
+// Scheme configures the congestion controller. It is congestion.Params,
+// the one definition of a scheme's fields and wire names, which the
+// scheme's factory receives as Env.Params. Custom has no wire form (see
+// Config.Serializable).
+type Scheme = congestion.Params
 
 // markFraction resolves the router's congestion-mark fraction: the
 // explicit MarkThreshold when set, the DECbit default for the schemes
 // that consume marks, and zero (marking disabled, zero router overhead)
 // for every other scheme.
-func (s Scheme) markFraction() float64 {
+func markFraction(s Scheme) float64 {
 	if s.MarkThreshold != 0 {
 		return s.MarkThreshold
 	}
@@ -305,7 +255,7 @@ func (c Config) plan(p *plan) error {
 		Mode: c.Mode, DeadlockTimeout: c.DeadlockTimeout, TokenWaitTimeout: c.TokenWaitTimeout,
 		DeliveryChannels: c.DeliveryChannels, Selection: c.Selection, Switching: c.Switching,
 		Workers: c.ShardWorkers, Dispatch: c.ShardDispatch,
-		CongestMark: c.Scheme.markFraction(),
+		CongestMark: markFraction(c.Scheme),
 	}
 	if err := p.router.Validate(); err != nil {
 		return err
@@ -379,12 +329,16 @@ func (c Config) plan(p *plan) error {
 			what, c.WarmupCycles, c.TotalCycles())
 	}
 	// The factory is the congestion registry's for the scheme kind, or
-	// Scheme.Custom: the in-process escape hatch with no wire form.
+	// Scheme.Custom: the in-process escape hatch with no wire form, which
+	// only the Custom kind calls.
 	if c.Scheme.Kind == Custom {
 		if p.factory = c.Scheme.Custom; p.factory == nil {
 			return fmt.Errorf("sim: custom scheme needs a factory (Scheme.Custom) to build its throttler; spec-driven runs cannot carry one and must use a registered scheme (%s)",
 				strings.Join(congestion.Names(), ", "))
 		}
+	} else if c.Scheme.Custom != nil {
+		return fmt.Errorf("sim: Scheme.Custom is set on scheme %q, which never calls it; only kind %q runs a custom factory",
+			c.Scheme.Kind, Custom)
 	} else if p.factory, _ = congestion.Lookup(string(c.Scheme.Kind)); p.factory == nil {
 		return fmt.Errorf("sim: unknown scheme %q (registered: %s)",
 			c.Scheme.Kind, strings.Join(congestion.Names(), ", "))
@@ -414,7 +368,7 @@ func (c Config) plan(p *plan) error {
 		return fmt.Errorf("sim: staleness %d overflows the gating deadline of a %d-cycle run (at most %d)",
 			s, c.TotalCycles(), math.MaxInt64-c.TotalCycles())
 	}
-	if err := c.Scheme.Estimator.check(); err != nil {
+	if err := checkEstimator(c.Scheme.Estimator); err != nil {
 		return err
 	}
 	if tp, g := c.Scheme.TuningPeriod, p.side.GatherDuration(); tp < 0 {
@@ -428,6 +382,12 @@ func (c Config) plan(p *plan) error {
 	if tc := c.Scheme.Tuner; tc != nil {
 		if err := tc.Validate(); err != nil {
 			return err
+		}
+		// The kind decides local-maximum avoidance, so an override that
+		// says otherwise would be overwritten without a word.
+		if k := c.Scheme.Kind; (k == SelfTuned || k == HillClimbOnly) && tc.AvoidLocalMaxima != (k == SelfTuned) {
+			return fmt.Errorf("sim: tuner avoid_local_maxima %t contradicts scheme %q, which runs with it %t",
+				tc.AvoidLocalMaxima, k, k == SelfTuned)
 		}
 	}
 	return nil

@@ -40,16 +40,14 @@ type Engine struct {
 	totLatency      stats.Accumulator // only its mean is reported
 	hops            stats.Accumulator
 	delivered       int64 // all packets
-	deliveredMeas   int64 // packets created after warm-up
 	injected        int64 // also the next packet's ID
 	throttleDenials int64
 	throttledCycles int64
 
-	deliveredMark   int64 // for the sample series
-	tputSeries      *stats.Series
-	fullSeries      *stats.Series
-	fullAccum       float64
-	fullAccumCycles int64
+	deliveredMark int64 // for the sample series
+	tputSeries    *stats.Series
+	fullSeries    *stats.Series
+	fullAccum     float64 // full buffers summed over the interval's cycles
 }
 
 // New builds an engine. The configuration must validate.
@@ -114,7 +112,7 @@ func build(cfg Config, donor *Engine) (*Engine, error) {
 		Local:  fab,
 		Global: fab,
 		Side:   side,
-		Params: cfg.Scheme.params(),
+		Params: cfg.Scheme,
 	}); err != nil {
 		return nil, err
 	}
@@ -127,7 +125,6 @@ func build(cfg Config, donor *Engine) (*Engine, error) {
 func (e *Engine) onDelivered(p *packet.Packet) {
 	e.delivered++
 	if p.CreatedAt >= e.warmup {
-		e.deliveredMeas++
 		e.netLatency.Add(float64(p.NetworkLatency()))
 		e.totLatency.Add(float64(p.TotalLatency()))
 		e.hops.Add(float64(p.Hops))
@@ -276,13 +273,13 @@ func (e *Engine) step(now int64) {
 
 	// 5. Sampling.
 	e.fullAccum += float64(e.fab.FullVCBuffers())
-	e.fullAccumCycles++
 	if (now+1)%e.tputSeries.Interval == 0 {
 		flits := e.fab.DeliveredFlits() - e.deliveredMark
 		e.deliveredMark = e.fab.DeliveredFlits()
 		e.tputSeries.Append(stats.Rate(flits, nodes, e.tputSeries.Interval))
-		e.fullSeries.Append(e.fullAccum / float64(e.fullAccumCycles))
-		e.fullAccum, e.fullAccumCycles = 0, 0
+		// Cycles run from 0, so every interval holds Interval cycles.
+		e.fullSeries.Append(e.fullAccum / float64(e.tputSeries.Interval))
+		e.fullAccum = 0
 	}
 }
 

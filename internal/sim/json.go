@@ -75,7 +75,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	if !congestion.Registered(string(w.Scheme.Kind)) {
 		return fmt.Errorf("sim: unknown scheme kind %q", w.Scheme.Kind)
 	}
-	if err := w.Scheme.Estimator.check(); err != nil {
+	if err := checkEstimator(w.Scheme.Estimator); err != nil {
 		return err
 	}
 	*c = Config(w.plainConfig)

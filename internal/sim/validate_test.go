@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/congestion"
 	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/sideband"
@@ -80,6 +81,13 @@ func TestValidateRejections(t *testing.T) {
 		{"static-needs-threshold", func(c *Config) { c.Scheme = Scheme{Kind: StaticGlobal} }, "threshold"},
 		{"custom-needs-throttler", func(c *Config) { c.Scheme = Scheme{Kind: Custom} }, "throttler"},
 		{"custom-lists-registered", func(c *Config) { c.Scheme = Scheme{Kind: Custom} }, "registered scheme"},
+		// A registered kind builds its own controller and would never
+		// call the factory.
+		{"custom-factory-on-registered-kind", func(c *Config) {
+			c.Scheme = Scheme{Kind: SelfTuned, Custom: func(congestion.Env) (congestion.Controller, error) {
+				return congestion.None{}, nil
+			}}
+		}, "Scheme.Custom"},
 		{"aimd-negative-window-min", func(c *Config) {
 			c.Scheme = Scheme{Kind: AIMD, WindowMin: -1}
 		}, "window"},
@@ -134,6 +142,17 @@ func TestValidateRejections(t *testing.T) {
 			tc.ResetPeriods = 0
 			c.Scheme.Tuner = &tc
 		}, "ResetPeriods"},
+		// The kind decides local-maximum avoidance: tune avoids,
+		// tune-hillclimb does not.
+		{"tune-tuner-without-avoidance", func(c *Config) {
+			tc := core.DefaultTunerConfig(3072)
+			tc.AvoidLocalMaxima = false
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
+		}, "avoid_local_maxima"},
+		{"hillclimb-tuner-with-avoidance", func(c *Config) {
+			tc := core.DefaultTunerConfig(3072)
+			c.Scheme = Scheme{Kind: HillClimbOnly, Tuner: &tc}
+		}, "avoid_local_maxima"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,6 +228,11 @@ func TestValidateAccepts(t *testing.T) {
 		"tuner-override": func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
+		},
+		"hillclimb-tuner-override": func(c *Config) {
+			tc := core.DefaultTunerConfig(3072)
+			tc.AvoidLocalMaxima = false
+			c.Scheme = Scheme{Kind: HillClimbOnly, Tuner: &tc}
 		},
 		"aimd":         func(c *Config) { c.Scheme = Scheme{Kind: AIMD} },
 		"aimd-bounded": func(c *Config) { c.Scheme = Scheme{Kind: AIMD, WindowMin: 2, WindowMax: 32, MarkThreshold: 0.5} },

@@ -129,7 +129,6 @@ func (b bitPermutation) Name() string { return string(b.kind) }
 // uniformly at random. It models the hotspot workloads that cause tree
 // saturation (Pfister & Norton).
 type Hotspot struct {
-	nodes    int
 	hot      topology.NodeID
 	fraction float64
 	uniform  uniformRandom
@@ -144,7 +143,7 @@ func NewHotspot(nodes int, hot topology.NodeID, fraction float64) *Hotspot {
 	if fraction > 1 {
 		fraction = 1
 	}
-	return &Hotspot{nodes: nodes, hot: hot, fraction: fraction, uniform: uniformRandom{nodes: nodes}}
+	return &Hotspot{hot: hot, fraction: fraction, uniform: uniformRandom{nodes: nodes}}
 }
 
 // Dest implements Pattern.
