@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race benchmark-test examples bench bench-json determinism lint fmt-check vet stcc-vet govulncheck fuzz-smoke experiments-doc serve serve-smoke
+.PHONY: all build test test-cpu race benchmark-test examples bench bench-json determinism lint fmt-check vet stcc-vet fused-ops govulncheck fuzz-smoke experiments-doc serve serve-smoke
 
 all: build lint test
 
@@ -68,10 +68,10 @@ determinism:
 	$(GO) test -race -run 'TestDeterminism|TestShardFieldsAcceptedAndIgnored' .
 
 # lint is the full static gate: formatting, the standard vet suite, the
-# determinism-contract suite, and (when the tool is available)
-# govulncheck. The experiment-spec round trip is a tier-1 test
-# (TestRegistrySpecsRoundTrip), so `make test` runs it.
-lint: fmt-check vet stcc-vet govulncheck
+# determinism-contract suite, the fused-op check, and (when the tool is
+# available) govulncheck. The experiment-spec round trip is a tier-1
+# test (TestRegistrySpecsRoundTrip), so `make test` runs it.
+lint: fmt-check vet stcc-vet fused-ops govulncheck
 
 # Regenerate the registry-derived catalog section of EXPERIMENTS.md.
 experiments-doc:
@@ -102,6 +102,25 @@ vet:
 # in-source directive with a reason (//stcc:maporder, //stcc:hotalloc).
 stcc-vet:
 	$(GO) run ./cmd/stcc-vet ./...
+
+# The Go compiler fuses x*y + z into one rounding on these targets, but
+# not on amd64, where the determinism goldens run, so a fused op in a
+# deterministic package could make a result depend on the host. This
+# cross-compiles analyzers.DeterministicPackages for each target and
+# fails on any fused multiply-add the compiler emits; a float64(...)
+# conversion around the product rounds it and prevents the fusion. The
+# -S listing replays from the build cache, so a warm run still shows
+# every site.
+FUSED_ARCHS := arm64 ppc64le s390x riscv64 loong64
+fused-ops:
+	@pkgs=$$(sed -n '/^var DeterministicPackages/,/^}/s/^[[:space:]]*"\(.*\)",$$/\1/p' internal/analyzers/analyzers.go); \
+	[ -n "$$pkgs" ] || { echo "fused-ops: no package read from analyzers.DeterministicPackages" >&2; exit 1; }; \
+	status=0; for arch in $(FUSED_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $$pkgs 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+		if fused=$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[A-Z]*[[:space:]]'); then \
+			echo "fused-ops: GOARCH=$$arch fuses a multiply-add:" >&2; echo "$$fused" >&2; status=1; \
+		fi; \
+	done; exit $$status
 
 # govulncheck needs network access to fetch the vuln DB and is not baked
 # into every dev container; run it when present, say so when not. CI

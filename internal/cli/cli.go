@@ -180,18 +180,17 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		cfg.Rate = *rate
 		cfg.WarmupCycles, cfg.MeasureCycles = *warmup, *measure
 		cfg.Seed = *seed
+		// Only the fields the kind reads are set, and not the default
+		// estimator, so a run has its registry point's fingerprint.
 		cfg.Scheme = sim.Scheme{Kind: sim.SchemeKind(*scheme)}
-		if cfg.Scheme.Kind == sim.StaticGlobal {
+		if reads(cfg.Scheme.Kind, congestion.StaticThresholdField) {
 			cfg.Scheme.StaticThreshold = *threshold
 		}
-		// Only the threshold schemes read a tuning period or an
-		// estimator; the others would file identical runs under
-		// different fingerprints.
-		if slices.Contains(thresholdSchemes, cfg.Scheme.Kind) {
+		if reads(cfg.Scheme.Kind, congestion.TuningPeriodField) {
 			cfg.Scheme.TuningPeriod = *period
-			if *estimator != sim.LinearEstimator {
-				cfg.Scheme.Estimator = *estimator
-			}
+		}
+		if reads(cfg.Scheme.Kind, congestion.EstimatorField) && *estimator != sim.LinearEstimator {
+			cfg.Scheme.Estimator = *estimator
 		}
 		return cfg, nil
 	}
@@ -319,9 +318,11 @@ func runSpecFile(runner experiments.Runner, path string, asJSON bool) error {
 	return printJSON(grouped)
 }
 
-// thresholdSchemes throttle against a global full-buffer threshold: the
-// schemes with a threshold to print and to trace.
-var thresholdSchemes = []sim.SchemeKind{sim.StaticGlobal, sim.SelfTuned, sim.HillClimbOnly}
+// reads reports whether the registered scheme kind reads field.
+func reads(kind sim.SchemeKind, field congestion.Fields) bool {
+	_, fields, _ := congestion.Find(string(kind))
+	return fields&field != 0
+}
 
 func printResult(r sim.Result) {
 	fmt.Printf("scheme            %s\n", r.Scheme)
@@ -337,7 +338,7 @@ func printResult(r sim.Result) {
 		r.PacketsCreated, r.PacketsInjected, r.PacketsDelivered)
 	fmt.Printf("deadlocks         %d recoveries\n", r.Recoveries)
 	fmt.Printf("full buffers      avg %.1f\n", r.AvgFullBuffers)
-	if slices.Contains(thresholdSchemes, r.Scheme) {
+	if reads(r.Scheme, congestion.KeepTraceField) { // a kind with a threshold trace has a threshold
 		fmt.Printf("final threshold   %.1f buffers\n", r.FinalThreshold)
 		fmt.Printf("throttled cycles  %d (%d denials)\n", r.ThrottledCycles, r.ThrottleDenials)
 	}
@@ -444,8 +445,9 @@ func cmdTrace(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if !slices.Contains(thresholdSchemes, cfg.Scheme.Kind) {
-		return fmt.Errorf("-scheme %s has no threshold to trace (want one of %v)", cfg.Scheme.Kind, thresholdSchemes)
+	if !reads(cfg.Scheme.Kind, congestion.KeepTraceField) {
+		traced := slices.DeleteFunc(congestion.Names(), func(k string) bool { return !reads(sim.SchemeKind(k), congestion.KeepTraceField) })
+		return fmt.Errorf("-scheme %s has no threshold to trace (want one of %v)", cfg.Scheme.Kind, traced)
 	}
 	cfg.Scheme.KeepTrace = true
 	return prof(func() error {

@@ -19,7 +19,7 @@ const (
 )
 
 func init() {
-	Register("aimd", func(env Env) (Controller, error) {
+	Register("aimd", WindowMinField|WindowMaxField|MarkThresholdField, func(env Env) (Controller, error) {
 		wmin, wmax, err := AIMDWindow(env.Params.WindowMin, env.Params.WindowMax)
 		if err != nil {
 			return nil, err

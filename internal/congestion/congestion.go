@@ -99,11 +99,11 @@ type NotificationUser interface {
 // The local schemes self-register; the global ones register from
 // package core, next to their implementation.
 func init() {
-	Register("base", func(Env) (Controller, error) { return None{}, nil })
-	Register("alo", func(env Env) (Controller, error) {
+	Register("base", 0, func(Env) (Controller, error) { return None{}, nil })
+	Register("alo", 0, func(env Env) (Controller, error) {
 		return NewALO(env.Topo, env.Local), nil
 	})
-	Register("busyvc", func(env Env) (Controller, error) {
+	Register("busyvc", BusyLimitField, func(env Env) (Controller, error) {
 		limit := env.Params.BusyLimit
 		if limit == 0 {
 			limit = env.Topo.PhysPorts() * env.Local.VCsPerPort() / 2

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	Register("notify", func(env Env) (Controller, error) {
+	Register("notify", StalenessField|MarkThresholdField, func(env Env) (Controller, error) {
 		staleness := env.Params.Staleness
 		if staleness == 0 {
 			// Two gather durations: long enough that a persistently

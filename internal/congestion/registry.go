@@ -3,6 +3,7 @@ package congestion
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/sideband"
 	"repro/internal/topology"
@@ -18,8 +19,8 @@ type SchemeKind string
 // predate a knob keep their encoding and fingerprint. The engine hands
 // it to the scheme's factory unchanged, as Env.Params. Zero values mean
 // "use the scheme's default"; each factory resolves its own defaults,
-// next to the controller it configures. A factory reads the scheme's
-// name from Env.Kind, not from Kind.
+// next to the controller it configures, and declares the fields it
+// reads (Register). A factory reads the scheme's name from Env.Kind.
 type Params struct {
 	Kind SchemeKind `json:"kind"`
 	// StaticThreshold is the fixed full-buffer threshold (static).
@@ -142,43 +143,91 @@ type Env struct {
 // so a controller never carries state from one run into the next.
 type Factory func(env Env) (Controller, error)
 
-// factories is the name-keyed scheme registry. Registration happens in
-// package init functions (schemes self-register next to their
-// implementation), so the map is read-only after program start and
-// needs no locking.
-var factories = map[string]Factory{}
+// Fields is a set of Params' optional fields, one bit each.
+type Fields uint16
 
-// Register adds a scheme factory under name. Schemes self-register from
-// init — e.g. congestion.Register("aimd", ...) — so the simulator's
-// scheme validation and construction derive from one table. Register
-// panics on an empty name or a duplicate: both are programming errors
-// that must fail at process start, not at first use.
-func Register(name string, f Factory) {
+// The optional Params fields, in Params' field order.
+const (
+	StaticThresholdField Fields = 1 << iota
+	BusyLimitField
+	EstimatorField
+	TuningPeriodField
+	TunerField
+	KeepTraceField
+	WindowMinField
+	WindowMaxField
+	MarkThresholdField
+	StalenessField
+)
+
+// fieldNames are the fields' wire names, in bit order.
+var fieldNames = [...]string{"static_threshold", "busy_limit", "estimator", "tuning_period",
+	"tuner", "keep_trace", "window_min", "window_max", "mark_threshold", "staleness"}
+
+// String lists the set's wire names.
+func (s Fields) String() string {
+	var names []string
+	for i, name := range fieldNames {
+		if s&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// SetFields returns the optional fields p sets to a non-zero value.
+func (p *Params) SetFields() (s Fields) {
+	for i, set := range [...]bool{p.StaticThreshold != 0, p.BusyLimit != 0, p.Estimator != "", p.TuningPeriod != 0,
+		p.Tuner != nil, p.KeepTrace, p.WindowMin != 0, p.WindowMax != 0, p.MarkThreshold != 0, p.Staleness != 0} {
+		if set {
+			s |= 1 << i
+		}
+	}
+	return s
+}
+
+type scheme struct {
+	factory Factory
+	reads   Fields
+}
+
+// schemes is the name-keyed scheme registry: each entry a factory and
+// the fields it reads. Registration happens in package init functions
+// (schemes self-register next to their implementation), so the map is
+// read-only after program start and needs no locking.
+var schemes = map[string]scheme{}
+
+// Register adds a scheme factory under name, with the Params fields it
+// reads. Schemes self-register from init, next to their implementation,
+// so the simulator's scheme validation and construction derive from one
+// table. Register panics on an empty name or a duplicate: both are
+// programming errors that must fail at process start, not at first use.
+func Register(name string, reads Fields, f Factory) {
 	if name == "" || f == nil {
 		panic("congestion: Register needs a name and a factory")
 	}
-	if _, dup := factories[name]; dup {
+	if _, dup := schemes[name]; dup {
 		panic(fmt.Sprintf("congestion: scheme %q registered twice", name))
 	}
-	factories[name] = f
+	schemes[name] = scheme{f, reads}
+}
+
+// Find returns the factory registered under name and the fields it reads.
+func Find(name string) (Factory, Fields, bool) {
+	s, ok := schemes[name]
+	return s.factory, s.reads, ok
 }
 
 // Lookup returns the factory registered under name.
 func Lookup(name string) (Factory, bool) {
-	f, ok := factories[name]
+	f, _, ok := Find(name)
 	return f, ok
-}
-
-// Registered reports whether a scheme factory exists under name.
-func Registered(name string) bool {
-	_, ok := factories[name]
-	return ok
 }
 
 // Names returns the registered scheme names in sorted order.
 func Names() []string {
-	names := make([]string, 0, len(factories))
-	for name := range factories {
+	names := make([]string, 0, len(schemes))
+	for name := range schemes {
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -74,7 +74,7 @@ func (e *LinearExtrapolation) Estimate(now int64) (float64, bool) {
 		return float64(e.s[1].FullBuffers), true
 	}
 	slope := float64(e.s[1].FullBuffers-e.s[0].FullBuffers) / float64(dt)
-	v := float64(e.s[1].FullBuffers) + slope*float64(now-e.s[1].Taken)
+	v := float64(e.s[1].FullBuffers) + float64(slope*float64(now-e.s[1].Taken)) // rounded: never fused (make fused-ops)
 	if v < 0 {
 		v = 0
 	}

@@ -12,10 +12,14 @@ func (g *GlobalThrottler) Observe(congestion.FeedbackEvent) {}
 // serves all three — they differ only in threshold policy — keyed by
 // the registered name the Env carries.
 func init() {
-	for _, kind := range []string{"static", "tune", "tune-hillclimb"} {
-		congestion.Register(kind, newGlobalController)
-	}
+	global := congestion.EstimatorField | congestion.TuningPeriodField | congestion.KeepTraceField
+	congestion.Register("static", global|congestion.StaticThresholdField, newGlobalController)
+	congestion.Register("tune", global|congestion.TunerField, newGlobalController)
+	congestion.Register("tune-hillclimb", global|congestion.TunerField, newGlobalController)
 }
+
+// DefaultTuningPeriod is 3g, the paper's 96 cycles at g = 32.
+func DefaultTuningPeriod(g int64) int64 { return 3 * g }
 
 // newGlobalController assembles estimator, threshold policy and global
 // throttler for one of the registered global scheme names, and
@@ -31,7 +35,7 @@ func newGlobalController(env congestion.Env) (congestion.Controller, error) {
 	g := env.Side.GatherDuration()
 	period := p.TuningPeriod
 	if period == 0 {
-		period = 3 * g
+		period = DefaultTuningPeriod(g)
 	}
 	var policy ThresholdPolicy
 	switch env.Kind {

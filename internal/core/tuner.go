@@ -137,8 +137,8 @@ func (t *Tuner) OnPeriod(throughput, fullBuffers float64, throttling bool) {
 		t.tMax = t.threshold
 	}
 
-	inc := t.cfg.IncrementFraction * float64(t.cfg.TotalBuffers)
-	dec := t.cfg.DecrementFraction * float64(t.cfg.TotalBuffers)
+	inc := float64(t.cfg.IncrementFraction * float64(t.cfg.TotalBuffers)) // rounded: never fused (make fused-ops)
+	dec := float64(t.cfg.DecrementFraction * float64(t.cfg.TotalBuffers))
 
 	drop := t.havePrev && throughput < t.cfg.DropFraction*t.prevTput
 	switch {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -46,20 +47,20 @@ func init() {
 		"Linear extrapolation vs last-value estimation of the global "+
 			"full-buffer count (the paper credits extrapolation with 3-5%).",
 		func(s Scale) []Group {
-			return variants(s, 0.03, []sim.EstimatorKind{sim.LinearEstimator, sim.LastValueEstimator},
+			return variants(s, 0.03, []sim.EstimatorKind{"", sim.LastValueEstimator},
 				func(cfg *sim.Config, est sim.EstimatorKind) string {
 					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: est}
-					return est
+					return cmp.Or(est, sim.LinearEstimator) // unset is linear
 				})
 		})
 	// The paper found 32-192 cycles performs within a few percent.
 	registerStudy("ext2", "tuning period sensitivity",
 		"Sweeps the tuning period 32-192 cycles (the paper uses 96).",
 		func(s Scale) []Group {
-			return variants(s, 0.03, []int64{32, 64, 96, 160, 192},
+			return variants(s, 0.03, []int64{32, 64, 0, 160, 192},
 				func(cfg *sim.Config, period int64) string {
 					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, TuningPeriod: period}
-					return fmt.Sprintf("period=%d", period)
+					return fmt.Sprintf("period=%d", cmp.Or(period, core.DefaultTuningPeriod(cfg.GatherDuration()))) // unset is 3g
 				})
 		})
 	// The paper found steps of 1-4% of all buffers perform within ~4%,
@@ -72,9 +73,11 @@ func init() {
 			}
 			return variants(s, 0.03, steps, func(cfg *sim.Config, st struct{ inc, dec float64 }) string {
 				tc := core.DefaultTunerConfig(cfg.TotalBuffers())
-				tc.IncrementFraction = st.inc
-				tc.DecrementFraction = st.dec
-				cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Tuner: &tc}
+				cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned}
+				if st.inc != tc.IncrementFraction || st.dec != tc.DecrementFraction {
+					tc.IncrementFraction, tc.DecrementFraction = st.inc, st.dec
+					cfg.Scheme.Tuner = &tc
+				}
 				return fmt.Sprintf("inc=%g%%,dec=%g%%", st.inc*100, st.dec*100)
 			})
 		})

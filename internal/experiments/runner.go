@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/resultcache"
 	"repro/internal/sim"
@@ -116,24 +117,8 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 	base := r.ctx()
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
-	indices := make(chan int)
-	go func() {
-		defer close(indices)
-		for i := 0; i < n; i++ {
-			// Checked before the select: when both cases are ready the
-			// select picks randomly, which would dispatch work under an
-			// already-canceled context.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	// Workers take indices in order, and none after cancellation.
+	var next atomic.Int64
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -142,7 +127,11 @@ func (r Runner) forEach(n int, call func(ctx context.Context, slot *sim.Slot, i 
 			defer wg.Done()
 			slot := r.takeSlot()
 			defer r.putSlot(slot)
-			for i := range indices {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				if err := call(ctx, slot, i); err != nil {
 					errs[i] = err
 					cancel()

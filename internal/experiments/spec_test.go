@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/sim"
 )
@@ -89,6 +90,46 @@ func TestRegistrySpecsRoundTrip(t *testing.T) {
 				t.Errorf("%s: round-tripped spec differs", where)
 			}
 		}
+	}
+}
+
+// TestRegistrySpellsNoDefault fails when a registry point sets a scheme
+// field to the value its kind resolves when the field is unset: such a
+// point is the same simulation as its twin without the field, filed
+// under a second fingerprint. Each default is read from its owner.
+func TestRegistrySpellsNoDefault(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		s    Scale
+	}{{"quick", Quick}, {"paper", Paper}} {
+		points, fps := 0, map[string]bool{}
+		for _, name := range Names() {
+			e, _ := Lookup(name)
+			for _, pt := range e.Spec(sc.s).Points() {
+				points++
+				cfg, s := pt.Config, pt.Config.Scheme
+				// Validation holds a tuner's avoid_local_maxima to its kind.
+				tuner := core.DefaultTunerConfig(cfg.TotalBuffers())
+				if s.Tuner != nil {
+					tuner.AvoidLocalMaxima = s.Tuner.AvoidLocalMaxima
+				}
+				for field, spelled := range map[string]bool{
+					"estimator":     s.Estimator == sim.LinearEstimator,
+					"tuning_period": s.TuningPeriod == core.DefaultTuningPeriod(cfg.GatherDuration()),
+					"tuner":         s.Tuner != nil && *s.Tuner == tuner,
+				} {
+					if spelled {
+						t.Errorf("%s (%s) point %q spells the default %s", name, sc.name, pt.Label, field)
+					}
+				}
+				fp, err := cfg.Fingerprint()
+				if err != nil {
+					t.Fatalf("%s (%s) point %q: %v", name, sc.name, pt.Label, err)
+				}
+				fps[fp] = true
+			}
+		}
+		t.Logf("%s scale: %d registry points, %d distinct fingerprints", sc.name, points, len(fps))
 	}
 }
 

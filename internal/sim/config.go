@@ -94,20 +94,6 @@ func checkEstimator(k EstimatorKind) error {
 // Config.Serializable).
 type Scheme = congestion.Params
 
-// markFraction resolves the router's congestion-mark fraction: the
-// explicit MarkThreshold when set, the DECbit default for the schemes
-// that consume marks, and zero (marking disabled, zero router overhead)
-// for every other scheme.
-func markFraction(s Scheme) float64 {
-	if s.MarkThreshold != 0 {
-		return s.MarkThreshold
-	}
-	if s.Kind == AIMD || s.Kind == Notify {
-		return DefaultMarkThreshold
-	}
-	return 0
-}
-
 // Config describes one simulation run. NewConfig supplies the paper's
 // defaults. The json tags are the versioned wire form (see MarshalJSON):
 // the field order is the encoding order Fingerprint hashes, so fields
@@ -250,12 +236,42 @@ func (c Config) plan(p *plan) error {
 		return err
 	}
 	p.topo = topo
+	// The factory is the congestion registry's for the scheme kind,
+	// which declares the Params fields it reads, or Scheme.Custom: the
+	// in-process escape hatch with no wire form, which only the Custom
+	// kind calls and which may read any field.
+	var reads congestion.Fields
+	switch {
+	case c.Scheme.Kind == Custom:
+		if p.factory = c.Scheme.Custom; p.factory == nil {
+			return fmt.Errorf("sim: custom scheme needs a factory (Scheme.Custom) to build its throttler; spec-driven runs cannot carry one and must use a registered scheme (%s)",
+				strings.Join(congestion.Names(), ", "))
+		}
+	case c.Scheme.Custom != nil:
+		return fmt.Errorf("sim: Scheme.Custom is set on scheme %q, which never calls it; only kind %q runs a custom factory",
+			c.Scheme.Kind, Custom)
+	default:
+		var ok bool
+		if p.factory, reads, ok = congestion.Find(string(c.Scheme.Kind)); !ok {
+			return fmt.Errorf("sim: unknown scheme %q (registered: %s)",
+				c.Scheme.Kind, strings.Join(congestion.Names(), ", "))
+		}
+		if extra := c.Scheme.SetFields() &^ reads; extra != 0 {
+			return fmt.Errorf("sim: scheme %q never reads %s", c.Scheme.Kind, extra)
+		}
+	}
+	// Marking is on at MarkThreshold, or by default for the registered
+	// kinds that read it; otherwise it is off, at zero router overhead.
+	mark := c.Scheme.MarkThreshold
+	if mark == 0 && reads&congestion.MarkThresholdField != 0 {
+		mark = DefaultMarkThreshold
+	}
 	p.router = router.Config{
 		Topo: topo, VCs: c.VCs, BufDepth: c.BufDepth,
 		Mode: c.Mode, DeadlockTimeout: c.DeadlockTimeout, TokenWaitTimeout: c.TokenWaitTimeout,
 		DeliveryChannels: c.DeliveryChannels, Selection: c.Selection, Switching: c.Switching,
 		Workers: c.ShardWorkers, Dispatch: c.ShardDispatch,
-		CongestMark: markFraction(c.Scheme),
+		CongestMark: mark,
 	}
 	if err := p.router.Validate(); err != nil {
 		return err
@@ -328,31 +344,11 @@ func (c Config) plan(p *plan) error {
 		return fmt.Errorf("sim: %s leaves no whole sample interval in the measured window [%d, %d), so accepted traffic would read 0",
 			what, c.WarmupCycles, c.TotalCycles())
 	}
-	// The factory is the congestion registry's for the scheme kind, or
-	// Scheme.Custom: the in-process escape hatch with no wire form, which
-	// only the Custom kind calls.
-	if c.Scheme.Kind == Custom {
-		if p.factory = c.Scheme.Custom; p.factory == nil {
-			return fmt.Errorf("sim: custom scheme needs a factory (Scheme.Custom) to build its throttler; spec-driven runs cannot carry one and must use a registered scheme (%s)",
-				strings.Join(congestion.Names(), ", "))
-		}
-	} else if c.Scheme.Custom != nil {
-		return fmt.Errorf("sim: Scheme.Custom is set on scheme %q, which never calls it; only kind %q runs a custom factory",
-			c.Scheme.Kind, Custom)
-	} else if p.factory, _ = congestion.Lookup(string(c.Scheme.Kind)); p.factory == nil {
-		return fmt.Errorf("sim: unknown scheme %q (registered: %s)",
-			c.Scheme.Kind, strings.Join(congestion.Names(), ", "))
+	if c.Scheme.Kind == StaticGlobal && c.Scheme.StaticThreshold <= 0 {
+		return fmt.Errorf("sim: static scheme needs a positive static threshold, got %g", c.Scheme.StaticThreshold)
 	}
-	// Per-kind parameter rules.
-	switch c.Scheme.Kind {
-	case BusyVC:
-		if c.Scheme.BusyLimit < 0 {
-			return fmt.Errorf("sim: negative busy-VC limit")
-		}
-	case StaticGlobal:
-		if c.Scheme.StaticThreshold <= 0 {
-			return fmt.Errorf("sim: static scheme needs a positive threshold")
-		}
+	if c.Scheme.BusyLimit < 0 {
+		return fmt.Errorf("sim: negative busy-VC limit %d", c.Scheme.BusyLimit)
 	}
 	// Unset AIMD bounds resolve to the defaults, which always pass.
 	if wmin, wmax := c.Scheme.WindowMin, c.Scheme.WindowMax; wmin != 0 || wmax != 0 {
@@ -376,16 +372,13 @@ func (c Config) plan(p *plan) error {
 	} else if tp != 0 && tp%g != 0 {
 		return fmt.Errorf("sim: tuning period %d not a multiple of gather duration %d", tp, g)
 	}
-	if c.Scheme.StaticThreshold < 0 {
-		return fmt.Errorf("sim: negative static threshold %g", c.Scheme.StaticThreshold)
-	}
 	if tc := c.Scheme.Tuner; tc != nil {
 		if err := tc.Validate(); err != nil {
 			return err
 		}
 		// The kind decides local-maximum avoidance, so an override that
 		// says otherwise would be overwritten without a word.
-		if k := c.Scheme.Kind; (k == SelfTuned || k == HillClimbOnly) && tc.AvoidLocalMaxima != (k == SelfTuned) {
+		if k := c.Scheme.Kind; k != Custom && tc.AvoidLocalMaxima != (k == SelfTuned) {
 			return fmt.Errorf("sim: tuner avoid_local_maxima %t contradicts scheme %q, which runs with it %t",
 				tc.AvoidLocalMaxima, k, k == SelfTuned)
 		}

@@ -72,7 +72,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("sim: unsupported config version %d (this build reads version %d)",
 			w.Version, ConfigVersion)
 	}
-	if !congestion.Registered(string(w.Scheme.Kind)) {
+	if _, ok := congestion.Lookup(string(w.Scheme.Kind)); !ok {
 		return fmt.Errorf("sim: unknown scheme kind %q", w.Scheme.Kind)
 	}
 	if err := checkEstimator(w.Scheme.Estimator); err != nil {

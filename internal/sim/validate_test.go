@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,36 +114,50 @@ func TestValidateRejections(t *testing.T) {
 		{"notify-staleness-past-run-deadline", func(c *Config) {
 			c.Scheme = Scheme{Kind: Notify, Staleness: math.MaxInt64 - c.TotalCycles() + 1}
 		}, "staleness"},
-		{"unknown-estimator", func(c *Config) { c.Scheme.Estimator = "psychic" }, "estimator"},
-		{"negative-tuning-period", func(c *Config) { c.Scheme.TuningPeriod = -96 }, "tuning period"},
-		{"misaligned-tuning-period", func(c *Config) { c.Scheme.TuningPeriod = 97 }, "gather duration"},
-		{"negative-static-threshold", func(c *Config) { c.Scheme.StaticThreshold = -1 }, "static threshold"},
-		{"tuner-zero-buffers", func(c *Config) { c.Scheme.Tuner = &core.TunerConfig{} }, "TotalBuffers"},
+		{"unknown-estimator", func(c *Config) { c.Scheme = Scheme{Kind: SelfTuned, Estimator: "psychic"} }, "estimator"},
+		{"negative-tuning-period", func(c *Config) { c.Scheme = Scheme{Kind: SelfTuned, TuningPeriod: -96} }, "tuning period"},
+		{"misaligned-tuning-period", func(c *Config) { c.Scheme = Scheme{Kind: SelfTuned, TuningPeriod: 97} }, "gather duration"},
+		{"negative-static-threshold", func(c *Config) { c.Scheme = Scheme{Kind: StaticGlobal, StaticThreshold: -1} }, "static threshold"},
+		{"tuner-zero-buffers", func(c *Config) { c.Scheme = Scheme{Kind: SelfTuned, Tuner: &core.TunerConfig{}} }, "TotalBuffers"},
 		{"tuner-bad-initial", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.InitialFraction = 1.5
-			c.Scheme.Tuner = &tc
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
 		}, "InitialFraction"},
 		{"tuner-zero-steps", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.IncrementFraction = 0
-			c.Scheme.Tuner = &tc
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
 		}, "IncrementFraction"},
 		{"tuner-bad-drop", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.DropFraction = 1
-			c.Scheme.Tuner = &tc
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
 		}, "DropFraction"},
 		{"tuner-bad-recover", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.RecoverFraction = 0
-			c.Scheme.Tuner = &tc
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
 		}, "RecoverFraction"},
 		{"tuner-zero-reset-periods", func(c *Config) {
 			tc := core.DefaultTunerConfig(3072)
 			tc.ResetPeriods = 0
-			c.Scheme.Tuner = &tc
+			c.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc}
 		}, "ResetPeriods"},
+		// A field the kind never reads is refused, one row per family:
+		// local, global, window and notify.
+		{"local-refuses-tuning-period", func(c *Config) {
+			c.Scheme = Scheme{Kind: BusyVC, TuningPeriod: 96}
+		}, `scheme "busyvc" never reads tuning_period`},
+		{"global-refuses-busy-limit", func(c *Config) {
+			c.Scheme = Scheme{Kind: StaticGlobal, StaticThreshold: 250, BusyLimit: 3}
+		}, `scheme "static" never reads busy_limit`},
+		{"window-refuses-static-threshold", func(c *Config) {
+			c.Scheme = Scheme{Kind: AIMD, StaticThreshold: 250}
+		}, `scheme "aimd" never reads static_threshold`},
+		{"notify-refuses-window-max", func(c *Config) {
+			c.Scheme = Scheme{Kind: Notify, WindowMax: 8}
+		}, `scheme "notify" never reads window_max`},
 		// The kind decides local-maximum avoidance: tune avoids,
 		// tune-hillclimb does not.
 		{"tune-tuner-without-avoidance", func(c *Config) {
@@ -273,6 +289,105 @@ func TestValidateAccepts(t *testing.T) {
 		mut(&cfg)
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: valid config rejected: %v", name, err)
+		}
+	}
+}
+
+// TestValidateReadsDeclaredFields sets each optional scheme field on
+// each registered kind. A kind accepts exactly the fields it reads and
+// refuses every other, naming the field and the kind; custom accepts
+// them all.
+func TestValidateReadsDeclaredFields(t *testing.T) {
+	global := []string{"estimator", "tuning_period", "keep_trace"}
+	reads := map[SchemeKind][]string{
+		Base: nil, ALO: nil,
+		BusyVC:        {"busy_limit"},
+		StaticGlobal:  append([]string{"static_threshold"}, global...),
+		SelfTuned:     append([]string{"tuner"}, global...),
+		HillClimbOnly: append([]string{"tuner"}, global...),
+		AIMD:          {"window_min", "window_max", "mark_threshold"},
+		Notify:        {"staleness", "mark_threshold"},
+	}
+	fields := []struct {
+		name string
+		set  func(*Scheme)
+	}{
+		{"static_threshold", func(s *Scheme) { s.StaticThreshold = 300 }},
+		{"busy_limit", func(s *Scheme) { s.BusyLimit = 2 }},
+		{"estimator", func(s *Scheme) { s.Estimator = LastValueEstimator }},
+		{"tuning_period", func(s *Scheme) { s.TuningPeriod = 192 }},
+		{"tuner", func(s *Scheme) {
+			tc := core.DefaultTunerConfig(3072)
+			tc.AvoidLocalMaxima = s.Kind != HillClimbOnly
+			s.Tuner = &tc
+		}},
+		{"keep_trace", func(s *Scheme) { s.KeepTrace = true }},
+		{"window_min", func(s *Scheme) { s.WindowMin = 2 }},
+		{"window_max", func(s *Scheme) { s.WindowMax = 32 }},
+		{"mark_threshold", func(s *Scheme) { s.MarkThreshold = 0.5 }},
+		{"staleness", func(s *Scheme) { s.Staleness = 128 }},
+	}
+	kinds := congestion.Names()
+	if len(kinds) != len(reads) {
+		t.Fatalf("registered kinds %v, want the %d this table covers", kinds, len(reads))
+	}
+	accepted, refused := 0, 0
+	for _, kind := range append(kinds, string(Custom)) {
+		for _, f := range fields {
+			cfg := NewConfig()
+			cfg.Scheme = Scheme{Kind: SchemeKind(kind)}
+			switch cfg.Scheme.Kind {
+			case StaticGlobal:
+				cfg.Scheme.StaticThreshold = 250
+			case Custom:
+				cfg.Scheme.Custom = func(congestion.Env) (congestion.Controller, error) { return congestion.None{}, nil }
+			}
+			f.set(&cfg.Scheme)
+			err := cfg.Validate()
+			if cfg.Scheme.Kind == Custom || slices.Contains(reads[cfg.Scheme.Kind], f.name) {
+				if err != nil {
+					t.Errorf("%s with %s refused: %v", kind, f.name, err)
+				}
+				if cfg.Scheme.Kind != Custom {
+					accepted++
+				}
+				continue
+			}
+			refused++
+			if want := fmt.Sprintf("scheme %q never reads %s", kind, f.name); err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("%s with %s: error %v, want one ending %q", kind, f.name, err, want)
+			}
+		}
+	}
+	if accepted != 18 || refused != 62 {
+		t.Errorf("%d (kind, field) pairs accepted and %d refused, want 18 and 62", accepted, refused)
+	}
+}
+
+// TestMarkingFollowsDeclaredReads checks where routers mark congestion:
+// by default only for the registered kinds that read mark_threshold,
+// and for custom only with an explicit mark_threshold.
+func TestMarkingFollowsDeclaredReads(t *testing.T) {
+	custom := func(congestion.Env) (congestion.Controller, error) { return congestion.None{}, nil }
+	for _, tc := range []struct {
+		scheme Scheme
+		marks  bool
+	}{
+		{Scheme{Kind: AIMD}, true},
+		{Scheme{Kind: Notify}, true},
+		{Scheme{Kind: SelfTuned}, false},
+		{Scheme{Kind: BusyVC}, false},
+		{Scheme{Kind: Custom, Custom: custom}, false},
+		{Scheme{Kind: Custom, Custom: custom, MarkThreshold: 0.5}, true},
+	} {
+		cfg := fastConfig()
+		cfg.Scheme = tc.scheme
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if marks := e.Fabric().CongestionBits() != nil; marks != tc.marks {
+			t.Errorf("%s (mark_threshold %g): marking %t, want %t", tc.scheme.Kind, tc.scheme.MarkThreshold, marks, tc.marks)
 		}
 	}
 }

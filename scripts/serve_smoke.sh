@@ -138,6 +138,18 @@ curl -fsS "$BASE/healthz" >"$WORKDIR/body"
 grep -q '"ok"' "$WORKDIR/body"
 echo "sideband_bits 64 refused, healthz: ok"
 
+# A scheme field its kind never reads is refused, not ignored: base
+# reads no field, so a busy_limit would file base's run under a new
+# fingerprint.
+UNREAD=$(printf '%s' "$CONFIG" | sed 's/"scheme":{"kind":"base"}/"scheme":{"kind":"base","busy_limit":3}/')
+CODE=$(curl -sS -o "$WORKDIR/body" -w '%{http_code}' -d "$UNREAD" "$BASE/v1/jobs")
+if [ "$CODE" != 400 ] || ! grep -q 'busy_limit' "$WORKDIR/body"; then
+    echo "POST with busy_limit on base returned $CODE $(cat "$WORKDIR/body"), want a 400 naming busy_limit"; exit 1
+fi
+curl -fsS "$BASE/healthz" >"$WORKDIR/body"
+grep -q '"ok"' "$WORKDIR/body"
+echo "busy_limit on base refused, healthz: ok"
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 echo "drained: ok"
