@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpu race benchmark-test examples bench bench-json determinism lint fmt-check vet stcc-vet fused-ops govulncheck fuzz-smoke experiments-doc serve serve-smoke
+.PHONY: all build test test-cpu race benchmark-test examples bench bench-smoke bench-json determinism lint fmt-check vet stcc-vet fused-ops govulncheck fuzz-smoke experiments-doc serve serve-smoke
 
 all: build lint test
 
@@ -46,6 +46,17 @@ examples:
 # full trajectory report bench-json writes).
 bench:
 	$(GO) run ./cmd/stcc-bench -shapes '^(fabric|engine)/(idle|low|saturated)$$'
+
+# CI's bench-smoke job: the steady-state allocation and bytes-per-lane
+# gates, then the six shapes bench times, diffed against the checked-in
+# BENCH_PR19.json point. CI machines are noisy and differ from the one
+# that recorded the baseline, so the tolerance is wide: it catches
+# order-of-magnitude regressions (an accidentally quadratic scan, a
+# revived per-cycle allocation), not few-percent drift. The report goes
+# to bench-report.json, which CI uploads.
+bench-smoke:
+	$(GO) test -run 'ZeroSteadyStateAllocs|TestFabricNewBytesPerLane' -v .
+	$(GO) run ./cmd/stcc-bench -shapes '^(fabric|engine)/(idle|low|saturated)' -baseline BENCH_PR19.json -tolerance 1.0 -label ci -out bench-report.json
 
 # Record a new benchmark-trajectory report, BENCH_$(BENCH_LABEL).json.
 # Uses real benchtime (minutes, not a smoke run); see README.md

@@ -101,9 +101,7 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "steady-state per-cycle cost; warmup excluded (new/* shapes " +
-			"measure one sim.New per op instead, and store/fs one Put+Get " +
-			"of a real result through file I/O and an atomic rename).",
+		Note:       "steady-state per-cycle cost; warmup excluded (new/* shapes measure one sim.New per op instead).",
 	}
 	var base *Report
 	if *baselineFile != "" {
@@ -142,7 +140,6 @@ func main() {
 		name := reportName("new", s.Name)
 		points = append(points, point{name, func() Shape { return measureNew(name, s.Config()) }})
 	}
-	points = append(points, point{"store/fs", func() Shape { return measureStore("store/fs") }})
 	merged := map[string]*Shape{}
 	var order []string
 	for round := 0; round < repeats; round++ {
@@ -312,4 +309,9 @@ func measure(name string, shape interface{ Step() }) Shape {
 			shape.Step()
 		}
 	}))
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "stcc-bench: %v\n", err)
+	os.Exit(1)
 }

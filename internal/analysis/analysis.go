@@ -83,7 +83,7 @@ func newStat(xs []float64) Stat {
 		ss := 0.0
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			ss += float64(d * d) // rounded: never fused
 		}
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
 	}

@@ -8,9 +8,10 @@ import (
 
 // DeterministicPackages are the packages covered by the determinism
 // contract: everything that executes between Config+Seed and a
-// simulation Result. Packages outside this list (experiments, analysis,
-// stats, trace, the CLIs) may use the clock and global randomness
-// freely — they orchestrate runs, they don't define them.
+// simulation Result, including stats, which computes every number a
+// Result reports. Packages outside this list (experiments, analysis,
+// trace, the CLIs) may use the clock and global randomness freely —
+// they orchestrate runs and read their results, they don't define them.
 var DeterministicPackages = []string{
 	"repro/internal/router",
 	"repro/internal/sim",
@@ -20,6 +21,7 @@ var DeterministicPackages = []string{
 	"repro/internal/sideband",
 	"repro/internal/topology",
 	"repro/internal/packet",
+	"repro/internal/stats",
 }
 
 // RouterPackage is the home of the guarded active-set counters.

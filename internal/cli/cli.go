@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/congestion"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
 	"repro/internal/resultcache/fsstore"
@@ -160,9 +161,10 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 	measure := fs.Int64("measure", def.MeasureCycles, "measured cycles")
 	seed := fs.Int64("seed", def.Seed, "random seed")
 	scheme := fs.String("scheme", string(sim.Base), "congestion control: "+strings.Join(congestion.Names(), ", "))
-	threshold := fs.Float64("threshold", 250, "full-buffer threshold for -scheme static")
-	estimator := fs.String("estimator", "linear", "congestion estimator for static, tune and tune-hillclimb: linear or last")
-	period := fs.Int64("period", 0, "tuning period in cycles for static, tune and tune-hillclimb (0 = 3 gather durations)")
+	threshold := fs.Float64("threshold", 250, "full-buffer threshold for -scheme "+readersText(congestion.StaticThresholdField))
+	estimator := fs.String("estimator", core.LinearEstimator, "congestion estimator for "+readersText(congestion.EstimatorField)+
+		": "+core.LinearEstimator+" or "+core.LastValueEstimator)
+	period := fs.Int64("period", 0, "tuning period in cycles for "+readersText(congestion.TuningPeriodField)+" (0 = 3 gather durations)")
 
 	return func() (sim.Config, error) {
 		cfg := sim.NewConfig()
@@ -189,7 +191,7 @@ func netFlags(fs *flag.FlagSet) func() (sim.Config, error) {
 		if reads(cfg.Scheme.Kind, congestion.TuningPeriodField) {
 			cfg.Scheme.TuningPeriod = *period
 		}
-		if reads(cfg.Scheme.Kind, congestion.EstimatorField) && *estimator != sim.LinearEstimator {
+		if reads(cfg.Scheme.Kind, congestion.EstimatorField) && *estimator != core.LinearEstimator {
 			cfg.Scheme.Estimator = *estimator
 		}
 		return cfg, nil
@@ -320,8 +322,23 @@ func runSpecFile(runner experiments.Runner, path string, asJSON bool) error {
 
 // reads reports whether the registered scheme kind reads field.
 func reads(kind sim.SchemeKind, field congestion.Fields) bool {
-	_, fields, _ := congestion.Find(string(kind))
+	_, fields, _, _ := congestion.Find(string(kind))
 	return fields&field != 0
+}
+
+// readers returns the registered kinds that read field, in name order.
+func readers(field congestion.Fields) []string {
+	return slices.DeleteFunc(congestion.Names(), func(k string) bool { return !reads(sim.SchemeKind(k), field) })
+}
+
+// readersText lists readers(field) in prose ("a", "a and b", "a, b and
+// c"), so a scheme flag's help names the kinds that read its field.
+func readersText(field congestion.Fields) string {
+	kinds := readers(field)
+	if len(kinds) < 2 {
+		return strings.Join(kinds, "")
+	}
+	return strings.Join(kinds[:len(kinds)-1], ", ") + " and " + kinds[len(kinds)-1]
 }
 
 func printResult(r sim.Result) {
@@ -446,8 +463,7 @@ func cmdTrace(ctx context.Context, args []string) error {
 		return err
 	}
 	if !reads(cfg.Scheme.Kind, congestion.KeepTraceField) {
-		traced := slices.DeleteFunc(congestion.Names(), func(k string) bool { return !reads(sim.SchemeKind(k), congestion.KeepTraceField) })
-		return fmt.Errorf("-scheme %s has no threshold to trace (want one of %v)", cfg.Scheme.Kind, traced)
+		return fmt.Errorf("-scheme %s has no threshold to trace (want one of %v)", cfg.Scheme.Kind, readers(congestion.KeepTraceField))
 	}
 	cfg.Scheme.KeepTrace = true
 	return prof(func() error {

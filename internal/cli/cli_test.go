@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/congestion"
 	"repro/internal/experiments"
@@ -370,6 +372,26 @@ func TestNetFlagsHelpListsEveryName(t *testing.T) {
 		for _, name := range names {
 			if !strings.Contains(usage, name) {
 				t.Errorf("-%s help %q omits %q", flagName, usage, name)
+			}
+		}
+	}
+}
+
+// TestSchemeFlagsHelpNamesReaders requires each scheme flag's help to
+// name exactly the registered kinds whose Register call reads its field.
+func TestSchemeFlagsHelpNamesReaders(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	netFlags(fs)
+	for flagName, field := range map[string]congestion.Fields{
+		"threshold": congestion.StaticThresholdField,
+		"estimator": congestion.EstimatorField,
+		"period":    congestion.TuningPeriodField,
+	} {
+		usage := fs.Lookup(flagName).Usage
+		words := strings.FieldsFunc(usage, func(r rune) bool { return r != '-' && !unicode.IsLetter(r) })
+		for _, kind := range congestion.Names() {
+			if named, read := slices.Contains(words, kind), reads(sim.SchemeKind(kind), field); named != read {
+				t.Errorf("-%s help %q names %s: %t, but %s reads %s: %t", flagName, usage, kind, named, kind, field, read)
 			}
 		}
 	}

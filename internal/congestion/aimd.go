@@ -19,7 +19,10 @@ const (
 )
 
 func init() {
-	Register("aimd", WindowMinField|WindowMaxField|MarkThresholdField, func(env Env) (Controller, error) {
+	Register("aimd", WindowMinField|WindowMaxField|MarkThresholdField, func(p Params, _, _ int64) error {
+		_, _, err := AIMDWindow(p.WindowMin, p.WindowMax)
+		return err
+	}, func(env Env) (Controller, error) {
 		wmin, wmax, err := AIMDWindow(env.Params.WindowMin, env.Params.WindowMax)
 		if err != nil {
 			return nil, err
@@ -31,8 +34,7 @@ func init() {
 // AIMDWindow resolves a configured AIMD window, in packets: a zero
 // bound selects DefaultWindowMin or DefaultWindowMax. The resolved
 // window must satisfy 1 <= min <= max <= math.MaxInt32. The aimd
-// factory and the simulator's config validation both resolve windows
-// through here.
+// factory and its check both resolve windows through here.
 func AIMDWindow(wmin, wmax int) (int, int, error) {
 	if wmin == 0 {
 		wmin = DefaultWindowMin

@@ -12,6 +12,8 @@
 package congestion
 
 import (
+	"fmt"
+
 	"repro/internal/topology"
 )
 
@@ -99,11 +101,16 @@ type NotificationUser interface {
 // The local schemes self-register; the global ones register from
 // package core, next to their implementation.
 func init() {
-	Register("base", 0, func(Env) (Controller, error) { return None{}, nil })
-	Register("alo", 0, func(env Env) (Controller, error) {
+	Register("base", 0, nil, func(Env) (Controller, error) { return None{}, nil })
+	Register("alo", 0, nil, func(env Env) (Controller, error) {
 		return NewALO(env.Topo, env.Local), nil
 	})
-	Register("busyvc", BusyLimitField, func(env Env) (Controller, error) {
+	Register("busyvc", BusyLimitField, func(p Params, _, _ int64) error {
+		if p.BusyLimit < 0 {
+			return fmt.Errorf("congestion: negative busy-VC limit %d", p.BusyLimit)
+		}
+		return nil
+	}, func(env Env) (Controller, error) {
 		limit := env.Params.BusyLimit
 		if limit == 0 {
 			limit = env.Topo.PhysPorts() * env.Local.VCsPerPort() / 2

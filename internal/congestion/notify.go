@@ -2,6 +2,7 @@ package congestion
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/sideband"
@@ -9,7 +10,16 @@ import (
 )
 
 func init() {
-	Register("notify", StalenessField|MarkThresholdField, func(env Env) (Controller, error) {
+	// A notified source is gated until now + staleness, which must fit
+	// an int64 at every cycle of the run.
+	Register("notify", StalenessField|MarkThresholdField, func(p Params, _, cycles int64) error {
+		if s := p.Staleness; s < 0 {
+			return fmt.Errorf("congestion: negative notification staleness %d", s)
+		} else if s > math.MaxInt64-cycles {
+			return fmt.Errorf("congestion: staleness %d overflows the gating deadline of a %d-cycle run (at most %d)", s, cycles, math.MaxInt64-cycles)
+		}
+		return nil
+	}, func(env Env) (Controller, error) {
 		staleness := env.Params.Staleness
 		if staleness == 0 {
 			// Two gather durations: long enough that a persistently
@@ -17,9 +27,6 @@ func init() {
 			// neighborhood for a control-loop round trip, short enough
 			// that a cleared hotspot releases sources quickly.
 			staleness = 2 * env.Side.GatherDuration()
-		}
-		if staleness < 1 {
-			return nil, fmt.Errorf("congestion: notify staleness %d must be >= 1", staleness)
 		}
 		return NewNotify(env.Topo, env.Global, env.Side.HopDelay(), staleness), nil
 	})

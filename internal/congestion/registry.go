@@ -19,39 +19,41 @@ type SchemeKind string
 // predate a knob keep their encoding and fingerprint. The engine hands
 // it to the scheme's factory unchanged, as Env.Params. Zero values mean
 // "use the scheme's default"; each factory resolves its own defaults,
-// next to the controller it configures, and declares the fields it
-// reads (Register). A factory reads the scheme's name from Env.Kind.
+// next to the controller it configures. Which kinds read a field, and
+// which of its values they accept, is declared once, in each kind's
+// Register call beside its factory (see Find). A factory reads the
+// scheme's name from Env.Kind.
 type Params struct {
 	Kind SchemeKind `json:"kind"`
-	// StaticThreshold is the fixed full-buffer threshold (static).
+	// StaticThreshold is the fixed full-buffer threshold.
 	StaticThreshold float64 `json:"static_threshold,omitempty"`
-	// BusyLimit is the busy-VC injection limit (busyvc); zero selects
-	// half the node's output VCs.
+	// BusyLimit is the busy-VC injection limit; zero selects half the
+	// node's output VCs.
 	BusyLimit int `json:"busy_limit,omitempty"`
-	// Estimator names the global-congestion estimator ("", "linear" or
-	// "last"); empty means linear.
+	// Estimator names the global-congestion estimator
+	// (core.LinearEstimator or core.LastValueEstimator); empty means
+	// linear.
 	Estimator string `json:"estimator,omitempty"`
-	// TuningPeriod in cycles for the global schemes; zero means three
-	// gather durations (the paper's 96 cycles for the 16-ary 2-cube).
+	// TuningPeriod is the cycles between threshold decisions; zero means
+	// three gather durations (the paper's 96 cycles for the 16-ary
+	// 2-cube).
 	TuningPeriod int64 `json:"tuning_period,omitempty"`
-	// Tuner overrides the tuning parameters (tune, tune-hillclimb); nil
-	// means the paper defaults for the configured network.
+	// Tuner overrides the tuning parameters; nil means the paper
+	// defaults for the configured network.
 	Tuner *TunerConfig `json:"tuner,omitempty"`
-	// KeepTrace retains the global schemes' per-tuning-period threshold
-	// trace.
+	// KeepTrace retains the per-tuning-period threshold trace.
 	KeepTrace bool `json:"keep_trace,omitempty"`
-	// WindowMin and WindowMax bound the per-source injection window
-	// (aimd), in packets; zero selects the scheme defaults (1 and 64).
+	// WindowMin and WindowMax bound the per-source injection window, in
+	// packets; zero selects the scheme defaults (1 and 64).
 	WindowMin int `json:"window_min,omitempty"`
 	WindowMax int `json:"window_max,omitempty"`
 	// MarkThreshold is the router occupancy fraction at which the
-	// DECbit congestion bit sets, for the mark-based schemes (aimd,
-	// notify); zero selects sim.DefaultMarkThreshold. The bit clears at
-	// half the mark (hysteresis).
+	// DECbit congestion bit sets; zero selects sim.DefaultMarkThreshold
+	// for a registered kind that reads it, and no marking otherwise. The
+	// bit clears at half the mark (hysteresis).
 	MarkThreshold float64 `json:"mark_threshold,omitempty"`
 	// Staleness is how long a delivered congestion notification keeps
-	// gating injection (notify), in cycles; zero selects two gather
-	// durations.
+	// gating injection, in cycles; zero selects two gather durations.
 	Staleness int64 `json:"staleness,omitempty"`
 	// Custom builds the controller when Kind is "custom". It is called
 	// once per run with the Env the registered factories receive, so
@@ -186,42 +188,50 @@ func (p *Params) SetFields() (s Fields) {
 	return s
 }
 
+// Check refuses the Params values a registered scheme cannot run with,
+// at side-band gather duration g in a run of cycles cycles. Config
+// validation calls it last, with p.Kind the registered name and no field
+// set that the scheme does not read. A nil Check accepts every value.
+type Check func(p Params, g, cycles int64) error
+
 type scheme struct {
 	factory Factory
 	reads   Fields
+	check   Check
 }
 
-// schemes is the name-keyed scheme registry: each entry a factory and
-// the fields it reads. Registration happens in package init functions
-// (schemes self-register next to their implementation), so the map is
-// read-only after program start and needs no locking.
+// schemes is the name-keyed scheme registry: each entry a factory, the
+// fields it reads and its value check. Registration happens in package
+// init functions (schemes self-register next to their implementation),
+// so the map is read-only after program start and needs no locking.
 var schemes = map[string]scheme{}
 
 // Register adds a scheme factory under name, with the Params fields it
-// reads. Schemes self-register from init, next to their implementation,
-// so the simulator's scheme validation and construction derive from one
-// table. Register panics on an empty name or a duplicate: both are
-// programming errors that must fail at process start, not at first use.
-func Register(name string, reads Fields, f Factory) {
+// reads and the check of their values. Schemes self-register from init,
+// next to their implementation, so the simulator's scheme validation and
+// construction derive from one table. Register panics on an empty name
+// or a duplicate: both are programming errors that must fail at process
+// start, not at first use.
+func Register(name string, reads Fields, check Check, f Factory) {
 	if name == "" || f == nil {
 		panic("congestion: Register needs a name and a factory")
 	}
 	if _, dup := schemes[name]; dup {
 		panic(fmt.Sprintf("congestion: scheme %q registered twice", name))
 	}
-	schemes[name] = scheme{f, reads}
+	schemes[name] = scheme{f, reads, check}
 }
 
-// Find returns the factory registered under name and the fields it reads.
-func Find(name string) (Factory, Fields, bool) {
+// Find returns name's factory, the fields it reads and its value check.
+func Find(name string) (Factory, Fields, Check, bool) {
 	s, ok := schemes[name]
-	return s.factory, s.reads, ok
+	return s.factory, s.reads, s.check, ok
 }
 
 // Lookup returns the factory registered under name.
 func Lookup(name string) (Factory, bool) {
-	f, _, ok := Find(name)
-	return f, ok
+	s, ok := schemes[name]
+	return s.factory, ok
 }
 
 // Names returns the registered scheme names in sorted order.

@@ -21,6 +21,15 @@ type Estimator interface {
 	Estimate(now int64) (value float64, ok bool)
 }
 
+// EstimatorKind names an Estimator, as a scheme's estimator field
+// does; "" is LinearEstimator.
+type EstimatorKind = string
+
+const (
+	LinearEstimator    EstimatorKind = "linear" // LinearExtrapolation, the paper's default
+	LastValueEstimator EstimatorKind = "last"   // LastValue
+)
+
 // LastValue predicts the most recent snapshot's value: "use the state
 // observed in the immediately previous network snapshot until the next
 // snapshot becomes available".

@@ -47,10 +47,10 @@ func init() {
 		"Linear extrapolation vs last-value estimation of the global "+
 			"full-buffer count (the paper credits extrapolation with 3-5%).",
 		func(s Scale) []Group {
-			return variants(s, 0.03, []sim.EstimatorKind{"", sim.LastValueEstimator},
-				func(cfg *sim.Config, est sim.EstimatorKind) string {
+			return variants(s, 0.03, []core.EstimatorKind{"", core.LastValueEstimator},
+				func(cfg *sim.Config, est core.EstimatorKind) string {
 					cfg.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: est}
-					return cmp.Or(est, sim.LinearEstimator) // unset is linear
+					return cmp.Or(est, core.LinearEstimator) // unset is linear
 				})
 		})
 	// The paper found 32-192 cycles performs within a few percent.

@@ -114,7 +114,7 @@ func TestRegistrySpellsNoDefault(t *testing.T) {
 					tuner.AvoidLocalMaxima = s.Tuner.AvoidLocalMaxima
 				}
 				for field, spelled := range map[string]bool{
-					"estimator":     s.Estimator == sim.LinearEstimator,
+					"estimator":     s.Estimator == core.LinearEstimator,
 					"tuning_period": s.TuningPeriod == core.DefaultTuningPeriod(cfg.GatherDuration()),
 					"tuner":         s.Tuner != nil && *s.Tuner == tuner,
 				} {
@@ -242,6 +242,24 @@ func TestRunSpecErrorContext(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
+	}
+}
+
+// TestSpecValidateAllocs pins what validating fig3's 48-point Quick spec
+// allocates: the benchmark's fig3-sweep times this path as setup_s. It
+// makes 144 allocations, three per point. A scheme check that took
+// *congestion.Params made plan's Config receiver escape, at 192.
+func TestSpecValidateAllocs(t *testing.T) {
+	e, _ := Lookup("fig3")
+	spec := e.Spec(Quick)
+	avg := testing.AllocsPerRun(20, func() {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("validating the %d-point fig3 spec made %.0f allocations", spec.NumPoints(), avg)
+	if avg > 144 {
+		t.Errorf("%.0f allocations, want at most 144", avg)
 	}
 }
 

@@ -102,7 +102,7 @@ func wireConfigs() map[string]sim.Config {
 	a.ScheduleSpec = traffic.PaperBurstySpec(traffic.PaperBurstyOptions{})
 	tc := core.DefaultTunerConfig(a.TotalBuffers())
 	tc.DecrementFraction = 0.02
-	a.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: sim.LastValueEstimator,
+	a.Scheme = sim.Scheme{Kind: sim.SelfTuned, Estimator: core.LastValueEstimator,
 		TuningPeriod: 2 * a.GatherDuration(), Tuner: &tc, KeepTrace: true}
 	a.ShardWorkers = 4
 	a.ShardDispatch = router.DispatchSharded

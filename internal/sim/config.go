@@ -64,30 +64,6 @@ const (
 // back-pressure makes the marks redundant.
 const DefaultMarkThreshold = 0.75
 
-// EstimatorKind names how global congestion is predicted between
-// side-band snapshots. It is a plain string, the type of
-// Scheme.Estimator.
-type EstimatorKind = string
-
-// Estimator kinds.
-const (
-	// LinearEstimator extrapolates from the last two snapshots (the
-	// paper's default, worth ~3-5% throughput).
-	LinearEstimator EstimatorKind = "linear"
-	// LastValueEstimator holds the last snapshot.
-	LastValueEstimator EstimatorKind = "last"
-)
-
-// checkEstimator rejects an estimator name other than the two kinds
-// ("" is linear).
-func checkEstimator(k EstimatorKind) error {
-	switch k {
-	case "", LinearEstimator, LastValueEstimator:
-		return nil
-	}
-	return fmt.Errorf("sim: unknown estimator %q", k)
-}
-
 // Scheme configures the congestion controller. It is congestion.Params,
 // the one definition of a scheme's fields and wire names, which the
 // scheme's factory receives as Env.Params. Custom has no wire form (see
@@ -229,7 +205,9 @@ func (c Config) Validate() error {
 
 // plan resolves c into p, applying every rule a config must pass. It is
 // the only code that reads a Config's network, side-band, workload and
-// scheme: Validate returns its error, and New builds from p.
+// scheme: Validate returns its error, and New builds from p. It holds
+// the rules every scheme shares; a scheme's value rules belong to the
+// check it registered (congestion.Register), which plan calls last.
 func (c Config) plan(p *plan) error {
 	topo, err := c.Topology()
 	if err != nil {
@@ -241,6 +219,7 @@ func (c Config) plan(p *plan) error {
 	// in-process escape hatch with no wire form, which only the Custom
 	// kind calls and which may read any field.
 	var reads congestion.Fields
+	var check congestion.Check
 	switch {
 	case c.Scheme.Kind == Custom:
 		if p.factory = c.Scheme.Custom; p.factory == nil {
@@ -252,7 +231,7 @@ func (c Config) plan(p *plan) error {
 			c.Scheme.Kind, Custom)
 	default:
 		var ok bool
-		if p.factory, reads, ok = congestion.Find(string(c.Scheme.Kind)); !ok {
+		if p.factory, reads, check, ok = congestion.Find(string(c.Scheme.Kind)); !ok {
 			return fmt.Errorf("sim: unknown scheme %q (registered: %s)",
 				c.Scheme.Kind, strings.Join(congestion.Names(), ", "))
 		}
@@ -344,44 +323,10 @@ func (c Config) plan(p *plan) error {
 		return fmt.Errorf("sim: %s leaves no whole sample interval in the measured window [%d, %d), so accepted traffic would read 0",
 			what, c.WarmupCycles, c.TotalCycles())
 	}
-	if c.Scheme.Kind == StaticGlobal && c.Scheme.StaticThreshold <= 0 {
-		return fmt.Errorf("sim: static scheme needs a positive static threshold, got %g", c.Scheme.StaticThreshold)
-	}
-	if c.Scheme.BusyLimit < 0 {
-		return fmt.Errorf("sim: negative busy-VC limit %d", c.Scheme.BusyLimit)
-	}
-	// Unset AIMD bounds resolve to the defaults, which always pass.
-	if wmin, wmax := c.Scheme.WindowMin, c.Scheme.WindowMax; wmin != 0 || wmax != 0 {
-		if _, _, err := congestion.AIMDWindow(wmin, wmax); err != nil {
-			return err
-		}
-	}
-	// A notified source is gated until now + staleness, which must fit
-	// an int64 at every cycle of the run.
-	if s := c.Scheme.Staleness; s < 0 {
-		return fmt.Errorf("sim: negative notification staleness %d", s)
-	} else if s > math.MaxInt64-c.TotalCycles() {
-		return fmt.Errorf("sim: staleness %d overflows the gating deadline of a %d-cycle run (at most %d)",
-			s, c.TotalCycles(), math.MaxInt64-c.TotalCycles())
-	}
-	if err := checkEstimator(c.Scheme.Estimator); err != nil {
-		return err
-	}
-	if tp, g := c.Scheme.TuningPeriod, p.side.GatherDuration(); tp < 0 {
-		return fmt.Errorf("sim: negative tuning period %d", tp)
-	} else if tp != 0 && tp%g != 0 {
-		return fmt.Errorf("sim: tuning period %d not a multiple of gather duration %d", tp, g)
-	}
-	if tc := c.Scheme.Tuner; tc != nil {
-		if err := tc.Validate(); err != nil {
-			return err
-		}
-		// The kind decides local-maximum avoidance, so an override that
-		// says otherwise would be overwritten without a word.
-		if k := c.Scheme.Kind; k != Custom && tc.AvoidLocalMaxima != (k == SelfTuned) {
-			return fmt.Errorf("sim: tuner avoid_local_maxima %t contradicts scheme %q, which runs with it %t",
-				tc.AvoidLocalMaxima, k, k == SelfTuned)
-		}
+	// The scheme's value rules run last: a registered kind's check,
+	// beside its factory. A custom factory checks its own fields.
+	if check != nil {
+		return check(c.Scheme, p.side.GatherDuration(), c.TotalCycles())
 	}
 	return nil
 }

@@ -75,9 +75,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	if _, ok := congestion.Lookup(string(w.Scheme.Kind)); !ok {
 		return fmt.Errorf("sim: unknown scheme kind %q", w.Scheme.Kind)
 	}
-	if err := checkEstimator(w.Scheme.Estimator); err != nil {
-		return err
-	}
 	*c = Config(w.plainConfig)
 	return nil
 }

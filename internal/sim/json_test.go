@@ -25,7 +25,7 @@ func jsonCases() map[string]Config {
 	tuned := NewConfig()
 	tc := core.DefaultTunerConfig(3072)
 	tc.DecrementFraction = 0.02
-	tuned.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc, Estimator: LastValueEstimator, TuningPeriod: 96}
+	tuned.Scheme = Scheme{Kind: SelfTuned, Tuner: &tc, Estimator: core.LastValueEstimator, TuningPeriod: 96}
 
 	exotic := NewConfig()
 	exotic.Mode = router.Avoidance

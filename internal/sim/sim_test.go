@@ -170,7 +170,7 @@ func TestAllSchemesRun(t *testing.T) {
 		{Kind: StaticGlobal, StaticThreshold: 100},
 		{Kind: SelfTuned},
 		{Kind: HillClimbOnly},
-		{Kind: SelfTuned, Estimator: LastValueEstimator},
+		{Kind: SelfTuned, Estimator: core.LastValueEstimator},
 		{Kind: SelfTuned, TuningPeriod: 32},
 	} {
 		cfg := fastConfig()

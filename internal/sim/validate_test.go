@@ -237,7 +237,7 @@ func TestValidateAccepts(t *testing.T) {
 		"alo":      func(c *Config) { c.Scheme = Scheme{Kind: ALO} },
 		"busyvc":   func(c *Config) { c.Scheme = Scheme{Kind: BusyVC, BusyLimit: 2} },
 		"static":   func(c *Config) { c.Scheme = Scheme{Kind: StaticGlobal, StaticThreshold: 250} },
-		"tune":     func(c *Config) { c.Scheme = Scheme{Kind: SelfTuned, Estimator: LastValueEstimator} },
+		"tune":     func(c *Config) { c.Scheme = Scheme{Kind: SelfTuned, Estimator: core.LastValueEstimator} },
 		"hillclimb": func(c *Config) {
 			c.Scheme = Scheme{Kind: HillClimbOnly, TuningPeriod: 96}
 		},
@@ -314,7 +314,7 @@ func TestValidateReadsDeclaredFields(t *testing.T) {
 	}{
 		{"static_threshold", func(s *Scheme) { s.StaticThreshold = 300 }},
 		{"busy_limit", func(s *Scheme) { s.BusyLimit = 2 }},
-		{"estimator", func(s *Scheme) { s.Estimator = LastValueEstimator }},
+		{"estimator", func(s *Scheme) { s.Estimator = core.LastValueEstimator }},
 		{"tuning_period", func(s *Scheme) { s.TuningPeriod = 192 }},
 		{"tuner", func(s *Scheme) {
 			tc := core.DefaultTunerConfig(3072)
@@ -361,6 +361,36 @@ func TestValidateReadsDeclaredFields(t *testing.T) {
 	}
 	if accepted != 18 || refused != 62 {
 		t.Errorf("%d (kind, field) pairs accepted and %d refused, want 18 and 62", accepted, refused)
+	}
+}
+
+// TestCustomSchemeChecksItsOwnParams pins that a custom scheme's Params
+// reach its factory unchecked: the factory is their only reader, so no
+// registered kind's value rule applies. On the paper network (g = 32) a
+// tuning period of 97, a negative staleness and a negative busy-VC limit
+// all validate and arrive as set.
+func TestCustomSchemeChecksItsOwnParams(t *testing.T) {
+	var got Scheme
+	cfg := NewConfig()
+	cfg.Scheme = Scheme{Kind: Custom, TuningPeriod: 97, Staleness: -1, BusyLimit: -3,
+		Custom: func(env congestion.Env) (congestion.Controller, error) {
+			got = env.Params
+			return congestion.None{}, nil
+		}}
+	if g := cfg.GatherDuration(); g != 32 {
+		t.Fatalf("gather duration %d, want the paper network's 32", g)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("custom scheme's params refused: %v", err)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if got.TuningPeriod != 97 || got.Staleness != -1 || got.BusyLimit != -3 {
+		t.Errorf("factory received tuning_period %d, staleness %d, busy_limit %d; want 97, -1, -3",
+			got.TuningPeriod, got.Staleness, got.BusyLimit)
 	}
 }
 

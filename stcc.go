@@ -55,7 +55,7 @@ type (
 	// SchemeKind names a congestion control scheme.
 	SchemeKind = sim.SchemeKind
 	// EstimatorKind names a congestion estimator.
-	EstimatorKind = sim.EstimatorKind
+	EstimatorKind = core.EstimatorKind
 	// Result is one run's measurements.
 	Result = sim.Result
 	// Engine is a configured simulation; use New + Run for control over
@@ -103,9 +103,9 @@ const (
 const (
 	// LinearEstimator extrapolates from the last two side-band
 	// snapshots (the paper's default).
-	LinearEstimator = sim.LinearEstimator
+	LinearEstimator = core.LinearEstimator
 	// LastValueEstimator holds the last snapshot.
-	LastValueEstimator = sim.LastValueEstimator
+	LastValueEstimator = core.LastValueEstimator
 )
 
 // DeadlockMode selects avoidance or recovery.
